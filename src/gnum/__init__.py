@@ -28,9 +28,9 @@ from .ideals import (FinIdeal, RootFamilyIdeal, intersect_principal,
                      principal_forms, principal_reduce, radical_membership)
 from .lattice import abs_factor, convex_factor, gabs, gmax, gmin
 from .nets import (EPS, GNumber, NetExpr, Tier, absn, add, bump_train, const,
-                   cos_recip, eval_net, g_add, g_mul, g_neg, g_sub, gnumber,
-                   indicator, inv, maxn, minimal_tier, minn, mul, neg, powq,
-                   rootn, sin_recip, spikes, sub, tier_relax)
+                   cos_recip, eval_net, eval_points, g_add, g_mul, g_neg,
+                   g_sub, gnumber, indicator, inv, maxn, minimal_tier, minn,
+                   mul, neg, powq, rootn, sin_recip, spikes, sub, tier_relax)
 from .sequences import (Explicit, Geometric, Harmonic, HarmonicMidpoints,
                         Midpoints, PiSequence, SequenceRule)
 from .smoothing import (RefutationWitness, SmoothingReport,

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from . import nets, profiles
-from .nets import NetExpr, eval_net, is_real_net
+from .nets import NetExpr, eval_net, eval_points, is_real_net
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, candidate_sequences, info, poly_nonneg,
                        rat, rat_lower, rat_upper)
@@ -109,50 +111,47 @@ def _log_points(lo: float, hi: float, n: int):
     return out
 
 
-def _safe_abs(net: NetExpr, e: float) -> float:
-    try:
-        return abs(eval_net(net, e))
-    except Exception:
-        return math.inf
+def _powers(pts: List[float], m: int) -> np.ndarray:
+    """``e ** m`` at each point, by Python's ``**`` (numpy's power can
+    round differently)."""
+    return np.array([e ** m for e in pts], dtype=float)
+
+
+def _last_passing(pts: List[float], ok: np.ndarray) -> Optional[float]:
+    """The last point of the longest prefix of ``pts`` on which ``ok``
+    holds; None when it fails at the first point."""
+    k = len(pts) if ok.all() else int(np.argmin(ok))
+    return pts[k - 1] if k else None
 
 
 def _calibrate_lower(net: NetExpr, m: int) -> float:
     """Largest scan point below which |net| >= eps**m holds at every
-    smaller scan point.
+    smaller scan point; a point the evaluator cannot resolve passes.
 
     A dense second pass guards against narrow cancellation windows
     (e.g. a train edge crossing a power term) slipping between the
     coarse scan points."""
-    good = None
-    for e in _log_points(1e-6, 0.6, 160):
-        if _safe_abs(net, e) >= e ** m:
-            good = e
-        else:
-            break
+    def ok(pts):
+        v = np.abs(eval_points(net, pts, fill=math.inf)).astype(float)
+        return v >= _powers(pts, m)
+
+    pts = _log_points(1e-6, 0.6, 160)
+    good = _last_passing(pts, ok(pts))
     if good is None:
         return 1e-6
-    refined = None
-    for e in _log_points(1e-6, good, 1400):
-        if _safe_abs(net, e) >= e ** m:
-            refined = e
-        else:
-            break
+    pts = _log_points(1e-6, good, 1400)
+    refined = _last_passing(pts, ok(pts))
     return refined if refined is not None else 1e-6
 
 
-def _calibrate_leq(x: NetExpr, y: NetExpr, a: int) -> float:
+def _calibrate_leq(pts: List[float], vx: np.ndarray, vy: np.ndarray,
+                   a: int) -> float:
     """Largest scan point below which x <= y + eps**a holds at every
-    smaller scan point."""
-    good = None
-    for e in _log_points(1e-6, 0.9, 160):
-        try:
-            vx, vy = eval_net(x, e), eval_net(y, e)
-        except Exception:
-            break
-        if vx <= vy + e ** a + 1e-12 * max(1.0, abs(vy)):
-            good = e
-        else:
-            break
+    smaller scan point, from x and y on the scan (nan where the
+    evaluator failed, which ends the prefix)."""
+    ay = np.abs(vy)
+    ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
+    good = _last_passing(pts, ok)
     return good if good is not None else 1e-6
 
 
@@ -412,15 +411,18 @@ def _group_sign(lead) -> Optional[int]:
 
 
 def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> WitnessRecord:
-    data = tuple((a, _calibrate_leq(x, y, a)) for a in range(1, a_max + 1))
+    pts = _log_points(1e-6, 0.9, 160)
+    vx = eval_points(x, pts, fill=math.nan)
+    vy = eval_points(y, pts, fill=math.nan)
+    data = tuple((a, _calibrate_leq(pts, vx, vy, a))
+                 for a in range(1, a_max + 1))
     return WitnessRecord("eventual-threshold", data)
 
 
 def _find_order_violation(x: NetExpr, y: NetExpr, a: int) -> Optional[float]:
-    for e in _log_points(1e-6, 0.9, 200):
-        try:
-            if eval_net(x, e) > eval_net(y, e) + e ** a:
-                return e
-        except Exception:
-            continue
-    return None
+    """First scan point with x > y + eps**a; points where either side
+    cannot be evaluated are skipped."""
+    pts = _log_points(1e-6, 0.9, 200)
+    bad = eval_points(x, pts, fill=math.nan) > \
+        eval_points(y, pts, fill=math.nan) + _powers(pts, a)
+    return pts[int(np.argmax(bad))] if bad.any() else None

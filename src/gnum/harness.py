@@ -18,9 +18,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nets
-from .asymptotics import DecisionTri
+from .asymptotics import DecisionTri, _powers
 from .errors import DomainError
-from .nets import NetExpr, Tier, eval_net
+from .nets import NetExpr, Tier, eval_net, eval_points
 from .sequences import Geometric, Harmonic, SequenceRule
 
 F = Fraction
@@ -43,9 +43,13 @@ class GridSpec:
 
     def split(self) -> Tuple[np.ndarray, np.ndarray]:
         """(tail, head): smallest 30% of the points, and the rest."""
-        pts = self.points()
-        cut = max(1, int(0.3 * len(pts)))
-        return pts[:cut], pts[cut:]
+        return _split(self.points())
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(tail, head) of ascending grid points, or of values on them."""
+    cut = max(1, int(0.3 * len(a)))
+    return a[:cut], a[cut:]
 
 
 DEFAULT_GRID = GridSpec()
@@ -73,9 +77,23 @@ def _abs_at(net: NetExpr, e: float) -> float:
     return v
 
 
+def _abs_points(net: NetExpr, pts) -> np.ndarray:
+    """``_abs_at`` at each point, as float64."""
+    return np.abs(eval_points(net, pts, fill=math.nan)).astype(float)
+
+
+def _raise_first_error(a: NetExpr, b: NetExpr, pts, va, vb) -> None:
+    """Re-raise, in the order of the scalar loop over pts (a, then b, at
+    each point), the first evaluation error hidden behind a nan fill."""
+    for e in pts[(va != va) | (vb != vb)].tolist():
+        eval_net(a, e)
+        eval_net(b, e)
+
+
 def eval_grid(net: NetExpr, grid: GridSpec = DEFAULT_GRID):
     """(eps, value) rows; values may be complex."""
-    return [(float(e), eval_net(net, float(e))) for e in grid.points()]
+    pts = grid.points()
+    return list(zip(pts.tolist(), eval_points(net, pts).tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -87,11 +105,11 @@ def replay_negligible(x, m_max: int = 12,
     """Check |x| <= C * eps**m on the grid tail for each m <= m_max,
     with C fitted on the head."""
     net = nets._net(x)
-    tail, head = grid.split()
-    vh = np.array([_abs_at(net, float(e)) for e in head])
-    vt = np.array([_abs_at(net, float(e)) for e in tail])
+    pts = grid.points()
+    v = _abs_points(net, pts)
     # points the evaluator cannot resolve (0*inf collisions, overflow of
     # an internally compensated product) carry no evidence either way
+    (tail, head), (vt, vh) = _split(pts), _split(v)
     head, vh = head[np.isfinite(vh)], vh[np.isfinite(vh)]
     tail, vt = tail[np.isfinite(vt)], vt[np.isfinite(vt)]
     if not len(head):
@@ -99,7 +117,7 @@ def replay_negligible(x, m_max: int = 12,
                             detail="no evaluable points")
     ext = np.logspace(math.log10(grid.eps_min) - 12.0,
                       math.log10(grid.eps_min), 400)
-    ve = np.array([_abs_at(net, float(e)) for e in ext])
+    ve = _abs_points(net, ext)
     ext, ve = ext[np.isfinite(ve)], ve[np.isfinite(ve)]
     for m in range(0, m_max + 1):
         # the fitted constant gets a fixed slack: O(.) constants are
@@ -128,23 +146,41 @@ def replay_negligible(x, m_max: int = 12,
     return ReplayReport(f"negligible(m<={m_max})", True)
 
 
+def _with_characteristic_points(grid: GridSpec, *sides: NetExpr) -> np.ndarray:
+    """The grid's points plus, for each ``Indicator``/``SpikeTrain`` point
+    set S in the sides, the point of S nearest to each grid point."""
+    pts = grid.points()
+    sets = {n.s for side in sides for n in nets.iter_nodes(side)
+            if isinstance(n, (nets.Indicator, nets.SpikeTrain))}
+    if not sets:
+        return pts
+    near = {s.value(s.index_near(e)) for s in sets for e in pts.tolist()}
+    return np.array(sorted({*pts.tolist(),
+                            *(p for p in near if grid.eps_min <= p <= 1.0)}))
+
+
 def replay_negligible_diff(a, b, m_max: int = 12,
                            grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check that a - b is negligible, discounting the evaluator's
     rounding floor (1e-13 of the local value scale); for replaying
     witness identities a*x = y whose two sides are computed by
-    different float paths."""
+    different float paths.
+
+    A log grid never meets the point set S of an ``Indicator`` or
+    ``SpikeTrain``, so when either side has one, the point of S nearest
+    to each grid point (within the grid's range) joins the grid."""
     an, bn = nets._net(a), nets._net(b)
-    tail, head = grid.split()
-
-    def measure(e):
-        va, vb = eval_net(an, float(e)), eval_net(bn, float(e))
-        scale = 1.0 + abs(va) + abs(vb)
-        out = abs(va - vb) - 1e-13 * scale
-        return max(0.0, out) if not math.isnan(out) else 0.0
-
-    vh = np.array([measure(e) for e in head])
-    vt = np.array([measure(e) for e in tail])
+    pts = _with_characteristic_points(grid, an, bn)
+    va = eval_points(an, pts, fill=math.nan)
+    vb = eval_points(bn, pts, fill=math.nan)
+    tail, head = _split(pts)
+    # errors surface in the scalar order: the head, then the tail
+    _raise_first_error(an, bn,
+                       *(np.roll(z, -len(tail)) for z in (pts, va, vb)))
+    scale = 1.0 + np.abs(va) + np.abs(vb)
+    out = np.abs(va - vb) - 1e-13 * scale
+    # max(0.0, out), with nan read as 0
+    vt, vh = _split(np.where(out > 0.0, out, 0.0).astype(float))
     for m in range(0, m_max + 1):
         C = float(np.max(vh / head ** m))
         bound = C * tail ** m * (1 + 1e-9) + 1e-290
@@ -160,9 +196,8 @@ def replay_negligible_diff(a, b, m_max: int = 12,
 def replay_moderate(x, n_exp: int, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| <= C * eps**-N with C fitted on the head."""
     net = nets._net(x)
-    tail, head = grid.split()
-    vh = np.array([_abs_at(net, float(e)) for e in head])
-    vt = np.array([_abs_at(net, float(e)) for e in tail])
+    pts = grid.points()
+    (tail, head), (vt, vh) = _split(pts), _split(_abs_points(net, pts))
     head, vh = head[np.isfinite(vh)], vh[np.isfinite(vh)]
     tail, vt = tail[np.isfinite(vt)], vt[np.isfinite(vt)]
     if not len(head):
@@ -184,15 +219,13 @@ def replay_lower_eventual(x, m: int, eps0: float,
     pts = [float(e) for e in grid.points() if e <= eps0]
     if len(pts) < 3:
         pts = [eps0 * 0.5 ** k for k in range(1, 12) if eps0 * 0.5 ** k > 1e-9]
-    worst, arg = 0.0, None
-    for e in pts:
-        v = _abs_at(net, e)
-        need = e ** m * (1 - 1e-9)
-        if v < need:
-            if need - v > worst:
-                worst, arg = need - v, e
-    if arg is not None:
-        return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", False, worst, arg)
+    need = _powers(pts, m) * (1 - 1e-9)
+    v = _abs_points(net, pts)
+    short = np.where(v < need, need - v, 0.0)
+    if len(pts) and short.max() > 0.0:
+        i = int(np.argmax(short))      # the first point of largest shortfall
+        return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", False,
+                            float(short[i]), pts[i])
     return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", True)
 
 
@@ -307,28 +340,32 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check x <= y + eps**a below each witnessed threshold."""
     xn, yn = nets._net(x), nets._net(y)
     pts = grid.points()
+    vx = eval_points(xn, pts, fill=math.nan)
+    vy = eval_points(yn, pts, fill=math.nan)
+    ay = np.abs(vy)
+    slack = 1e-11 * np.where(ay > 1.0, ay, 1.0)
     for a, eps0 in thresholds:
-        sel = [float(e) for e in pts if e <= eps0]
-        for e in sel:
-            vx, vy = eval_net(xn, e), eval_net(yn, e)
-            if vx > vy + e ** a + 1e-11 * max(1.0, abs(vy)):
-                return ReplayReport("leq", False, float(vx - vy), e,
-                                    f"violated at a={a}")
+        sel = pts <= eps0
+        e, xs, ys = pts[sel], vx[sel], vy[sel]
+        bad = xs > ys + _powers(e.tolist(), a) + slack[sel]
+        k = int(np.argmax(bad)) if bad.any() else len(e)
+        _raise_first_error(xn, yn, e[:k], xs[:k], ys[:k])
+        if k < len(e):
+            return ReplayReport("leq", False, float(xs[k] - ys[k]),
+                                float(e[k]), f"violated at a={a}")
     return ReplayReport("leq", True)
 
 
 def replay_order_violation(x, y, a: int, pt: Optional[float],
                            grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     xn, yn = nets._net(x), nets._net(y)
-    cands = [pt] if pt is not None else [float(e) for e in grid.points()]
-    for e in cands:
-        if e is None:
-            continue
-        try:
-            if eval_net(xn, e) > eval_net(yn, e) + e ** a:
-                return ReplayReport("order-violation", True, arg_eps=e)
-        except Exception:
-            continue
+    cands = [pt] if pt is not None else grid.points().tolist()
+    # a point where either side cannot be evaluated is skipped (nan fill)
+    bad = eval_points(xn, cands, fill=math.nan) > \
+        eval_points(yn, cands, fill=math.nan) + _powers(cands, a)
+    if bad.any():
+        return ReplayReport("order-violation", True,
+                            arg_eps=cands[int(np.argmax(bad))])
     return ReplayReport("order-violation", False,
                         detail="no violating point found")
 
@@ -372,17 +409,13 @@ def verify_decision(claim: str, tri: DecisionTri, x, y=None,
 def estimate_valuation(x, grid: GridSpec = DEFAULT_GRID) -> Tuple[float, float]:
     """Least-squares slope of log|x| vs log eps (with standard error)
     over grid points where the value is finite and nonzero."""
-    net = nets._net(x)
-    ts, vs = [], []
-    for e in grid.points():
-        v = _abs_at(net, float(e))
-        if 0.0 < v < math.inf:
-            ts.append(math.log(float(e)))
-            vs.append(math.log(v))
-    if len(ts) < 8:
+    pts = grid.points()
+    v = _abs_points(nets._net(x), pts)
+    keep = (0.0 < v) & (v < math.inf)
+    if keep.sum() < 8:
         return (math.nan, math.inf)
-    t = np.array(ts)
-    v = np.array(vs)
+    t = np.array([math.log(e) for e in pts[keep].tolist()])
+    v = np.array([math.log(a) for a in v[keep].tolist()])
     n = len(t)
     tbar = t.mean()
     sxx = float(((t - tbar) ** 2).sum())

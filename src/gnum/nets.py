@@ -4,7 +4,8 @@ A net is a closed immutable tree built from the primitives below; there
 are no opaque user closures, which is what keeps the asymptotic decision
 procedures (see ``asymptotics``) able to pattern-match representatives.
 ``eval_net`` evaluates any admissible tree at a concrete eps in double
-precision, deterministically.
+precision, deterministically; ``eval_points`` gives the same values, bit
+for bit, on a whole array of points.
 
 Tiers tag the regularity of eps -> r_eps: Smooth < Continuous <
 Arbitrary.  Structural admissibility is checked at construction time;
@@ -17,11 +18,14 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from functools import partial
 from numbers import Complex
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import DomainError, TierError
-from .sequences import SequenceRule
+from .sequences import Geometric, Harmonic, HarmonicMidpoints, SequenceRule
 
 Scalar = Union[float, complex]
 
@@ -75,8 +79,7 @@ def gelfand_chi(t: float) -> float:
     return smoothstep01(2.0 * t - 1.0)
 
 
-# maximum slope of bump_phi, used by Lipschitz estimates (computed once;
-# the profile is fixed so this is a deterministic constant)
+# maximum slope of bump_phi with a 5% margin, used by Lipschitz estimates
 def _phi_max_slope() -> float:
     m = 0.0
     for i in range(1, 20000):
@@ -89,7 +92,9 @@ def _phi_max_slope() -> float:
     return m * 1.05  # safety
 
 
-PHI_MAX_SLOPE = _phi_max_slope()
+# the value _phi_max_slope() returns; the profile is fixed, so the scan
+# is run by the tests rather than at import
+PHI_MAX_SLOPE = 2.278874883727966
 
 
 # --------------------------------------------------------------------------
@@ -149,13 +154,15 @@ class GapFraction(WidthRule):
     """w_j = frac * (eps_j - eps_{j+1}); frac <= 1/4 keeps supports disjoint."""
 
     frac: Fraction = Fraction(1, 4)
+    _frac: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.frac <= Fraction(1, 4):
             raise DomainError("gap fraction must be in (0, 1/4]")
+        object.__setattr__(self, "_frac", float(self.frac))
 
     def value(self, schedule, j):
-        return float(self.frac) * schedule.gap(j)
+        return self._frac * schedule.gap(j)
 
 
 @dataclass(frozen=True)
@@ -285,11 +292,19 @@ class SinRecipPow(NetExpr):
     """eps -> sin(eps**-p)."""
 
     p: Fraction = Fraction(1)
+    _p: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_p", float(self.p))
 
 
 @dataclass(frozen=True)
 class CosRecipPow(NetExpr):
     p: Fraction = Fraction(1)
+    _p: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_p", float(self.p))
 
 
 @dataclass(frozen=True)
@@ -897,23 +912,8 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         v = _ev(net.base, eps)
         q = net.q
         if q.denominator == 1:
-            if v == 0 and q.numerator < 0:
-                return math.inf
-            try:
-                return v ** q.numerator
-            except OverflowError:
-                return math.inf if (not isinstance(v, complex) and v > 0) \
-                    else complex(math.inf, 0)
-        if isinstance(v, complex):
-            raise DomainError("fractional power of a complex value")
-        if v < 0.0:
-            raise DomainError("fractional power of a negative value")
-        if v == 0.0:
-            return math.inf if q < 0 else 0.0
-        try:
-            return math.pow(v, float(q))
-        except OverflowError:
-            return math.inf
+            return _pow_int(v, q.numerator)
+        return _pow_frac(v, float(q))
     if isinstance(net, AbsNode):
         return abs(_ev(net.x, eps))
     if isinstance(net, MinNode):
@@ -921,14 +921,11 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
     if isinstance(net, MaxNode):
         return max(_ev(net.l, eps), _ev(net.r, eps))
     if isinstance(net, RootN):
-        v = _ev(net.x, eps)
-        if v < 0.0:
-            raise DomainError("RootN of a negative value")
-        return math.pow(v, 1.0 / net.n) if v != 0.0 else 0.0
+        return _root(_ev(net.x, eps), net.n)
     if isinstance(net, SinRecipPow):
-        return math.sin(eps ** (-float(net.p)))
+        return math.sin(eps ** -net._p)
     if isinstance(net, CosRecipPow):
-        return math.cos(eps ** (-float(net.p)))
+        return math.cos(eps ** -net._p)
     if isinstance(net, ExpNegRecip):
         return _exp(-1.0 / eps)
     if isinstance(net, BumpTrain):
@@ -967,6 +964,35 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         from .smoothing import eval_smooth_blend
         return eval_smooth_blend(net, eps)
     raise TypeError(f"cannot evaluate node {type(net).__name__}")
+
+
+def _pow_int(v: Scalar, n: int) -> Scalar:
+    if v == 0 and n < 0:
+        return math.inf
+    try:
+        return v ** n
+    except OverflowError:
+        return math.inf if (not isinstance(v, complex) and v > 0) \
+            else complex(math.inf, 0)
+
+
+def _pow_frac(v: Scalar, q: float) -> float:
+    if isinstance(v, complex):
+        raise DomainError("fractional power of a complex value")
+    if v < 0.0:
+        raise DomainError("fractional power of a negative value")
+    if v == 0.0:
+        return math.inf if q < 0 else 0.0
+    try:
+        return math.pow(v, q)
+    except OverflowError:
+        return math.inf
+
+
+def _root(v: float, n: int) -> float:
+    if v < 0.0:
+        raise DomainError("RootN of a negative value")
+    return math.pow(v, 1.0 / n) if v != 0.0 else 0.0
 
 
 def _ev_bump(net: BumpTrain, eps: float) -> float:
@@ -1008,3 +1034,250 @@ def _ev_abs_factor(net: AbsFactor, eps: float) -> Scalar:
         b = em / m if m >= em else 1.0
         patched += b * chi
     return phase * (1.0 - patched)
+
+
+# --------------------------------------------------------------------------
+# evaluation on many points
+# --------------------------------------------------------------------------
+
+_J_MAX = 2 ** 62  # probe indices up to j0 + 3 must fit int64
+
+
+class _NotReal(Exception):
+    """A subtree without a vector rule produced a non-float value."""
+
+
+def eval_points(net, pts, fill=None) -> np.ndarray:
+    """``[eval_net(net, p) for p in pts]`` as an array, bit for bit.
+
+    The array is float64 when every value is a float, otherwise an
+    object array of the scalar values.  With ``fill``, a point where
+    eval_net raises gets ``fill``; without it the first such exception
+    propagates, as it does from the loop.
+
+    Bit-identity holds by construction: numpy does only correctly
+    rounded arithmetic, comparison and selection, and every libm call and
+    ``**`` is the Python call ``_ev`` makes, element by element.  A point
+    where the scalar path would raise or special-case (a domain error, an
+    overflow, a complex value, an index beyond int64) is flagged and
+    evaluated by eval_net.  Node types without a vector rule evaluate
+    their subtree with ``_ev``.
+    """
+    net = _net(net)
+    e = np.array(pts, dtype=float).reshape(-1)
+    bad = ~((0.0 < e) & (e <= 1.0))
+    try:
+        with np.errstate(all="ignore"):
+            out = _vec(net, np.where(bad, 1.0, e), bad)
+    except (_NotReal, RecursionError):
+        out = np.full(len(e), math.nan)
+        bad[:] = True
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            v = eval_net(net, float(e[i]))
+        except Exception:
+            if fill is None:
+                raise
+            v = fill
+        if type(v) is not float and out.dtype != object:
+            out = out.astype(object)
+        out[i] = v
+    return out
+
+
+def _calls(fn, xs, bad, strict: bool = False) -> np.ndarray:
+    """``fn`` at each element of the list ``xs``, as float64.
+
+    An element where fn raises, or returns anything but a float, is nan
+    and flagged in ``bad`` (aligned with xs).  Without ``strict`` fn is
+    trusted to return floats unless it raises, and all elements are
+    first tried in one pass."""
+    if not strict:
+        try:
+            return np.fromiter(map(fn, xs), float, len(xs))
+        except Exception:
+            pass
+    out = np.full(len(xs), math.nan)
+    for i, x in enumerate(xs):
+        try:
+            v = fn(x)
+        except Exception:
+            bad[i] = True
+            continue
+        if type(v) is float:
+            out[i] = v
+        else:
+            bad[i] = True
+    return out
+
+
+def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """``net`` at the points ``e`` as float64.  Flags in ``bad`` the points
+    whose value must come from eval_net; their entries are arbitrary."""
+    if isinstance(net, Const) and type(net.c) is float:
+        return np.full(len(e), net.c)
+    if isinstance(net, Eps):
+        return e
+    if isinstance(net, Add):
+        return _vec(net.l, e, bad) + _vec(net.r, e, bad)
+    if isinstance(net, Mul):
+        return _vec(net.l, e, bad) * _vec(net.r, e, bad)
+    if isinstance(net, Neg):
+        return -_vec(net.x, e, bad)
+    if isinstance(net, Inv):
+        v = _vec(net.x, e, bad)
+        return np.where(v == 0, math.inf, 1.0 / v)
+    if isinstance(net, PowQ):
+        v = _vec(net.base, e, bad).tolist()
+        q = net.q
+        if q.denominator == 1:
+            # for n >= 0, _pow_int is pow unless pow overflows (flagged)
+            f = partial(pow, exp=q.numerator) if q.numerator >= 0 \
+                else partial(_pow_int, n=q.numerator)
+            return _calls(f, v, bad)
+        return _calls(partial(_pow_frac, q=float(q)), v, bad)
+    if isinstance(net, AbsNode):
+        return np.abs(_vec(net.x, e, bad))
+    if isinstance(net, MinNode):
+        # Python's min/max keep the left operand unless the right one
+        # compares smaller/larger, NaN included
+        l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
+        return np.where(r < l, r, l)
+    if isinstance(net, MaxNode):
+        l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
+        return np.where(r > l, r, l)
+    if isinstance(net, RootN):
+        return _calls(partial(_root, n=net.n), _vec(net.x, e, bad).tolist(),
+                      bad)
+    if isinstance(net, (SinRecipPow, CosRecipPow)):
+        u = _calls(partial(pow, exp=-net._p), e.tolist(), bad)
+        f = math.sin if isinstance(net, SinRecipPow) else math.cos
+        return _calls(f, u.tolist(), bad)
+    if isinstance(net, ExpNegRecip):
+        return _calls(_exp, (-1.0 / e).tolist(), bad)
+    if isinstance(net, BumpTrain):
+        return _vec_bump(net, e, bad)
+    if isinstance(net, (Indicator, SpikeTrain)):
+        return _vec_spike(net.s, e, bad)
+    return _vec_scalar(net, e, bad)
+
+
+def _vec_scalar(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """``_ev`` at each unflagged point, for nodes without a vector rule."""
+    out = np.full(len(e), math.nan)
+    for i in np.flatnonzero(~bad).tolist():
+        try:
+            v = _ev(net, float(e[i]))
+        except Exception:
+            bad[i] = True
+            continue
+        if type(v) is not float:
+            raise _NotReal
+        out[i] = v
+    return out
+
+
+def _anchors(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """``s.index_near`` at each point as int64; a point where it raises or
+    leaves int64 is flagged (anchor 1)."""
+    if isinstance(s, Geometric):
+        x = _calls(math.log, e.tolist(), bad) / math.log(s._ratio)
+    elif isinstance(s, (Harmonic, HarmonicMidpoints)):
+        x = 1.0 / e
+    else:
+        out = np.ones(len(e), np.int64)
+        for i, v in enumerate(e.tolist()):
+            try:
+                j = s.index_near(v)
+            except Exception:
+                bad[i] = True
+                continue
+            if type(j) is int and abs(j) < _J_MAX:
+                out[i] = j
+            else:
+                bad[i] = True
+        return out
+    # round() on a float rounds half to even, as rint does
+    x = np.rint(x)
+    ok = np.abs(x) < _J_MAX
+    bad |= ~ok
+    return np.maximum(np.where(ok, x, 1.0).astype(np.int64), 1)
+
+
+def _probe(s: SequenceRule, e: np.ndarray, bad: np.ndarray):
+    """The indices ``_ev_bump``/``_ev_spike`` probe at each point, in
+    probe order: ``(valid, js, pos)`` where row k is the probe of
+    j0 - 2 + k, ``valid[k]`` says whether it is made (index >= 1), ``js``
+    holds the distinct indices and ``pos[k]`` each probe's place in js."""
+    j0 = _anchors(s, e, bad)
+    cand = j0 + np.arange(-2, 3)[:, None]
+    valid = cand >= 1
+    js, pos = _distinct(np.where(valid, cand, j0))
+    return valid, js, pos
+
+
+def _distinct(a: np.ndarray):
+    """The sorted distinct values of ``a`` and each element's place among
+    them (np.unique without its return_inverse machinery, which costs
+    the process more than a megabyte of resident memory)."""
+    s = np.sort(a, axis=None)
+    js = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return js, np.searchsorted(js, a)
+
+
+def _seq_values(s: SequenceRule, js: np.ndarray,
+                jbad: np.ndarray) -> np.ndarray:
+    if isinstance(s, Harmonic):
+        return 1.0 / js
+    return _calls(s.value, js.tolist(), jbad, strict=True)
+
+
+def _vec_bump(net: BumpTrain, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    s = net.schedule
+    valid, js, pos = _probe(s, e, bad)
+    jbad = np.zeros(len(js), bool)
+    c = _seq_values(s, js, jbad)
+    if isinstance(net.widths, GapFraction):
+        w = net.widths._frac * (c - _seq_values(s, js + 1, jbad))
+    else:
+        w = _calls(partial(net.widths.value, s), js.tolist(), jbad,
+                   strict=True)
+    hit = np.full(len(e), -1)       # place in js of the first probe that hits
+    t = np.zeros(len(e))
+    for k in range(5):
+        p = pos[k]
+        live = valid[k] & (hit < 0)
+        bad |= live & jbad[p]
+        tk = (e - c[p]) / w[p]
+        on = live & np.where(w[p] <= 0.0, e == c[p], (-1.0 < tk) & (tk < 1.0))
+        hit[on] = p[on]
+        t[on] = tk[on]
+    out = np.zeros(len(e))
+    idx = np.flatnonzero(hit >= 0)
+    if not len(idx):
+        return out
+    hj, inv = _distinct(hit[idx])
+    hbad = np.zeros(len(hj), bool)
+    h = _calls(partial(net.heights.value, s), js[hj].tolist(), hbad,
+               strict=True)[inv]
+    bad[idx[hbad[inv]]] = True
+    out[idx] = h
+    # a support that underflowed to its centre has height, no profile
+    span = idx[w[hit[idx]] > 0.0]
+    pbad = np.zeros(len(span), bool)
+    out[span] *= _calls(net.profile, t[span].tolist(), pbad)
+    bad[span[pbad]] = True
+    return out
+
+
+def _vec_spike(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    valid, js, pos = _probe(s, e, bad)
+    jbad = np.zeros(len(js), bool)
+    c = _seq_values(s, js, jbad)
+    hit = np.zeros(len(e), bool)
+    for k in range(5):
+        p = pos[k]
+        live = valid[k] & ~hit
+        bad |= live & jbad[p]
+        hit |= live & (c[p] == e)
+    return np.where(hit, 1.0, 0.0)

@@ -43,17 +43,18 @@ class Geometric(SequenceRule):
     """eps_j = ratio**j, ratio in (0,1)."""
 
     ratio: Fraction = Fraction(1, 2)
+    _ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.ratio < 1):
             raise DomainError(f"geometric ratio must be in (0,1), got {self.ratio}")
+        object.__setattr__(self, "_ratio", float(self.ratio))
 
     def value(self, j: int) -> float:
-        return float(self.ratio) ** j
+        return self._ratio ** j
 
     def index_near(self, eps: float) -> int:
-        r = float(self.ratio)
-        return max(1, round(math.log(eps) / math.log(r)))
+        return max(1, round(math.log(eps) / math.log(self._ratio)))
 
 
 @dataclass(frozen=True)

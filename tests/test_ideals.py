@@ -215,6 +215,15 @@ def test_structural_factor_needs_same_characteristic_net():
     assert not membership(rootn(absn(e2), 3), e3).is_true
 
 
+def test_replay_witness_samples_the_characteristic_set():
+    # the log grid misses S = {2**-j}, where e = 1: a wrong factor must
+    # still be rejected there, and the right one accepted
+    from gnum.ideals import _replay_witness
+    e = indicator(Geometric(F(1, 2)))
+    assert not _replay_witness(const(0.0), e, e)
+    assert _replay_witness(const(1.0), e, e)
+
+
 def test_radical_of_radical():
     # for s with <s> radical, the root generator's ideal is radical too
     for s in (EPS, powq(EPS, 3), mul(const(2), EPS)):

@@ -94,6 +94,21 @@ def test_bump_center_value_is_height():
         assert eval_net(bt, c) == c ** j
 
 
+def test_phi_max_slope_constant_is_the_scan():
+    assert nets._phi_max_slope() == nets.PHI_MAX_SLOPE == 2.278874883727966
+
+
+def test_cached_floats_leave_repr_eq_hash():
+    from gnum.nets import GapFraction, SinRecipPow
+    for a, b in ((Geometric(F(1, 3)), Geometric(F(2, 6))),
+                 (GapFraction(F(1, 8)), GapFraction(F(2, 16))),
+                 (SinRecipPow(F(1, 2)), SinRecipPow(F(2, 4))),
+                 (nets.CosRecipPow(F(2)), nets.CosRecipPow(F(2)))):
+        assert a == b and hash(a) == hash(b)
+        assert "_" not in repr(a).split("(", 1)[1]
+    assert repr(Geometric(F(1, 3))) == "Geometric(ratio=Fraction(1, 3))"
+
+
 def test_inv_requires_nowhere_zero():
     with pytest.raises(DomainError):
         inv(sin_recip(1))
