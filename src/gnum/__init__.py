@@ -31,8 +31,8 @@ from .nets import (EPS, GNumber, NetExpr, Tier, absn, add, bump_train, const,
                    cos_recip, eval_net, eval_points, g_add, g_mul, g_neg,
                    g_sub, gnumber, indicator, inv, maxn, minimal_tier, minn,
                    mul, neg, powq, rootn, sin_recip, spikes, sub, tier_relax)
-from .sequences import (Explicit, Geometric, Harmonic, HarmonicMidpoints,
-                        Midpoints, PiSequence, SequenceRule)
+from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
+                        PiSequence, SequenceRule)
 from .smoothing import (RefutationWitness, SmoothingReport,
                         refute_continuous_representative, smooth_approximate)
 from .dsl import parse, print_net

@@ -20,10 +20,11 @@ from typing import List, Optional
 import numpy as np
 
 from . import nets, profiles
-from .nets import NetExpr, eval_net, eval_points, is_real_net
-from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
+from .nets import NetExpr, eval_points, is_real_net
+from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, along_lower,
                        along_small, candidate_sequences, info, poly_nonneg,
-                       rat, rat_lower, rat_upper)
+                       rat, rat_lower, rat_upper, substitute_along)
+from .scales import Poly
 from .sequences import Geometric
 
 F = Fraction
@@ -95,10 +96,6 @@ PLUS_INF = Valuation("plus-infinity")
 MINUS_INF = Valuation("minus-infinity")
 
 
-def _netof(x) -> NetExpr:
-    return nets._net(x)
-
-
 # --------------------------------------------------------------------------
 # numeric calibration helpers (witness thresholds; claims stay symbolic)
 # --------------------------------------------------------------------------
@@ -122,6 +119,44 @@ def _last_passing(pts: List[float], ok: np.ndarray) -> Optional[float]:
     holds; None when it fails at the first point."""
     k = len(pts) if ok.all() else int(np.argmin(ok))
     return pts[k - 1] if k else None
+
+
+def _first_violation(x: NetExpr, y: NetExpr, a: int,
+                     pts: List[float]) -> Optional[float]:
+    """First point of ``pts`` with x > y + eps**a; points where either
+    side cannot be evaluated, or is not a float (a real net's power can
+    overflow to a complex infinity), are skipped."""
+    def values(net):
+        v = eval_points(net, pts, fill=math.nan)
+        if v.dtype == object:
+            v = np.array([u if type(u) is float else math.nan for u in v])
+        return v
+    bad = values(x) > values(y) + _powers(pts, a)
+    return pts[int(np.argmax(bad))] if bad.any() else None
+
+
+def _bisect_sign_change(g, a: float, b: float, rtol: float,
+                        iters: int = 200) -> Optional[float]:
+    """A point between a < b where g changes sign, by bisection: a or b
+    where g vanishes, None when g(a) and g(b) have the same sign, else
+    the midpoint once g vanishes there or the bracket is below rtol*b."""
+    ga, gb = g(a), g(b)
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    if (ga < 0) == (gb < 0):
+        return None
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        if gm == 0.0 or (b - a) < rtol * b:
+            return mid
+        if (gm < 0) == (ga < 0):
+            a, ga = mid, gm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _calibrate_lower(net: NetExpr, m: int) -> float:
@@ -180,7 +215,7 @@ def _lowers(net: NetExpr):
 
 def is_moderate(x) -> DecisionTri:
     """Does |x_eps| stay below some power eps**-N as eps -> 0?"""
-    net = _netof(x)
+    net = nets._net(x)
     for up in _uppers(net):
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(True, WitnessRecord("exponent-bound",
@@ -207,7 +242,7 @@ def is_moderate(x) -> DecisionTri:
 
 def is_negligible(x) -> DecisionTri:
     """Does |x_eps| fall below every power eps**m as eps -> 0?"""
-    net = _netof(x)
+    net = nets._net(x)
     for up in _uppers(net):
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(True, WitnessRecord("all-powers", (12,)))
@@ -235,17 +270,21 @@ def is_negligible(x) -> DecisionTri:
     return UNKNOWN
 
 
+def _lower_exponent(lo: Env) -> int:
+    """An m with |x| >= eps**m eventually, from a lower envelope."""
+    if lo.kind == SUPERGROW:
+        return 1
+    if lo.q.denominator == 1 and lo.c >= 1.0:
+        return max(0, int(lo.q))
+    return max(0, math.floor(lo.q) + 1)
+
+
 def is_strictly_nonzero(x) -> DecisionTri:
     """|x_eps| >= eps**m eventually, for some m (= invertibility)."""
-    net = _netof(x)
+    net = nets._net(x)
     lo = next(iter(_lowers(net)), None)
     if lo is not None:
-        if lo.kind == SUPERGROW:
-            m = 1
-        elif lo.q.denominator == 1 and lo.c >= 1.0:
-            m = max(0, int(lo.q))
-        else:
-            m = max(0, math.floor(lo.q) + 1)
+        m = _lower_exponent(lo)
         eps0 = _calibrate_lower(net, m)
         return DecisionTri(True, WitnessRecord("exponent-bound",
                                                ("m", m, eps0)))
@@ -266,13 +305,12 @@ def is_strictly_nonzero(x) -> DecisionTri:
 
 def gn_equal(x, y) -> DecisionTri:
     """Equality in the quotient ring: is x - y negligible?"""
-    d = nets.sub(_netof(x), _netof(y))
-    return is_negligible(d)
+    return is_negligible(nets.sub(x, y))
 
 
 def valuation(x) -> Optional[Valuation]:
     """Exact sharp exponent on the power/exp fragment; None if outside."""
-    net = _netof(x)
+    net = nets._net(x)
     r = rat(net).simplify()
     if r.num.is_zero():
         return PLUS_INF
@@ -307,20 +345,13 @@ def valuation(x) -> Optional[Valuation]:
 def leq(x, y, a_max: int = 6) -> DecisionTri:
     """Partial order on real generalized numbers: r <= s iff for every
     a > 0, r_eps <= s_eps + eps**a for eps small enough."""
-    xn, yn = _netof(x), _netof(y)
+    xn, yn = nets._net(x), nets._net(y)
     if not (is_real_net(xn) and is_real_net(yn)):
         raise TypeError("leq is defined for real-valued nets")
     d = nets.sub(yn, xn)
     r = rat(d)
     if r.is_poly():
-        kept = {}
-        for m, c in r.num.terms.items():
-            e = profiles._term_upper(m, c)
-            if e is not None and e.kind in (ZERO_K, SUPERPOW):
-                continue  # below every power: irrelevant for the order
-            kept[m] = c
-        from .scales import Poly
-        R = Poly(kept)
+        R = _order_relevant(r.num)
         if R.is_zero():
             return DecisionTri(True, _leq_thresholds(xn, yn, a_max),
                                reason="equal-mod-negligible")
@@ -347,7 +378,6 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
     # along-sequence refutation: if y - x is eventually bounded below a
     # strictly negative power along a computable sequence, the order
     # characterization fails cofinally at every larger exponent
-    from .profiles import substitute_along
     for seq in candidate_sequences(d):
         out = substitute_along(d, seq)
         if out is None:
@@ -356,14 +386,7 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
         r2 = rat(sub_net)
         if not r2.is_poly():
             continue
-        kept2 = {}
-        for m, c in r2.num.terms.items():
-            e = profiles._term_upper(m, c)
-            if e is not None and e.kind in (ZERO_K, SUPERPOW):
-                continue
-            kept2[m] = c
-        from .scales import Poly
-        R2 = Poly(kept2)
+        R2 = _order_relevant(r2.num)
         if R2.is_zero() or profiles.poly_lower(R2) is None:
             continue
         groups = R2.grouped_by_scale()
@@ -378,20 +401,28 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
     return UNKNOWN
 
 
+def _order_relevant(p: Poly) -> Poly:
+    """The terms of p that are not below every power: the others are
+    irrelevant for the order."""
+    kept = {}
+    for m, c in p.terms.items():
+        e = profiles._term_upper(m, c)
+        if e is None or e.kind not in (ZERO_K, SUPERPOW):
+            kept[m] = c
+    return Poly(kept)
+
+
 def _find_violation_on_seq(x: NetExpr, y: NetExpr, a: int, seq) -> Optional[float]:
+    """First of the sequence's points 1..63 in I with x > y + eps**a."""
+    pts = []
     for j in range(1, 64):
         try:
             e = seq.value(j)
         except Exception:
             continue
-        if not 0 < e <= 1:
-            continue
-        try:
-            if eval_net(x, e) > eval_net(y, e) + e ** a:
-                return e
-        except Exception:
-            continue
-    return None
+        if 0 < e <= 1:
+            pts.append(e)
+    return _first_violation(x, y, a, pts)
 
 
 def _group_sign(lead) -> Optional[int]:
@@ -420,9 +451,5 @@ def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> WitnessRecord:
 
 
 def _find_order_violation(x: NetExpr, y: NetExpr, a: int) -> Optional[float]:
-    """First scan point with x > y + eps**a; points where either side
-    cannot be evaluated are skipped."""
-    pts = _log_points(1e-6, 0.9, 200)
-    bad = eval_points(x, pts, fill=math.nan) > \
-        eval_points(y, pts, fill=math.nan) + _powers(pts, a)
-    return pts[int(np.argmax(bad))] if bad.any() else None
+    """First scan point with x > y + eps**a."""
+    return _first_violation(x, y, a, _log_points(1e-6, 0.9, 200))

@@ -14,24 +14,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import nets
-from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord, gn_equal,
-                          is_moderate, is_negligible, is_strictly_nonzero)
+from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
+                          _bisect_sign_change, _last_passing, _lower_exponent,
+                          _powers, gn_equal, is_moderate, is_negligible,
+                          is_strictly_nonzero)
 from .errors import PreconditionError, SearchExhausted
 from .nets import (AnnihilatorTransition, Const, ConstHeights,
                    GelfandFactor, GNumber, Indicator, NetExpr, ShrunkWidths,
-                   SmallCert, SpikeTrain, Tier, eval_net, gnumber,
-                   iter_nodes)
+                   SmallCert, SpikeTrain, Tier, eval_net, eval_points,
+                   gnumber, iter_nodes)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, info, rat)
 from .sequences import (Geometric, Midpoints, SequenceRule, Searched,
                         register_searcher)
 
 F = Fraction
-
-
-def _gn(x) -> GNumber:
-    return x if isinstance(x, GNumber) else gnumber(nets._net(x))
 
 
 def _is_zero_net(net: NetExpr) -> bool:
@@ -60,7 +60,7 @@ def idempotent_classify(u) -> IdemVerdict:
     negligible once u^2 - u is); characteristic-function nets in the
     arbitrary tier are the nontrivial ones.
     """
-    gu = _gn(u)
+    gu = nets._gn(u)
     net = gu.net
     if gu.tier == Tier.Arbitrary:
         for node in iter_nodes(net):
@@ -106,7 +106,7 @@ def construct_zero_divisor(r, n_explicit: int = 16,
     holds on sampled support points, and the tail follows the recorded
     width rule w_j = min(gap/4, eps_j**(j/2+2)).
     """
-    gr = _gn(r)
+    gr = nets._gn(r)
     rnet = gr.net
     tri = is_strictly_nonzero(rnet)
     if tri.is_true:
@@ -197,7 +197,7 @@ def gelfand_witnesses(a, b) -> GelfandWitnesses:
     wherever |a_eps| < 1/2 (so |b_eps| > 1/2) the second does.  Both
     factors are bounded by 4 and smooth when a is.
     """
-    ga, gb = _gn(a), _gn(b)
+    ga, gb = nets._gn(a), nets._gn(b)
     pre = gn_equal(nets.add(ga.net, gb.net), Const(1.0))
     if not pre.is_true:
         raise PreconditionError(f"a + b = 1 not certified: {pre}")
@@ -226,7 +226,7 @@ def annihilator_split(r, s) -> AnnihilatorSplit:
     and |r| > |s| - eta, with eta a positive net below eps**(m+N) on the
     dyadic band where |r*s| < eps**m holds.
     """
-    gr, gs = _gn(r), _gn(s)
+    gr, gs = nets._gn(r), nets._gn(s)
     pre = gn_equal(nets.mul(gr.net, gs.net), Const(0.0))
     if not pre.is_true:
         raise PreconditionError(f"r*s = 0 not certified: {pre}")
@@ -283,13 +283,9 @@ def _nonzero_source(net: NetExpr) -> Tuple[SequenceRule, int]:
 def _product_threshold(rs: NetExpr, m: int) -> float:
     """Largest scan point below which |r*s| < eps**m holds."""
     pts = [10.0 ** (-6 + 5.7 * i / 239) for i in range(240)]
-    good = None
-    for e in sorted(pts, reverse=True):
-        v = abs(eval_net(rs, e))
-        if v < e ** m:
-            good = e if good is None else good
-        else:
-            good = None
+    # evaluated from the top, so an error is the one the largest point raises
+    v = np.abs(eval_points(rs, pts[::-1])).astype(float)[::-1]
+    good = _last_passing(pts, v < _powers(pts, m))
     return good if good is not None else 1e-6
 
 
@@ -318,7 +314,9 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
                 if abs(eval_net(snet, ps)) <= abs(eval_net(rnet, ps)):
                     continue
                 lo, hi = min(pr, ps), max(pr, ps)
-                root = _bisect_abs_crossing(rnet, snet, lo, hi)
+                root = _bisect_sign_change(
+                    lambda e: abs(eval_net(rnet, e)) - abs(eval_net(snet, e)),
+                    lo, hi, 1e-18)
                 if root is None:
                     continue
                 bound = root ** (0.5 * m_i)
@@ -335,27 +333,6 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
         points.append(found)
         prev = found
     return points
-
-
-def _bisect_abs_crossing(rnet, snet, lo, hi, iters: int = 200):
-    g = lambda e: abs(eval_net(rnet, e)) - abs(eval_net(snet, e))
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo < 0) == (ghi < 0):
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or (hi - lo) < 1e-18 * hi:
-            return mid
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _charset_extend(params, j):
@@ -377,7 +354,7 @@ def characteristic_set(r, s, n_points: int = 16) -> CharacteristicSet:
     crossing.  Arbitrary-tier inputs are refused (no intermediate-value
     step is available there).
     """
-    gr, gs = _gn(r), _gn(s)
+    gr, gs = nets._gn(r), nets._gn(s)
     if max(gr.tier, gs.tier) >= Tier.Arbitrary:
         raise PreconditionError(
             "characteristic_set needs continuous |r|, |s|; arbitrary-tier "
@@ -402,7 +379,7 @@ def characteristic_set(r, s, n_points: int = 16) -> CharacteristicSet:
 
 def restriction_zero(r, S: SequenceRule) -> DecisionTri:
     """r|_S = 0: for every m, |r_eps| < eps**m on S near 0."""
-    net = _gn(r).net
+    net = nets._gn(r).net
     sm = along_small(net, S)
     if sm is not None:
         return DecisionTri(True, WitnessRecord("small-along", (S,)))
@@ -416,17 +393,11 @@ def restriction_zero(r, S: SequenceRule) -> DecisionTri:
 def invertible_wrt(r, S: SequenceRule) -> DecisionTri:
     """Invertibility with respect to S (= strict nonzeroness along S):
     |r_eps| >= eps**m eventually on S, for some m."""
-    net = _gn(r).net
+    net = nets._gn(r).net
     lo = along_lower(net, S)
     if lo is not None and lo.kind in (POW, SUPERGROW):
-        if lo.kind == SUPERGROW:
-            m = 1
-        elif lo.q.denominator == 1 and lo.c >= 1.0:
-            m = max(0, int(lo.q))
-        else:
-            m = max(0, math.floor(lo.q) + 1)
-        return DecisionTri(True, WitnessRecord("exponent-bound",
-                                               ("m-along", m, 0.5)))
+        return DecisionTri(True, WitnessRecord(
+            "exponent-bound", ("m-along", _lower_exponent(lo), 0.5)))
     sm = along_small(net, S)
     if sm is not None:
         return DecisionTri(False, WitnessRecord("small-along", (S,)))

@@ -32,11 +32,10 @@ class GridSpec:
 
     n_points: int = 1000
     eps_min: float = 1e-6
-    spacing: str = "log"
 
     def __post_init__(self):
-        if self.eps_min <= 0 or self.n_points < 8:
-            raise DomainError("grid needs eps_min > 0 and >= 8 points")
+        if not 0.0 < self.eps_min < 1.0 or self.n_points < 8:
+            raise DomainError("grid needs 0 < eps_min < 1 and >= 8 points")
 
     def points(self) -> np.ndarray:
         return np.logspace(math.log10(self.eps_min), 0.0, self.n_points)

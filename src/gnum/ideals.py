@@ -21,13 +21,14 @@ from typing import List, Optional, Tuple
 
 from . import nets
 from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
-                          is_negligible, is_strictly_nonzero, leq)
+                          _bisect_sign_change, is_negligible,
+                          is_strictly_nonzero, leq)
 from .errors import PreconditionError
 from .harness import GridSpec
 from .lattice import gabs, gmax, gmin
 from .nets import (AbsFactor, AbsNode, Const, GNumber, Indicator, Mul, Neg,
                    NetExpr, RegularizedQuotient, RootN, SpikeTrain, Tier,
-                   absn, eval_net, gnumber, nonneg_net, rootn)
+                   absn, eval_net, nonneg_net, rootn)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, candidate_sequences, canonical_net, info,
                        poly_upper, rat, rat_lower, rat_upper)
@@ -59,14 +60,6 @@ class RootFamilyIdeal:
     root_cap: int = 8
 
 
-def _gn(x) -> GNumber:
-    return x if isinstance(x, GNumber) else gnumber(nets._net(x))
-
-
-def _is_zero_net(net: NetExpr) -> bool:
-    return rat(net).num.is_zero()
-
-
 # --------------------------------------------------------------------------
 # principal reduction and intersection
 # --------------------------------------------------------------------------
@@ -90,8 +83,8 @@ def principal_forms(J: FinIdeal) -> Tuple[GNumber, GNumber]:
 
 def intersect_principal(x, y) -> GNumber:
     """Generator of x*R intersect y*R: min(|x|, |y|)."""
-    return gmin(gabs(_gn(x), resmooth=False), gabs(_gn(y), resmooth=False),
-                resmooth=False)
+    return gmin(gabs(nets._gn(x), resmooth=False),
+                gabs(nets._gn(y), resmooth=False), resmooth=False)
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +190,7 @@ def _dominations(y_abs: NetExpr, x_abs: NetExpr):
 
 def membership(y, x, m_max: int = 12) -> DecisionTri:
     """Decide y in x*R (the principal ideal of x)."""
-    gy, gx = _gn(y), _gn(x)
+    gy, gx = nets._gn(y), nets._gn(x)
     ynet, xnet = gy.net, gx.net
     if is_negligible(ynet).is_true:
         return DecisionTri(True, WitnessRecord("membership-factor",
@@ -254,7 +247,7 @@ def power_membership(r, J, m: int) -> DecisionTri:
     """r in J**m for principal J = <g>: reduces to |r|**(1/m) in <g>."""
     if m < 1:
         raise PreconditionError("power must be a positive integer")
-    gr = _gn(r)
+    gr = nets._gn(r)
     g = J.net if isinstance(J, GNumber) else principal_reduce(J).net \
         if isinstance(J, FinIdeal) else nets._net(J)
     if is_negligible(gr.net).is_true:
@@ -268,7 +261,7 @@ def radical_membership(y, R: RootFamilyIdeal) -> DecisionTri:
     """y in the radical of <base>, tested against the root family
     |base|**(1/n) for n <= root_cap; CapReached when the truncation is
     the only obstruction."""
-    gy = _gn(y)
+    gy = nets._gn(y)
     base = R.base.net
     # uniform refutation: along a sequence where base (hence every root
     # of it) is below every power, y keeps power size
@@ -302,35 +295,10 @@ class DipForcingData:
     levels: Tuple[Tuple[int, float, float], ...]  # (N, point, |s(point)|)
 
 
-def _find_level_point(snet: NetExpr, lo_pt: float, hi_pt: float,
-                      level_exp: float) -> Optional[float]:
-    """Bisect |s(e)| - e**level_exp between a point where s is tiny and
-    one where it is big."""
-    g = lambda e: abs(eval_net(snet, e)) - e ** level_exp
-    a, b = lo_pt, hi_pt
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if (ga < 0) == (gb < 0):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0 or (b - a) < 1e-16 * b:
-            return mid
-        if (gm < 0) == (ga < 0):
-            a, ga = mid, gm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def dip_forcing_data(s, n_root: int = 2, n_levels: int = 3,
                      k_exp: int = 1) -> Optional[DipForcingData]:
     """Locate the level points of the dip-forcing refutation."""
-    snet = _gn(s).net
+    snet = nets._gn(s).net
     i = info(snet)
     small = i.small_seq.seq if i.small_seq is not None else None
     big = i.lower_seq.seq if i.lower_seq is not None else None
@@ -366,7 +334,11 @@ def dip_forcing_data(s, n_root: int = 2, n_levels: int = 3,
             if abs(eval_net(snet, p_small)) >= p_small ** lvl or \
                     abs(eval_net(snet, p_big)) <= p_big ** lvl:
                 continue
-            root = _find_level_point(snet, p_small, p_big, lvl)
+            # |s| - eps**lvl changes sign between the small and the big
+            # point (p_small <= p_big)
+            root = _bisect_sign_change(
+                lambda e: abs(eval_net(snet, e)) - e ** lvl,
+                p_small, p_big, 1e-16)
             if root is None:
                 continue
             sval = abs(eval_net(snet, root))
@@ -401,7 +373,7 @@ def is_radical_principal(s) -> DecisionTri:
     generate radical ideals: sqrt(|e_S|) = e_S, so the answer is True
     with factor 1.
     """
-    gs = _gn(s)
+    gs = nets._gn(s)
     snet = gs.net
     if is_negligible(snet).is_true:
         return DecisionTri(True, WitnessRecord("membership-factor",
@@ -427,7 +399,7 @@ def replay_dip_forcing(s, data: DipForcingData, n_root: int = 2) -> bool:
     """Verify the dip-forcing inequalities at the located points: at each
     (N, p) the n-th root of |s(p)| exceeds twice eps**-N * |s(p)|, so a
     moderate factor of budget N cannot reach the root there."""
-    snet = _gn(s).net
+    snet = nets._gn(s).net
     ok = True
     for n_budget, p, _sval in data.levels:
         v = abs(eval_net(snet, p))

@@ -18,13 +18,9 @@ from typing import Optional
 from . import nets
 from .asymptotics import leq
 from .errors import PreconditionError
-from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, gnumber,
-                   maxn, minimal_tier, minn, nonneg_net)
+from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, maxn,
+                   minimal_tier, minn, nonneg_net)
 from .smoothing import _presimplify, smooth_approximate
-
-
-def _gn(x) -> GNumber:
-    return x if isinstance(x, GNumber) else gnumber(nets._net(x))
 
 
 def _finish(net, in_tier: Tier, resmooth: Optional[bool]) -> GNumber:
@@ -48,19 +44,19 @@ def gabs(x, resmooth: Optional[bool] = None) -> GNumber:
     re-smoothed so the result stays in the smooth tier (the isomorphism
     route), unless ``resmooth=False`` forces the continuous one.
     """
-    gx = _gn(x)
+    gx = nets._gn(x)
     return _finish(absn(gx.net), gx.tier, resmooth)
 
 
 def gmin(x, y, resmooth: Optional[bool] = None) -> GNumber:
     """Pointwise minimum of real generalized numbers."""
-    gx, gy = _gn(x), _gn(y)
+    gx, gy = nets._gn(x), nets._gn(y)
     return _finish(minn(gx.net, gy.net), max(gx.tier, gy.tier), resmooth)
 
 
 def gmax(x, y, resmooth: Optional[bool] = None) -> GNumber:
     """Pointwise maximum of real generalized numbers."""
-    gx, gy = _gn(x), _gn(y)
+    gx, gy = nets._gn(x), nets._gn(y)
     return _finish(maxn(gx.net, gy.net), max(gx.tier, gy.tier), resmooth)
 
 
@@ -68,7 +64,7 @@ def abs_factor(x) -> GNumber:
     """A factor a with a*x = |x| up to negligibility and |a| <= 2
     everywhere, built from the eps^m/|x| patch schedule blended over the
     cover {(1/(m+1), 1/(m-1))}."""
-    gx = _gn(x)
+    gx = nets._gn(x)
     return GNumber(AbsFactor(gx.net), max(Tier.Continuous, gx.tier))
 
 
@@ -80,7 +76,7 @@ def convex_factor(x, y) -> GNumber:
     values plus the negligible regularizer exp(-1/eps), with the
     denominator lifted to max(|x|, |y|) so the quotient stays in (0, 1].
     """
-    gx, gy = _gn(x), _gn(y)
+    gx, gy = nets._gn(x), nets._gn(y)
     t1 = leq(nets.const(0.0), gy.net)
     t2 = leq(gy.net, gx.net)
     if not (t1.is_true and t2.is_true):

@@ -133,17 +133,6 @@ class DecayHeights(HeightRule):
         return _exp(float(q) * math.log(base))
 
 
-@dataclass(frozen=True)
-class ExplicitHeights(HeightRule):
-    values: Tuple[float, ...]
-    tail: HeightRule = ConstHeights(1.0)
-
-    def value(self, schedule, j):
-        if j <= len(self.values):
-            return self.values[j - 1]
-        return self.tail.value(schedule, j)
-
-
 class WidthRule:
     def value(self, schedule: SequenceRule, j: int) -> float:
         raise NotImplementedError
@@ -184,16 +173,6 @@ class ShrunkWidths(WidthRule):
         gap = 0.25 * schedule.gap(j)
         e = (float(self.slope) * j + float(self.offset)) * math.log(schedule.value(j))
         return min(gap, _exp(e))
-
-
-@dataclass(frozen=True)
-class BumpProfile:
-    """The reference bump phi; 'std' is exp(1 - 1/(1-t^2))."""
-
-    kind: str = "std"
-
-    def __call__(self, t: float) -> float:
-        return bump_phi(t)
 
 
 @dataclass(frozen=True)
@@ -319,7 +298,6 @@ class BumpTrain(NetExpr):
     schedule: SequenceRule
     widths: WidthRule = GapFraction()
     heights: HeightRule = ConstHeights(1.0)
-    profile: BumpProfile = BumpProfile()
     small_cert: Optional[SmallCert] = None
 
 
@@ -335,100 +313,6 @@ class SpikeTrain(NetExpr):
     """Value 1 exactly at the points eps_j, 0 elsewhere; Arbitrary tier."""
 
     s: SequenceRule
-
-
-# -- interval covers and partitions of unity --------------------------------
-
-@dataclass(frozen=True)
-class DyadicCover:
-    """I_n = (1/(n+2), 1/n) for n >= 2 and I_1 = (1/3, 1]."""
-
-    def interval(self, n: int) -> Tuple[float, float]:
-        if n == 1:
-            return (1.0 / 3.0, 1.0)
-        return (1.0 / (n + 2), 1.0 / n)
-
-    def candidates(self, eps: float):
-        base = int(1.0 / eps)
-        out = [n for n in range(max(2, base - 2), base + 3)]
-        if eps > 1.0 / 3.0:
-            out.append(1)
-        return out
-
-
-@dataclass(frozen=True)
-class PatchCover:
-    """(1/(m+1), 1/(m-1)) for m >= 2, plus (1/3, 1] as m = 1."""
-
-    def interval(self, m: int) -> Tuple[float, float]:
-        if m == 1:
-            return (1.0 / 3.0, 1.0)
-        return (1.0 / (m + 1), 1.0 / (m - 1))
-
-    def candidates(self, eps: float):
-        base = int(1.0 / eps)
-        out = [m for m in range(max(2, base - 1), base + 3)]
-        if eps > 1.0 / 3.0:
-            out.append(1)
-        return out
-
-
-@dataclass(frozen=True)
-class PartitionOfUnity:
-    """Smooth partition subordinate to a cover: chi_n = psi_n / sum psi.
-
-    psi_n is the reference bump mapped onto I_n (for the right-closed
-    first interval the bump peaks at the right endpoint), so supp(chi_n)
-    is contained in I_n and the weights sum to 1 exactly up to float
-    rounding.
-    """
-
-    cover: Union[DyadicCover, PatchCover] = DyadicCover()
-
-    def _psi(self, n: int, eps: float) -> float:
-        lo, hi = self.cover.interval(n)
-        if n == 1:
-            if eps <= lo or eps > hi:
-                return 0.0
-            return bump_phi((eps - hi) / (hi - lo))
-        if eps <= lo or eps >= hi:
-            return 0.0
-        return bump_phi((2.0 * eps - lo - hi) / (hi - lo))
-
-    def weights(self, eps: float):
-        """Active (n, chi_n(eps)) pairs; the chi values sum to 1."""
-        acc = []
-        for n in self.cover.candidates(eps):
-            p = self._psi(n, eps)
-            if p > 0.0:
-                acc.append((n, p))
-        total = sum(p for _, p in acc)
-        if total <= 0.0:
-            raise DomainError(f"partition of unity not covering eps={eps}")
-        return [(n, p / total) for n, p in acc]
-
-
-@dataclass(frozen=True)
-class Blend(NetExpr):
-    """Sum_n chi_n(eps) * piece_n(eps) over a cover's partition of unity.
-
-    ``pieces`` gives the first explicit pieces; ``tail`` is used for all
-    larger cover indices.
-    """
-
-    cover: DyadicCover
-    pieces: Tuple[NetExpr, ...]
-    tail: NetExpr
-    partition: PartitionOfUnity = field(default=None)  # type: ignore
-
-    def __post_init__(self):
-        if self.partition is None:
-            object.__setattr__(self, "partition", PartitionOfUnity(self.cover))
-
-    def piece(self, n: int) -> NetExpr:
-        if n <= len(self.pieces):
-            return self.pieces[n - 1]
-        return self.tail
 
 
 # -- witness nodes produced by the construction operators -------------------
@@ -515,20 +399,14 @@ def functional_children(net: NetExpr):
         return (net.base,)
     if isinstance(net, (Add, Mul, MinNode, MaxNode)):
         return (net.l, net.r)
-    if isinstance(net, (Neg, Inv, AbsNode)):
+    if isinstance(net, (Neg, Inv, AbsNode, RootN, AbsFactor)):
         return (net.x,)
-    if isinstance(net, RootN):
-        return (net.x,)
-    if isinstance(net, Blend):
-        return tuple(net.pieces) + (net.tail,)
     if isinstance(net, GelfandFactor):
         return (net.a,)
     if isinstance(net, RegularizedQuotient):
         return (net.num, net.den)
     if isinstance(net, AnnihilatorTransition):
         return (net.r, net.s)
-    if isinstance(net, AbsFactor):
-        return (net.x,)
     raise TypeError(f"unknown net node {type(net).__name__}")
 
 
@@ -579,8 +457,6 @@ def nonneg_net(net: NetExpr) -> bool:
         return positive_net(net.x)
     if isinstance(net, BumpTrain):
         return _heights_nonneg(net.heights)
-    if isinstance(net, Blend):
-        return all(nonneg_net(p) for p in net.pieces) and nonneg_net(net.tail)
     return False
 
 
@@ -589,8 +465,6 @@ def _heights_nonneg(rule: HeightRule) -> bool:
         return rule.c >= 0
     if isinstance(rule, DecayHeights):
         return True
-    if isinstance(rule, ExplicitHeights):
-        return all(v >= 0 for v in rule.values) and _heights_nonneg(rule.tail)
     return False
 
 
@@ -654,22 +528,17 @@ class Tier(IntEnum):
 def minimal_tier(net: NetExpr) -> Tier:
     """Most restrictive tier structurally admitting the tree."""
     if isinstance(net, (Const, Eps, SinRecipPow, CosRecipPow, ExpNegRecip,
-                        SmoothBlend)):
+                        BumpTrain, SmoothBlend)):
         return Tier.Smooth
     if isinstance(net, (Indicator, SpikeTrain)):
         return Tier.Arbitrary
-    if isinstance(net, BumpTrain):
-        return Tier.Smooth
     if isinstance(net, PowQ):
         t = minimal_tier(net.base)
         if net.q.denominator == 1 or positive_net(net.base):
             return t
         return max(t, Tier.Continuous)
-    if isinstance(net, (AbsNode, MinNode, MaxNode, RootN)):
-        t = max((minimal_tier(c) for c in functional_children(net)),
-                default=Tier.Smooth)
-        return max(t, Tier.Continuous)
-    if isinstance(net, (AnnihilatorTransition, AbsFactor)):
+    if isinstance(net, (AbsNode, MinNode, MaxNode, RootN,
+                        AnnihilatorTransition, AbsFactor)):
         t = max((minimal_tier(c) for c in functional_children(net)),
                 default=Tier.Smooth)
         return max(t, Tier.Continuous)
@@ -724,6 +593,10 @@ def _net(x) -> NetExpr:
     if isinstance(x, Complex):
         return Const(x)
     raise TypeError(f"not a net: {x!r}")
+
+
+def _gn(x) -> GNumber:
+    return x if isinstance(x, GNumber) else gnumber(_net(x))
 
 
 def const(c: Scalar) -> Const:
@@ -827,7 +700,6 @@ def cos_recip(p=1) -> CosRecipPow:
 def bump_train(schedule: SequenceRule,
                widths: Optional[WidthRule] = None,
                heights: Optional[HeightRule] = None,
-               profile: BumpProfile = BumpProfile(),
                small_cert: Optional[SmallCert] = None,
                check: int = 64) -> BumpTrain:
     """Build a bump train, verifying support disjointness on the first
@@ -842,7 +714,7 @@ def bump_train(schedule: SequenceRule,
             raise DomainError(f"bump supports overlap at j={j}")
         if cj + wj > 1.0 + 1e-15 and cj < 1.0:
             raise DomainError(f"bump support leaves I at j={j}")
-    return BumpTrain(schedule, widths, heights, profile, small_cert)
+    return BumpTrain(schedule, widths, heights, small_cert)
 
 
 def indicator(s: SequenceRule) -> Indicator:
@@ -856,8 +728,7 @@ def spikes(s: SequenceRule) -> SpikeTrain:
 # ring operations on GNumbers ------------------------------------------------
 
 def _wrap2(op, x, y) -> GNumber:
-    gx = x if isinstance(x, GNumber) else gnumber(_net(x))
-    gy = y if isinstance(y, GNumber) else gnumber(_net(y))
+    gx, gy = _gn(x), _gn(y)
     return GNumber(op(gx.net, gy.net), max(gx.tier, gy.tier))
 
 
@@ -874,7 +745,7 @@ def g_mul(x, y) -> GNumber:
 
 
 def g_neg(x) -> GNumber:
-    gx = x if isinstance(x, GNumber) else gnumber(_net(x))
+    gx = _gn(x)
     return GNumber(neg(gx.net), gx.tier)
 
 
@@ -932,11 +803,6 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         return _ev_bump(net, eps)
     if isinstance(net, (Indicator, SpikeTrain)):
         return _ev_spike(net.s, eps)
-    if isinstance(net, Blend):
-        out = 0.0
-        for n, chi in net.partition.weights(eps):
-            out += chi * _ev(net.piece(n), eps)
-        return out
     if isinstance(net, GelfandFactor):
         v = _ev(net.a, eps)
         m = abs(v)
@@ -961,8 +827,8 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
     if isinstance(net, AbsFactor):
         return _ev_abs_factor(net, eps)
     if isinstance(net, SmoothBlend):
-        from .smoothing import eval_smooth_blend
-        return eval_smooth_blend(net, eps)
+        from .smoothing import _blend_value
+        return _blend_value(net, eps)
     raise TypeError(f"cannot evaluate node {type(net).__name__}")
 
 
@@ -1006,7 +872,7 @@ def _ev_bump(net: BumpTrain, eps: float) -> float:
             continue
         t = (eps - c) / w
         if -1.0 < t < 1.0:
-            return net.heights.value(net.schedule, j) * net.profile(t)
+            return net.heights.value(net.schedule, j) * bump_phi(t)
     return 0.0
 
 
@@ -1018,6 +884,36 @@ def _ev_spike(s: SequenceRule, eps: float) -> float:
     return 0.0
 
 
+def patch_weights(eps: float):
+    """Active (m, chi_m(eps)) pairs of the smooth partition of unity
+    subordinate to the patch cover (1/(m+1), 1/(m-1)) for m >= 2, plus
+    (1/3, 1] as m = 1; the chi values sum to 1.
+
+    chi_m = psi_m / sum psi with psi_m the reference bump mapped onto the
+    m-th interval (for the right-closed first interval the bump peaks at
+    the right endpoint), so supp(chi_m) lies in that interval.
+    """
+    base = int(1.0 / eps)
+    ms = list(range(max(2, base - 1), base + 3))
+    if eps > 1.0 / 3.0:
+        ms.append(1)
+    acc = []
+    for m in ms:
+        if m == 1:
+            lo, hi = 1.0 / 3.0, 1.0
+            p = bump_phi((eps - hi) / (hi - lo)) if lo < eps <= hi else 0.0
+        else:
+            lo, hi = 1.0 / (m + 1), 1.0 / (m - 1)
+            p = bump_phi((2.0 * eps - lo - hi) / (hi - lo)) \
+                if lo < eps < hi else 0.0
+        if p > 0.0:
+            acc.append((m, p))
+    total = sum(p for _, p in acc)
+    if total <= 0.0:
+        raise DomainError(f"partition of unity not covering eps={eps}")
+    return [(m, p / total) for m, p in acc]
+
+
 def _ev_abs_factor(net: AbsFactor, eps: float) -> Scalar:
     v = _ev(net.x, eps)
     m = abs(v)
@@ -1027,9 +923,8 @@ def _ev_abs_factor(net: AbsFactor, eps: float) -> Scalar:
         phase = v / m if net.inverse else v.conjugate() / m
     else:
         phase = 1.0 if v > 0 else -1.0
-    pou = PartitionOfUnity(PatchCover())
     patched = 0.0
-    for idx, chi in pou.weights(eps):
+    for idx, chi in patch_weights(eps):
         em = eps ** idx
         b = em / m if m >= em else 1.0
         patched += b * chi
@@ -1265,7 +1160,7 @@ def _vec_bump(net: BumpTrain, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     # a support that underflowed to its centre has height, no profile
     span = idx[w[hit[idx]] > 0.0]
     pbad = np.zeros(len(span), bool)
-    out[span] *= _calls(net.profile, t[span].tolist(), pbad)
+    out[span] *= _calls(bump_phi, t[span].tolist(), pbad)
     bad[span[pbad]] = True
     return out
 

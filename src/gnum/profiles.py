@@ -25,14 +25,13 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import nets
-from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition, Blend,
+from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    BumpTrain, Const, ConstHeights, CosRecipPow, DecayHeights,
-                   Eps, ExpNegRecip, ExplicitHeights, GelfandFactor, Indicator,
-                   Inv, MaxNode, MinNode, Mul, Neg, NetExpr, PowQ,
-                   RegularizedQuotient, RootN, SinRecipPow, SmoothBlend,
-                   SpikeTrain, is_real_net, nonneg_net)
-from .scales import (MONO_ONE, Poly, RatForm, atoms_from, canonical_net,
-                     scale_key)
+                   Eps, ExpNegRecip, GelfandFactor, Indicator, Inv, MaxNode,
+                   MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
+                   RootN, SinRecipPow, SmoothBlend, SpikeTrain, is_real_net,
+                   nonneg_net)
+from .scales import MONO_ONE, Poly, RatForm, atoms_from, canonical_net
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -350,16 +349,6 @@ def _info(net: NetExpr) -> Info:
                     lower_seq=AlongSeq(net.s, Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(Midpoints(net.s), Env(ZERO_K)),
                     ivl=(0.0, 1.0))
-    if isinstance(net, Blend):
-        parts = [info(p) for p in net.pieces] + [info(net.tail)]
-        up = Env(ZERO_K)
-        for p in parts:
-            up = upper_add(up, p.upper)
-        return Info(real=all(p.real for p in parts),
-                    nonneg=all(p.nonneg for p in parts),
-                    upper=up,
-                    ivl=(min(p.ivl[0] for p in parts),
-                         max(p.ivl[1] for p in parts)))
     if isinstance(net, GelfandFactor):
         a = info(net.a)
         up = Env(ZERO_K) if (a.upper is not None and a.upper.kind in
@@ -502,12 +491,6 @@ def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env], float]:
                                                  min(vals) * 0.9), \
                 max(abs(rule.value(schedule, j)) for j in range(1, 65)) * 1.05
         return None, Env(SUPERGROW), INF
-    if isinstance(rule, ExplicitHeights):
-        up, lo, sup = _heights_env(rule.tail, schedule)
-        sup = max([sup] + [abs(v) for v in rule.values])
-        if up is not None and up.kind == POW:
-            up = Env(POW, up.q, max(up.c, sup * 2.0))
-        return up, lo, sup
     return None, None, INF
 
 

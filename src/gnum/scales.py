@@ -198,17 +198,6 @@ class Poly:
         inv = mono_pow(m, Fraction(-1))
         return Poly({mono_mul(t, inv): c for t, c in self.terms.items()})
 
-    def all_atoms(self):
-        out = []
-        for m in self.terms:
-            for a, _ in m[2]:
-                out.append(a)
-        return out
-
-    def is_real(self) -> bool:
-        return all(not isinstance(c, complex) or c.imag == 0.0
-                   for c in self.terms.values())
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"

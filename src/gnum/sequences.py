@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import DomainError
 
@@ -120,53 +120,6 @@ class Midpoints(SequenceRule):
         return self.of.index_near(eps)
 
 
-@dataclass(frozen=True)
-class Explicit(SequenceRule):
-    """A materialized strictly decreasing prefix, continued by ``tail``.
-
-    The tail rule is rescaled so its first value continues strictly
-    below the last explicit point.
-    """
-
-    points: Tuple[float, ...]
-    tail: Optional[SequenceRule] = None
-    _tail_scale: float = field(default=0.0, compare=False)
-
-    def __post_init__(self):
-        if not self.points:
-            raise DomainError("Explicit sequence needs at least one point")
-        pts = self.points
-        if any(b >= a for a, b in zip(pts, pts[1:])) or pts[-1] <= 0 or pts[0] > 1:
-            raise DomainError("Explicit sequence must be strictly decreasing in (0,1]")
-        if self.tail is not None:
-            scale = 0.5 * pts[-1] / self.tail.value(1)
-            object.__setattr__(self, "_tail_scale", scale)
-
-    def value(self, j: int) -> float:
-        n = len(self.points)
-        if j <= n:
-            return self.points[j - 1]
-        if self.tail is None:
-            # default geometric continuation below the last point
-            return self.points[-1] * 0.5 ** (j - n)
-        return self._tail_scale * self.tail.value(j - n)
-
-    def index_near(self, eps: float) -> int:
-        pts = self.points
-        if eps >= pts[-1]:
-            lo, hi = 0, len(pts) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if pts[mid] >= eps:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return max(1, lo)
-        if self.tail is None:
-            return len(pts) + max(1, round(math.log(eps / pts[-1]) / math.log(0.5)))
-        return len(pts) + self.tail.index_near(eps / self._tail_scale)
-
-
 # -- lazily searched sequences (witness tails) ------------------------------
 
 _SEARCHERS = {}
@@ -203,7 +156,3 @@ class Searched(SequenceRule):
                 return max(1, i)
         return len(self.points)
 
-
-def check_decreasing(rule: SequenceRule, n: int = 64) -> bool:
-    vals = rule.values(n)
-    return all(a > b > 0 for a, b in zip(vals, vals[1:]))

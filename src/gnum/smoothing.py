@@ -36,7 +36,6 @@ from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
 from .sequences import Harmonic
 
 LOG_ULP = math.log(2.0 ** -52)
-_EXACT = ("exact", 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -331,49 +330,38 @@ def _band_ok(blend: SmoothBlend, b: int, w: float, env: float) -> bool:
     return True
 
 
-def _band_bumps(blend: SmoothBlend, b: int, eps: float):
-    """(center, psi) pairs from band b's bump family active at eps."""
-    plan = _band_plan(blend, b)
-    if plan[0] != "real":
-        return []
+def _band_bumps(b: int, w: float, eps: float):
+    """(center, psi) pairs of band b's bumps of width w whose support
+    holds eps; psi is 0 where the bump underflowed."""
     a, hi = _band_bounds(b)
-    w = plan[1]
     count = round((hi - a) / w)
     k = int(math.floor((eps - a) / w))
     out = []
     for i in (k - 1, k, k + 1):
-        if not 0 <= i < count:
-            continue
-        c = a + (i + 0.5) * w
-        t = (eps - c) / w
-        if -1.0 < t < 1.0:
-            p = bump_phi(t)
-            if p > 0.0:
-                out.append((c, p))
+        if 0 <= i < count:
+            c = a + (i + 0.5) * w
+            t = (eps - c) / w
+            if -1.0 < t < 1.0:
+                out.append((c, bump_phi(t)))
     return out
 
 
 def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
     b = _band_of(eps)
-    if w_override is None:
-        plan = _band_plan(blend, b)
-        if plan[0] == "exact":
-            return eval_net(blend.source, eps)
-        pairs = _band_bumps(blend, b, eps)
-        for nb in (b - 1, b + 1):
-            if nb >= 0:
-                pairs += _band_bumps(blend, nb, eps)
+    if w_override is not None:
+        # the width check also samples bumps whose weight underflowed
+        pairs = _band_bumps(b, w_override, eps)
+    elif _band_plan(blend, b)[0] == "exact":
+        return eval_net(blend.source, eps)
     else:
-        a, hi = _band_bounds(b)
-        count = round((hi - a) / w_override)
-        k = int(math.floor((eps - a) / w_override))
         pairs = []
-        for i in (k - 1, k, k + 1):
-            if 0 <= i < count:
-                c = a + (i + 0.5) * w_override
-                t = (eps - c) / w_override
-                if -1.0 < t < 1.0:
-                    pairs.append((c, bump_phi(t)))
+        for nb in (b, b - 1, b + 1):
+            if nb < 0:
+                continue
+            plan = _band_plan(blend, nb)
+            if plan[0] == "real":
+                pairs += [(c, p) for c, p in _band_bumps(nb, plan[1], eps)
+                          if p > 0.0]
     if not pairs:
         return eval_net(blend.source, eps)
     total = sum(p for _, p in pairs)
@@ -383,10 +371,6 @@ def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
     for c, p in pairs:
         out += (p / total) * eval_net(blend.source, min(c, 1.0))
     return out
-
-
-def eval_smooth_blend(blend: SmoothBlend, eps: float):
-    return _blend_value(blend, eps)
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +421,7 @@ def smooth_approximate(x, bound: Optional[NetExpr] = None,
     free of abs/min/max/root nodes.
     """
     from .harness import DEFAULT_GRID
-    net = x.net if isinstance(x, GNumber) else nets._net(x)
+    net = nets._net(x)
     bound = bound if bound is not None else ExpNegRecip()
     if minimal_tier(net) >= Tier.Arbitrary:
         raise TierError("smoothing is defined on continuous-tier nets; "
@@ -492,8 +476,7 @@ def refute_continuous_representative(target, candidate,
                                      max_spikes: int = 64) -> RefutationWitness:
     """Witness that |candidate - target| is not negligible, for target
     the spike net with value 1 at eps = 1/n."""
-    tnet = target.net if isinstance(target, GNumber) else nets._net(target)
-    cnet = candidate.net if isinstance(candidate, GNumber) else nets._net(candidate)
+    tnet, cnet = nets._net(target), nets._net(candidate)
     if not isinstance(tnet, SpikeTrain) or not isinstance(tnet.s, Harmonic):
         raise PreconditionError("target must be the harmonic spike net")
     if minimal_tier(cnet) >= Tier.Arbitrary:

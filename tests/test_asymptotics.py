@@ -180,6 +180,19 @@ def test_leq_oscillator_refutations():
     assert leq(const(-1), sin_recip(1)).is_true
 
 
+def test_leq_skips_points_where_a_power_overflows():
+    # (-1/eps)^53 overflows to a complex infinity below eps ~ 1.5e-6; the
+    # violation scan skips those points as it skips failed evaluations
+    y = powq(neg(inv(EPS)), 53)
+    assert isinstance(eval_net(y, 1e-6), complex)
+    t = leq(const(0), y)
+    assert t.is_false
+    a, pt = t.witness.data
+    assert pt > 1e-6 and 0.0 > eval_net(y, pt) + pt ** a
+    rep = verify_decision("leq", t, const(0), y, grid=GRID)
+    assert rep.passed
+
+
 def test_leq_rejects_complex():
     with pytest.raises(TypeError):
         leq(mul(const(1j), EPS), EPS)

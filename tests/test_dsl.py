@@ -167,6 +167,14 @@ def test_cli_precondition_exit_code(capsys):
     assert "precondition" in out
 
 
+def test_cli_eps_min_outside_unit_interval_exit_code(capsys):
+    for eps_min in ("2", "1", "nan"):
+        code, out = run_cli(["classify", "eps", "--eps-min", eps_min,
+                             "--json"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "domain"
+
+
 def test_cli_tier_flag_enforced(capsys):
     code, out = run_cli(["classify", "indicator(harmonic)",
                          "--tier", "smooth"], capsys)

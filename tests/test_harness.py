@@ -22,8 +22,9 @@ def test_grid_spec_invariants():
     assert all(a < b for a, b in zip(pts, pts[1:]))
     with pytest.raises(DomainError):
         GridSpec(n_points=4)
-    with pytest.raises(DomainError):
-        GridSpec(eps_min=0.0)
+    for eps_min in (0.0, 2.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            GridSpec(eps_min=eps_min)
 
 
 def test_replay_negligible_pass_and_fail():

@@ -8,11 +8,11 @@ import pytest
 from gnum import nets
 from gnum.errors import DomainError, TierError
 from gnum.nets import (EPS, AbsNode, Const, DecayHeights, ExpNegRecip,
-                       GNumber, Indicator, PartitionOfUnity, SpikeTrain,
-                       Tier, absn, add, bump_train, const, cos_recip,
-                       eval_net, g_add, g_mul, gnumber, indicator, inv,
-                       maxn, minimal_tier, minn, mul, neg, powq, rootn,
-                       sin_recip, spikes, sub, tier_relax)
+                       GNumber, Indicator, SpikeTrain, Tier, absn, add,
+                       bump_train, const, cos_recip, eval_net, g_add, g_mul,
+                       gnumber, indicator, inv, maxn, minimal_tier, minn, mul,
+                       neg, patch_weights, powq, rootn, sin_recip, spikes,
+                       sub, tier_relax)
 from gnum.harness import GridSpec, random_net
 from gnum.sequences import Geometric, Harmonic
 
@@ -69,11 +69,14 @@ def test_oscillator_exact_value():
 
 
 def test_partition_of_unity_sums_to_one():
-    pou = PartitionOfUnity()
+    # the patch-cover partition AbsFactor evaluates with
     worst = 0.0
-    for e in GridSpec(n_points=1000, eps_min=1e-6).points():
-        tot = sum(w for _, w in pou.weights(float(e)))
-        worst = max(worst, abs(tot - 1.0))
+    for e in GridSpec(n_points=1000, eps_min=1e-6).points().tolist():
+        ws = patch_weights(e)
+        for m, w in ws:
+            lo, hi = (1 / 3, 1.0) if m == 1 else (1 / (m + 1), 1 / (m - 1))
+            assert w > 0.0 and lo < e <= hi
+        worst = max(worst, abs(sum(w for _, w in ws) - 1.0))
     assert worst <= 1e-12
 
 
