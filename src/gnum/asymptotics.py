@@ -121,25 +121,30 @@ def _last_passing(pts: List[float], ok: np.ndarray) -> Optional[float]:
     return pts[k - 1] if k else None
 
 
+def _real_values(net: NetExpr, pts) -> np.ndarray:
+    """The net at each point as float64, nan where it cannot be
+    evaluated or is not a float (a real net's power can overflow to a
+    complex infinity)."""
+    v = eval_points(net, pts, fill=math.nan)
+    if v.dtype == object:
+        v = np.array([u if type(u) is float else math.nan for u in v])
+    return v
+
+
 def _first_violation(x: NetExpr, y: NetExpr, a: int,
                      pts: List[float]) -> Optional[float]:
     """First point of ``pts`` with x > y + eps**a; points where either
-    side cannot be evaluated, or is not a float (a real net's power can
-    overflow to a complex infinity), are skipped."""
-    def values(net):
-        v = eval_points(net, pts, fill=math.nan)
-        if v.dtype == object:
-            v = np.array([u if type(u) is float else math.nan for u in v])
-        return v
-    bad = values(x) > values(y) + _powers(pts, a)
+    side has no real value are skipped."""
+    bad = _real_values(x, pts) > _real_values(y, pts) + _powers(pts, a)
     return pts[int(np.argmax(bad))] if bad.any() else None
 
 
-def _bisect_sign_change(g, a: float, b: float, rtol: float,
-                        iters: int = 200) -> Optional[float]:
+def _bisect_sign_change(g, a: float, b: float,
+                        rtol: float) -> Optional[float]:
     """A point between a < b where g changes sign, by bisection: a or b
     where g vanishes, None when g(a) and g(b) have the same sign, else
-    the midpoint once g vanishes there or the bracket is below rtol*b."""
+    the midpoint once g vanishes there, the bracket is below rtol*b or
+    200 steps are done."""
     ga, gb = g(a), g(b)
     if ga == 0.0:
         return a
@@ -147,7 +152,7 @@ def _bisect_sign_change(g, a: float, b: float, rtol: float,
         return b
     if (ga < 0) == (gb < 0):
         return None
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         gm = g(mid)
         if gm == 0.0 or (b - a) < rtol * b:
@@ -182,8 +187,8 @@ def _calibrate_lower(net: NetExpr, m: int) -> float:
 def _calibrate_leq(pts: List[float], vx: np.ndarray, vy: np.ndarray,
                    a: int) -> float:
     """Largest scan point below which x <= y + eps**a holds at every
-    smaller scan point, from x and y on the scan (nan where the
-    evaluator failed, which ends the prefix)."""
+    smaller scan point, from x and y on the scan (nan where a side has
+    no real value, which ends the prefix)."""
     ay = np.abs(vy)
     ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
     good = _last_passing(pts, ok)
@@ -443,8 +448,7 @@ def _group_sign(lead) -> Optional[int]:
 
 def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> WitnessRecord:
     pts = _log_points(1e-6, 0.9, 160)
-    vx = eval_points(x, pts, fill=math.nan)
-    vy = eval_points(y, pts, fill=math.nan)
+    vx, vy = _real_values(x, pts), _real_values(y, pts)
     data = tuple((a, _calibrate_leq(pts, vx, vy, a))
                  for a in range(1, a_max + 1))
     return WitnessRecord("eventual-threshold", data)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -84,9 +83,10 @@ def _render(doc: dict, as_json: bool) -> str:
 
 
 def _config(args) -> dict:
-    cfg = {"grid": args.grid, "eps_min": args.eps_min, "m_max": args.m_max,
-           "a_max": args.a_max, "root_cap": args.root_cap, "seed": args.seed,
-           "tier": args.tier}
+    """The values of the subcommand's flags (``--json`` and ``--file``
+    aside) with a fingerprint of them."""
+    cfg = {k: getattr(args, k) for k in ("grid", "eps_min", "m_max", "a_max",
+                                         "root_cap", "tier") if k in args}
     blob = json.dumps(cfg, sort_keys=True).encode()
     cfg["fingerprint"] = hashlib.sha256(blob).hexdigest()[:12]
     return cfg
@@ -284,7 +284,7 @@ def _cmd_ideal(args) -> dict:
     if op == "membership":
         y, x = args.args
         gy, gx = _parse_expr(y, args), _parse_expr(x, args)
-        t = _note(ideals.membership(gy.net, gx.net, m_max=args.m_max))
+        t = _note(ideals.membership(gy.net, gx.net))
         return {"query": {"y": y, "x": x}, "membership": _tri_doc(t)}
     if op == "reduce":
         gens = tuple(_parse_expr(e, args) for e in args.args)
@@ -345,51 +345,59 @@ def _cmd_eval_grid(args) -> Optional[dict]:
 # argument parsing
 # --------------------------------------------------------------------------
 
+_FLAGS = {
+    "--grid": {"type": int, "default": 1000},
+    "--eps-min": {"type": float, "default": 1e-6},
+    "--m-max": {"type": int, "default": 12},
+    "--a-max": {"type": int, "default": 6},
+    "--root-cap": {"type": int, "default": 8},
+    "--json": {"action": "store_true"},
+}
+_GRID = ("--grid", "--eps-min")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every subcommand takes ``--tier`` and otherwise only the flags
+    its handler reads."""
     ap = argparse.ArgumentParser(
         prog="gnum",
         description="computer algebra for generalized numbers: asymptotic "
                     "decision procedures and ring-structure witnesses")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def flags(p):
+    def command(name, help, flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--tier", choices=sorted(_TIERS), default=None)
-        p.add_argument("--grid", type=int, default=1000)
-        p.add_argument("--eps-min", type=float, default=1e-6)
-        p.add_argument("--m-max", type=int, default=12)
-        p.add_argument("--a-max", type=int, default=6)
-        p.add_argument("--root-cap", type=int, default=8)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--json", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    def multi(p):
-        flags(p)
+    def multi(name, help, flags):
+        p = command(name, help, flags)
         p.add_argument("expr", nargs="*")
         p.add_argument("--file", default=None,
                        help="read one expression per line")
-        return p
 
-    def fixed(p, n):
-        flags(p)
-        p.add_argument("expr", nargs=n)
-        return p
+    def fixed(name, help, flags, n):
+        command(name, help, flags).add_argument("expr", nargs=n)
 
-    multi(sub.add_parser("classify",
-                         help="moderate/negligible/strictly-nonzero/valuation"))
-    fixed(sub.add_parser("compare", help="gn_equal and the partial order"), 2)
-    fixed(sub.add_parser("lattice", help="abs/min/max and order contracts"), 2)
-    multi(sub.add_parser("smooth", help="smooth approximation report"))
-    fixed(sub.add_parser("zerodiv", help="zero-divisor construction"), 1)
-    fixed(sub.add_parser("split", help="annihilator split for rs = 0"), 2)
-    fixed(sub.add_parser("charset", help="characteristic set for rs = 0"), 2)
-    multi(sub.add_parser("idem", help="idempotent classification"))
-    pi = sub.add_parser("ideal", help="ideal algebra operations")
+    multi("classify", "moderate/negligible/strictly-nonzero/valuation",
+          _GRID + ("--m-max", "--json"))
+    fixed("compare", "gn_equal and the partial order",
+          _GRID + ("--m-max", "--a-max", "--json"), 2)
+    fixed("lattice", "abs/min/max and order contracts", ("--json",), 2)
+    multi("smooth", "smooth approximation report", _GRID + ("--json",))
+    fixed("zerodiv", "zero-divisor construction",
+          _GRID + ("--m-max", "--json"), 1)
+    fixed("split", "annihilator split for rs = 0",
+          _GRID + ("--m-max", "--json"), 2)
+    fixed("charset", "characteristic set for rs = 0", ("--json",), 2)
+    multi("idem", "idempotent classification", ("--json",))
+    pi = command("ideal", "ideal algebra operations", ("--root-cap", "--json"))
     pi.add_argument("op", choices=["membership", "reduce", "intersect",
                                    "power", "radical", "isradical"])
-    flags(pi)
     pi.add_argument("args", nargs="+")
-    multi(sub.add_parser("eval-grid", help="eps/value columns"))
+    multi("eval-grid", "eps/value columns", _GRID)
     return ap
 
 
@@ -414,9 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    if args.seed is None:
-        env = os.environ.get("GNUM_SEED")
-        args.seed = int(env) if env else 0
+    as_json = getattr(args, "json", False)  # eval-grid prints columns
     _UNKNOWNS.clear()
     try:
         doc = _HANDLERS[args.command](args)
@@ -424,17 +430,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         err = {"schema_version": SCHEMA_VERSION, "error": "parse",
                "message": str(e), "line": e.line, "column": e.column,
                "expected": list(e.expected)}
-        print(_render(err, args.json))
+        print(_render(err, as_json))
         return 1
     except (PreconditionError, TierError) as e:
         err = {"schema_version": SCHEMA_VERSION, "error": "precondition",
                "message": str(e)}
-        print(_render(err, args.json))
+        print(_render(err, as_json))
         return 2
     except (DomainError, SearchExhausted, GnumError) as e:
         err = {"schema_version": SCHEMA_VERSION, "error": "domain",
                "message": str(e)}
-        print(_render(err, args.json))
+        print(_render(err, as_json))
         return 2
     if doc is None:
         return 0
@@ -443,7 +449,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     out["numeric_precision"] = {"float": "ieee754-binary64",
                                 "printed": "shortest-roundtrip-repr"}
     out["config"] = _config(args)
-    print(_render(out, args.json))
+    print(_render(out, as_json))
     return 3 if _UNKNOWNS else 0
 
 

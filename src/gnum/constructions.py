@@ -28,8 +28,7 @@ from .nets import (AnnihilatorTransition, Const, ConstHeights,
                    gnumber, iter_nodes)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, info, rat)
-from .sequences import (Geometric, Midpoints, SequenceRule, Searched,
-                        register_searcher)
+from .sequences import Geometric, Midpoints, SequenceRule
 
 F = Fraction
 
@@ -97,14 +96,14 @@ class ZeroDivisorReport:
     widths: Tuple[float, ...]
 
 
-def construct_zero_divisor(r, n_explicit: int = 16,
-                           max_halvings: int = 300) -> ZeroDivisorReport:
+def construct_zero_divisor(r) -> ZeroDivisorReport:
     """A nonzero s with r*s = 0, for non-invertible r.
 
     Unit-height bumps are centered on a sequence where |r| falls below
-    every power; each explicit width is halved until |r| < eps**(j/2)
-    holds on sampled support points, and the tail follows the recorded
-    width rule w_j = min(gap/4, eps_j**(j/2+2)).
+    every power; each of the first 16 widths is halved (at most 300
+    times) until |r| < eps**(j/2) holds on sampled support points, and
+    the tail follows the recorded width rule
+    w_j = min(gap/4, eps_j**(j/2+2)).
     """
     gr = nets._gn(r)
     rnet = gr.net
@@ -120,7 +119,7 @@ def construct_zero_divisor(r, n_explicit: int = 16,
     assert tri.witness is not None and tri.witness.kind == "small-along"
     seq = tri.witness.data[0]
     widths = []
-    for j in range(1, n_explicit + 1):
+    for j in range(1, 17):
         c = seq.value(j)
         # stop materializing once the required bound falls below what
         # double precision can resolve near the zero; the recorded tail
@@ -137,7 +136,7 @@ def construct_zero_divisor(r, n_explicit: int = 16,
         w = gap_w
         target_exp = 0.5 * j
         ok = False
-        for _ in range(max_halvings):
+        for _ in range(300):
             if w <= 0.0:
                 break
             samples = [c - 0.9 * w, c - 0.5 * w, c, c + 0.5 * w, c + 0.9 * w]
@@ -335,13 +334,24 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
     return points
 
 
-def _charset_extend(params, j):
-    rnet, snet, k_exp, seq_r, seq_s = params
-    pts = _charset_points(rnet, snet, k_exp, seq_r, seq_s, j)
-    return pts[j - 1]
+@dataclass(frozen=True)
+class CharsetPoints(SequenceRule):
+    """The points found by ``_charset_points``; past the found prefix
+    the search reruns on demand (pure in (params, j))."""
 
+    params: tuple  # (rnet, snet, k_exp, seq_r, seq_s)
+    points: Tuple[float, ...]
 
-register_searcher("charset", _charset_extend)
+    def value(self, j: int) -> float:
+        if j <= len(self.points):
+            return self.points[j - 1]
+        return _charset_points(*self.params, j)[j - 1]
+
+    def index_near(self, eps: float) -> int:
+        for i, p in enumerate(self.points):
+            if p <= eps:
+                return max(1, i)
+        return len(self.points)
 
 
 def characteristic_set(r, s, n_points: int = 16) -> CharacteristicSet:
@@ -367,8 +377,7 @@ def characteristic_set(r, s, n_points: int = 16) -> CharacteristicSet:
     k_exp = max(kr, ks)
     m = 2 * k_exp
     pts = _charset_points(gr.net, gs.net, k_exp, seq_r, seq_s, n_points)
-    rule = Searched("charset", (gr.net, gs.net, k_exp, seq_r, seq_s),
-                    tuple(pts))
+    rule = CharsetPoints((gr.net, gs.net, k_exp, seq_r, seq_s), tuple(pts))
     schedule = tuple(F(m + 2 * (i - 1), 2) for i in range(1, n_points + 1))
     return CharacteristicSet(rule, schedule)
 

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nets
-from .asymptotics import DecisionTri, _powers
+from .asymptotics import DecisionTri, _powers, _real_values
 from .errors import DomainError
 from .nets import NetExpr, Tier, eval_net, eval_points
 from .sequences import Geometric, Harmonic, SequenceRule
@@ -228,15 +228,15 @@ def replay_lower_eventual(x, m: int, eps0: float,
     return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", True)
 
 
-def replay_growth_along(x, seq: SequenceRule, m_star: int,
-                        n_terms: int = 64) -> ReplayReport:
+def replay_growth_along(x, seq: SequenceRule, m_star: int) -> ReplayReport:
     """Check that |x(eps_j)| / eps_j**m_star does not collapse (and
-    typically grows) along the sequence, refuting |x| = O(eps**m_star)
-    with a fitted constant."""
+    typically grows) along the first 64 evaluable points among the
+    sequence's first 256, refuting |x| = O(eps**m_star) with a fitted
+    constant."""
     net = nets._net(x)
     ratios = []
     j = 0
-    while len(ratios) < n_terms and j < 4 * n_terms:
+    while len(ratios) < 64 and j < 256:
         j += 1
         e = seq.value(j)
         if e <= 0:
@@ -260,10 +260,10 @@ def replay_growth_along(x, seq: SequenceRule, m_star: int,
                         detail=f"ratio {early:.3g} -> {late:.3g}")
 
 
-def _local_min_abs(net: NetExpr, lo: float, hi: float, iters: int = 80) -> Tuple[float, float]:
-    """Ternary search for a local minimum of |net| on [lo, hi]."""
+def _local_min_abs(net: NetExpr, lo: float, hi: float) -> Tuple[float, float]:
+    """Ternary search (80 steps) for a local minimum of |net| on [lo, hi]."""
     a, b = lo, hi
-    for _ in range(iters):
+    for _ in range(80):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if _abs_at(net, m1) <= _abs_at(net, m2):
@@ -274,13 +274,13 @@ def _local_min_abs(net: NetExpr, lo: float, hi: float, iters: int = 80) -> Tuple
     return mid, _abs_at(net, mid)
 
 
-def replay_small_along(x, seq: SequenceRule, m_max: int = 12,
-                       n_terms: int = 48) -> ReplayReport:
+def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
     """For each m <= m_max exhibit a point with |x| < eps**m near the
-    sequence (refutes strict nonzeroness)."""
+    sequence (refutes strict nonzeroness): at the first 48 indices, then
+    on a ladder growing by 1.6."""
     net = nets._net(x)
-    ladder = list(range(0, n_terms + 1))
-    j = max(n_terms, 1)
+    ladder = list(range(0, 49))
+    j = 48
     while j < 5000:
         j = int(j * 1.6) + 1
         ladder.append(j)
@@ -309,7 +309,7 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12,
             # at the best candidate the observed minimum must exceed the
             # local derivative-times-ulp band for the failure to count
             best_pt, best_v = None, math.inf
-            for j in ladder[:n_terms]:
+            for j in ladder[:48]:
                 try:
                     e = seq.value(j)
                 except Exception:
@@ -339,8 +339,7 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check x <= y + eps**a below each witnessed threshold."""
     xn, yn = nets._net(x), nets._net(y)
     pts = grid.points()
-    vx = eval_points(xn, pts, fill=math.nan)
-    vy = eval_points(yn, pts, fill=math.nan)
+    vx, vy = _real_values(xn, pts), _real_values(yn, pts)
     ay = np.abs(vy)
     slack = 1e-11 * np.where(ay > 1.0, ay, 1.0)
     for a, eps0 in thresholds:

@@ -44,7 +44,6 @@ class FinIdeal:
     """Finitely generated ideal, as its generator list."""
 
     generators: Tuple[GNumber, ...]
-    principal_form: Optional[GNumber] = None
 
     def __post_init__(self):
         if not self.generators:
@@ -163,13 +162,12 @@ def _compose_witness(parts: List[Optional[NetExpr]]) -> NetExpr:
     return out
 
 
-def _replay_witness(a: NetExpr, x: NetExpr, y: NetExpr,
-                    m_max: int = 8) -> bool:
+def _replay_witness(a: NetExpr, x: NetExpr, y: NetExpr) -> bool:
     """Numeric sanity check of a membership witness: |a*x - y| must fall
-    below every tested power, up to the evaluator's rounding floor."""
+    below every tested power up to eps**8, up to the evaluator's
+    rounding floor."""
     from .harness import replay_negligible_diff
-    return bool(replay_negligible_diff(nets.mul(a, x), y, m_max,
-                                       _REPLAY_GRID))
+    return bool(replay_negligible_diff(nets.mul(a, x), y, 8, _REPLAY_GRID))
 
 
 def _dominations(y_abs: NetExpr, x_abs: NetExpr):
@@ -188,7 +186,7 @@ def _dominations(y_abs: NetExpr, x_abs: NetExpr):
             yield (C, M)
 
 
-def membership(y, x, m_max: int = 12) -> DecisionTri:
+def membership(y, x) -> DecisionTri:
     """Decide y in x*R (the principal ideal of x)."""
     gy, gx = nets._gn(y), nets._gn(x)
     ynet, xnet = gy.net, gx.net
@@ -289,15 +287,15 @@ def radical_membership(y, R: RootFamilyIdeal) -> DecisionTri:
 @dataclass(frozen=True)
 class DipForcingData:
     """Replayable refutation of sqrt(|s|) in <s>: for each moderateness
-    budget N, a located point p with |s(p)| at level p**L and
-    sqrt(|s(p)|) >= p**(L/2) >> p**-N * |s(p)|."""
+    budget N, a located point p with |s(p)| at level p**L, L = 2N + 2,
+    and sqrt(|s(p)|) >= p**(L/2) >> p**-N * |s(p)|."""
 
     levels: Tuple[Tuple[int, float, float], ...]  # (N, point, |s(point)|)
 
 
-def dip_forcing_data(s, n_root: int = 2, n_levels: int = 3,
-                     k_exp: int = 1) -> Optional[DipForcingData]:
-    """Locate the level points of the dip-forcing refutation."""
+def dip_forcing_data(s) -> Optional[DipForcingData]:
+    """Locate the level points of the dip-forcing refutation for the
+    budgets N = 0..3."""
     snet = nets._gn(s).net
     i = info(snet)
     small = i.small_seq.seq if i.small_seq is not None else None
@@ -313,8 +311,8 @@ def dip_forcing_data(s, n_root: int = 2, n_levels: int = 3,
     if small is None or big is None:
         return None
     out = []
-    for n_budget in range(0, n_levels + 1):
-        lvl = max(math.ceil(n_budget * n_root / (n_root - 1)) + 2, k_exp + 1)
+    for n_budget in range(4):
+        lvl = 2 * n_budget + 2
         found = None
         for j in range(2, 200):
             p_small = small.value(j)
@@ -344,8 +342,8 @@ def dip_forcing_data(s, n_root: int = 2, n_levels: int = 3,
             sval = abs(eval_net(snet, root))
             if sval <= 0.0:
                 continue
-            yval = sval ** (1.0 / n_root)
-            if yval >= root ** (lvl / n_root) * 0.25 and \
+            yval = sval ** 0.5
+            if yval >= root ** (lvl / 2) * 0.25 and \
                     root ** (-n_budget) * sval <= 0.5 * yval:
                 found = (n_budget, root, sval)
                 break
@@ -386,7 +384,7 @@ def is_radical_principal(s) -> DecisionTri:
     tn = is_negligible(snet)
     tz = is_strictly_nonzero(snet)
     if tn.is_false and tz.is_false and gs.tier <= Tier.Continuous:
-        data = dip_forcing_data(snet, n_root=2)
+        data = dip_forcing_data(snet)
         if data is not None:
             return DecisionTri(False, WitnessRecord("dip-forcing",
                                                     (data,)))
@@ -395,15 +393,15 @@ def is_radical_principal(s) -> DecisionTri:
     return UNKNOWN
 
 
-def replay_dip_forcing(s, data: DipForcingData, n_root: int = 2) -> bool:
+def replay_dip_forcing(s, data: DipForcingData) -> bool:
     """Verify the dip-forcing inequalities at the located points: at each
-    (N, p) the n-th root of |s(p)| exceeds twice eps**-N * |s(p)|, so a
+    (N, p) the square root of |s(p)| exceeds twice eps**-N * |s(p)|, so a
     moderate factor of budget N cannot reach the root there."""
     snet = nets._gn(s).net
     ok = True
     for n_budget, p, _sval in data.levels:
         v = abs(eval_net(snet, p))
-        yv = v ** (1.0 / n_root)
+        yv = v ** 0.5
         if not (yv > 0.0 and p ** (-n_budget) * v <= 0.5 * yv):
             ok = False
     return ok

@@ -4,16 +4,13 @@ convexity/absolute-convexity factor constructions.
 The lattice operations build a continuous representative (abs/min/max of
 a smooth net is only continuous) and, mirroring the definition of the
 absolute value through the smooth-continuous isomorphism, re-smooth it
-back into the smooth tier on request.  By default results of smooth
-inputs are re-smoothed and results of continuous inputs stay continuous;
-``resmooth=False`` keeps the pointwise-exact continuous representative,
-which is what the identity tests evaluate before smoothing blurs them by
-at most exp(-1/eps).
+back into the smooth tier.  By default (``resmooth=True``) a result that
+is not already smooth is re-smoothed; ``resmooth=False`` keeps the
+pointwise-exact continuous representative, which is what the identity
+tests evaluate before smoothing blurs them by at most exp(-1/eps).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from . import nets
 from .asymptotics import leq
@@ -23,11 +20,10 @@ from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, maxn,
 from .smoothing import _presimplify, smooth_approximate
 
 
-def _finish(net, in_tier: Tier, resmooth: Optional[bool]) -> GNumber:
+def _finish(net, resmooth: bool) -> GNumber:
     simplified = _presimplify(net)
     mt = minimal_tier(simplified)
-    do_smooth = (in_tier == Tier.Smooth) if resmooth is None else resmooth
-    if do_smooth and mt > Tier.Smooth:
+    if resmooth and mt > Tier.Smooth:
         # the output net does not depend on the report grid; a coarse one
         # keeps lattice-level re-smoothing cheap
         from .harness import GridSpec
@@ -37,27 +33,26 @@ def _finish(net, in_tier: Tier, resmooth: Optional[bool]) -> GNumber:
     return GNumber(simplified, mt)
 
 
-def gabs(x, resmooth: Optional[bool] = None) -> GNumber:
+def gabs(x, resmooth: bool = True) -> GNumber:
     """|x| as a generalized number.
 
-    The continuous representative is (|x_eps|)_eps; smooth inputs are
-    re-smoothed so the result stays in the smooth tier (the isomorphism
-    route), unless ``resmooth=False`` forces the continuous one.
+    The continuous representative is (|x_eps|)_eps; it is re-smoothed so
+    the result lies in the smooth tier (the isomorphism route), unless
+    ``resmooth=False`` keeps the continuous one.
     """
-    gx = nets._gn(x)
-    return _finish(absn(gx.net), gx.tier, resmooth)
+    return _finish(absn(nets._gn(x).net), resmooth)
 
 
-def gmin(x, y, resmooth: Optional[bool] = None) -> GNumber:
+def gmin(x, y, resmooth: bool = True) -> GNumber:
     """Pointwise minimum of real generalized numbers."""
     gx, gy = nets._gn(x), nets._gn(y)
-    return _finish(minn(gx.net, gy.net), max(gx.tier, gy.tier), resmooth)
+    return _finish(minn(gx.net, gy.net), resmooth)
 
 
-def gmax(x, y, resmooth: Optional[bool] = None) -> GNumber:
+def gmax(x, y, resmooth: bool = True) -> GNumber:
     """Pointwise maximum of real generalized numbers."""
     gx, gy = nets._gn(x), nets._gn(y)
-    return _finish(maxn(gx.net, gy.net), max(gx.tier, gy.tier), resmooth)
+    return _finish(maxn(gx.net, gy.net), resmooth)
 
 
 def abs_factor(x) -> GNumber:

@@ -375,15 +375,13 @@ class AbsFactor(NetExpr):
 class SmoothBlend(NetExpr):
     """Partition-of-unity smoothing of ``source``: sum chi_k * source(c_k)
     with sample points c_k on a per-band uniform subdivision whose width
-    is chosen so |self - source| <= min(bound, exp(-1/eps)) pointwise.
+    is chosen so |self - source| <= exp(-1/eps) pointwise.
 
     The source tree is sample data, not a functional subexpression: the
     blend is structurally smooth regardless of the source's tier.
     """
 
     source: NetExpr
-    bound: NetExpr
-    safety: int = 8
 
 
 # --------------------------------------------------------------------------

@@ -372,8 +372,7 @@ def _info(net: NetExpr) -> Info:
                     ivl=(-2.0, 2.0) if i.real else FULL)
     if isinstance(net, SmoothBlend):
         i = info(net.source)
-        pad = info(net.bound).ivl[1]
-        pad = 1.0 if not math.isfinite(pad) else pad
+        pad = math.exp(-1.0)  # the sup of the blend's exp(-1/eps) envelope
         return Info(real=i.real, nonneg=False,
                     upper=upper_add(i.upper, Env(SUPERPOW)),
                     lower=lower_vs_upper(i.lower, Env(SUPERPOW)),

@@ -62,10 +62,6 @@ def mono_pow(m: Mono, r: Fraction) -> Mono:
     return (m[0] * r, m[1] * r, atoms_from((a, p * r) for a, p in m[2]))
 
 
-def mono_div(m1: Mono, m2: Mono) -> Mono:
-    return mono_mul(m1, mono_pow(m2, Fraction(-1)))
-
-
 def scale_key(m: Mono) -> Tuple[Fraction, Fraction]:
     """Dominance key: lexicographically smaller (k, q) dominates as eps->0."""
     return (m[0], m[1])

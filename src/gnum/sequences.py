@@ -1,10 +1,10 @@
 """Computable strictly decreasing sequences eps_1 > eps_2 > ... -> 0.
 
 These model characteristic sets S = {eps_j} with 0 in the closure of S:
-bump-train schedules, spike/indicator supports, zero sequences of
-oscillators, and the materialized-prefix-plus-rule sequences produced by
-witness searches.  Every rule is immutable data; ``value(j)`` is a pure
-function of the rule and the index.
+bump-train schedules, spike/indicator supports and zero sequences of
+oscillators; witness searches add their own
+(``constructions.CharsetPoints``).  Every rule is immutable data;
+``value(j)`` is a pure function of the rule and the index.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple
 
 from .errors import DomainError
 
@@ -118,41 +117,3 @@ class Midpoints(SequenceRule):
 
     def index_near(self, eps: float) -> int:
         return self.of.index_near(eps)
-
-
-# -- lazily searched sequences (witness tails) ------------------------------
-
-_SEARCHERS = {}
-
-
-def register_searcher(key: str, fn) -> None:
-    """Register the pure extension function for Searched rules.
-
-    fn(params, j) -> float must be deterministic in (params, j).
-    """
-    _SEARCHERS[key] = fn
-
-
-@dataclass(frozen=True)
-class Searched(SequenceRule):
-    """Prefix found by a recorded search; tail recomputed on demand by
-    the registered searcher (pure in (params, j))."""
-
-    searcher: str
-    params: tuple
-    points: Tuple[float, ...]
-
-    def value(self, j: int) -> float:
-        if j <= len(self.points):
-            return self.points[j - 1]
-        fn = _SEARCHERS.get(self.searcher)
-        if fn is None:
-            raise DomainError(f"no searcher registered for {self.searcher!r}")
-        return fn(self.params, j)
-
-    def index_near(self, eps: float) -> int:
-        for i, p in enumerate(self.points):
-            if p <= eps:
-                return max(1, i)
-        return len(self.points)
-

@@ -7,7 +7,7 @@ inclusion on scalar nets.  The output is a partition-of-unity blend of
 [2^-b-1, 2^-b] the band is split uniformly into 2^L subintervals, one
 reference bump and one sample per subinterval, with L chosen from a
 certified modulus-of-continuity bound so that the sample spacing keeps
-|blend - input| below min(bound, exp(-1/eps)) on the whole band.
+|blend - input| below exp(-1/eps) on the whole band.
 
 Where the required width falls below the floating-point resolution of
 the band (the envelope shrinks much faster than double precision can
@@ -42,10 +42,10 @@ LOG_ULP = math.log(2.0 ** -52)
 # per-band bounds: sup, inf, modulus of continuity
 # --------------------------------------------------------------------------
 
-def _numeric_sup(net: NetExpr, a: float, b: float, n: int = 65) -> float:
+def _numeric_sup(net: NetExpr, a: float, b: float) -> float:
     vals = []
-    for i in range(n):
-        e = a + (b - a) * i / (n - 1)
+    for i in range(65):
+        e = a + (b - a) * i / 64
         if 0 < e <= 1:
             vals.append(abs(eval_net(net, e)))
     return max(vals) * 1.5 if vals else 1.0
@@ -232,12 +232,12 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
     return None
 
 
-def _numeric_modulus(net: NetExpr, a: float, b: float, n: int = 128) -> float:
+def _numeric_modulus(net: NetExpr, a: float, b: float) -> float:
     """Estimated Lipschitz constant (not certified; flagged by callers)."""
-    h = (b - a) / n
+    h = (b - a) / 128
     worst = 0.0
     prev = eval_net(net, a) if a > 0 else eval_net(net, b)
-    for i in range(1, n + 1):
+    for i in range(1, 129):
         e = a + h * i
         if not 0 < e <= 1:
             continue
@@ -277,15 +277,9 @@ def _band_plan(blend: SmoothBlend, b: int):
     sup = band_sup(src, wa, wb)
     if not math.isfinite(sup):
         return ("exact", 0.0, "")
-    # pointwise target: min(bound, exp(-1/eps)); evaluated at the band's
-    # left end where it is smallest (both defaults increase with eps)
+    # pointwise target exp(-1/eps), evaluated at the band's left end
+    # where it is smallest
     log_env = -1.0 / a
-    if not isinstance(blend.bound, ExpNegRecip):
-        vals = [eval_net(blend.bound, e) for e in (a, 0.5 * (a + hi), hi)]
-        mv = min(vals)
-        if mv <= 0.0:
-            return ("exact", 0.0, "")
-        log_env = min(log_env, math.log(mv))
     if log_env < math.log(3e-13 * max(1.0, sup)):
         return ("exact", 0.0, "")
     mod = band_modulus(src, wa, wb)
@@ -295,7 +289,7 @@ def _band_plan(blend: SmoothBlend, b: int):
         flag = "estimated-modulus"
     mod = [(max(k, 1e-300), r) for k, r in mod] or [(1e-300, 1)]
     nterms = len(mod)
-    log_w = min(r * (log_env - math.log(blend.safety * nterms * k))
+    log_w = min(r * (log_env - math.log(8 * nterms * k))
                 for k, r in mod) - math.log(4.0)
     if log_w < LOG_ULP + math.log(a):
         return ("exact", 0.0, flag)
@@ -380,7 +374,6 @@ def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
 @dataclass(frozen=True)
 class SmoothingReport:
     output: GNumber
-    bound: NetExpr
     grid_max_ratio: float
     flagged_bands: Tuple[Tuple[int, str], ...] = ()
     shortcut: bool = False
@@ -411,10 +404,9 @@ def _presimplify(net: NetExpr) -> NetExpr:
     return net
 
 
-def smooth_approximate(x, bound: Optional[NetExpr] = None,
-                       grid=None, safety: int = 8) -> SmoothingReport:
+def smooth_approximate(x, grid=None) -> SmoothingReport:
     """Smooth representative of a continuous-tier net within
-    min(bound, exp(-1/eps)) pointwise.
+    exp(-1/eps) pointwise.
 
     Already-smooth inputs are returned unchanged.  The output is
     structurally smooth: a partition-of-unity blend of constant samples,
@@ -422,15 +414,14 @@ def smooth_approximate(x, bound: Optional[NetExpr] = None,
     """
     from .harness import DEFAULT_GRID
     net = nets._net(x)
-    bound = bound if bound is not None else ExpNegRecip()
     if minimal_tier(net) >= Tier.Arbitrary:
         raise TierError("smoothing is defined on continuous-tier nets; "
                         "spike/indicator nets have no continuous representative")
     simplified = _presimplify(net)
     if minimal_tier(simplified) == Tier.Smooth:
-        return SmoothingReport(GNumber(simplified, Tier.Smooth), bound,
-                               0.0, (), shortcut=True)
-    blend = SmoothBlend(simplified, bound, safety)
+        return SmoothingReport(GNumber(simplified, Tier.Smooth), 0.0, (),
+                               shortcut=True)
+    blend = SmoothBlend(simplified)
     grid = grid or DEFAULT_GRID
     worst = 0.0
     flags = []
@@ -446,11 +437,10 @@ def smooth_approximate(x, bound: Optional[NetExpr] = None,
         diff = abs(eval_net(blend, e) - eval_net(net, e))
         if diff == 0.0:
             continue
-        bv = eval_net(bound, e)
+        bv = eval_net(ExpNegRecip(), e)
         ratio = diff / bv if bv > 0.0 else math.inf
         worst = max(worst, ratio)
-    return SmoothingReport(GNumber(blend, Tier.Smooth), bound, worst,
-                           tuple(flags))
+    return SmoothingReport(GNumber(blend, Tier.Smooth), worst, tuple(flags))
 
 
 # --------------------------------------------------------------------------
@@ -472,8 +462,7 @@ class RefutationWitness:
     value: complex
 
 
-def refute_continuous_representative(target, candidate,
-                                     max_spikes: int = 64) -> RefutationWitness:
+def refute_continuous_representative(target, candidate) -> RefutationWitness:
     """Witness that |candidate - target| is not negligible, for target
     the spike net with value 1 at eps = 1/n."""
     tnet, cnet = nets._net(target), nets._net(candidate)
@@ -481,7 +470,7 @@ def refute_continuous_representative(target, candidate,
         raise PreconditionError("target must be the harmonic spike net")
     if minimal_tier(cnet) >= Tier.Arbitrary:
         raise PreconditionError("candidate must be continuous-tier")
-    for n in range(1, max_spikes + 1):
+    for n in range(1, 65):
         sp = 1.0 / n
         v1 = eval_net(cnet, sp)
         if abs(v1 - 1.0) >= 0.25:
@@ -507,5 +496,5 @@ def refute_continuous_representative(target, candidate,
         if abs(abs(eval_net(cnet, m)) - 0.5) <= 1e-6:
             return RefutationWitness("crossing", n, m, eval_net(cnet, m))
     raise SearchExhausted(
-        f"no refutation witness within the first {max_spikes} spikes",
-        detail={"max_spikes": max_spikes})
+        "no refutation witness within the first 64 spikes",
+        detail={"max_spikes": 64})

@@ -193,6 +193,15 @@ def test_leq_skips_points_where_a_power_overflows():
     assert rep.passed
 
 
+def test_leq_when_the_smaller_side_overflows_to_a_complex_infinity():
+    # the threshold calibration and the replay read the complex points
+    # as having no real value, as the violation scan does
+    x = powq(neg(inv(EPS)), 53)
+    t = leq(x, const(0))
+    assert t.is_true
+    assert verify_decision("leq", t, x, const(0)).passed
+
+
 def test_leq_rejects_complex():
     with pytest.raises(TypeError):
         leq(mul(const(1j), EPS), EPS)

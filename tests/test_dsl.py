@@ -1,8 +1,11 @@
 """Grammar, round-trips, positioned errors, and the CLI surface."""
 
+import argparse
 import json
 import os
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -192,22 +195,40 @@ def test_cli_compare_and_json(capsys):
 
 
 def test_cli_deterministic_output(capsys):
-    args = ["classify", "eps^-1 + cos(1/eps)", "--grid", "100", "--json",
-            "--seed", "7"]
+    args = ["classify", "eps^-1 + cos(1/eps)", "--grid", "100", "--json"]
     code1, out1 = run_cli(args, capsys)
     code2, out2 = run_cli(args, capsys)
     assert (code1, out1) == (code2, out2)
 
 
-def test_cli_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("GNUM_SEED", "99")
+def test_cli_rejects_flags_a_subcommand_does_not_read(capsys):
+    for argv in (["idem", "1 + exp(-1/eps)", "--eps-min", "2", "--json"],
+                 ["classify", "eps", "--seed", "3"],
+                 ["lattice", "sin(1/eps)", "eps", "--grid", "100"],
+                 ["eval-grid", "eps", "--json"]):
+        code, _ = run_cli(argv, capsys)
+        assert code == 1, argv
     code, out = run_cli(["classify", "eps", "--grid", "80", "--json"], capsys)
-    doc = json.loads(out)
-    assert doc["config"]["seed"] == 99
-    # explicit flag wins over the environment
-    code, out = run_cli(["classify", "eps", "--grid", "80", "--json",
-                         "--seed", "3"], capsys)
-    assert json.loads(out)["config"]["seed"] == 3
+    assert code == 0
+    assert set(json.loads(out)["config"]) == {"grid", "eps_min", "m_max",
+                                              "tier", "fingerprint"}
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## The CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            flags = set(re.findall(r"`(--[a-z-]+)`", cells[2]))
+            for name in re.findall(r"`([a-z-]+)`", cells[1]):
+                documented[name] = flags
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings}
+              - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert documented == parsed
 
 
 def test_cli_file_input(tmp_path, capsys):
@@ -244,15 +265,13 @@ def test_cli_smooth_and_ideal(capsys):
 
 
 def test_cli_lattice_charset_split_idem(capsys):
-    code, _ = run_cli(["lattice", "sin(1/eps)", "cos(1/eps)",
-                       "--grid", "100"], capsys)
+    code, _ = run_cli(["lattice", "sin(1/eps)", "cos(1/eps)"], capsys)
     assert code == 0
     code, out = run_cli(["idem", "1 + exp(-1/eps)", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["results"][0]["verdict"] == "one"
     code, out = run_cli(["charset", "bumptrain(harmonic)",
-                         "bumptrain(harmonic_mid)", "--grid", "100",
-                         "--json"], capsys)
+                         "bumptrain(harmonic_mid)", "--json"], capsys)
     assert code == 0 and json.loads(out)["schedule_ok"]
     code, out = run_cli(["split", "bumptrain(harmonic)",
                          "bumptrain(harmonic_mid)", "--grid", "200",

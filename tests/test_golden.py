@@ -1,5 +1,6 @@
-"""Behaviour lock: decisions, witness data and construction outputs,
-printed with `repr` so every float is compared bit for bit.
+"""Behaviour lock: decisions, witness data, replay reports, CLI
+documents and construction outputs, printed with `repr` so every float
+is compared bit for bit.
 
 The fixture `golden.txt` is regenerated only by running this module as
 a script with an explicit flag:
@@ -9,18 +10,24 @@ a script with an explicit flag:
 and the diff of the fixture is reviewed before it is committed.
 """
 
+import contextlib
+import io
+import json
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 from gnum import asymptotics as A
+from gnum import cli
 from gnum.constructions import (characteristic_set, construct_zero_divisor,
                                 interleaved_trains)
 from gnum.dsl import parse, print_net
-from gnum.harness import random_net
-from gnum.ideals import dip_forcing_data
-from gnum.nets import Tier, bump_train, gnumber
+from gnum.harness import GridSpec, random_net, verify_decision
+from gnum.ideals import dip_forcing_data, membership
+from gnum.lattice import abs_factor, gabs
+from gnum.nets import Tier, bump_train, eval_net, gnumber
 from gnum.sequences import Geometric
+from gnum.smoothing import refute_continuous_representative, smooth_approximate
 
 FIXTURE = Path(__file__).with_name("golden.txt")
 
@@ -30,6 +37,31 @@ PAIR_SEEDS = tuple(range(40)) + (73, 123)
 PAIR_OFFSET = 5000
 CLAIMS = (("moderate", A.is_moderate), ("negligible", A.is_negligible),
           ("strictly_nonzero", A.is_strictly_nonzero))
+REPLAY_SEEDS = range(20)
+# the README commands, then lattice and two more ideal operations;
+# every one but eval-grid prints its document as JSON
+CLI_COMMANDS = (
+    ["classify", "eps^-2 + sin(1/eps)", "--json"],
+    ["compare", "eps", "eps + exp(-1/eps)", "--json"],
+    ["smooth", "abs(sin(1/eps))", "--json"],
+    ["zerodiv", "sin(1/eps)", "--json"],
+    ["split", "bumptrain(harmonic)", "bumptrain(harmonic_mid)", "--json"],
+    ["charset", "bumptrain(harmonic)", "bumptrain(harmonic_mid)", "--json"],
+    ["idem", "1 + exp(-1/eps)", "--json"],
+    ["ideal", "membership", "eps*sin(1/eps)", "sin(1/eps)", "--json"],
+    ["eval-grid", "eps^-1 * sin(1/eps)", "--grid", "100"],
+    ["lattice", "sin(1/eps)", "eps", "--json"],
+    ["ideal", "reduce", "eps", "sin(1/eps)", "--json"],
+    ["ideal", "radical", "eps^2", "eps", "--json"],
+)
+SMOOTH_GRID = GridSpec(n_points=200, eps_min=1e-6)
+SMOOTH_INPUTS = ("abs(sin(1/eps))", "max(sin(1/eps), cos(1/eps))",
+                 "root(abs(sin(1/eps)), 2)", "max(sin(1/eps), 0) + eps^-1",
+                 "abs(bumptrain(geo(1/2)) - 0.5*eps)")
+REFUTER_CANDIDATES = ("0", "eps", "bumptrain(harmonic)", "cos(1/eps)")
+MEMBERSHIPS = (("eps*sin(1/eps)", "sin(1/eps)"), ("eps^2", "eps + exp(-1/eps)"),
+               ("1", "sin(1/eps)"))
+ZERO_DIVISOR_INPUTS = ("sin(1/eps)", "eps*cos(1/eps^2)", "bumptrain(geo(1/2))")
 
 
 def _tri(tri) -> str:
@@ -39,8 +71,27 @@ def _tri(tri) -> str:
     return f"{tri!r} {w.kind} {w.data!r}"
 
 
+def _gn(text: str):
+    return gnumber(*parse(text))
+
+
+def _cli(argv) -> str:
+    """Exit code and output of one CLI call, the document without its
+    `config` block."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    text = buf.getvalue()
+    if "--json" not in argv:
+        return f"exit {code} {text!r}"
+    doc = json.loads(text)
+    doc.pop("config", None)
+    return f"exit {code} {json.dumps(doc)}"
+
+
 def golden_lines():
     out = []
+    replays = []
     for seed in SEEDS:
         for tier in Tier:
             for depth in DEPTHS:
@@ -48,12 +99,20 @@ def golden_lines():
                 uid = f"net {seed} {tier} {depth}"
                 out.append(f"{uid} {print_net(x)}")
                 for claim, fn in CLAIMS:
-                    out.append(f"{uid} {claim}: {_tri(fn(x))}")
+                    tri = fn(x)
+                    out.append(f"{uid} {claim}: {_tri(tri)}")
+                    if seed in REPLAY_SEEDS and tri.value is not None:
+                        rep = verify_decision(claim.replace("_", "-"), tri, x)
+                        replays.append(f"{uid} {claim} replay: {rep!r}")
                 out.append(f"{uid} valuation: {A.valuation(x)!r}")
     for seed in PAIR_SEEDS:
         x = random_net(seed, Tier.Smooth, 3)
         y = random_net(seed + PAIR_OFFSET, Tier.Smooth, 3)
-        out.append(f"pair {seed} leq: {_tri(A.leq(x, y))}")
+        tri = A.leq(x, y)
+        out.append(f"pair {seed} leq: {_tri(tri)}")
+        if tri.value is not None:
+            rep = verify_decision("leq", tri, x, y)
+            replays.append(f"pair {seed} leq replay: {rep!r}")
     cs = characteristic_set(*interleaved_trains(F(1, 4)))
     out.append(f"charset points: {[cs.points.value(j) for j in range(1, 17)]!r}")
     out.append(f"charset orders: {cs.order_schedule!r}")
@@ -62,6 +121,31 @@ def golden_lines():
     net, tier = parse("sin(1/eps)")
     zd = construct_zero_divisor(gnumber(net, tier))
     out.append(f"zerodiv widths: {zd.widths!r}")
+    out += replays
+    for argv in CLI_COMMANDS:
+        out.append(f"cli {' '.join(argv)}: {_cli(argv)}")
+    pts = SMOOTH_GRID.points().tolist()
+    smooth_inputs = [(t, _gn(t)) for t in SMOOTH_INPUTS]
+    smooth_inputs.append(("abs_factor(sin(1/eps))",
+                          abs_factor(_gn("sin(1/eps)"))))
+    for text, g in smooth_inputs:
+        rep = smooth_approximate(g, grid=SMOOTH_GRID)
+        out.append(f"smooth {text}: {rep.grid_max_ratio!r} "
+                   f"{rep.flagged_bands!r} {rep.shortcut!r}")
+        out.append(f"smooth {text} blend: "
+                   f"{[eval_net(rep.output.net, e) for e in pts]!r}")
+    ab = gabs(_gn("sin(1/eps)"))
+    out.append(f"gabs sin(1/eps): {[eval_net(ab.net, e) for e in pts]!r}")
+    target = _gn("spikes(harmonic)")
+    for text in REFUTER_CANDIDATES:
+        w = refute_continuous_representative(target, _gn(text))
+        out.append(f"refute {text}: {w!r}")
+    for y, x in MEMBERSHIPS:
+        out.append(f"membership {y} in <{x}>: "
+                   f"{_tri(membership(_gn(y).net, _gn(x).net))}")
+    for text in ZERO_DIVISOR_INPUTS:
+        zd = construct_zero_divisor(_gn(text))
+        out.append(f"zerodiv {text} units: {zd.unit_points!r}")
     return out
 
 
