@@ -9,6 +9,7 @@ The calibration convention for O(.)-claims: the largest 70% of the grid
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -284,39 +285,50 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
     while j < 5000:
         j = int(j * 1.6) + 1
         ladder.append(j)
+
+    # A ladder point's value, |x| there and local-minimum search do not
+    # depend on m: each is computed once, the first time an m needs it,
+    # so errors surface in the order of the per-m walk.
+    @functools.cache
+    def point(j):
+        """(eps_j, |x(eps_j)|), or None when eps_j is not in (0, 1]."""
+        try:
+            e = seq.value(j)
+        except Exception:
+            return None
+        return (e, _abs_at(net, e)) if 0 < e <= 1 else None
+
+    @functools.cache
+    def local_min(j):
+        """(point, |x|) of the search around eps_j, or None when the
+        neighbouring gap is empty."""
+        e, _ = point(j)
+        gap = min(e - seq.value(j + 1), (seq.value(j - 1) - e)
+                  if j > 1 else e * 0.1) * 0.45
+        if gap <= 0:
+            return None
+        return _local_min_abs(net, e - gap, e + gap)
+
+    def small_near(j, m):
+        p = point(j)
+        if p is None:
+            return False
+        e, v = p
+        if v < e ** m:
+            return True
+        near = local_min(j)
+        return near is not None and near[1] < near[0] ** m
+
     for m in range(0, m_max + 1):
-        found = False
-        for j in ladder:
-            try:
-                e = seq.value(j)
-            except Exception:
-                continue
-            if not 0 < e <= 1:
-                continue
-            if _abs_at(net, e) < e ** m:
-                found = True
-                break
-            gap = min(e - seq.value(j + 1), (seq.value(j - 1) - e)
-                      if j > 1 else e * 0.1) * 0.45
-            if gap <= 0:
-                continue
-            pt, v = _local_min_abs(net, e - gap, e + gap)
-            if v < pt ** m:
-                found = True
-                break
-        if not found:
+        if not any(small_near(j, m) for j in ladder):
             # distinguish genuine failure from float-resolution exhaustion:
             # at the best candidate the observed minimum must exceed the
             # local derivative-times-ulp band for the failure to count
             best_pt, best_v = None, math.inf
-            for j in ladder[:48]:
-                try:
-                    e = seq.value(j)
-                except Exception:
+            for p in map(point, ladder[:48]):
+                if p is None:
                     continue
-                if not 0 < e <= 1:
-                    continue
-                v = _abs_at(net, e)
+                e, v = p
                 if v < best_v:
                     best_pt, best_v = e, v
             if best_pt is not None:

@@ -121,16 +121,27 @@ class DecayHeights(HeightRule):
 
     slope: Fraction = Fraction(1)
     offset: Fraction = Fraction(0)
+    # slope*j + offset == (_a*j + _b) / _d, in integers
+    _a: int = field(init=False, repr=False, compare=False)
+    _b: int = field(init=False, repr=False, compare=False)
+    _d: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s, o = self.slope, self.offset
+        object.__setattr__(self, "_a", s.numerator * o.denominator)
+        object.__setattr__(self, "_b", o.numerator * s.denominator)
+        object.__setattr__(self, "_d", s.denominator * o.denominator)
 
     def value(self, schedule, j):
-        q = self.slope * j + self.offset
+        n = self._a * j + self._b
         base = schedule.value(j)
-        if q.denominator == 1 and abs(q.numerator) <= 512:
+        if n % self._d == 0 and abs(n // self._d) <= 512:
             try:
-                return base ** q.numerator
+                return base ** (n // self._d)
             except OverflowError:
                 return math.inf
-        return _exp(float(q) * math.log(base))
+        # int true division rounds correctly, as float(Fraction) does
+        return _exp(n / self._d * math.log(base))
 
 
 class WidthRule:
@@ -166,12 +177,18 @@ class ShrunkWidths(WidthRule):
     values: Tuple[float, ...]
     slope: Fraction = Fraction(1, 2)
     offset: Fraction = Fraction(2)
+    _slope: float = field(init=False, repr=False, compare=False)
+    _offset: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_slope", float(self.slope))
+        object.__setattr__(self, "_offset", float(self.offset))
 
     def value(self, schedule, j):
         if j <= len(self.values):
             return self.values[j - 1]
         gap = 0.25 * schedule.gap(j)
-        e = (float(self.slope) * j + float(self.offset)) * math.log(schedule.value(j))
+        e = (self._slope * j + self._offset) * math.log(schedule.value(j))
         return min(gap, _exp(e))
 
 

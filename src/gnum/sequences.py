@@ -90,20 +90,26 @@ class PiSequence(SequenceRule):
     mult: Fraction = Fraction(1)
     offset: Fraction = Fraction(0)
     power: Fraction = Fraction(1)
+    _mult: float = field(init=False, repr=False, compare=False)
+    _offset: float = field(init=False, repr=False, compare=False)
+    _power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mult <= 0 or self.power <= 0:
             raise DomainError("PiSequence needs mult > 0 and power > 0")
         if self.mult * 1 + self.offset <= 0:
             raise DomainError("PiSequence first term must be positive")
+        object.__setattr__(self, "_mult", float(self.mult))
+        object.__setattr__(self, "_offset", float(self.offset))
+        object.__setattr__(self, "_power", float(self.power))
 
     def value(self, j: int) -> float:
-        t = (float(self.mult) * j + float(self.offset)) * PI
-        return t ** (-1.0 / float(self.power))
+        t = (self._mult * j + self._offset) * PI
+        return t ** (-1.0 / self._power)
 
     def index_near(self, eps: float) -> int:
-        t = eps ** (-float(self.power))
-        return max(1, round((t / PI - float(self.offset)) / float(self.mult)))
+        t = eps ** (-self._power)
+        return max(1, round((t / PI - self._offset) / self._mult))
 
 
 @dataclass(frozen=True)

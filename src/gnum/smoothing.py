@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple
 
 from . import nets
 from .errors import PreconditionError, SearchExhausted, TierError
-from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
-                   ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
+from .nets import (AbsNode, Add, BumpTrain, Const, ConstHeights, CosRecipPow,
+                   Eps, ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
                    NetExpr, PHI_MAX_SLOPE, PowQ, RootN, SinRecipPow,
                    SmoothBlend, SpikeTrain, Tier, bump_phi, eval_net,
                    minimal_tier, nonneg_net)
@@ -88,8 +88,12 @@ def band_sup(net: NetExpr, a: float, b: float) -> float:
     if isinstance(net, BumpTrain):
         lo = net.schedule.index_near(b)
         hi = net.schedule.index_near(a)
+        js = range(max(1, lo - 2), hi + 3)
+        if isinstance(net.heights, ConstHeights):
+            # every index has the same height
+            return max(0.0, abs(net.heights.c)) if js else 0.0
         out = 0.0
-        for j in range(max(1, lo - 2), hi + 3):
+        for j in js:
             out = max(out, abs(net.heights.value(net.schedule, j)))
         return out
     return _numeric_sup(net, a, b)

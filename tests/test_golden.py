@@ -62,6 +62,8 @@ REFUTER_CANDIDATES = ("0", "eps", "bumptrain(harmonic)", "cos(1/eps)")
 MEMBERSHIPS = (("eps*sin(1/eps)", "sin(1/eps)"), ("eps^2", "eps + exp(-1/eps)"),
                ("1", "sin(1/eps)"))
 ZERO_DIVISOR_INPUTS = ("sin(1/eps)", "eps*cos(1/eps^2)", "bumptrain(geo(1/2))")
+# depth-5 nets whose strict-nonzeroness refutations are replayed
+SMALL_ALONG_SEEDS = range(400, 480)
 
 
 def _tri(tri) -> str:
@@ -87,6 +89,14 @@ def _cli(argv) -> str:
     doc = json.loads(text)
     doc.pop("config", None)
     return f"exit {code} {json.dumps(doc)}"
+
+
+def _smooth_lines(text, g, pts):
+    rep = smooth_approximate(g, grid=SMOOTH_GRID)
+    return [f"smooth {text}: {rep.grid_max_ratio!r} "
+            f"{rep.flagged_bands!r} {rep.shortcut!r}",
+            f"smooth {text} blend: "
+            f"{[eval_net(rep.output.net, e) for e in pts]!r}"]
 
 
 def golden_lines():
@@ -129,11 +139,7 @@ def golden_lines():
     smooth_inputs.append(("abs_factor(sin(1/eps))",
                           abs_factor(_gn("sin(1/eps)"))))
     for text, g in smooth_inputs:
-        rep = smooth_approximate(g, grid=SMOOTH_GRID)
-        out.append(f"smooth {text}: {rep.grid_max_ratio!r} "
-                   f"{rep.flagged_bands!r} {rep.shortcut!r}")
-        out.append(f"smooth {text} blend: "
-                   f"{[eval_net(rep.output.net, e) for e in pts]!r}")
+        out += _smooth_lines(text, g, pts)
     ab = gabs(_gn("sin(1/eps)"))
     out.append(f"gabs sin(1/eps): {[eval_net(ab.net, e) for e in pts]!r}")
     target = _gn("spikes(harmonic)")
@@ -146,6 +152,25 @@ def golden_lines():
     for text in ZERO_DIVISOR_INPUTS:
         zd = construct_zero_divisor(_gn(text))
         out.append(f"zerodiv {text} units: {zd.unit_points!r}")
+    for seed in SMALL_ALONG_SEEDS:
+        for tier in Tier:
+            x = random_net(seed, tier, 5)
+            tri = A.is_strictly_nonzero(x)
+            if tri.value is False:
+                rep = verify_decision("strictly-nonzero", tri, x)
+                out.append(f"net {seed} {tier} 5 small-along: {_tri(tri)} "
+                           f"{rep!r}")
+    # a PiSequence schedule with power 2 and ShrunkWidths past the
+    # explicit widths
+    zd = construct_zero_divisor(_gn("sin(1/eps^2)"))
+    out.append(f"zerodiv sin(1/eps^2): {zd.widths!r} {zd.unit_points!r}")
+    s = zd.s.net
+    ws = [(s.schedule.value(j), s.widths.value(s.schedule, j))
+          for j in range(1, 41)]
+    out.append(f"zerodiv sin(1/eps^2) bumps: "
+               f"{[(w, eval_net(s, c + 0.5 * w)) for c, w in ws]!r}")
+    out += _smooth_lines("abs(bumptrain(harmonic) - 0.5)",
+                         _gn("abs(bumptrain(harmonic) - 0.5)"), pts)
     return out
 
 

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from gnum import harness
+from gnum.asymptotics import is_strictly_nonzero
 from gnum.errors import DomainError
 from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
-                          random_net, replay_negligible, replay_small_along)
+                          random_net, replay_negligible, replay_small_along,
+                          verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, SpikeTrain, Tier, const,
                        eval_net, iter_nodes, minimal_tier, powq, sin_recip)
 from gnum.sequences import PiSequence
@@ -41,6 +44,24 @@ def test_replay_small_along_sine_zeros():
     assert replay_small_along(sin_recip(1), zeros, 12).passed
     # a net with no small points fails
     assert not replay_small_along(const(1), zeros, 2).passed
+
+
+def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
+    # every m = 0..12 needs the searches around the same three ladder
+    # points; each runs once, not once per m (33 in all)
+    x = random_net(13, Tier.Smooth, 5)
+    tri = is_strictly_nonzero(x)
+    assert tri.value is False and tri.witness.kind == "small-along"
+    searches = []
+    search = harness._local_min_abs
+
+    def counted(net, lo, hi):
+        searches.append((lo, hi))
+        return search(net, lo, hi)
+
+    monkeypatch.setattr(harness, "_local_min_abs", counted)
+    assert verify_decision("strictly-nonzero", tri, x).passed
+    assert len(searches) == len(set(searches)) == 3
 
 
 def test_estimate_valuation_powers():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnum import nets
 from gnum.errors import DomainError, TierError
@@ -14,7 +16,7 @@ from gnum.nets import (EPS, AbsNode, Const, DecayHeights, ExpNegRecip,
                        neg, patch_weights, powq, rootn, sin_recip, spikes,
                        sub, tier_relax)
 from gnum.harness import GridSpec, random_net
-from gnum.sequences import Geometric, Harmonic
+from gnum.sequences import Geometric, Harmonic, PiSequence
 
 
 GRID = GridSpec(n_points=250, eps_min=1e-6).points()
@@ -110,6 +112,64 @@ def test_cached_floats_leave_repr_eq_hash():
         assert a == b and hash(a) == hash(b)
         assert "_" not in repr(a).split("(", 1)[1]
     assert repr(Geometric(F(1, 3))) == "Geometric(ratio=Fraction(1, 3))"
+
+
+def test_cached_rule_constants_leave_repr_eq_hash():
+    # a frozen dataclass hashes the tuple of its compared fields
+    for a, b, fields, text in (
+            (DecayHeights(F(3, 2), F(-1, 3)), DecayHeights(F(6, 4), F(-2, 6)),
+             (F(3, 2), F(-1, 3)),
+             "DecayHeights(slope=Fraction(3, 2), offset=Fraction(-1, 3))"),
+            (nets.ShrunkWidths((0.25, 0.125), F(1, 2), F(2)),
+             nets.ShrunkWidths((0.25, 0.125), F(2, 4), F(2)),
+             ((0.25, 0.125), F(1, 2), F(2)),
+             "ShrunkWidths(values=(0.25, 0.125), slope=Fraction(1, 2), "
+             "offset=Fraction(2, 1))"),
+            (PiSequence(F(2), F(1, 2), F(3)), PiSequence(F(4, 2), F(2, 4), F(3)),
+             (F(2), F(1, 2), F(3)),
+             "PiSequence(mult=Fraction(2, 1), offset=Fraction(1, 2), "
+             "power=Fraction(3, 1))")):
+        assert a == b and hash(a) == hash(b) == hash(fields)
+        assert repr(a) == text
+    assert DecayHeights(F(1), F(0)) != DecayHeights(F(1), F(1))
+    assert PiSequence(F(1), F(0), F(1)) != PiSequence(F(1), F(0), F(2))
+
+
+def _decay_by_fractions(h, schedule, j):
+    """DecayHeights.value computed on Fractions, index by index."""
+    q = h.slope * j + h.offset
+    base = schedule.value(j)
+    if q.denominator == 1 and abs(q.numerator) <= 512:
+        try:
+            return base ** q.numerator
+        except OverflowError:
+            return math.inf
+    return nets._exp(float(q) * math.log(base))
+
+
+def _outcome(f, *args):
+    """repr of the value (exact for floats, signed zeros and nan), or the
+    type of the exception raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__
+
+
+_FRACTIONS = st.builds(F, st.integers(-700, 700), st.integers(1, 12))
+_SCHEDULES = st.one_of(
+    st.just(Harmonic()),
+    st.builds(Geometric, st.builds(F, st.integers(1, 15),
+                                   st.just(16))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slope=_FRACTIONS, offset=_FRACTIONS, schedule=_SCHEDULES,
+       j=st.integers(1, 1200))
+def test_decay_heights_match_the_fraction_formula(slope, offset, schedule, j):
+    h = DecayHeights(slope, offset)
+    assert _outcome(h.value, schedule, j) == \
+        _outcome(_decay_by_fractions, h, schedule, j)
 
 
 def test_inv_requires_nowhere_zero():

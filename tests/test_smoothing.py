@@ -9,12 +9,12 @@ import pytest
 from gnum.asymptotics import gn_equal
 from gnum.errors import PreconditionError, TierError
 from gnum.harness import GridSpec
-from gnum.nets import (EPS, AbsNode, MaxNode, MinNode, RootN, Tier, absn,
-                       add, bump_train, const, cos_recip, eval_net, gnumber,
-                       iter_nodes, maxn, minimal_tier, minn, mul, neg, powq,
-                       rootn, sin_recip, spikes, sub)
+from gnum.nets import (EPS, AbsNode, ConstHeights, MaxNode, MinNode, RootN,
+                       Tier, absn, add, bump_train, const, cos_recip, eval_net,
+                       gnumber, iter_nodes, maxn, minimal_tier, minn, mul, neg,
+                       powq, rootn, sin_recip, spikes, sub)
 from gnum.sequences import Harmonic
-from gnum.smoothing import (refute_continuous_representative,
+from gnum.smoothing import (band_sup, refute_continuous_representative,
                             smooth_approximate)
 
 GRID = GridSpec(n_points=1000, eps_min=1e-6)
@@ -128,3 +128,25 @@ def test_refuter_random_continuous_corpus():
         assert w.kind in ("spike-miss", "midpoint-miss", "crossing")
         found += 1
     assert found == 25
+
+
+def test_band_sup_of_constant_heights_skips_the_index_walk(monkeypatch):
+    sched = Harmonic()
+    bands = ((1e-6, 2e-6), (1e-3, 0.5), (0.25, 0.25), (0.5, 1e-3))
+    trains = [bump_train(sched, heights=ConstHeights(c))
+              for c in (1.0, -0.75, 0.0, math.nan)]
+    cases = [(bt, a, b) for bt in trains for a, b in bands]
+    # the loop over every schedule index in the band
+    loop = []
+    for bt, a, b in cases:
+        out = 0.0
+        for j in range(max(1, sched.index_near(b) - 2),
+                       sched.index_near(a) + 3):
+            out = max(out, abs(bt.heights.value(sched, j)))
+        loop.append(out)
+
+    def no_walk(self, schedule, j):
+        raise AssertionError("heights.value called")
+
+    monkeypatch.setattr(ConstHeights, "value", no_walk)
+    assert [repr(band_sup(*c)) for c in cases] == [repr(v) for v in loop]
