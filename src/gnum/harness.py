@@ -122,7 +122,11 @@ def replay_negligible(x, m_max: int = 12,
     for m in range(0, m_max + 1):
         # the fitted constant gets a fixed slack: O(.) constants are
         # arbitrary, and sparsely supported nets may peak off the head grid
-        C = 4.0 * float(np.max(vh / head ** m)) if len(head) else 0.0
+        with np.errstate(over="ignore"):
+            C = 4.0 * float(np.max(vh / head ** m))
+        if not math.isfinite(C):
+            return ReplayReport(f"negligible(m<={m_max})", True,
+                                detail=f"no finite constant from m={m}")
         bound = C * tail ** m * (1 + 1e-9) + 1e-290
         bad = vt > bound
         if bad.any():
@@ -202,7 +206,10 @@ def replay_moderate(x, n_exp: int, grid: GridSpec = DEFAULT_GRID) -> ReplayRepor
     tail, vt = tail[np.isfinite(vt)], vt[np.isfinite(vt)]
     if not len(head):
         return ReplayReport("moderate", True, detail="no evaluable points")
-    C = 4.0 * float(np.max(vh * head ** n_exp))
+    with np.errstate(over="ignore"):
+        C = 4.0 * float(np.max(vh * head ** n_exp))
+    if not math.isfinite(C):
+        return ReplayReport("moderate", True, detail="no finite constant")
     bound = C * tail ** (-n_exp) * (1 + 1e-9) + 1e-290
     bad = vt > bound
     if bad.any():

@@ -105,6 +105,10 @@ class HeightRule:
     def value(self, schedule: SequenceRule, j: int) -> float:
         raise NotImplementedError
 
+    def sup(self, schedule: SequenceRule, j1: int, j2: float) -> float:
+        """Sup of |h_j| for j1 <= j <= j2 (j2 may be inf; 0.0 if empty)."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class ConstHeights(HeightRule):
@@ -112,6 +116,10 @@ class ConstHeights(HeightRule):
 
     def value(self, schedule, j):
         return self.c
+
+    def sup(self, schedule, j1, j2):
+        # max() reads a nan height as 0.0, as a walk over the range does
+        return max(0.0, abs(self.c)) if j1 <= j2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,26 @@ class DecayHeights(HeightRule):
                 return math.inf
         # int true division rounds correctly, as float(Fraction) does
         return _exp(n / self._d * math.log(base))
+
+    def sup(self, schedule, j1, j2):
+        # h_j = exp(n_j * log eps_j) stops rising once n_j >= 0 and
+        # eps_j <= 1 (slope >= 0).  Otherwise it is unbounded and peaks at
+        # an end of a range (convex exponent in j: harmonic, geometric).
+        if j1 > j2:
+            return 0.0
+        if self.slope > 0 or (self.slope == 0 and self.offset >= 0):
+            out, j = 0.0, j1
+            while True:
+                out = max(out, self.value(schedule, j))
+                if j >= j2 or (self._a * j + self._b >= 0
+                               and schedule.value(j) <= 1.0):
+                    return out
+                j += 1
+        if j2 == math.inf:
+            return math.inf
+        top = max(self.value(schedule, j1), self.value(schedule, j2))
+        # past exp(_EXP_MAX) an inner height may read inf (log-space path)
+        return top if top <= math.exp(_EXP_MAX) else math.inf
 
 
 class WidthRule:

@@ -9,7 +9,10 @@ Two cooperating layers:
 
 * envelope data (``Info``): eventual upper/lower bounds in the scale
   group, exact smallness/largeness along computable sequences, and a
-  pointwise interval on (0,1].
+  pointwise interval on (0,1];
+
+* one interval analysis, ``enclose(net, a, b)``: a net's range on a
+  band [a, b], read by ``Info.ivl``, ``poly_nonneg`` and smoothing.
 
 Everything here is *sound*: a bound is only reported when the structure
 certifies it; the decision procedures turn missing information into
@@ -164,7 +167,7 @@ def env_inv_lower(up: Optional[Env]) -> Optional[Env]:
 
 
 # --------------------------------------------------------------------------
-# interval envelope (pointwise on (0,1], extended reals)
+# interval enclosure (pointwise on a band, extended reals)
 # --------------------------------------------------------------------------
 
 INF = math.inf
@@ -184,13 +187,97 @@ def _imul(a, b):
 
 def _ipow(iv, q: float):
     lo, hi = iv
+    if q == 0:
+        return (1.0, 1.0)
     if lo < 0:
         return FULL
-    if q >= 0:
+    if q > 0:
         return (lo ** q if lo > 0 else 0.0, hi ** q if hi < INF else INF)
     lo2 = hi ** q if hi not in (0.0, INF) else (0.0 if hi == INF else INF)
     hi2 = lo ** q if lo > 0 else INF
     return (lo2, hi2)
+
+
+def abs_range(iv):
+    """(inf, sup) of |x| over the enclosure ``iv`` of x."""
+    lo, hi = iv
+    alo = 0.0 if lo < 0 < hi else min(abs(lo), abs(hi))
+    return (alo, max(abs(lo), abs(hi)))
+
+
+def enclose(net: NetExpr, a: float = 0.0, b: float = 1.0
+            ) -> Tuple[float, float]:
+    """(lo, hi) enclosing the values of ``net`` on [a, b], for
+    0 <= a <= b <= 1 (a = 0 stands for the open end of (0, b]).
+
+    Interval arithmetic as in Moore, Kearfott & Cloud, *Introduction to
+    Interval Analysis* (SIAM 2009), without outward rounding.  A complex
+    net's values lie in the disk with diameter [lo, hi] (a product or
+    power of complex factors takes the disk about 0), so max(|lo|, |hi|)
+    bounds |net| and ``abs_range`` gives the range of |net|."""
+    if isinstance(net, Const):
+        if isinstance(net.c, complex):
+            return (-abs(net.c), abs(net.c))
+        c = float(net.c)
+        return (c, c) if c else (0.0, 0.0)
+    if isinstance(net, Eps):
+        return (a, b)
+    if isinstance(net, ExpNegRecip):
+        return (math.exp(-1.0 / a) if a > 0 else 0.0, math.exp(-1.0 / b))
+    if isinstance(net, (SinRecipPow, CosRecipPow)):
+        return (-1.0, 1.0)
+    if isinstance(net, Neg):
+        lo, hi = enclose(net.x, a, b)
+        return (-hi, -lo)
+    if isinstance(net, AbsNode):
+        return abs_range(enclose(net.x, a, b))
+    if isinstance(net, Add):
+        (l1, h1), (l2, h2) = enclose(net.l, a, b), enclose(net.r, a, b)
+        lo, hi = l1 + l2, h1 + h2
+        # inf - inf: an end that overflowed bounds nothing
+        return (lo if lo == lo else -INF, hi if hi == hi else INF)
+    if isinstance(net, Mul):
+        iv = _imul(enclose(net.l, a, b), enclose(net.r, a, b))
+        if not (is_real_net(net.l) or is_real_net(net.r)):
+            iv = (-abs_range(iv)[1], abs_range(iv)[1])
+        return iv
+    if isinstance(net, Inv):
+        lo, hi = enclose(net.x, a, b)
+        if lo > 0:
+            return (1.0 / hi if hi < INF else 0.0, 1.0 / lo)
+        if hi < 0:
+            return (1.0 / hi, 1.0 / lo if lo > -INF else 0.0)
+        return FULL
+    if isinstance(net, PowQ):
+        iv, q = enclose(net.base, a, b), float(net.q)
+        if iv[0] >= 0 and is_real_net(net.base):
+            return _ipow(iv, q)
+        m = _ipow(abs_range(iv), q)[1]  # |x**q| = |x|**q
+        return (-m, m)
+    if isinstance(net, RootN):
+        return _ipow(enclose(net.x, a, b), 1.0 / net.n)
+    if isinstance(net, (MinNode, MaxNode)):
+        (l1, h1), (l2, h2) = enclose(net.l, a, b), enclose(net.r, a, b)
+        pick = min if isinstance(net, MinNode) else max
+        return (pick(l1, l2), pick(h1, h2))
+    if isinstance(net, BumpTrain):
+        s = net.schedule
+        j2 = s.index_near(a) + 2 if a > 0 else INF
+        sup = net.heights.sup(s, max(1, s.index_near(b) - 2), j2)
+        return (0.0 if nets._heights_nonneg(net.heights) else -sup, sup)
+    if isinstance(net, (Indicator, SpikeTrain, AnnihilatorTransition)):
+        return (0.0, 1.0)
+    if isinstance(net, (GelfandFactor, AbsFactor)):
+        m = 4.0 if isinstance(net, GelfandFactor) else 2.0  # |value| <= m
+        return (-m, m)
+    if isinstance(net, RegularizedQuotient):
+        return FULL
+    if isinstance(net, SmoothBlend):
+        # |blend - source| <= exp(-1/eps) <= exp(-1/b) on the band
+        lo, hi = enclose(net.source, a, b)
+        pad = math.exp(-1.0 / b)
+        return (lo - pad, hi + pad)
+    raise TypeError(f"no enclosure rule for {type(net).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +302,7 @@ class Info:
     lower: Optional[Env] = None       # |x| >= c*scale eventually
     lower_seq: Optional[AlongSeq] = None   # |x(eps_j)| >= env along seq
     small_seq: Optional[AlongSeq] = None   # |x(eps_j)| <= env along seq
-    ivl: Tuple[float, float] = FULL   # pointwise range on (0,1]
+    ivl: Tuple[float, float] = FULL   # enclose(net): the range on (0,1]
 
 
 def _seq_small_mul(a: Optional[AlongSeq], other_up: Optional[Env]):
@@ -228,7 +315,7 @@ def _seq_small_mul(a: Optional[AlongSeq], other_up: Optional[Env]):
 
 @lru_cache(maxsize=None)
 def info(net: NetExpr) -> Info:
-    return _info(net)
+    return replace(_info(net), ivl=enclose(net))
 
 
 def _info(net: NetExpr) -> Info:
@@ -240,64 +327,47 @@ def _info(net: NetExpr) -> Info:
         c = float(net.c)
         if c == 0.0:
             return Info(nonneg=True, upper=Env(ZERO_K),
-                        small_seq=AlongSeq(Harmonic(), Env(ZERO_K)),
-                        ivl=(0.0, 0.0))
+                        small_seq=AlongSeq(Harmonic(), Env(ZERO_K)))
         return Info(nonneg=c > 0, upper=Env(POW, F(0), abs(c)),
-                    lower=Env(POW, F(0), abs(c)), ivl=(c, c))
+                    lower=Env(POW, F(0), abs(c)))
     if isinstance(net, Eps):
         return Info(nonneg=True, upper=Env(POW, F(1), 1.0),
-                    lower=Env(POW, F(1), 1.0), ivl=(0.0, 1.0))
+                    lower=Env(POW, F(1), 1.0))
     if isinstance(net, ExpNegRecip):
         # geometric points: e**(-2**j) falls below (2**-j)**j, so the
         # sequence witnesses the paper's |r(eps_j)| < eps_j**j bound
         return Info(nonneg=True, upper=Env(SUPERPOW),
-                    small_seq=AlongSeq(Geometric(F(1, 2)), Env(SUPERPOW)),
-                    ivl=(0.0, math.exp(-1.0)))
+                    small_seq=AlongSeq(Geometric(F(1, 2)), Env(SUPERPOW)))
     if isinstance(net, SinRecipPow):
         return Info(upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(PiSequence(F(2), F(1, 2), net.p),
                                        Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(PiSequence(F(1), F(0), net.p),
-                                       Env(ZERO_K)),
-                    ivl=(-1.0, 1.0))
+                                       Env(ZERO_K)))
     if isinstance(net, CosRecipPow):
         return Info(upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(PiSequence(F(2), F(0), net.p),
                                        Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(PiSequence(F(1), F(1, 2), net.p),
-                                       Env(ZERO_K)),
-                    ivl=(-1.0, 1.0))
+                                       Env(ZERO_K)))
     if isinstance(net, Neg):
-        i = info(net.x)
-        return replace(i, nonneg=False, ivl=(-i.ivl[1], -i.ivl[0]))
+        return replace(info(net.x), nonneg=False)
     if isinstance(net, AbsNode):
-        i = info(net.x)
-        lo, hi = i.ivl
-        alo = 0.0 if lo < 0 < hi else min(abs(lo), abs(hi))
-        return replace(i, real=True, nonneg=True,
-                       ivl=(alo, max(abs(lo), abs(hi))))
+        return replace(info(net.x), real=True, nonneg=True)
     if isinstance(net, Add):
         return _info_add(net)
     if isinstance(net, Mul):
         return _info_mul(net)
     if isinstance(net, Inv):
         i = info(net.x)
-        lo, hi = i.ivl
-        if lo > 0:
-            ivl = (1.0 / hi if hi < INF else 0.0, 1.0 / lo)
-        elif hi < 0:
-            ivl = (1.0 / hi, 1.0 / lo if lo > -INF else 0.0)
-        else:
-            ivl = FULL
-        return Info(real=i.real, nonneg=lo > 0,
+        return Info(real=i.real, nonneg=i.real and i.ivl[0] > 0,
                     upper=env_inv_upper(i.lower),
                     lower=env_inv_lower(i.upper),
                     lower_seq=(AlongSeq(i.small_seq.seq, Env(SUPERGROW))
                                if i.small_seq is not None else None),
                     small_seq=(AlongSeq(i.lower_seq.seq, Env(SUPERPOW))
                                if i.lower_seq is not None
-                               and i.lower_seq.env.kind == SUPERGROW else None),
-                    ivl=ivl)
+                               and i.lower_seq.env.kind == SUPERGROW else None))
     if isinstance(net, PowQ):
         i = info(net.base)
         q = net.q
@@ -313,8 +383,7 @@ def _info(net: NetExpr) -> Info:
             lseq, sseq = None, None
         return Info(real=i.real, nonneg=i.nonneg or (q.denominator == 1 and
                                                      q.numerator % 2 == 0 and i.real),
-                    upper=up, lower=lo, lower_seq=lseq, small_seq=sseq,
-                    ivl=_ipow(i.ivl, float(q)) if i.real else FULL)
+                    upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
     if isinstance(net, RootN):
         i = info(net.x)
         r = F(1, net.n)
@@ -324,12 +393,9 @@ def _info(net: NetExpr) -> Info:
                                         lower_pow(i.lower_seq.env, r))
                                if i.lower_seq and lower_pow(i.lower_seq.env, r)
                                else None),
-                    small_seq=i.small_seq,
-                    ivl=_ipow(i.ivl, 1.0 / net.n))
+                    small_seq=i.small_seq)
     if isinstance(net, (MinNode, MaxNode)):
         a, b = info(net.l), info(net.r)
-        lo = (min if isinstance(net, MinNode) else max)(a.ivl[0], b.ivl[0])
-        hi = (min if isinstance(net, MinNode) else max)(a.ivl[1], b.ivl[1])
         nonneg = (a.nonneg and b.nonneg) if isinstance(net, MinNode) \
             else (a.nonneg or b.nonneg)
         low = None
@@ -341,22 +407,20 @@ def _info(net: NetExpr) -> Info:
             else:
                 low = a.lower or b.lower
         return Info(nonneg=nonneg, upper=upper_add(a.upper, b.upper),
-                    lower=low, ivl=(lo, hi))
+                    lower=low)
     if isinstance(net, BumpTrain):
         return _info_bump(net)
     if isinstance(net, (Indicator, SpikeTrain)):
         return Info(nonneg=True, upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(net.s, Env(POW, F(0), 1.0)),
-                    small_seq=AlongSeq(Midpoints(net.s), Env(ZERO_K)),
-                    ivl=(0.0, 1.0))
+                    small_seq=AlongSeq(Midpoints(net.s), Env(ZERO_K)))
     if isinstance(net, GelfandFactor):
         a = info(net.a)
         up = Env(ZERO_K) if (a.upper is not None and a.upper.kind in
                              (ZERO_K, SUPERPOW) or
                              (a.upper is not None and a.upper.kind == POW
                               and a.upper.q > 0)) else Env(POW, F(0), 4.0)
-        return Info(real=a.real, upper=up,
-                    ivl=(-4.0, 4.0) if a.real else FULL)
+        return Info(real=a.real, upper=up)
     if isinstance(net, RegularizedQuotient):
         ni, di = info(net.num), info(net.den)
         if net.dom_bound is not None:
@@ -365,14 +429,11 @@ def _info(net: NetExpr) -> Info:
             up = upper_mul(ni.upper, env_inv_upper(di.lower))
         return Info(real=ni.real and di.real, upper=up)
     if isinstance(net, AnnihilatorTransition):
-        return Info(nonneg=True, upper=Env(POW, F(0), 1.0), ivl=(0.0, 1.0))
+        return Info(nonneg=True, upper=Env(POW, F(0), 1.0))
     if isinstance(net, AbsFactor):
-        i = info(net.x)
-        return Info(real=i.real, upper=Env(POW, F(0), 2.0),
-                    ivl=(-2.0, 2.0) if i.real else FULL)
+        return Info(real=info(net.x).real, upper=Env(POW, F(0), 2.0))
     if isinstance(net, SmoothBlend):
         i = info(net.source)
-        pad = math.exp(-1.0)  # the sup of the blend's exp(-1/eps) envelope
         return Info(real=i.real, nonneg=False,
                     upper=upper_add(i.upper, Env(SUPERPOW)),
                     lower=lower_vs_upper(i.lower, Env(SUPERPOW)),
@@ -383,8 +444,7 @@ def _info(net: NetExpr) -> Info:
                                lower_vs_upper(i.lower_seq.env, Env(SUPERPOW))
                                else None),
                     small_seq=(AlongSeq(i.small_seq.seq, Env(SUPERPOW))
-                               if i.small_seq else None),
-                    ivl=(i.ivl[0] - pad, i.ivl[1] + pad))
+                               if i.small_seq else None))
     raise TypeError(f"no info rule for {type(net).__name__}")
 
 
@@ -413,8 +473,7 @@ def _info_add(net: Add) -> Info:
                         Env(ZERO_K) if (b.small_seq.env.kind == ZERO_K and
                                         a.upper.kind == ZERO_K) else Env(SUPERPOW))
     return Info(real=a.real and b.real, nonneg=a.nonneg and b.nonneg,
-                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq,
-                ivl=(a.ivl[0] + b.ivl[0], a.ivl[1] + b.ivl[1]))
+                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
 def _trains_disjoint(x: BumpTrain, y: BumpTrain, n: int = 200) -> bool:
@@ -466,42 +525,33 @@ def _info_mul(net: Mul) -> Info:
         _seq_small_mul(b.small_seq, a.upper)
     return Info(real=a.real and b.real,
                 nonneg=(a.nonneg and b.nonneg) or (same and a.real),
-                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq,
-                ivl=_imul(a.ivl, b.ivl) if (a.real and b.real) else FULL)
+                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
-def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env], float]:
-    """(upper env, center-value lower env, sup) for a height rule."""
+def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env]]:
+    """(upper env, center-value lower env) for a height rule."""
     if isinstance(rule, ConstHeights):
         c = abs(rule.c)
         if c == 0.0:
-            return Env(ZERO_K), None, 0.0
-        return Env(POW, F(0), c), Env(POW, F(0), c), c
+            return Env(ZERO_K), None
+        return Env(POW, F(0), c), Env(POW, F(0), c)
     if isinstance(rule, DecayHeights):
         if rule.slope > 0:
-            sup = max(abs(rule.value(schedule, j)) for j in range(1, 65))
-            return Env(SUPERPOW), None, sup
+            return Env(SUPERPOW), None
         if rule.slope == 0:
-            vals = [abs(rule.value(schedule, j)) /
-                    schedule.value(j) ** float(rule.offset)
-                    for j in range(1, 65)]
-            c = max(vals) * 2.0
-            return Env(POW, rule.offset, c), Env(POW, rule.offset,
-                                                 min(vals) * 0.9), \
-                max(abs(rule.value(schedule, j)) for j in range(1, 65)) * 1.05
-        return None, Env(SUPERGROW), INF
-    return None, None, INF
+            # h_j = eps_j**offset; the factors leave room for rounding
+            return Env(POW, rule.offset, 2.0), Env(POW, rule.offset, 0.9)
+        return None, Env(SUPERGROW)
+    return None, None
 
 
 def _info_bump(net: BumpTrain) -> Info:
-    up, center_lo, sup = _heights_env(net.heights, net.schedule)
+    up, center_lo = _heights_env(net.heights, net.schedule)
     lseq = AlongSeq(net.schedule, center_lo) if center_lo is not None else None
     return Info(nonneg=nets._heights_nonneg(net.heights),
                 upper=up,
                 lower_seq=lseq,
-                small_seq=AlongSeq(Midpoints(net.schedule), Env(ZERO_K)),
-                ivl=(0.0, sup) if nets._heights_nonneg(net.heights)
-                else (-sup, sup))
+                small_seq=AlongSeq(Midpoints(net.schedule), Env(ZERO_K)))
 
 
 # --------------------------------------------------------------------------
@@ -750,14 +800,13 @@ def _term_nonneg(m, c) -> bool:
                for a, p in m[2])
 
 
+_EXP_IVL, _EPS_IVL = enclose(ExpNegRecip()), enclose(nets.EPS)
+
+
 def _scale_ivl(k: Fraction, q: Fraction) -> Tuple[float, float]:
-    """Pointwise range of exp(-k/eps) * eps**q on (0, 1]."""
-    if k < 0:
-        return (0.0, INF)
-    if k == 0 and q < 0:
-        return (1.0, INF)
-    lo = 1.0 if (k == 0 and q == 0) else 0.0
-    return (lo, math.exp(-float(k)))
+    """Pointwise range of exp(-k/eps) * eps**q on (0, 1]: the product of
+    the enclosures of exp(-1/eps)**k and eps**q."""
+    return _imul(_ipow(_EXP_IVL, float(k)), _ipow(_EPS_IVL, float(q)))
 
 
 def poly_ivl(p: Poly) -> Tuple[float, float]:

@@ -20,6 +20,7 @@ and flagged in the report.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,109 +29,20 @@ from typing import List, Optional, Tuple
 
 from . import nets
 from .errors import PreconditionError, SearchExhausted, TierError
-from .nets import (AbsNode, Add, BumpTrain, Const, ConstHeights, CosRecipPow,
-                   Eps, ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
+from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
+                   ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
                    NetExpr, PHI_MAX_SLOPE, PowQ, RootN, SinRecipPow,
                    SmoothBlend, SpikeTrain, Tier, bump_phi, eval_net,
                    minimal_tier, nonneg_net)
+from .profiles import abs_range, enclose
 from .sequences import Harmonic
 
 LOG_ULP = math.log(2.0 ** -52)
 
 
 # --------------------------------------------------------------------------
-# per-band bounds: sup, inf, modulus of continuity
+# per-band modulus of continuity (the band's range is profiles.enclose)
 # --------------------------------------------------------------------------
-
-def _numeric_sup(net: NetExpr, a: float, b: float) -> float:
-    vals = []
-    for i in range(65):
-        e = a + (b - a) * i / 64
-        if 0 < e <= 1:
-            vals.append(abs(eval_net(net, e)))
-    return max(vals) * 1.5 if vals else 1.0
-
-
-def band_sup(net: NetExpr, a: float, b: float) -> float:
-    """Upper bound for |net| on [a, b] (analytic where possible)."""
-    if isinstance(net, Const):
-        return abs(net.c)
-    if isinstance(net, Eps):
-        return b
-    if isinstance(net, ExpNegRecip):
-        return math.exp(-1.0 / b)
-    if isinstance(net, (SinRecipPow, CosRecipPow)):
-        return 1.0
-    if isinstance(net, Neg):
-        return band_sup(net.x, a, b)
-    if isinstance(net, AbsNode):
-        return band_sup(net.x, a, b)
-    if isinstance(net, Add):
-        return band_sup(net.l, a, b) + band_sup(net.r, a, b)
-    if isinstance(net, Mul):
-        return band_sup(net.l, a, b) * band_sup(net.r, a, b)
-    if isinstance(net, (MinNode, MaxNode)):
-        return max(band_sup(net.l, a, b), band_sup(net.r, a, b))
-    if isinstance(net, PowQ):
-        q = float(net.q)
-        if isinstance(net.base, Eps):
-            return max(a ** q, b ** q)
-        s = band_sup(net.base, a, b)
-        if q >= 0:
-            return s ** q
-        i = band_inf(net.base, a, b)
-        return i ** q if i > 0 else math.inf
-    if isinstance(net, RootN):
-        return band_sup(net.x, a, b) ** (1.0 / net.n)
-    if isinstance(net, Inv):
-        i = band_inf(net.x, a, b)
-        return 1.0 / i if i > 0 else math.inf
-    if isinstance(net, BumpTrain):
-        lo = net.schedule.index_near(b)
-        hi = net.schedule.index_near(a)
-        js = range(max(1, lo - 2), hi + 3)
-        if isinstance(net.heights, ConstHeights):
-            # every index has the same height
-            return max(0.0, abs(net.heights.c)) if js else 0.0
-        out = 0.0
-        for j in js:
-            out = max(out, abs(net.heights.value(net.schedule, j)))
-        return out
-    return _numeric_sup(net, a, b)
-
-
-def band_inf(net: NetExpr, a: float, b: float) -> float:
-    """Lower bound for |net| on [a, b]; 0.0 when none is certified."""
-    if isinstance(net, Const):
-        return abs(net.c)
-    if isinstance(net, Eps):
-        return a
-    if isinstance(net, ExpNegRecip):
-        return math.exp(-1.0 / a)
-    if isinstance(net, Neg):
-        return band_inf(net.x, a, b)
-    if isinstance(net, AbsNode):
-        return band_inf(net.x, a, b)
-    if isinstance(net, Mul):
-        return band_inf(net.l, a, b) * band_inf(net.r, a, b)
-    if isinstance(net, Inv):
-        s = band_sup(net.x, a, b)
-        return 1.0 / s if s < math.inf else 0.0
-    if isinstance(net, PowQ):
-        q = float(net.q)
-        if isinstance(net.base, Eps):
-            return min(a ** q, b ** q)
-        i = band_inf(net.base, a, b)
-        if q >= 0:
-            return i ** q
-        s = band_sup(net.base, a, b)
-        return s ** q if 0 < s < math.inf else 0.0
-    if isinstance(net, Add):
-        if nonneg_net(net.l) and nonneg_net(net.r):
-            return band_inf(net.l, a, b) + band_inf(net.r, a, b)
-        return 0.0
-    return 0.0
-
 
 Modulus = List[Tuple[float, int]]  # M(d) = sum K * d**(1/r)
 
@@ -179,13 +91,13 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
         m1, m2 = band_modulus(net.l, a, b), band_modulus(net.r, a, b)
         if m1 is None or m2 is None:
             return None
-        s1, s2 = band_sup(net.l, a, b), band_sup(net.r, a, b)
+        s1, s2 = (abs_range(enclose(x, a, b))[1] for x in (net.l, net.r))
         if not (math.isfinite(s1) and math.isfinite(s2)):
             return None
         return _mod_add(_mod_scale(m1, s2), _mod_scale(m2, s1))
     if isinstance(net, Inv):
         m = band_modulus(net.x, a, b)
-        i = band_inf(net.x, a, b)
+        i = abs_range(enclose(net.x, a, b))[0]
         if m is None or i <= 0:
             return None
         return _mod_scale(m, 1.0 / (i * i))
@@ -202,7 +114,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
             return [(k, 1)]
         if q.denominator == 1 and q.numerator >= 1:
             m = band_modulus(net.base, a, b)
-            s = band_sup(net.base, a, b)
+            s = abs_range(enclose(net.base, a, b))[1]
             if m is None or not math.isfinite(s):
                 return None
             n = q.numerator
@@ -216,7 +128,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
             return _mod_root(inner, den)
         inner = PowQ(net.base, -q)
         m = band_modulus(inner, a, b)
-        i = band_inf(inner, a, b)
+        i = abs_range(enclose(inner, a, b))[0]
         if m is None or i <= 0:
             return None
         return _mod_scale(m, 1.0 / (i * i))
@@ -278,7 +190,7 @@ def _band_plan(blend: SmoothBlend, b: int):
     a, hi = _band_bounds(b)
     src = blend.source
     wa, wb = a * 0.5, min(1.0, hi * 2.0)
-    sup = band_sup(src, wa, wb)
+    sup = abs_range(enclose(src, wa, wb))[1]
     if not math.isfinite(sup):
         return ("exact", 0.0, "")
     # pointwise target exp(-1/eps), evaluated at the band's left end
@@ -438,12 +350,15 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
             plan = _band_plan(blend, b)
             if plan[2]:
                 flags.append((b, plan[2]))
-        diff = abs(eval_net(blend, e) - eval_net(net, e))
-        if diff == 0.0:
+        vb, vn = eval_net(blend, e), eval_net(net, e)
+        # equal values (the same infinity too) or two nans match; any
+        # other non-finite difference is an unbounded ratio
+        if vb == vn or (cmath.isnan(vb) and cmath.isnan(vn)):
             continue
+        diff = abs(vb - vn)
         bv = eval_net(ExpNegRecip(), e)
-        ratio = diff / bv if bv > 0.0 else math.inf
-        worst = max(worst, ratio)
+        worst = max(worst, diff / bv if bv > 0.0 and math.isfinite(diff)
+                    else math.inf)
     return SmoothingReport(GNumber(blend, Tier.Smooth), worst, tuple(flags))
 
 

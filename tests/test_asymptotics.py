@@ -180,6 +180,14 @@ def test_leq_oscillator_refutations():
     assert leq(const(-1), sin_recip(1)).is_true
 
 
+def test_leq_does_not_bound_heights_that_grow():
+    # decay(0, -1) heights are eps_j^-1 = 2^j: the train is 1.27e30 at
+    # eps = 2^-100, so no threshold makes it stay below 1e30
+    x = bump_train(Geometric(F(1, 2)), heights=DecayHeights(F(0), F(-1)))
+    assert eval_net(x, 2.0 ** -100) > 1e30
+    assert leq(x, const(1e30)).value is not True
+
+
 def test_leq_skips_points_where_a_power_overflows():
     # (-1/eps)^53 overflows to a complex infinity below eps ~ 1.5e-6; the
     # violation scan skips those points as it skips failed evaluations

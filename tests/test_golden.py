@@ -26,8 +26,10 @@ from gnum.harness import GridSpec, random_net, verify_decision
 from gnum.ideals import dip_forcing_data, membership
 from gnum.lattice import abs_factor, gabs
 from gnum.nets import Tier, bump_train, eval_net, gnumber
+from gnum.profiles import info
 from gnum.sequences import Geometric
-from gnum.smoothing import refute_continuous_representative, smooth_approximate
+from gnum.smoothing import (_band_plan, refute_continuous_representative,
+                            smooth_approximate)
 
 FIXTURE = Path(__file__).with_name("golden.txt")
 
@@ -58,6 +60,10 @@ SMOOTH_GRID = GridSpec(n_points=200, eps_min=1e-6)
 SMOOTH_INPUTS = ("abs(sin(1/eps))", "max(sin(1/eps), cos(1/eps))",
                  "root(abs(sin(1/eps)), 2)", "max(sin(1/eps), 0) + eps^-1",
                  "abs(bumptrain(geo(1/2)) - 0.5*eps)")
+# complex sources keep their band plans through |.|-bounds
+COMPLEX_SMOOTH_INPUTS = ("i*abs(sin(1/eps))", "abs(sin(1/eps)) + i*eps",
+                         "(1+i)*max(sin(1/eps), 0)")
+PLAN_BANDS = range(22)
 REFUTER_CANDIDATES = ("0", "eps", "bumptrain(harmonic)", "cos(1/eps)")
 MEMBERSHIPS = (("eps*sin(1/eps)", "sin(1/eps)"), ("eps^2", "eps + exp(-1/eps)"),
                ("1", "sin(1/eps)"))
@@ -91,8 +97,10 @@ def _cli(argv) -> str:
     return f"exit {code} {json.dumps(doc)}"
 
 
-def _smooth_lines(text, g, pts):
+def _smooth_lines(text, g, pts, blends=None):
     rep = smooth_approximate(g, grid=SMOOTH_GRID)
+    if blends is not None:
+        blends.append((text, rep.output.net))
     return [f"smooth {text}: {rep.grid_max_ratio!r} "
             f"{rep.flagged_bands!r} {rep.shortcut!r}",
             f"smooth {text} blend: "
@@ -138,8 +146,9 @@ def golden_lines():
     smooth_inputs = [(t, _gn(t)) for t in SMOOTH_INPUTS]
     smooth_inputs.append(("abs_factor(sin(1/eps))",
                           abs_factor(_gn("sin(1/eps)"))))
+    blends = []
     for text, g in smooth_inputs:
-        out += _smooth_lines(text, g, pts)
+        out += _smooth_lines(text, g, pts, blends)
     ab = gabs(_gn("sin(1/eps)"))
     out.append(f"gabs sin(1/eps): {[eval_net(ab.net, e) for e in pts]!r}")
     target = _gn("spikes(harmonic)")
@@ -170,7 +179,18 @@ def golden_lines():
     out.append(f"zerodiv sin(1/eps^2) bumps: "
                f"{[(w, eval_net(s, c + 0.5 * w)) for c, w in ws]!r}")
     out += _smooth_lines("abs(bumptrain(harmonic) - 0.5)",
-                         _gn("abs(bumptrain(harmonic) - 0.5)"), pts)
+                         _gn("abs(bumptrain(harmonic) - 0.5)"), pts, blends)
+    # the pointwise interval of every random net above
+    for seed in SEEDS:
+        for tier in Tier:
+            for depth in DEPTHS:
+                x = random_net(seed, tier, depth)
+                out.append(f"net {seed} {tier} {depth} ivl: {info(x).ivl!r}")
+    for text in COMPLEX_SMOOTH_INPUTS:
+        out += _smooth_lines(text, _gn(text), pts, blends)
+    for text, blend in blends:
+        out.append(f"plans {text}: "
+                   f"{[_band_plan(blend, b) for b in PLAN_BANDS]!r}")
     return out
 
 

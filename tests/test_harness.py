@@ -9,8 +9,8 @@ from gnum import harness
 from gnum.asymptotics import is_strictly_nonzero
 from gnum.errors import DomainError
 from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
-                          random_net, replay_negligible, replay_small_along,
-                          verify_decision)
+                          random_net, replay_moderate, replay_negligible,
+                          replay_small_along, verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, SpikeTrain, Tier, const,
                        eval_net, iter_nodes, minimal_tier, powq, sin_recip)
 from gnum.sequences import PiSequence
@@ -37,6 +37,17 @@ def test_replay_negligible_pass_and_fail():
     assert rep.arg_eps is not None and rep.arg_eps < 1e-2
     assert "m=4" in rep.detail
     assert replay_negligible(const(0), 12, GRID).passed
+
+
+def test_replay_says_when_the_fitted_constant_is_not_finite():
+    # the head values of this net overflow vh / head**m from m = 11; the
+    # oracle only falsifies, so the report passes and says why
+    rep = replay_negligible(random_net(692, Tier.Smooth, 5))
+    assert rep.passed and rep.detail == "no finite constant from m=11"
+    rep = replay_negligible(const(1e308), 12, GRID)
+    assert rep.passed and rep.detail == "no finite constant from m=0"
+    rep = replay_moderate(const(1e308), 0, GRID)
+    assert rep.passed and rep.detail == "no finite constant"
 
 
 def test_replay_small_along_sine_zeros():

@@ -8,14 +8,14 @@ import pytest
 
 from gnum.asymptotics import gn_equal
 from gnum.errors import PreconditionError, TierError
-from gnum.harness import GridSpec
+from gnum.harness import GridSpec, random_net
 from gnum.nets import (EPS, AbsNode, ConstHeights, MaxNode, MinNode, RootN,
                        Tier, absn, add, bump_train, const, cos_recip, eval_net,
                        gnumber, iter_nodes, maxn, minimal_tier, minn, mul, neg,
                        powq, rootn, sin_recip, spikes, sub)
+from gnum.profiles import abs_range, enclose
 from gnum.sequences import Harmonic
-from gnum.smoothing import (band_sup, refute_continuous_representative,
-                            smooth_approximate)
+from gnum.smoothing import refute_continuous_representative, smooth_approximate
 
 GRID = GridSpec(n_points=1000, eps_min=1e-6)
 
@@ -119,7 +119,6 @@ def test_refuter_requires_harmonic_spikes():
 
 
 def test_refuter_random_continuous_corpus():
-    from gnum.harness import random_net
     t = gnumber(spikes(Harmonic()))
     found = 0
     for seed in range(25):
@@ -128,6 +127,15 @@ def test_refuter_random_continuous_corpus():
         assert w.kind in ("spike-miss", "midpoint-miss", "crossing")
         found += 1
     assert found == 25
+
+
+def test_random_continuous_nets_stay_within_the_envelope():
+    # where the blend and the net are the same infinity, exp(-1/eps) has
+    # underflowed: a matched point, not an unbounded ratio
+    for seed in range(60):
+        for depth in (3, 4):
+            x = gnumber(random_net(seed, Tier.Continuous, depth))
+            assert smooth_approximate(x).grid_max_ratio <= 1.0, (seed, depth)
 
 
 def test_band_sup_of_constant_heights_skips_the_index_walk(monkeypatch):
@@ -149,4 +157,6 @@ def test_band_sup_of_constant_heights_skips_the_index_walk(monkeypatch):
         raise AssertionError("heights.value called")
 
     monkeypatch.setattr(ConstHeights, "value", no_walk)
-    assert [repr(band_sup(*c)) for c in cases] == [repr(v) for v in loop]
+    # the band sup that smoothing reads: the sup of |enclose| on the band
+    sups = [abs_range(enclose(*c))[1] for c in cases]
+    assert [repr(s) for s in sups] == [repr(v) for v in loop]
