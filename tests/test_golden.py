@@ -65,6 +65,12 @@ COMPLEX_SMOOTH_INPUTS = ("i*abs(sin(1/eps))", "abs(sin(1/eps)) + i*eps",
                          "(1+i)*max(sin(1/eps), 0)")
 PLAN_BANDS = range(22)
 REFUTER_CANDIDATES = ("0", "eps", "bumptrain(harmonic)", "cos(1/eps)")
+# candidates whose witness is a bisected |.| = 1/2 crossing
+CROSSING_CANDIDATES = ("bumptrain(harmonic)^2",
+                       "0.9*bumptrain(harmonic) + 0.1*eps",
+                       "1 - bumptrain(harmonic_mid)",
+                       "root(bumptrain(harmonic), 3)",
+                       "bumptrain(harmonic, decay(0, 1))")
 MEMBERSHIPS = (("eps*sin(1/eps)", "sin(1/eps)"), ("eps^2", "eps + exp(-1/eps)"),
                ("1", "sin(1/eps)"))
 ZERO_DIVISOR_INPUTS = ("sin(1/eps)", "eps*cos(1/eps^2)", "bumptrain(geo(1/2))")
@@ -191,6 +197,15 @@ def golden_lines():
     for text, blend in blends:
         out.append(f"plans {text}: "
                    f"{[_band_plan(blend, b) for b in PLAN_BANDS]!r}")
+    for text in CROSSING_CANDIDATES:
+        w = refute_continuous_representative(target, _gn(text))
+        out.append(f"refute {text}: {w!r}")
+    # two CLI calls with an Unknown verdict (exit 3)
+    a575 = print_net(random_net(575, Tier.Arbitrary, 5))
+    px, py = (print_net(random_net(s, Tier.Smooth, 3))
+              for s in (17, 17 + PAIR_OFFSET))
+    for argv in (["classify", a575, "--json"], ["compare", px, py, "--json"]):
+        out.append(f"cli {' '.join(argv)}: {_cli(argv)}")
     return out
 
 
