@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import nets, profiles
+from .errors import SearchExhausted
 from .nets import NetExpr, eval_points, is_real_net
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, along_lower,
                        along_small, candidate_sequences, info, poly_nonneg,
@@ -190,7 +191,8 @@ def _calibrate_leq(pts: List[float], vx: np.ndarray, vy: np.ndarray,
     smaller scan point, from x and y on the scan (nan where a side has
     no real value, which ends the prefix)."""
     ay = np.abs(vy)
-    ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
+    with np.errstate(invalid="ignore"):  # y = -inf: -inf + inf slack is nan
+        ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
     good = _last_passing(pts, ok)
     return good if good is not None else 1e-6
 
@@ -423,7 +425,7 @@ def _find_violation_on_seq(x: NetExpr, y: NetExpr, a: int, seq) -> Optional[floa
     for j in range(1, 64):
         try:
             e = seq.value(j)
-        except Exception:
+        except SearchExhausted:
             continue
         if 0 < e <= 1:
             pts.append(e)

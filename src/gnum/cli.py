@@ -122,13 +122,12 @@ def _inputs(args) -> List[str]:
     return list(args.expr)
 
 
-_UNKNOWNS = []
-
-
-def _note(tri):
-    if tri.value is None:
-        _UNKNOWNS.append(tri)
-    return tri
+def _has_unknown(doc) -> bool:
+    """Whether some ``verdict`` in the document is ``unknown``."""
+    if isinstance(doc, dict):
+        return doc.get("verdict") == "unknown" or \
+            any(_has_unknown(v) for v in doc.values())
+    return isinstance(doc, list) and any(map(_has_unknown, doc))
 
 
 # --------------------------------------------------------------------------
@@ -141,14 +140,14 @@ def _cmd_classify(args) -> dict:
     for text in _inputs(args):
         g = _parse_expr(text, args)
         doc = {"query": text, "tier": str(g.tier)}
-        mod = _note(asym.is_moderate(g.net))
+        mod = asym.is_moderate(g.net)
         doc["moderate"] = _tri_doc(
             mod, harness.verify_decision("moderate", mod, g.net, grid=grid))
-        neg = _note(asym.is_negligible(g.net))
+        neg = asym.is_negligible(g.net)
         doc["negligible"] = _tri_doc(
             neg, harness.verify_decision("negligible", neg, g.net, grid=grid,
                                          m_max=args.m_max))
-        snz = _note(asym.is_strictly_nonzero(g.net))
+        snz = asym.is_strictly_nonzero(g.net)
         doc["strictly_nonzero"] = _tri_doc(
             snz, harness.verify_decision("strictly-nonzero", snz, g.net,
                                          grid=grid, m_max=args.m_max))
@@ -164,15 +163,15 @@ def _cmd_compare(args) -> dict:
     e1, e2 = args.expr
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
     grid = _grid(args)
-    eq = _note(asym.gn_equal(g1.net, g2.net))
+    eq = asym.gn_equal(g1.net, g2.net)
     doc = {"query": {"x": e1, "y": e2},
            "gn_equal": _tri_doc(eq, harness.verify_decision(
                "gn_equal", eq, g1.net, g2.net, grid=grid, m_max=args.m_max))}
     if nets.is_real_net(g1.net) and nets.is_real_net(g2.net):
-        le = _note(asym.leq(g1.net, g2.net, a_max=args.a_max))
+        le = asym.leq(g1.net, g2.net, a_max=args.a_max)
         doc["leq_xy"] = _tri_doc(le, harness.verify_decision(
             "leq", le, g1.net, g2.net, grid=grid))
-        ge = _note(asym.leq(g2.net, g1.net, a_max=args.a_max))
+        ge = asym.leq(g2.net, g1.net, a_max=args.a_max)
         doc["leq_yx"] = _tri_doc(ge, harness.verify_decision(
             "leq", ge, g2.net, g1.net, grid=grid))
     return doc
@@ -187,8 +186,8 @@ def _cmd_lattice(args) -> dict:
     doc = {"query": {"x": e1, "y": e2},
            "gmin": dsl.print_net(mn.net), "gmax": dsl.print_net(mx.net),
            "gabs_x": dsl.print_net(ab.net)}
-    doc["contract_min_le_x"] = _tri_doc(_note(asym.leq(mn.net, g1.net)))
-    doc["contract_x_le_max"] = _tri_doc(_note(asym.leq(g1.net, mx.net)))
+    doc["contract_min_le_x"] = _tri_doc(asym.leq(mn.net, g1.net))
+    doc["contract_x_le_max"] = _tri_doc(asym.leq(g1.net, mx.net))
     return doc
 
 
@@ -198,7 +197,7 @@ def _cmd_smooth(args) -> dict:
     for text in _inputs(args):
         g = _parse_expr(text, args)
         rep = smoothing.smooth_approximate(g, grid=grid)
-        eq = _note(asym.gn_equal(rep.output.net, g.net))
+        eq = asym.gn_equal(rep.output.net, g.net)
         results.append({
             "query": text,
             "shortcut": rep.shortcut,
@@ -271,8 +270,6 @@ def _cmd_idem(args) -> dict:
     for text in _inputs(args):
         g = _parse_expr(text, args)
         v = cons.idempotent_classify(g)
-        if v.verdict == "unknown":
-            _UNKNOWNS.append(v)
         results.append({"query": text, "verdict": v.verdict,
                         "reason": v.reason,
                         "s": repr(v.s) if v.s is not None else None})
@@ -284,14 +281,14 @@ def _cmd_ideal(args) -> dict:
     if op == "membership":
         y, x = args.args
         gy, gx = _parse_expr(y, args), _parse_expr(x, args)
-        t = _note(ideals.membership(gy.net, gx.net))
+        t = ideals.membership(gy.net, gx.net)
         return {"query": {"y": y, "x": x}, "membership": _tri_doc(t)}
     if op == "reduce":
         gens = tuple(_parse_expr(e, args) for e in args.args)
         J = ideals.FinIdeal(gens)
         sum_form, max_form = ideals.principal_forms(J)
-        t1 = _note(ideals.membership(sum_form.net, max_form.net))
-        t2 = _note(ideals.membership(max_form.net, sum_form.net))
+        t1 = ideals.membership(sum_form.net, max_form.net)
+        t2 = ideals.membership(max_form.net, sum_form.net)
         return {"query": list(args.args),
                 "sum_form": dsl.print_net(sum_form.net),
                 "max_form": dsl.print_net(max_form.net),
@@ -305,20 +302,20 @@ def _cmd_ideal(args) -> dict:
     if op == "power":
         r, s, m = args.args
         gr, gs = _parse_expr(r, args), _parse_expr(s, args)
-        t = _note(ideals.power_membership(gr, gs, int(m)))
+        t = ideals.power_membership(gr, gs, int(m))
         return {"query": {"r": r, "s": s, "m": int(m)},
                 "power_membership": _tri_doc(t)}
     if op == "radical":
         y, s = args.args
         gy, gs = _parse_expr(y, args), _parse_expr(s, args)
         R = ideals.RootFamilyIdeal(gs, args.root_cap)
-        t = _note(ideals.radical_membership(gy, R))
+        t = ideals.radical_membership(gy, R)
         return {"query": {"y": y, "s": s, "root_cap": args.root_cap},
                 "radical_membership": _tri_doc(t)}
     if op == "isradical":
         (s,) = args.args
         gs = _parse_expr(s, args)
-        t = _note(ideals.is_radical_principal(gs))
+        t = ideals.is_radical_principal(gs)
         return {"query": {"s": s}, "is_radical": _tri_doc(t)}
     raise DomainError(f"unknown ideal operation {op!r}")
 
@@ -423,7 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     as_json = getattr(args, "json", False)  # eval-grid prints columns
-    _UNKNOWNS.clear()
     try:
         doc = _HANDLERS[args.command](args)
     except ParseError as e:
@@ -450,7 +446,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 "printed": "shortest-roundtrip-repr"}
     out["config"] = _config(args)
     print(_render(out, as_json))
-    return 3 if _UNKNOWNS else 0
+    return 3 if _has_unknown(out) else 0
 
 
 if __name__ == "__main__":

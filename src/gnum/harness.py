@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nets
-from .asymptotics import DecisionTri, _powers, _real_values
-from .errors import DomainError
+from .asymptotics import DecisionTri, _first_violation, _powers, _real_values
+from .errors import DomainError, SearchExhausted
 from .nets import NetExpr, Tier, eval_net, eval_points
 from .sequences import Geometric, Harmonic, SequenceRule
 
@@ -301,7 +301,8 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
         """(eps_j, |x(eps_j)|), or None when eps_j is not in (0, 1]."""
         try:
             e = seq.value(j)
-        except Exception:
+        except (ZeroDivisionError, SearchExhausted):
+            # 1/0 at index 0; a CharsetPoints search may end past its prefix
             return None
         return (e, _abs_at(net, e)) if 0 < e <= 1 else None
 
@@ -375,14 +376,10 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
 
 def replay_order_violation(x, y, a: int, pt: Optional[float],
                            grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
-    xn, yn = nets._net(x), nets._net(y)
     cands = [pt] if pt is not None else grid.points().tolist()
-    # a point where either side cannot be evaluated is skipped (nan fill)
-    bad = eval_points(xn, cands, fill=math.nan) > \
-        eval_points(yn, cands, fill=math.nan) + _powers(cands, a)
-    if bad.any():
-        return ReplayReport("order-violation", True,
-                            arg_eps=cands[int(np.argmax(bad))])
+    hit = _first_violation(nets._net(x), nets._net(y), a, cands)
+    if hit is not None:
+        return ReplayReport("order-violation", True, arg_eps=hit)
     return ReplayReport("order-violation", False,
                         detail="no violating point found")
 

@@ -469,6 +469,8 @@ def is_real_net(net: NetExpr) -> bool:
         return is_real_net(net.x)
     if isinstance(net, GelfandFactor):
         return is_real_net(net.a)
+    if isinstance(net, SmoothBlend):
+        return is_real_net(net.source)
     return all(is_real_net(c) for c in functional_children(net))
 
 
@@ -981,10 +983,6 @@ def _ev_abs_factor(net: AbsFactor, eps: float) -> Scalar:
 _J_MAX = 2 ** 62  # probe indices up to j0 + 3 must fit int64
 
 
-class _NotReal(Exception):
-    """A subtree without a vector rule produced a non-float value."""
-
-
 def eval_points(net, pts, fill=None) -> np.ndarray:
     """``[eval_net(net, p) for p in pts]`` as an array, bit for bit.
 
@@ -998,8 +996,9 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     ``**`` is the Python call ``_ev`` makes, element by element.  A point
     where the scalar path would raise or special-case (a domain error, an
     overflow, a complex value, an index beyond int64) is flagged and
-    evaluated by eval_net.  Node types without a vector rule evaluate
-    their subtree with ``_ev``.
+    evaluated by eval_net.  A node without a vector rule (the blend and
+    witness nodes, complex constants) flags every point, so the whole net
+    goes to eval_net.
     """
     net = _net(net)
     e = np.array(pts, dtype=float).reshape(-1)
@@ -1007,7 +1006,7 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
             out = _vec(net, np.where(bad, 1.0, e), bad)
-    except (_NotReal, RecursionError):
+    except RecursionError:
         out = np.full(len(e), math.nan)
         bad[:] = True
     for i in np.flatnonzero(bad).tolist():
@@ -1097,22 +1096,9 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         return _vec_bump(net, e, bad)
     if isinstance(net, (Indicator, SpikeTrain)):
         return _vec_spike(net.s, e, bad)
-    return _vec_scalar(net, e, bad)
-
-
-def _vec_scalar(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """``_ev`` at each unflagged point, for nodes without a vector rule."""
-    out = np.full(len(e), math.nan)
-    for i in np.flatnonzero(~bad).tolist():
-        try:
-            v = _ev(net, float(e[i]))
-        except Exception:
-            bad[i] = True
-            continue
-        if type(v) is not float:
-            raise _NotReal
-        out[i] = v
-    return out
+    # no vector rule: the whole net is evaluated by eval_net
+    bad[:] = True
+    return np.full(len(e), math.nan)
 
 
 def _anchors(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:

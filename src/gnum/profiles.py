@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import nets
+from .errors import DomainError
 from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    BumpTrain, Const, ConstHeights, CosRecipPow, DecayHeights,
                    Eps, ExpNegRecip, GelfandFactor, Indicator, Inv, MaxNode,
@@ -1080,7 +1081,7 @@ def substitute_along(net: NetExpr, seq: SequenceRule
     if isinstance(net, PowQ):
         try:
             return nets.powq(subbed[0], net.q), exact
-        except Exception:
+        except DomainError:
             return None
     if isinstance(net, AbsNode):
         return AbsNode(subbed[0]), exact

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import nets
+from .asymptotics import _bisect_sign_change
 from .errors import PreconditionError, SearchExhausted, TierError
 from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
                    ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
@@ -77,12 +78,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
         return [(p * a ** (-p - 1.0), 1)]
     if isinstance(net, (Neg, AbsNode)):
         return band_modulus(net.x, a, b)
-    if isinstance(net, Add):
-        m1, m2 = band_modulus(net.l, a, b), band_modulus(net.r, a, b)
-        if m1 is None or m2 is None:
-            return None
-        return _mod_add(m1, m2)
-    if isinstance(net, (MinNode, MaxNode)):
+    if isinstance(net, (Add, MinNode, MaxNode)):
         m1, m2 = band_modulus(net.l, a, b), band_modulus(net.r, a, b)
         if m1 is None or m2 is None:
             return None
@@ -389,6 +385,12 @@ def refute_continuous_representative(target, candidate) -> RefutationWitness:
         raise PreconditionError("target must be the harmonic spike net")
     if minimal_tier(cnet) >= Tier.Arbitrary:
         raise PreconditionError("candidate must be continuous-tier")
+
+    def off_half(e):
+        """|candidate(e)| - 1/2, read as 0.0 within 1e-9."""
+        g = abs(eval_net(cnet, e)) - 0.5
+        return 0.0 if abs(g) <= 1e-9 else g
+
     for n in range(1, 65):
         sp = 1.0 / n
         v1 = eval_net(cnet, sp)
@@ -400,19 +402,8 @@ def refute_continuous_representative(target, candidate) -> RefutationWitness:
             return RefutationWitness("midpoint-miss", n, mid, v2)
         # |candidate| > 3/4 at the spike, < 1/4 at the midpoint: the
         # intermediate value theorem forces a |.| = 1/2 crossing between
-        lo, hi = mid, sp
-        glo = abs(eval_net(cnet, lo)) - 0.5
-        for _ in range(200):
-            m = 0.5 * (lo + hi)
-            gm = abs(eval_net(cnet, m)) - 0.5
-            if abs(gm) <= 1e-9:
-                return RefutationWitness("crossing", n, m, eval_net(cnet, m))
-            if (gm < 0) == (glo < 0):
-                lo, glo = m, gm
-            else:
-                hi = m
-        m = 0.5 * (lo + hi)
-        if abs(abs(eval_net(cnet, m)) - 0.5) <= 1e-6:
+        m = _bisect_sign_change(off_half, mid, sp, 0.0)
+        if m is not None and abs(abs(eval_net(cnet, m)) - 0.5) <= 1e-6:
             return RefutationWitness("crossing", n, m, eval_net(cnet, m))
     raise SearchExhausted(
         "no refutation witness within the first 64 spikes",

@@ -11,14 +11,15 @@ from fractions import Fraction as F
 import pytest
 
 from gnum import asymptotics as asym
+from gnum import profiles
 from gnum.asymptotics import (gn_equal, is_moderate, is_negligible,
                               is_strictly_nonzero, leq, valuation)
 from gnum.harness import (GridSpec, random_net, replay_negligible,
                           verify_decision)
-from gnum.nets import (EPS, DecayHeights, ExpNegRecip, Tier, absn, add,
+from gnum.nets import (EPS, DecayHeights, ExpNegRecip, PowQ, Tier, absn, add,
                        bump_train, const, cos_recip, eval_net, indicator,
                        inv, mul, neg, powq, sin_recip, spikes, sub)
-from gnum.sequences import Geometric, Harmonic
+from gnum.sequences import Geometric, Harmonic, PiSequence
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
 
@@ -208,6 +209,28 @@ def test_leq_when_the_smaller_side_overflows_to_a_complex_infinity():
     t = leq(x, const(0))
     assert t.is_true
     assert verify_decision("leq", t, x, const(0)).passed
+
+
+def test_leq_when_the_larger_side_is_minus_infinity():
+    # y is -inf on part of the scan, where the calibration's slack
+    # 1e-12*|y| is inf: the nan it makes ends the prefix without a warning
+    x, y = random_net(257, Tier.Smooth, 4), random_net(5257, Tier.Smooth, 4)
+    t = leq(x, y)
+    assert t.is_true
+    assert all(eps0 == 1e-6 for _, eps0 in t.witness.data)
+
+
+def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):
+    # along the sine's -1 points the base is -1: no square root of it
+    net, minus_one = PowQ(sin_recip(1), F(1, 2)), PiSequence(F(2), F(3, 2))
+    assert profiles.substitute_along(net, minus_one) is None
+
+    def broken(base, q):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(profiles.nets, "powq", broken)
+    with pytest.raises(ValueError):
+        profiles.substitute_along(net, minus_one)
 
 
 def test_leq_rejects_complex():

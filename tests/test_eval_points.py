@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from gnum.asymptotics import _log_points
 from gnum.errors import DomainError
 from gnum.harness import DEFAULT_GRID, random_net
-from gnum.nets import (EPS, BumpTrain, Const, DecayHeights, ExpNegRecip, Inv,
-                       PowQ, ShrunkWidths, Tier, absn, add, bump_train,
-                       cos_recip, eval_net, eval_points, inv, maxn, minn, mul,
-                       powq, sin_recip, spikes)
+from gnum.nets import (EPS, AbsFactor, AnnihilatorTransition, BumpTrain,
+                       Const, DecayHeights, ExpNegRecip, GelfandFactor, Inv,
+                       PowQ, RegularizedQuotient, ShrunkWidths, SmoothBlend,
+                       Tier, absn, add, bump_train, cos_recip, eval_net,
+                       eval_points, inv, maxn, minn, mul, powq, sin_recip,
+                       spikes)
 from gnum.sequences import Geometric, Harmonic, PiSequence
 
 DEEP = np.logspace(math.log10(DEFAULT_GRID.eps_min) - 12.0,
@@ -82,6 +84,25 @@ def test_points_outside_the_domain_raise_like_the_loop():
                                math.nan])
     with pytest.raises(DomainError):
         eval_points(net, [0.5, 0.0])
+
+
+def test_nodes_without_a_vector_rule_under_vector_nodes():
+    # blend and witness nodes and complex constants have no vector rule:
+    # the whole net goes to eval_net, values, types and first error alike
+    s, c = sin_recip(1), cos_recip(1)
+    nodes = (SmoothBlend(absn(s)), SmoothBlend(mul(Const(1j), absn(s))),
+             GelfandFactor(s), RegularizedQuotient(EPS, s),
+             RegularizedQuotient(Const(1j), add(s, Const(2.0))),
+             AnnihilatorTransition(s, c), AbsFactor(s),
+             AbsFactor(add(s, mul(Const(1j), EPS)), inverse=True),
+             Const(1 + 2j))
+    pts = np.concatenate((GRIDS["default"][::25], DEEP[::40], [0.5, 1.0]))
+    for node in nodes:
+        for net in (node, add(mul(node, EPS), Const(2.0)), absn(node),
+                    mul(PowQ(add(node, c), F(1, 2)), ExpNegRecip()),
+                    add(Inv(node), bump_train(Harmonic()))):
+            assert_bit_identical(net, pts)
+            assert_bit_identical(net, list(pts) + [0.0])
 
 
 def test_min_max_keep_python_nan_and_signed_zero_order():

@@ -6,14 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from gnum import harness
-from gnum.asymptotics import is_strictly_nonzero
-from gnum.errors import DomainError
+from gnum.asymptotics import _find_violation_on_seq, is_strictly_nonzero
+from gnum.errors import DomainError, SearchExhausted
 from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
                           random_net, replay_moderate, replay_negligible,
-                          replay_small_along, verify_decision)
+                          replay_order_violation, replay_small_along,
+                          verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, SpikeTrain, Tier, const,
-                       eval_net, iter_nodes, minimal_tier, powq, sin_recip)
-from gnum.sequences import PiSequence
+                       eval_net, inv, iter_nodes, minimal_tier, neg, powq,
+                       sin_recip)
+from gnum.sequences import Harmonic, PiSequence, SequenceRule
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
 
@@ -73,6 +75,44 @@ def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
     monkeypatch.setattr(harness, "_local_min_abs", counted)
     assert verify_decision("strictly-nonzero", tri, x).passed
     assert len(searches) == len(set(searches)) == 3
+
+
+class _EndsAt(SequenceRule):
+    """1/j, with ``error`` raised at the indices below ``j_min``."""
+
+    def __init__(self, error, j_min):
+        self.error, self.j_min = error, j_min
+
+    def value(self, j):
+        if j < self.j_min:
+            raise self.error
+        return 1.0 / j
+
+
+def test_replay_small_along_skips_only_an_ended_search():
+    # index 0 of a harmonic rule is 1/0: skipped like an ended search
+    assert replay_small_along(const(0), Harmonic(), 2).passed
+    seq = _EndsAt(SearchExhausted("past the prefix"), 5)
+    assert replay_small_along(const(0), seq, 2).passed
+    with pytest.raises(ValueError):
+        replay_small_along(const(0), _EndsAt(ValueError(), 5), 2)
+
+
+def test_violation_search_along_a_sequence_skips_only_an_ended_search():
+    seq = _EndsAt(SearchExhausted("past the prefix"), 3)
+    assert _find_violation_on_seq(const(1), const(0), 1, seq) == 1 / 3
+    with pytest.raises(ZeroDivisionError):
+        _find_violation_on_seq(const(1), const(0), 1,
+                               _EndsAt(ZeroDivisionError(), 3))
+
+
+def test_replay_order_violation_skips_complex_values():
+    # (-1/eps)^53 overflows to a complex infinity at the grid's head;
+    # those points have no real value and are skipped
+    y = powq(neg(inv(EPS)), 53)
+    rep = replay_order_violation(0, y, 1, None)
+    assert rep.passed and 1e-6 < rep.arg_eps
+    assert 0.0 > eval_net(y, rep.arg_eps) + rep.arg_eps
 
 
 def test_estimate_valuation_powers():

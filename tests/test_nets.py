@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnum import nets
+from gnum.asymptotics import leq
 from gnum.errors import DomainError, TierError
 from gnum.nets import (EPS, AbsNode, Const, DecayHeights, ExpNegRecip,
-                       GNumber, Indicator, SpikeTrain, Tier, absn, add,
-                       bump_train, const, cos_recip, eval_net, g_add, g_mul,
-                       gnumber, indicator, inv, maxn, minimal_tier, minn, mul,
-                       neg, patch_weights, powq, rootn, sin_recip, spikes,
-                       sub, tier_relax)
+                       GNumber, Indicator, SmoothBlend, SpikeTrain, Tier,
+                       absn, add, bump_train, const, cos_recip, eval_net,
+                       g_add, g_mul, gnumber, indicator, inv, is_real_net,
+                       maxn, minimal_tier, minn, mul, neg, patch_weights,
+                       powq, rootn, sin_recip, spikes, sub, tier_relax)
 from gnum.harness import GridSpec, random_net
 from gnum.sequences import Geometric, Harmonic, PiSequence
 
@@ -250,3 +251,14 @@ def test_complex_constants():
     assert v == 0.25j
     assert not nets.is_real_net(x)
     assert eval_net(absn(x), 0.25) == 0.25
+
+
+def test_a_blend_is_real_iff_its_source_is():
+    real = SmoothBlend(absn(sin_recip(1)))
+    cplx = SmoothBlend(mul(const(1j), absn(sin_recip(1))))
+    assert is_real_net(real) and not is_real_net(cplx)
+    assert isinstance(eval_net(cplx, 0.3), complex)
+    for op in (leq, minn):
+        with pytest.raises(TypeError):
+            op(cplx, const(2.0))
+    assert leq(real, const(2.0)).is_true
