@@ -22,12 +22,16 @@ from gnum import cli
 from gnum.constructions import (characteristic_set, construct_zero_divisor,
                                 interleaved_trains)
 from gnum.dsl import parse, print_net
-from gnum.harness import GridSpec, random_net, verify_decision
+from gnum.harness import (GridSpec, random_net, replay_moderate,
+                          replay_negligible, replay_negligible_diff,
+                          verify_decision)
 from gnum.ideals import dip_forcing_data, membership
 from gnum.lattice import abs_factor, gabs
-from gnum.nets import Tier, bump_train, eval_net, gnumber
-from gnum.profiles import info
-from gnum.sequences import Geometric
+from gnum.nets import (EPS, ConstHeights, DecayHeights, Tier, absn,
+                       bump_train, eval_net, gnumber, inv, maxn, minn, mul,
+                       powq, sub)
+from gnum.profiles import info, rat
+from gnum.sequences import Geometric, Midpoints
 from gnum.smoothing import (_band_plan, refute_continuous_representative,
                             smooth_approximate)
 
@@ -206,6 +210,28 @@ def golden_lines():
               for s in (17, 17 + PAIR_OFFSET))
     for argv in (["classify", a575, "--json"], ["compare", px, py, "--json"]):
         out.append(f"cli {' '.join(argv)}: {_cli(argv)}")
+    # Info's sign rule for Inv reads the operand's enclosure, so it and
+    # nets.nonneg_net disagree on both nets
+    for x in (parse("min(abs(-2)^-1, eps)")[0], minn(powq(inv(EPS), 3), EPS)):
+        out.append(f"lower {print_net(x)}: {info(x).lower!r} "
+                   + " ".join(_tri(fn(x)) for _, fn in CLAIMS))
+    # normal forms over two disjointly supported trains
+    for ratio in (F(1, 4), F(1, 5)):
+        for h in (None, ConstHeights(2.5), DecayHeights(F(1), F(0))):
+            u = bump_train(Geometric(ratio), heights=h)
+            v = bump_train(Midpoints(Geometric(ratio)), heights=h)
+            for text, x in (("|u-v|", absn(sub(u, v))),
+                            ("|2u-v|", absn(sub(mul(2.0, u), v))),
+                            ("min", minn(u, v)), ("max", maxn(u, v))):
+                r = rat(x)
+                out.append(f"trains {ratio} {h!r} {text}: "
+                           f"{r.num.sorted_terms()!r} / {r.den!r}")
+    # failing replays
+    out.append(f"replay eps^-3 moderate 1: "
+               f"{replay_moderate(parse('eps^-3')[0], 1)!r}")
+    out.append(f"replay eps negligible: {replay_negligible(EPS)!r}")
+    out.append(f"replay eps - 0 negligible: "
+               f"{replay_negligible_diff(EPS, 0)!r}")
     return out
 
 
