@@ -343,6 +343,8 @@ class CharsetPoints(SequenceRule):
     points: Tuple[float, ...]
 
     def value(self, j: int) -> float:
+        if j < 1:
+            raise SearchExhausted(f"no charset point at index {j}")
         if j <= len(self.points):
             return self.points[j - 1]
         return _charset_points(*self.params, j)[j - 1]

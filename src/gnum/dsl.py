@@ -39,6 +39,7 @@ from .sequences import (Geometric, Harmonic, HarmonicMidpoints, PiSequence,
                         SequenceRule)
 
 F = Fraction
+_DIGITS = "0123456789"  # str.isdigit also holds for '²' and '٣'
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,13 @@ def tokenize(text: str) -> List[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             toks.append(Token("num", text[i:j], line, col, col + (j - i) - 1))
             col += j - i

@@ -100,6 +100,17 @@ def eval_grid(net: NetExpr, grid: GridSpec = DEFAULT_GRID):
 # replay of asymptotic claims
 # --------------------------------------------------------------------------
 
+def _tail_excess(vt: np.ndarray, tail: np.ndarray, C: float,
+                 m: int) -> Optional[Tuple[float, float]]:
+    """(excess, eps) at the tail point where vt most exceeds C * eps**m
+    (times 1 + 1e-9, plus 1e-290), or None when no tail point does."""
+    bound = C * tail ** m * (1 + 1e-9) + 1e-290
+    if not (vt > bound).any():
+        return None
+    i = int(np.argmax(vt - bound))
+    return float((vt - bound)[i]), float(tail[i])
+
+
 def replay_negligible(x, m_max: int = 12,
                       grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| <= C * eps**m on the grid tail for each m <= m_max,
@@ -127,9 +138,8 @@ def replay_negligible(x, m_max: int = 12,
         if not math.isfinite(C):
             return ReplayReport(f"negligible(m<={m_max})", True,
                                 detail=f"no finite constant from m={m}")
-        bound = C * tail ** m * (1 + 1e-9) + 1e-290
-        bad = vt > bound
-        if bad.any():
+        hit = _tail_excess(vt, tail, C, m)
+        if hit is not None:
             # adjudicate: a transient ratio hump turns over at depth, a
             # genuine violation keeps rising into the deep end.  Probe
             # twelve decades below the grid floor and demand decay by the
@@ -143,9 +153,7 @@ def replay_negligible(x, m_max: int = 12,
                 deep_max = float(np.max(re_[:cut]))
                 if deep_max <= 0.5 * peak + 1e-290:
                     continue
-            i = int(np.argmax(vt - bound))
-            return ReplayReport(f"negligible(m<={m_max})", False,
-                                float((vt - bound)[i]), float(tail[i]),
+            return ReplayReport(f"negligible(m<={m_max})", False, *hit,
                                 f"fails at m={m}")
     return ReplayReport(f"negligible(m<={m_max})", True)
 
@@ -187,12 +195,9 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     vt, vh = _split(np.where(out > 0.0, out, 0.0).astype(float))
     for m in range(0, m_max + 1):
         C = float(np.max(vh / head ** m))
-        bound = C * tail ** m * (1 + 1e-9) + 1e-290
-        bad = vt > bound
-        if bad.any():
-            i = int(np.argmax(vt - bound))
-            return ReplayReport(f"negligible-diff(m<={m_max})", False,
-                                float((vt - bound)[i]), float(tail[i]),
+        hit = _tail_excess(vt, tail, C, m)
+        if hit is not None:
+            return ReplayReport(f"negligible-diff(m<={m_max})", False, *hit,
                                 f"fails at m={m}")
     return ReplayReport(f"negligible-diff(m<={m_max})", True)
 
@@ -210,12 +215,9 @@ def replay_moderate(x, n_exp: int, grid: GridSpec = DEFAULT_GRID) -> ReplayRepor
         C = 4.0 * float(np.max(vh * head ** n_exp))
     if not math.isfinite(C):
         return ReplayReport("moderate", True, detail="no finite constant")
-    bound = C * tail ** (-n_exp) * (1 + 1e-9) + 1e-290
-    bad = vt > bound
-    if bad.any():
-        i = int(np.argmax(vt - bound))
-        return ReplayReport("moderate", False, float((vt - bound)[i]),
-                            float(tail[i]))
+    hit = _tail_excess(vt, tail, C, -n_exp)
+    if hit is not None:
+        return ReplayReport("moderate", False, *hit)
     return ReplayReport("moderate", True)
 
 
@@ -285,7 +287,8 @@ def _local_min_abs(net: NetExpr, lo: float, hi: float) -> Tuple[float, float]:
 def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
     """For each m <= m_max exhibit a point with |x| < eps**m near the
     sequence (refutes strict nonzeroness): at the first 48 indices, then
-    on a ladder growing by 1.6."""
+    on a ladder growing by 1.6.  Only ladder points in (0, 1) count:
+    at eps = 1 every eps**m is 1, so a point there shows nothing."""
     net = nets._net(x)
     ladder = list(range(0, 49))
     j = 48
@@ -298,13 +301,13 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
     # so errors surface in the order of the per-m walk.
     @functools.cache
     def point(j):
-        """(eps_j, |x(eps_j)|), or None when eps_j is not in (0, 1]."""
+        """(eps_j, |x(eps_j)|), or None when eps_j is not in (0, 1)."""
         try:
             e = seq.value(j)
         except (ZeroDivisionError, SearchExhausted):
             # 1/0 at index 0; a CharsetPoints search may end past its prefix
             return None
-        return (e, _abs_at(net, e)) if 0 < e <= 1 else None
+        return (e, _abs_at(net, e)) if 0 < e < 1 else None
 
     @functools.cache
     def local_min(j):

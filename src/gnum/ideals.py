@@ -138,18 +138,12 @@ def _exact_quotient(y: NetExpr, x: NetExpr, use_abs: bool) -> Optional[NetExpr]:
     return canonical_net(q.num)
 
 
-def _phase_to_abs(net: NetExpr) -> Optional[NetExpr]:
-    """Factor p with p * net = |net| mod negligibility (None = identity)."""
+def _phase(net: NetExpr, inverse: bool) -> Optional[NetExpr]:
+    """Factor p with p * net = |net|, or with p * |net| = net when
+    inverse, mod negligibility (None = identity)."""
     if nonneg_net(net):
         return None
-    return AbsFactor(net)
-
-
-def _phase_from_abs(net: NetExpr) -> Optional[NetExpr]:
-    """Factor p with p * |net| = net mod negligibility (None = identity)."""
-    if nonneg_net(net):
-        return None
-    return AbsFactor(net, inverse=True)
+    return AbsFactor(net, inverse=inverse)
 
 
 def _compose_witness(parts: List[Optional[NetExpr]]) -> NetExpr:
@@ -186,6 +180,20 @@ def _dominations(y_abs: NetExpr, x_abs: NetExpr):
             yield (C, M)
 
 
+def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
+    """False, witnessed by the first of seqs along which x is below every
+    power while y keeps power size; None when there is none."""
+    for seq in seqs:
+        if along_small(x, seq) is None:
+            continue
+        loy = along_lower(y, seq)
+        if loy is not None and loy.kind in (POW, SUPERGROW):
+            return DecisionTri(False, WitnessRecord(
+                "membership-forcing",
+                (seq, loy.q if loy.kind == POW else None, loy.c)))
+    return None
+
+
 def membership(y, x) -> DecisionTri:
     """Decide y in x*R (the principal ideal of x)."""
     gy, gx = nets._gn(y), nets._gn(x)
@@ -201,7 +209,7 @@ def membership(y, x) -> DecisionTri:
         return DecisionTri(True, WitnessRecord("membership-factor", (a,)))
     b = _exact_quotient(ynet, xnet, use_abs=True)
     if b is not None:
-        a = _compose_witness([_phase_from_abs(ynet), b, _phase_to_abs(xnet)])
+        a = _compose_witness([_phase(ynet, True), b, _phase(xnet, False)])
         if _replay_witness(a, xnet, ynet):
             return DecisionTri(True, WitnessRecord("membership-factor", (a,)))
     # domination route: |y| <= C eps^-M |x| makes the regularized
@@ -219,7 +227,7 @@ def membership(y, x) -> DecisionTri:
         if not t.is_true:
             continue
         b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
-        a = _compose_witness([_phase_from_abs(ynet), b, _phase_to_abs(xnet)])
+        a = _compose_witness([_phase(ynet, True), b, _phase(xnet, False)])
         if _replay_witness(a, xnet, ynet):
             return DecisionTri(True, WitnessRecord(
                 "membership-factor", (a,), ), reason=f"dominated C={C} M={M}")
@@ -229,16 +237,7 @@ def membership(y, x) -> DecisionTri:
     i = info(xnet)
     if i.small_seq is not None and i.small_seq.seq not in seqs:
         seqs.insert(0, i.small_seq.seq)
-    for seq in seqs:
-        sm = along_small(xnet, seq)
-        if sm is None:
-            continue
-        loy = along_lower(ynet, seq)
-        if loy is not None and loy.kind in (POW, SUPERGROW):
-            return DecisionTri(False, WitnessRecord(
-                "membership-forcing",
-                (seq, loy.q if loy.kind == POW else None, loy.c)))
-    return UNKNOWN
+    return _forcing(ynet, xnet, seqs) or UNKNOWN
 
 
 def power_membership(r, J, m: int) -> DecisionTri:
@@ -263,14 +262,9 @@ def radical_membership(y, R: RootFamilyIdeal) -> DecisionTri:
     base = R.base.net
     # uniform refutation: along a sequence where base (hence every root
     # of it) is below every power, y keeps power size
-    for seq in candidate_sequences(base):
-        if along_small(base, seq) is None:
-            continue
-        loy = along_lower(gy.net, seq)
-        if loy is not None and loy.kind in (POW, SUPERGROW):
-            return DecisionTri(False, WitnessRecord(
-                "membership-forcing",
-                (seq, loy.q if loy.kind == POW else None, loy.c)))
+    t = _forcing(gy.net, base, candidate_sequences(base))
+    if t is not None:
+        return t
     base_abs = base if nonneg_net(base) else absn(base)
     for n in range(1, R.root_cap + 1):
         g = base_abs if n == 1 else rootn(base_abs, n)

@@ -484,10 +484,7 @@ def nonneg_net(net: NetExpr) -> bool:
     if isinstance(net, RootN):
         return True  # constructor requires nonneg operand
     if isinstance(net, PowQ):
-        if nonneg_net(net.base):
-            return True
-        return net.q.denominator == 1 and net.q.numerator % 2 == 0 \
-            and is_real_net(net.base)
+        return nonneg_power(net.base, net.q)
     if isinstance(net, Add):
         return nonneg_net(net.l) and nonneg_net(net.r)
     if isinstance(net, Mul):
@@ -503,6 +500,12 @@ def nonneg_net(net: NetExpr) -> bool:
     if isinstance(net, BumpTrain):
         return _heights_nonneg(net.heights)
     return False
+
+
+def nonneg_power(x: NetExpr, q: Fraction) -> bool:
+    """Sound certificate that x**q >= 0: x >= 0, or q even and x real."""
+    return nonneg_net(x) or (q.denominator == 1 and q.numerator % 2 == 0
+                             and is_real_net(x))
 
 
 def _heights_nonneg(rule: HeightRule) -> bool:

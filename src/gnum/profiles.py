@@ -34,7 +34,7 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    Eps, ExpNegRecip, GelfandFactor, Indicator, Inv, MaxNode,
                    MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
                    RootN, SinRecipPow, SmoothBlend, SpikeTrain, is_real_net,
-                   nonneg_net)
+                   nonneg_net, nonneg_power)
 from .scales import MONO_ONE, Poly, RatForm, atoms_from, canonical_net
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
@@ -297,7 +297,6 @@ class AlongSeq:
 
 @dataclass(frozen=True)
 class Info:
-    real: bool = True
     nonneg: bool = False
     upper: Optional[Env] = None       # |x| <= c*scale eventually
     lower: Optional[Env] = None       # |x| >= c*scale eventually
@@ -323,7 +322,7 @@ def _info(net: NetExpr) -> Info:
     if isinstance(net, Const):
         if isinstance(net.c, complex):
             m = abs(net.c)
-            return Info(real=False, upper=Env(POW, F(0), m),
+            return Info(upper=Env(POW, F(0), m),
                         lower=Env(POW, F(0), m))
         c = float(net.c)
         if c == 0.0:
@@ -354,14 +353,14 @@ def _info(net: NetExpr) -> Info:
     if isinstance(net, Neg):
         return replace(info(net.x), nonneg=False)
     if isinstance(net, AbsNode):
-        return replace(info(net.x), real=True, nonneg=True)
+        return replace(info(net.x), nonneg=True)
     if isinstance(net, Add):
         return _info_add(net)
     if isinstance(net, Mul):
         return _info_mul(net)
     if isinstance(net, Inv):
         i = info(net.x)
-        return Info(real=i.real, nonneg=i.real and i.ivl[0] > 0,
+        return Info(nonneg=i.ivl[0] > 0 and is_real_net(net.x),
                     upper=env_inv_upper(i.lower),
                     lower=env_inv_lower(i.upper),
                     lower_seq=(AlongSeq(i.small_seq.seq, Env(SUPERGROW))
@@ -382,8 +381,9 @@ def _info(net: NetExpr) -> Info:
             up, lo = env_inv_upper(lower_pow(i.lower, -q)), \
                      env_inv_lower(upper_pow(i.upper, -q))
             lseq, sseq = None, None
-        return Info(real=i.real, nonneg=i.nonneg or (q.denominator == 1 and
-                                                     q.numerator % 2 == 0 and i.real),
+        return Info(nonneg=i.nonneg or (q.denominator == 1 and
+                                        q.numerator % 2 == 0 and
+                                        is_real_net(net.base)),
                     upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
     if isinstance(net, RootN):
         i = info(net.x)
@@ -421,21 +421,21 @@ def _info(net: NetExpr) -> Info:
                              (ZERO_K, SUPERPOW) or
                              (a.upper is not None and a.upper.kind == POW
                               and a.upper.q > 0)) else Env(POW, F(0), 4.0)
-        return Info(real=a.real, upper=up)
+        return Info(upper=up)
     if isinstance(net, RegularizedQuotient):
         ni, di = info(net.num), info(net.den)
         if net.dom_bound is not None:
             up = Env(POW, F(0), float(net.dom_bound))
         else:
             up = upper_mul(ni.upper, env_inv_upper(di.lower))
-        return Info(real=ni.real and di.real, upper=up)
+        return Info(upper=up)
     if isinstance(net, AnnihilatorTransition):
         return Info(nonneg=True, upper=Env(POW, F(0), 1.0))
     if isinstance(net, AbsFactor):
-        return Info(real=info(net.x).real, upper=Env(POW, F(0), 2.0))
+        return Info(upper=Env(POW, F(0), 2.0))
     if isinstance(net, SmoothBlend):
         i = info(net.source)
-        return Info(real=i.real, nonneg=False,
+        return Info(nonneg=False,
                     upper=upper_add(i.upper, Env(SUPERPOW)),
                     lower=lower_vs_upper(i.lower, Env(SUPERPOW)),
                     lower_seq=(AlongSeq(i.lower_seq.seq,
@@ -473,7 +473,7 @@ def _info_add(net: Add) -> Info:
         sseq = AlongSeq(b.small_seq.seq,
                         Env(ZERO_K) if (b.small_seq.env.kind == ZERO_K and
                                         a.upper.kind == ZERO_K) else Env(SUPERPOW))
-    return Info(real=a.real and b.real, nonneg=a.nonneg and b.nonneg,
+    return Info(nonneg=a.nonneg and b.nonneg,
                 upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
@@ -524,8 +524,8 @@ def _info_mul(net: Mul) -> Info:
             lseq = AlongSeq(b.lower_seq.seq, e)
     sseq = _seq_small_mul(a.small_seq, b.upper) or \
         _seq_small_mul(b.small_seq, a.upper)
-    return Info(real=a.real and b.real,
-                nonneg=(a.nonneg and b.nonneg) or (same and a.real),
+    return Info(nonneg=(a.nonneg and b.nonneg) or
+                (same and is_real_net(net.l)),
                 upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
@@ -656,11 +656,7 @@ def _rat(net: NetExpr) -> RatForm:
 
 def _atom_abs(a: NetExpr, p: Fraction) -> Tuple[NetExpr, Fraction]:
     """|a**p| as an atom power."""
-    if nonneg_net(a):
-        return (a, p)
-    if p.denominator == 1 and p.numerator % 2 == 0 and is_real_net(a):
-        return (a, p)
-    return (AbsNode(a), p)
+    return (a, p) if nonneg_power(a, p) else (AbsNode(a), p)
 
 
 def _canonical_abs_atom(p: Poly) -> NetExpr:
@@ -720,9 +716,7 @@ def _abs_poly(p: Poly) -> Optional[Poly]:
 @lru_cache(maxsize=None)
 def _rat_abs(net: NetExpr) -> RatForm:
     """Normal form of |net| with multiplicative/structural rewrites."""
-    if isinstance(net, Neg):
-        return _rat_abs(net.x)
-    if isinstance(net, AbsNode):
+    if isinstance(net, (Neg, AbsNode)):
         return _rat_abs(net.x)
     if isinstance(net, Mul):
         return _rat_abs(net.l).mul(_rat_abs(net.r))
@@ -742,11 +736,6 @@ def _rat_abs(net: NetExpr) -> RatForm:
                 for cc, dd in ((r.x.l, r.x.r), (r.x.r, r.x.l)):
                     if bb == dd:
                         return _rat_abs(nets.sub(aa, cc)).mul(_rat_abs(bb))
-        # |u - v| = u + v for nonnegative nets with disjoint supports
-        if isinstance(r, Neg) and isinstance(l, BumpTrain) and \
-                isinstance(r.x, BumpTrain) and nonneg_net(l) and \
-                nonneg_net(r.x) and _trains_disjoint(l, r.x):
-            return rat(l).add(rat(r.x))
     r = rat(net)
     num_abs = _abs_poly(r.num)
     den_abs = _abs_poly(r.den)
@@ -761,8 +750,7 @@ def _rat_frac_pow(r: RatForm, q: Fraction) -> Optional[RatForm]:
     """r**q for fractional q >= 0 on a certified-nonnegative operand;
     None when no exact form exists."""
     if q < 0:
-        inner = _rat_frac_pow(r.inv(), -q)
-        return inner
+        return _rat_frac_pow(r.inv(), -q)
     def mono_frac(p: Poly) -> Optional[Poly]:
         if p.is_zero():
             return p
@@ -774,15 +762,10 @@ def _rat_frac_pow(r: RatForm, q: Fraction) -> Optional[RatForm]:
             return None
         fixed = []
         for a, pw in atoms:
-            if nonneg_net(a) or isinstance(a, AbsNode):
-                fixed.append((a, pw * q))
-            elif pw.denominator == 1 and pw.numerator % 2 == 0 \
-                    and is_real_net(a):
-                # (a**even)**q = |a|**(even*q)
-                fixed.append((AbsNode(a), pw * q))
-            else:
+            if not nonneg_power(a, pw):
                 return None
-        from .scales import atoms_from
+            # for a real a that may be negative, (a**even)**q = |a|**(even*q)
+            fixed.append((a if nonneg_net(a) else AbsNode(a), pw * q))
         return Poly({(k * q, qq * q, atoms_from(fixed)): c ** float(q)})
     num = mono_frac(r.num)
     den = mono_frac(r.den)
@@ -796,9 +779,7 @@ def _rat_frac_pow(r: RatForm, q: Fraction) -> Optional[RatForm]:
 def _term_nonneg(m, c) -> bool:
     if isinstance(c, complex) or c < 0:
         return False
-    return all(nonneg_net(a) or
-               (p.denominator == 1 and p.numerator % 2 == 0 and is_real_net(a))
-               for a, p in m[2])
+    return all(nonneg_power(a, p) for a, p in m[2])
 
 
 _EXP_IVL, _EPS_IVL = enclose(ExpNegRecip()), enclose(nets.EPS)

@@ -170,14 +170,8 @@ def _band_bounds(b: int) -> Tuple[float, float]:
 
 
 def _band_of(eps: float) -> int:
-    if eps >= 0.5:
-        return 0
-    b = int(math.floor(-math.log2(eps)))
-    while eps < 2.0 ** (-b - 1):
-        b += 1
-    while eps >= 2.0 ** (-b):
-        b -= 1
-    return max(0, b)
+    """b with 2**-(b+1) <= eps < 2**-b, and 0 for eps >= 1/2."""
+    return 0 if eps >= 0.5 else -math.frexp(eps)[1]
 
 
 @lru_cache(maxsize=None)

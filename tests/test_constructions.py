@@ -12,7 +12,7 @@ from gnum.constructions import (annihilator_split, characteristic_set,
                                 construct_zero_divisor, gelfand_witnesses,
                                 idempotent_classify, interleaved_trains,
                                 invertible_wrt, restriction_zero)
-from gnum.errors import PreconditionError
+from gnum.errors import PreconditionError, SearchExhausted
 from gnum.harness import (GridSpec, replay_growth_along, replay_moderate,
                           replay_negligible)
 from gnum.nets import (EPS, Const, ExpNegRecip, Tier, absn, add, bump_train,
@@ -175,6 +175,13 @@ def test_characteristic_set_lazy_tail():
     # the recorded search rule extends beyond the materialized prefix
     p5 = cs.points.value(5)
     assert 0 < p5 < cs.points.value(4)
+
+
+def test_characteristic_set_has_no_point_below_index_one():
+    cs = characteristic_set(*interleaved_trains(F(1, 4)))
+    for j in (0, -1):
+        with pytest.raises(SearchExhausted):
+            cs.points.value(j)
 
 
 def test_characteristic_set_rejects_nonzero_product():

@@ -47,6 +47,14 @@ def test_parse_error_position():
     assert "')'" in ei.value.expected
 
 
+def test_parse_reads_only_ascii_digits():
+    for text, column in (("eps^²", 5), ("eps + ٣", 7)):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert "unexpected character" in str(ei.value)
+        assert (ei.value.line, ei.value.column) == (1, column)
+
+
 def test_parse_error_cases():
     cases = [
         ("", 1),
@@ -162,6 +170,13 @@ def test_cli_parse_error_exit_code(capsys):
     code, out = run_cli(["classify", "eps^(1/2"], capsys)
     assert code == 1
     assert "parse" in out and "column" in out
+
+
+def test_cli_non_ascii_digit_is_a_parse_error(capsys):
+    code, out = run_cli(["classify", "eps^²", "--json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "parse" and doc["column"] == 5
 
 
 def test_cli_precondition_exit_code(capsys):

@@ -15,7 +15,7 @@ from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
 from gnum.nets import (EPS, ExpNegRecip, Indicator, SpikeTrain, Tier, const,
                        eval_net, inv, iter_nodes, minimal_tier, neg, powq,
                        sin_recip)
-from gnum.sequences import Harmonic, PiSequence, SequenceRule
+from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
 
@@ -60,8 +60,8 @@ def test_replay_small_along_sine_zeros():
 
 
 def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
-    # every m = 0..12 needs the searches around the same three ladder
-    # points; each runs once, not once per m (33 in all)
+    # every m = 0..12 needs the searches around the same two ladder
+    # points; each runs once, not once per m
     x = random_net(13, Tier.Smooth, 5)
     tri = is_strictly_nonzero(x)
     assert tri.value is False and tri.witness.kind == "small-along"
@@ -74,7 +74,14 @@ def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
 
     monkeypatch.setattr(harness, "_local_min_abs", counted)
     assert verify_decision("strictly-nonzero", tri, x).passed
-    assert len(searches) == len(set(searches)) == 3
+    assert len(searches) == len(set(searches)) == 2
+
+
+def test_replay_small_along_does_not_count_eps_one():
+    # at eps = 1 every eps**m is 1, so 0.5 < eps**m there proves nothing
+    for seq in (Geometric(F(1, 2)), Harmonic()):
+        rep = replay_small_along(const(0.5), seq, 12)
+        assert not rep.passed and rep.detail == "no point below eps^1"
 
 
 class _EndsAt(SequenceRule):

@@ -15,7 +15,8 @@ from gnum.nets import (EPS, AbsNode, ConstHeights, MaxNode, MinNode, RootN,
                        powq, rootn, sin_recip, spikes, sub)
 from gnum.profiles import abs_range, enclose
 from gnum.sequences import Harmonic
-from gnum.smoothing import refute_continuous_representative, smooth_approximate
+from gnum.smoothing import (_band_of, refute_continuous_representative,
+                            smooth_approximate)
 
 GRID = GridSpec(n_points=1000, eps_min=1e-6)
 
@@ -160,3 +161,15 @@ def test_band_sup_of_constant_heights_skips_the_index_walk(monkeypatch):
     # the band sup that smoothing reads: the sup of |enclose| on the band
     sups = [abs_range(enclose(*c))[1] for c in cases]
     assert [repr(s) for s in sups] == [repr(v) for v in loop]
+
+
+def test_band_of_at_powers_of_two_and_their_neighbours():
+    # band b is [2**-(b+1), 2**-b); band 0 also holds [1/2, 1]
+    for k in range(1, 1075):
+        p = 2.0 ** -k
+        for e in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+            if e == 0.0:
+                continue
+            b = _band_of(e)
+            assert 2.0 ** (-b - 1) <= e < 2.0 ** -b
+    assert _band_of(0.75) == _band_of(1.0) == 0
