@@ -20,7 +20,8 @@ from pathlib import Path
 from gnum import asymptotics as A
 from gnum import cli
 from gnum.constructions import (characteristic_set, construct_zero_divisor,
-                                interleaved_trains)
+                                interleaved_trains, invertible_wrt,
+                                restriction_zero)
 from gnum.dsl import parse, print_net
 from gnum.harness import (GridSpec, random_net, replay_moderate,
                           replay_negligible, replay_negligible_diff,
@@ -30,7 +31,8 @@ from gnum.lattice import abs_factor, gabs
 from gnum.nets import (EPS, ConstHeights, DecayHeights, Tier, absn,
                        bump_train, eval_net, gnumber, inv, maxn, minn, mul,
                        powq, sub)
-from gnum.profiles import info, rat
+from gnum.profiles import (along_lower, along_small, candidate_sequences,
+                           info, rat)
 from gnum.sequences import Geometric, Midpoints
 from gnum.smoothing import (_band_plan, refute_continuous_representative,
                             smooth_approximate)
@@ -80,6 +82,10 @@ MEMBERSHIPS = (("eps*sin(1/eps)", "sin(1/eps)"), ("eps^2", "eps + exp(-1/eps)"),
 ZERO_DIVISOR_INPUTS = ("sin(1/eps)", "eps*cos(1/eps^2)", "bumptrain(geo(1/2))")
 # depth-5 nets whose strict-nonzeroness refutations are replayed
 SMALL_ALONG_SEEDS = range(400, 480)
+ALONG_SEEDS = range(10)
+# smooth depth-2 pairs; 12, 24, 35, 37 and 50 have their own tests in
+# test_ideals.py (their replays overflow)
+MEMBERSHIP_SEEDS = tuple(s for s in range(60) if s not in (12, 24, 35, 37, 50))
 
 
 def _tri(tri) -> str:
@@ -232,6 +238,28 @@ def golden_lines():
     out.append(f"replay eps negligible: {replay_negligible(EPS)!r}")
     out.append(f"replay eps - 0 negligible: "
                f"{replay_negligible_diff(EPS, 0)!r}")
+    # the whole Info of every random net above
+    for seed in SEEDS:
+        for tier in Tier:
+            for depth in DEPTHS:
+                x = random_net(seed, tier, depth)
+                out.append(f"net {seed} {tier} {depth} info: {info(x)!r}")
+    # along-sequence analyses on the first candidate sequences
+    for seed in ALONG_SEEDS:
+        for tier in Tier:
+            for depth in DEPTHS:
+                x = random_net(seed, tier, depth)
+                g = gnumber(x, tier)
+                for seq in candidate_sequences(x)[:4]:
+                    out.append(f"net {seed} {tier} {depth} along {seq!r}: "
+                               f"{along_lower(x, seq)!r} "
+                               f"{along_small(x, seq)!r} "
+                               f"{_tri(restriction_zero(g, seq))} "
+                               f"{_tri(invertible_wrt(g, seq))}")
+    for seed in MEMBERSHIP_SEEDS:
+        x = random_net(seed, Tier.Smooth, 2)
+        y = random_net(seed + PAIR_OFFSET, Tier.Smooth, 2)
+        out.append(f"pair {seed} membership: {_tri(membership(y, x))}")
     return out
 
 
