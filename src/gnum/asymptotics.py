@@ -220,6 +220,35 @@ def _lowers(net: NetExpr):
     return out
 
 
+def _lower_along(net: NetExpr):
+    """(seq, env), a power or growth bound of |net| along seq: Info's
+    first, then the candidate sequences', lazily."""
+    i = info(net).lower_seq
+    if i is not None:
+        yield i.seq, i.env
+    for seq in candidate_sequences(net):
+        lo = along_lower(net, seq)
+        if lo is not None and lo.kind in (POW, SUPERGROW):
+            yield seq, lo
+
+
+def _small_along(net: NetExpr):
+    """The sequences along which |net| is below every power: Info's
+    first, then the candidate sequences, lazily."""
+    i = info(net).small_seq
+    if i is not None:
+        yield i.seq
+    for seq in candidate_sequences(net):
+        if along_small(net, seq) is not None:
+            yield seq
+
+
+def along_data(seq, env: Env) -> tuple:
+    """Witness data (seq, q, c) of a lower bound c*eps**q along seq; q
+    is None for a growth bound."""
+    return (seq, env.q if env.kind == POW else None, env.c)
+
+
 def is_moderate(x) -> DecisionTri:
     """Does |x_eps| stay below some power eps**-N as eps -> 0?"""
     net = nets._net(x)
@@ -235,15 +264,10 @@ def is_moderate(x) -> DecisionTri:
     if lo is not None and lo.kind == SUPERGROW:
         return DecisionTri(False, WitnessRecord("lower-bound-along",
                                                 (Geometric(F(1, 2)), None, None)))
-    i = info(net)
-    if i.lower_seq is not None and i.lower_seq.env.kind == SUPERGROW:
+    seq = next((s for s, e in _lower_along(net) if e.kind == SUPERGROW), None)
+    if seq is not None:
         return DecisionTri(False, WitnessRecord("lower-bound-along",
-                                                (i.lower_seq.seq, None, None)))
-    for seq in candidate_sequences(net):
-        lo = along_lower(net, seq)
-        if lo is not None and lo.kind == SUPERGROW:
-            return DecisionTri(False, WitnessRecord("lower-bound-along",
-                                                    (seq, None, None)))
+                                                (seq, None, None)))
     return UNKNOWN
 
 
@@ -262,18 +286,10 @@ def is_negligible(x) -> DecisionTri:
         return DecisionTri(False, WitnessRecord(
             "exponent-bound", ("m-fails", m_star,
                                _calibrate_lower(net, m_star))))
-    i = info(net)
-    if i.lower_seq is not None and i.lower_seq.env.kind in (POW, SUPERGROW):
-        e = i.lower_seq.env
-        return DecisionTri(False, WitnessRecord(
-            "lower-bound-along",
-            (i.lower_seq.seq, e.q if e.kind == POW else None, e.c)))
-    for seq in candidate_sequences(net):
-        lo = along_lower(net, seq)
-        if lo is not None and lo.kind in (POW, SUPERGROW):
-            return DecisionTri(False, WitnessRecord(
-                "lower-bound-along",
-                (seq, lo.q if lo.kind == POW else None, lo.c)))
+    hit = next(_lower_along(net), None)
+    if hit is not None:
+        return DecisionTri(False, WitnessRecord("lower-bound-along",
+                                                along_data(*hit)))
     return UNKNOWN
 
 
@@ -299,14 +315,9 @@ def is_strictly_nonzero(x) -> DecisionTri:
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(False, WitnessRecord(
                 "small-along", (Geometric(F(1, 2)),)))
-    i = info(net)
-    if i.small_seq is not None:
-        return DecisionTri(False, WitnessRecord("small-along",
-                                                (i.small_seq.seq,)))
-    for seq in candidate_sequences(net):
-        sm = along_small(net, seq)
-        if sm is not None:
-            return DecisionTri(False, WitnessRecord("small-along", (seq,)))
+    seq = next(_small_along(net), None)
+    if seq is not None:
+        return DecisionTri(False, WitnessRecord("small-along", (seq,)))
     return UNKNOWN
 
 
@@ -364,20 +375,12 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
                                reason="equal-mod-negligible")
         if poly_nonneg(R):
             return DecisionTri(True, _leq_thresholds(xn, yn, a_max))
-        if profiles.poly_lower(R) is not None:
-            groups = R.grouped_by_scale()
-            (k, q), lead = groups[0]
-            sign = _group_sign(lead)
-            if sign is not None and sign > 0:
-                return DecisionTri(True, _leq_thresholds(xn, yn, a_max))
-            if sign is not None and sign < 0:
-                a_w = max(1, math.floor(q) + 1) if k == 0 else 1
-                pt = _find_order_violation(xn, yn, a_w)
-                if pt is not None:
-                    return DecisionTri(False, WitnessRecord(
-                        "order-violation", (a_w, pt)))
-                return DecisionTri(False, WitnessRecord(
-                    "order-violation", (a_w, None)))
+        sign, a_w = _lead_sign(R)
+        if sign == 1:
+            return DecisionTri(True, _leq_thresholds(xn, yn, a_max))
+        if sign == -1:
+            return DecisionTri(False, WitnessRecord(
+                "order-violation", (a_w, _find_order_violation(xn, yn, a_w))))
     lo_ivl = info(d).ivl[0]
     if lo_ivl >= 0.0:
         return DecisionTri(True, _leq_thresholds(xn, yn, a_max),
@@ -389,18 +392,11 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
         out = substitute_along(d, seq)
         if out is None:
             continue
-        sub_net, exact = out
-        r2 = rat(sub_net)
+        r2 = rat(out[0])
         if not r2.is_poly():
             continue
-        R2 = _order_relevant(r2.num)
-        if R2.is_zero() or profiles.poly_lower(R2) is None:
-            continue
-        groups = R2.grouped_by_scale()
-        (k, q), lead = groups[0]
-        sign = _group_sign(lead)
-        if sign is not None and sign < 0:
-            a_w = max(1, math.floor(q) + 1) if k == 0 else 1
+        sign, a_w = _lead_sign(_order_relevant(r2.num))
+        if sign == -1:
             pt = _find_violation_on_seq(xn, yn, a_w, seq)
             if pt is not None:
                 return DecisionTri(False, WitnessRecord("order-violation",
@@ -430,6 +426,15 @@ def _find_violation_on_seq(x: NetExpr, y: NetExpr, a: int, seq) -> Optional[floa
         if 0 < e <= 1:
             pts.append(e)
     return _first_violation(x, y, a, pts)
+
+
+def _lead_sign(R: Poly):
+    """(sign of R's dominant scale group, exponent a at which a negative
+    R refutes the order), or (None, None) when R has no lower envelope."""
+    if profiles.poly_lower(R) is None:
+        return None, None
+    (k, q), lead = R.grouped_by_scale()[0]
+    return _group_sign(lead), (max(1, math.floor(q) + 1) if k == 0 else 1)
 
 
 def _group_sign(lead) -> Optional[int]:

@@ -19,8 +19,8 @@ import numpy as np
 from . import nets
 from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
                           _bisect_sign_change, _last_passing, _lower_exponent,
-                          _powers, gn_equal, is_moderate, is_negligible,
-                          is_strictly_nonzero)
+                          _powers, along_data, gn_equal, is_moderate,
+                          is_negligible, is_strictly_nonzero)
 from .errors import PreconditionError, SearchExhausted
 from .nets import (AnnihilatorTransition, Const, ConstHeights,
                    GelfandFactor, GNumber, Indicator, NetExpr, ShrunkWidths,
@@ -396,8 +396,8 @@ def restriction_zero(r, S: SequenceRule) -> DecisionTri:
         return DecisionTri(True, WitnessRecord("small-along", (S,)))
     lo = along_lower(net, S)
     if lo is not None and lo.kind in (POW, SUPERGROW):
-        return DecisionTri(False, WitnessRecord(
-            "lower-bound-along", (S, lo.q if lo.kind == POW else None, lo.c)))
+        return DecisionTri(False, WitnessRecord("lower-bound-along",
+                                                along_data(S, lo)))
     return UNKNOWN
 
 

@@ -267,16 +267,11 @@ class _Parser:
                 heights = self.parse_heights()
             self.expect(")", "')'")
             return nets.bump_train(sched, heights=heights)
-        if name == "indicator":
+        if name in ("indicator", "spikes"):
             self.expect("(", "'('")
             sched = self.parse_schedule()
             self.expect(")", "')'")
-            return Indicator(sched)
-        if name == "spikes":
-            self.expect("(", "'('")
-            sched = self.parse_schedule()
-            self.expect(")", "')'")
-            return SpikeTrain(sched)
+            return (Indicator if name == "indicator" else SpikeTrain)(sched)
         raise ParseError(f"unknown name {name!r}", t.line, t.col,
                          ("eps", "i", "exp", "sin", "cos", "abs", "min",
                           "max", "root", "bumptrain", "indicator", "spikes"))
@@ -412,10 +407,10 @@ def _pp(net: NetExpr, lvl: int) -> str:
         return "eps"
     if isinstance(net, ExpNegRecip):
         return "exp(-1/eps)"
-    if isinstance(net, SinRecipPow):
-        return "sin(1/eps)" if net.p == 1 else f"sin(1/eps^{_fmt_exp(net.p)})"
-    if isinstance(net, CosRecipPow):
-        return "cos(1/eps)" if net.p == 1 else f"cos(1/eps^{_fmt_exp(net.p)})"
+    if isinstance(net, (SinRecipPow, CosRecipPow)):
+        fn = "sin" if isinstance(net, SinRecipPow) else "cos"
+        return f"{fn}(1/eps)" if net.p == 1 else \
+            f"{fn}(1/eps^{_fmt_exp(net.p)})"
     if isinstance(net, Add):
         l, r = net.l, net.r
         if isinstance(r, Neg):

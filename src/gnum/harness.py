@@ -190,7 +190,8 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     _raise_first_error(an, bn,
                        *(np.roll(z, -len(tail)) for z in (pts, va, vb)))
     scale = 1.0 + np.abs(va) + np.abs(vb)
-    out = np.abs(va - vb) - 1e-13 * scale
+    with np.errstate(invalid="ignore"):  # both sides inf: inf - inf is nan
+        out = np.abs(va - vb) - 1e-13 * scale
     # max(0.0, out), with nan read as 0
     vt, vh = _split(np.where(out > 0.0, out, 0.0).astype(float))
     for m in range(0, m_max + 1):

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from . import nets
 from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
-                          _bisect_sign_change, is_negligible,
+                          _bisect_sign_change, along_data, is_negligible,
                           is_strictly_nonzero, leq)
 from .errors import PreconditionError
 from .harness import GridSpec
@@ -188,9 +188,8 @@ def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
             continue
         loy = along_lower(y, seq)
         if loy is not None and loy.kind in (POW, SUPERGROW):
-            return DecisionTri(False, WitnessRecord(
-                "membership-forcing",
-                (seq, loy.q if loy.kind == POW else None, loy.c)))
+            return DecisionTri(False, WitnessRecord("membership-forcing",
+                                                    along_data(seq, loy)))
     return None
 
 
@@ -367,7 +366,8 @@ def is_radical_principal(s) -> DecisionTri:
     """
     gs = nets._gn(s)
     snet = gs.net
-    if is_negligible(snet).is_true:
+    tn = is_negligible(snet)
+    if tn.is_true:
         return DecisionTri(True, WitnessRecord("membership-factor",
                                                (Const(0.0),)),
                            reason="zero ideal")
@@ -375,9 +375,8 @@ def is_radical_principal(s) -> DecisionTri:
     t = membership(y, snet)
     if not t.is_unknown:
         return t
-    tn = is_negligible(snet)
-    tz = is_strictly_nonzero(snet)
-    if tn.is_false and tz.is_false and gs.tier <= Tier.Continuous:
+    if tn.is_false and is_strictly_nonzero(snet).is_false and \
+            gs.tier <= Tier.Continuous:
         data = dip_forcing_data(snet)
         if data is not None:
             return DecisionTri(False, WitnessRecord("dip-forcing",

@@ -463,12 +463,8 @@ def is_real_net(net: NetExpr) -> bool:
     """Sound check that the net is real-valued on I."""
     if isinstance(net, Const):
         return not isinstance(net.c, complex)
-    if isinstance(net, (AbsNode,)):
+    if isinstance(net, AbsNode):
         return True
-    if isinstance(net, AbsFactor):
-        return is_real_net(net.x)
-    if isinstance(net, GelfandFactor):
-        return is_real_net(net.a)
     if isinstance(net, SmoothBlend):
         return is_real_net(net.source)
     return all(is_real_net(c) for c in functional_children(net))
@@ -575,9 +571,6 @@ class Tier(IntEnum):
 
 def minimal_tier(net: NetExpr) -> Tier:
     """Most restrictive tier structurally admitting the tree."""
-    if isinstance(net, (Const, Eps, SinRecipPow, CosRecipPow, ExpNegRecip,
-                        BumpTrain, SmoothBlend)):
-        return Tier.Smooth
     if isinstance(net, (Indicator, SpikeTrain)):
         return Tier.Arbitrary
     if isinstance(net, PowQ):
@@ -590,10 +583,8 @@ def minimal_tier(net: NetExpr) -> Tier:
         t = max((minimal_tier(c) for c in functional_children(net)),
                 default=Tier.Smooth)
         return max(t, Tier.Continuous)
-    children = functional_children(net)
-    if not children:
-        return Tier.Smooth
-    return max(minimal_tier(c) for c in children)
+    return max((minimal_tier(c) for c in functional_children(net)),
+               default=Tier.Smooth)
 
 
 @dataclass(frozen=True)
@@ -861,7 +852,8 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         nv = _ev(net.num, eps)
         dv = _ev(net.den, eps)
         delta = _exp(-1.0 / eps)
-        denom = abs(dv) ** 2 + delta * delta
+        m = abs(dv)  # m * m overflows to inf where m ** 2 raises
+        denom = m * m + delta * delta
         if denom == 0.0:
             return 0.0
         return nv * dv.conjugate() / denom if isinstance(dv, complex) \

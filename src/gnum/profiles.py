@@ -305,12 +305,24 @@ class Info:
     ivl: Tuple[float, float] = FULL   # enclose(net): the range on (0,1]
 
 
-def _seq_small_mul(a: Optional[AlongSeq], other_up: Optional[Env]):
-    if a is None or other_up is None or other_up.kind == SUPERGROW:
+def _along(a: Optional[AlongSeq], f) -> Optional[AlongSeq]:
+    """a's sequence with the envelope f(a.env), if a and f(a.env) exist."""
+    e = f(a.env) if a is not None else None
+    return AlongSeq(a.seq, e) if e is not None else None
+
+
+# smallness of x + y and x * y along a sequence, from x's there and
+# from |y|'s upper envelope
+def _small_add(e: Env, other_up: Optional[Env]) -> Optional[Env]:
+    if other_up is None or other_up.kind not in (ZERO_K, SUPERPOW):
         return None
-    if a.env.kind == ZERO_K:
-        return a
-    return AlongSeq(a.seq, Env(SUPERPOW))
+    return Env(ZERO_K) if e.kind == other_up.kind == ZERO_K else Env(SUPERPOW)
+
+
+def _small_mul(e: Env, other_up: Optional[Env]) -> Optional[Env]:
+    if other_up is None or other_up.kind == SUPERGROW:
+        return None
+    return e if e.kind == ZERO_K else Env(SUPERPOW)
 
 
 @lru_cache(maxsize=None)
@@ -338,18 +350,11 @@ def _info(net: NetExpr) -> Info:
         # sequence witnesses the paper's |r(eps_j)| < eps_j**j bound
         return Info(nonneg=True, upper=Env(SUPERPOW),
                     small_seq=AlongSeq(Geometric(F(1, 2)), Env(SUPERPOW)))
-    if isinstance(net, SinRecipPow):
+    if isinstance(net, (SinRecipPow, CosRecipPow)):
+        zeros, ones, _ = _osc_points(net)
         return Info(upper=Env(POW, F(0), 1.0),
-                    lower_seq=AlongSeq(PiSequence(F(2), F(1, 2), net.p),
-                                       Env(POW, F(0), 1.0)),
-                    small_seq=AlongSeq(PiSequence(F(1), F(0), net.p),
-                                       Env(ZERO_K)))
-    if isinstance(net, CosRecipPow):
-        return Info(upper=Env(POW, F(0), 1.0),
-                    lower_seq=AlongSeq(PiSequence(F(2), F(0), net.p),
-                                       Env(POW, F(0), 1.0)),
-                    small_seq=AlongSeq(PiSequence(F(1), F(1, 2), net.p),
-                                       Env(ZERO_K)))
+                    lower_seq=AlongSeq(ones, Env(POW, F(0), 1.0)),
+                    small_seq=AlongSeq(zeros, Env(ZERO_K)))
     if isinstance(net, Neg):
         return replace(info(net.x), nonneg=False)
     if isinstance(net, AbsNode):
@@ -363,20 +368,16 @@ def _info(net: NetExpr) -> Info:
         return Info(nonneg=i.ivl[0] > 0 and is_real_net(net.x),
                     upper=env_inv_upper(i.lower),
                     lower=env_inv_lower(i.upper),
-                    lower_seq=(AlongSeq(i.small_seq.seq, Env(SUPERGROW))
-                               if i.small_seq is not None else None),
-                    small_seq=(AlongSeq(i.lower_seq.seq, Env(SUPERPOW))
-                               if i.lower_seq is not None
-                               and i.lower_seq.env.kind == SUPERGROW else None))
+                    lower_seq=_along(i.small_seq, lambda e: Env(SUPERGROW)),
+                    small_seq=_along(i.lower_seq, lambda e: Env(SUPERPOW)
+                                     if e.kind == SUPERGROW else None))
     if isinstance(net, PowQ):
         i = info(net.base)
         q = net.q
         if q > 0:
             up, lo = upper_pow(i.upper, q), lower_pow(i.lower, q)
-            lseq = (AlongSeq(i.lower_seq.seq, lower_pow(i.lower_seq.env, q))
-                    if i.lower_seq and lower_pow(i.lower_seq.env, q) else None)
-            sseq = (AlongSeq(i.small_seq.seq, i.small_seq.env)
-                    if i.small_seq else None)
+            lseq = _along(i.lower_seq, lambda e: lower_pow(e, q))
+            sseq = i.small_seq
         else:
             up, lo = env_inv_upper(lower_pow(i.lower, -q)), \
                      env_inv_lower(upper_pow(i.upper, -q))
@@ -390,10 +391,7 @@ def _info(net: NetExpr) -> Info:
         r = F(1, net.n)
         return Info(nonneg=True, upper=upper_pow(i.upper, r),
                     lower=lower_pow(i.lower, r),
-                    lower_seq=(AlongSeq(i.lower_seq.seq,
-                                        lower_pow(i.lower_seq.env, r))
-                               if i.lower_seq and lower_pow(i.lower_seq.env, r)
-                               else None),
+                    lower_seq=_along(i.lower_seq, lambda e: lower_pow(e, r)),
                     small_seq=i.small_seq)
     if isinstance(net, (MinNode, MaxNode)):
         a, b = info(net.l), info(net.r)
@@ -438,14 +436,9 @@ def _info(net: NetExpr) -> Info:
         return Info(nonneg=False,
                     upper=upper_add(i.upper, Env(SUPERPOW)),
                     lower=lower_vs_upper(i.lower, Env(SUPERPOW)),
-                    lower_seq=(AlongSeq(i.lower_seq.seq,
-                                        lower_vs_upper(i.lower_seq.env,
-                                                       Env(SUPERPOW)))
-                               if i.lower_seq and
-                               lower_vs_upper(i.lower_seq.env, Env(SUPERPOW))
-                               else None),
-                    small_seq=(AlongSeq(i.small_seq.seq, Env(SUPERPOW))
-                               if i.small_seq else None))
+                    lower_seq=_along(i.lower_seq, lambda e:
+                                     lower_vs_upper(e, Env(SUPERPOW))),
+                    small_seq=_along(i.small_seq, lambda e: Env(SUPERPOW)))
     raise TypeError(f"no info rule for {type(net).__name__}")
 
 
@@ -453,26 +446,10 @@ def _info_add(net: Add) -> Info:
     a, b = info(net.l), info(net.r)
     up = upper_add(a.upper, b.upper)
     lo = lower_vs_upper(a.lower, b.upper) or lower_vs_upper(b.lower, a.upper)
-    lseq = None
-    if a.lower_seq is not None:
-        e = lower_vs_upper(a.lower_seq.env, b.upper)
-        if e is not None:
-            lseq = AlongSeq(a.lower_seq.seq, e)
-    if lseq is None and b.lower_seq is not None:
-        e = lower_vs_upper(b.lower_seq.env, a.upper)
-        if e is not None:
-            lseq = AlongSeq(b.lower_seq.seq, e)
-    sseq = None
-    if a.small_seq is not None and b.upper is not None and \
-            b.upper.kind in (ZERO_K, SUPERPOW):
-        sseq = AlongSeq(a.small_seq.seq,
-                        Env(ZERO_K) if (a.small_seq.env.kind == ZERO_K and
-                                        b.upper.kind == ZERO_K) else Env(SUPERPOW))
-    elif b.small_seq is not None and a.upper is not None and \
-            a.upper.kind in (ZERO_K, SUPERPOW):
-        sseq = AlongSeq(b.small_seq.seq,
-                        Env(ZERO_K) if (b.small_seq.env.kind == ZERO_K and
-                                        a.upper.kind == ZERO_K) else Env(SUPERPOW))
+    lseq = _along(a.lower_seq, lambda e: lower_vs_upper(e, b.upper)) or \
+        _along(b.lower_seq, lambda e: lower_vs_upper(e, a.upper))
+    sseq = _along(a.small_seq, lambda e: _small_add(e, b.upper)) or \
+        _along(b.small_seq, lambda e: _small_add(e, a.upper))
     return Info(nonneg=a.nonneg and b.nonneg,
                 upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
@@ -509,21 +486,11 @@ def _info_mul(net: Mul) -> Info:
         if _trains_disjoint(net.l, net.r):
             up = Env(ZERO_K)
     lo = lower_mul(a.lower, b.lower)
-    lseq = None
-    if same and a.lower_seq is not None:
-        e = lower_mul(a.lower_seq.env, a.lower_seq.env)
-        if e is not None:
-            lseq = AlongSeq(a.lower_seq.seq, e)
-    elif a.lower_seq is not None and b.lower is not None:
-        e = lower_mul(a.lower_seq.env, b.lower)
-        if e is not None:
-            lseq = AlongSeq(a.lower_seq.seq, e)
-    elif b.lower_seq is not None and a.lower is not None:
-        e = lower_mul(b.lower_seq.env, a.lower)
-        if e is not None:
-            lseq = AlongSeq(b.lower_seq.seq, e)
-    sseq = _seq_small_mul(a.small_seq, b.upper) or \
-        _seq_small_mul(b.small_seq, a.upper)
+    lseq = _along(a.lower_seq,
+                  lambda e: lower_mul(e, e if same else b.lower)) or \
+        _along(b.lower_seq, lambda e: lower_mul(e, a.lower))
+    sseq = _along(a.small_seq, lambda e: _small_mul(e, b.upper)) or \
+        _along(b.small_seq, lambda e: _small_mul(e, a.upper))
     return Info(nonneg=(a.nonneg and b.nonneg) or
                 (same and is_real_net(net.l)),
                 upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
@@ -694,9 +661,8 @@ def _abs_poly(p: Poly) -> Optional[Poly]:
     st = p.single_term()
     if st is not None:
         (k, q, atoms), c = st
-        new_atoms = [_atom_abs(a, pw) for a, pw in atoms]
-        return Poly({(k, q, tuple(sorted(new_atoms,
-                                         key=lambda ap: repr(ap[0])))): abs(c)})
+        return Poly({(k, q, atoms_from(_atom_abs(a, pw) for a, pw in atoms)):
+                     abs(c)})
     g = p.gcd_mono()
     if g != MONO_ONE:
         rest = p.divide_mono(g)
@@ -706,10 +672,8 @@ def _abs_poly(p: Poly) -> Optional[Poly]:
         else:
             rest_abs = Poly.atom(_canonical_abs_atom(rest))
         if rest_abs is not None:
-            gabs = Poly({(g[0], g[1],
-                          tuple(sorted((_atom_abs(a, pw) for a, pw in g[2]),
-                                       key=lambda ap: repr(ap[0])))): 1.0})
-            return gabs.mul(rest_abs)
+            g_abs = atoms_from(_atom_abs(a, pw) for a, pw in g[2])
+            return Poly({(g[0], g[1], g_abs): 1.0}).mul(rest_abs)
     return None
 
 
@@ -806,12 +770,31 @@ def poly_ivl(p: Poly) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def poly_nonneg(p: Poly, depth: int = 4) -> bool:
+_NONNEG_DEPTH = 4  # abs atoms replaced by +-their argument, at most
+
+
+def poly_nonneg(p: Poly) -> bool:
     """Sound pointwise-nonnegativity certificate for a polynomial.
 
     Handles termwise-nonnegative sums, interval-nonnegative combinations,
     single-scale groups with a nonnegative group minimum, and the pairing
-    c*m*|W| + c*m*W >= 0 produced by the lattice expansions."""
+    c*m*|W| + c*m*W >= 0 produced by the lattice expansions.  The search
+    reaches one candidate by replacing abs atoms in different orders, so
+    each (terms, depth) is decided once per call."""
+    seen: dict = {}
+
+    def search(p: Poly, depth: int) -> bool:
+        key = (frozenset(p.terms.items()), depth)
+        if key not in seen:
+            seen[key] = _nonneg_step(p, depth, search)
+        return seen[key]
+
+    return search(p, _NONNEG_DEPTH)
+
+
+def _nonneg_step(p: Poly, depth: int, search) -> bool:
+    """One step of ``poly_nonneg``'s search; ``search`` decides the
+    candidates at depth - 1."""
     if all(_term_nonneg(m, c) for m, c in p.terms.items()):
         return True
     if poly_ivl(p)[0] >= 0.0:
@@ -837,10 +820,10 @@ def poly_nonneg(p: Poly, depth: int = 4) -> bool:
                 continue
             carrier = Poly({(m[0], m[1], tuple(rest)): c})
             candidate = p.sub(Poly({m: c})).sub(carrier.mul(w.num))
-            if poly_nonneg(candidate, depth - 1):
+            if search(candidate, depth - 1):
                 return True
             candidate = p.sub(Poly({m: c})).sub(carrier.mul(w.num.neg()))
-            if poly_nonneg(candidate, depth - 1):
+            if search(candidate, depth - 1):
                 return True
     return False
 
@@ -960,37 +943,34 @@ def rat_lower(r: RatForm) -> Optional[Env]:
 # along-a-sequence substitution
 # --------------------------------------------------------------------------
 
-_HALF_PI_VALUES = {F(0): 0.0, F(1, 2): 1.0, F(1): 0.0, F(3, 2): -1.0}
-_HALF_PI_COS = {F(0): 1.0, F(1, 2): 0.0, F(1): -1.0, F(3, 2): 0.0}
+# (mult, offset) of the zeros, the +1 points and the -1 points
+# t = (mult*j + offset)*pi of sin t and of cos t
+_OSC_POINTS = {SinRecipPow: ((F(1), F(0)), (F(2), F(1, 2)), (F(2), F(3, 2))),
+               CosRecipPow: ((F(1), F(1, 2)), (F(2), F(0)), (F(2), F(1)))}
+_HALF_PI_SIN = {F(0): 0.0, F(1, 2): 1.0, F(1): 0.0, F(3, 2): -1.0}
+
+
+def _osc_points(node) -> List[PiSequence]:
+    """The zeros, +1 points and -1 points of sin/cos(1/eps**p)."""
+    return [PiSequence(m, off, node.p) for m, off in _OSC_POINTS[type(node)]]
 
 
 def _osc_value_along(node, seq) -> Optional[float]:
     """Exact value of an oscillator along a PiSequence, or None."""
-    if not isinstance(seq, PiSequence):
+    if not (isinstance(node, (SinRecipPow, CosRecipPow)) and
+            isinstance(seq, PiSequence) and seq.power == node.p and
+            seq.mult.denominator == 1):
         return None
-    if isinstance(node, SinRecipPow):
-        if seq.power != node.p:
-            return None
-        mult, off = seq.mult, seq.offset
-        if mult.denominator != 1:
-            return None
-        off = off % 2
-        if mult.numerator % 2 == 0:
-            return _HALF_PI_VALUES.get(off,
-                                       math.sin(float(off) * math.pi))
-        # odd multiples alternate sign; only an exact zero is usable
-        return 0.0 if _HALF_PI_VALUES.get(off) == 0.0 else None
-    if isinstance(node, CosRecipPow):
-        if seq.power != node.p:
-            return None
-        mult, off = seq.mult, seq.offset
-        if mult.denominator != 1:
-            return None
-        off = off % 2
-        if mult.numerator % 2 == 0:
-            return _HALF_PI_COS.get(off, math.cos(float(off) * math.pi))
-        return 0.0 if _HALF_PI_COS.get(off) == 0.0 else None
-    return None
+    off = seq.offset % 2
+    is_sin = isinstance(node, SinRecipPow)
+    # cos t = sin(t + pi/2)
+    v = _HALF_PI_SIN.get(off if is_sin else (off + F(1, 2)) % 2)
+    if seq.mult.numerator % 2 == 0:
+        if v is None:
+            return (math.sin if is_sin else math.cos)(float(off) * math.pi)
+        return v
+    # odd multiples alternate sign; only an exact zero is usable
+    return 0.0 if v == 0.0 else None
 
 
 def _points_disjoint(s1: SequenceRule, s2: SequenceRule) -> bool:
@@ -1084,14 +1064,9 @@ def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
             seqs.append(s)
 
     for node in nets.iter_nodes(net):
-        if isinstance(node, SinRecipPow):
-            push(PiSequence(F(1), F(0), node.p))
-            push(PiSequence(F(2), F(1, 2), node.p))
-            push(PiSequence(F(2), F(3, 2), node.p))
-        elif isinstance(node, CosRecipPow):
-            push(PiSequence(F(1), F(1, 2), node.p))
-            push(PiSequence(F(2), F(0), node.p))
-            push(PiSequence(F(2), F(1), node.p))
+        if isinstance(node, (SinRecipPow, CosRecipPow)):
+            for seq in _osc_points(node):
+                push(seq)
         elif isinstance(node, BumpTrain):
             push(node.schedule)
             push(Midpoints(node.schedule))
@@ -1112,15 +1087,9 @@ def along_lower(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
     if out is None:
         return None
     sub, exact = out
-    lo = rat_lower(rat(sub))
-    if lo is None:
-        lo = info(sub).lower
-    if lo is None:
-        return None
-    if not exact:
-        # a below-every-power perturbation cannot beat a power lower bound
-        lo = lower_vs_upper(lo, Env(SUPERPOW))
-    return lo
+    lo = rat_lower(rat(sub)) or info(sub).lower
+    # a below-every-power perturbation cannot beat a power lower bound
+    return lo if exact else lower_vs_upper(lo, Env(SUPERPOW))
 
 
 def along_small(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
@@ -1129,13 +1098,7 @@ def along_small(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
     if out is None:
         return None
     sub, exact = out
-    up = rat_upper(rat(sub))
-    if up is None:
-        up = info(sub).upper
-    if up is None:
+    up = rat_upper(rat(sub)) or info(sub).upper
+    if up is None or up.kind not in (ZERO_K, SUPERPOW):
         return None
-    if up.kind == ZERO_K:
-        return up if exact else Env(SUPERPOW)
-    if up.kind == SUPERPOW:
-        return up
-    return None
+    return up if exact or up.kind == SUPERPOW else Env(SUPERPOW)

@@ -64,6 +64,15 @@ def _mod_root(m: Modulus, n: int) -> Modulus:
     return [(k ** (1.0 / n), r * n) for k, r in m]
 
 
+def _inv_modulus(x: NetExpr, a: float, b: float) -> Optional[Modulus]:
+    """Modulus of 1/x on [a, b]: |1/s - 1/t| <= |s - t| / inf|x|**2."""
+    m = band_modulus(x, a, b)
+    i = abs_range(enclose(x, a, b))[0]
+    if m is None or i <= 0:
+        return None
+    return _mod_scale(m, 1.0 / (i * i))
+
+
 def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
     """Certified modulus bound |net(s)-net(t)| <= M(|s-t|) on [a, b];
     None when only a numeric estimate is available."""
@@ -92,11 +101,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
             return None
         return _mod_add(_mod_scale(m1, s2), _mod_scale(m2, s1))
     if isinstance(net, Inv):
-        m = band_modulus(net.x, a, b)
-        i = abs_range(enclose(net.x, a, b))[0]
-        if m is None or i <= 0:
-            return None
-        return _mod_scale(m, 1.0 / (i * i))
+        return _inv_modulus(net.x, a, b)
     if isinstance(net, RootN):
         m = band_modulus(net.x, a, b)
         if m is None:
@@ -122,12 +127,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
             if inner is None:
                 return None
             return _mod_root(inner, den)
-        inner = PowQ(net.base, -q)
-        m = band_modulus(inner, a, b)
-        i = abs_range(enclose(inner, a, b))[0]
-        if m is None or i <= 0:
-            return None
-        return _mod_scale(m, 1.0 / (i * i))
+        return _inv_modulus(PowQ(net.base, -q), a, b)
     if isinstance(net, BumpTrain):
         lo = net.schedule.index_near(b)
         hi = net.schedule.index_near(a)

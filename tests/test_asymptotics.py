@@ -14,6 +14,7 @@ from gnum import asymptotics as asym
 from gnum import profiles
 from gnum.asymptotics import (gn_equal, is_moderate, is_negligible,
                               is_strictly_nonzero, leq, valuation)
+from gnum.dsl import parse
 from gnum.harness import (GridSpec, random_net, replay_negligible,
                           verify_decision)
 from gnum.nets import (EPS, DecayHeights, ExpNegRecip, PowQ, Tier, absn, add,
@@ -231,6 +232,20 @@ def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):
     monkeypatch.setattr(profiles.nets, "powq", broken)
     with pytest.raises(ValueError):
         profiles.substitute_along(net, minus_one)
+
+
+def test_poly_nonneg_decides_each_candidate_once(monkeypatch):
+    # replacing three abs atoms in different orders reaches the same
+    # candidates; every search step evaluates one interval bound
+    text = ("abs(sin(1/eps) - eps) + abs(cos(1/eps) - eps) + "
+            "abs(sin(1/eps^2) - eps) - 5")
+    p = profiles.rat(parse(text)[0]).num
+    steps = []
+    ivl = profiles.poly_ivl
+    monkeypatch.setattr(profiles, "poly_ivl",
+                        lambda q: steps.append(q) or ivl(q))
+    assert profiles.poly_nonneg(p) is False
+    assert len(steps) == 27
 
 
 def test_leq_rejects_complex():

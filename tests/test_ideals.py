@@ -9,14 +9,14 @@ import pytest
 from gnum.asymptotics import gn_equal, is_negligible, is_strictly_nonzero
 from gnum.constructions import interleaved_trains
 from gnum.errors import PreconditionError
-from gnum.harness import GridSpec, replay_negligible_diff
+from gnum.harness import GridSpec, random_net, replay_negligible_diff
 from gnum.ideals import (FinIdeal, RootFamilyIdeal, dip_forcing_data,
                          intersect_principal, is_radical_principal,
                          membership, power_membership, principal_forms,
                          principal_reduce, radical_membership,
                          replay_dip_forcing)
 from gnum.lattice import gabs
-from gnum.nets import (EPS, DecayHeights, ExpNegRecip, absn, add,
+from gnum.nets import (EPS, DecayHeights, ExpNegRecip, Tier, absn, add,
                        bump_train, const, cos_recip, eval_net, gnumber,
                        indicator, maxn, mul, neg, powq, rootn, sin_recip,
                        spikes, sub)
@@ -116,6 +116,29 @@ def test_membership_exact_quotient():
 def test_membership_dominated():
     y = add(absn(sin_recip(1)), absn(cos_recip(1)))
     x = maxn(absn(sin_recip(1)), absn(cos_recip(1)))
+    assert membership(y, x).is_true
+
+
+def _smooth_pair(seed):
+    """(y, x) = nets 5000 + seed and seed, smooth, depth 2."""
+    return (random_net(seed + 5000, Tier.Smooth, 2),
+            random_net(seed, Tier.Smooth, 2))
+
+
+def test_membership_regularized_quotient_past_float_squares():
+    # x = (eps^3 + eps)*(0.5*exp(-1/eps)^-1) passes 1.3e154 on the
+    # replay grid, where |x|**2 overflows
+    y, x = _smooth_pair(37)
+    assert repr(membership(y, x)) == "DecisionTri(True [dominated C=2.0 M=1])"
+    t = radical_membership(y, RootFamilyIdeal(gnumber(x)))
+    assert repr(t) == "DecisionTri(True [root n=1])"
+
+
+@pytest.mark.parametrize("seed", [12, 24, 35, 50])
+def test_membership_replay_where_both_sides_overflow(seed):
+    # the witness identity a*x = y has inf on both sides at some grid
+    # points; the replay reads inf - inf there as no excess
+    y, x = _smooth_pair(seed)
     assert membership(y, x).is_true
 
 
