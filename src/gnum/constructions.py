@@ -336,18 +336,15 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
 
 @dataclass(frozen=True)
 class CharsetPoints(SequenceRule):
-    """The points found by ``_charset_points``; past the found prefix
-    the search reruns on demand (pure in (params, j))."""
+    """The points found by ``_charset_points``; an index outside the
+    found prefix raises ``SearchExhausted``."""
 
-    params: tuple  # (rnet, snet, k_exp, seq_r, seq_s)
     points: Tuple[float, ...]
 
     def value(self, j: int) -> float:
-        if j < 1:
+        if not 1 <= j <= len(self.points):
             raise SearchExhausted(f"no charset point at index {j}")
-        if j <= len(self.points):
-            return self.points[j - 1]
-        return _charset_points(*self.params, j)[j - 1]
+        return self.points[j - 1]
 
     def index_near(self, eps: float) -> int:
         for i, p in enumerate(self.points):
@@ -379,7 +376,7 @@ def characteristic_set(r, s, n_points: int = 16) -> CharacteristicSet:
     k_exp = max(kr, ks)
     m = 2 * k_exp
     pts = _charset_points(gr.net, gs.net, k_exp, seq_r, seq_s, n_points)
-    rule = CharsetPoints((gr.net, gs.net, k_exp, seq_r, seq_s), tuple(pts))
+    rule = CharsetPoints(tuple(pts))
     schedule = tuple(F(m + 2 * (i - 1), 2) for i in range(1, n_points + 1))
     return CharacteristicSet(rule, schedule)
 

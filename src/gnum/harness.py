@@ -306,16 +306,20 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
         try:
             e = seq.value(j)
         except (ZeroDivisionError, SearchExhausted):
-            # 1/0 at index 0; a CharsetPoints search may end past its prefix
+            # 1/0 at index 0, or past the prefix of a CharsetPoints
             return None
         return (e, _abs_at(net, e)) if 0 < e < 1 else None
 
     @functools.cache
     def local_min(j):
         """(point, |x|) of the search around eps_j, or None when the
-        neighbouring gap is empty."""
+        neighbouring gap is empty or eps_{j+1} does not exist."""
         e, _ = point(j)
-        gap = min(e - seq.value(j + 1), (seq.value(j - 1) - e)
+        try:
+            below = seq.value(j + 1)
+        except SearchExhausted:
+            return None
+        gap = min(e - below, (seq.value(j - 1) - e)
                   if j > 1 else e * 0.1) * 0.45
         if gap <= 0:
             return None

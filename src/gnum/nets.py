@@ -827,9 +827,11 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
     if isinstance(net, AbsNode):
         return abs(_ev(net.x, eps))
     if isinstance(net, MinNode):
-        return min(_ev(net.l, eps), _ev(net.r, eps))
+        l, r = _ev(net.l, eps), _ev(net.r, eps)
+        return r if r < l or r != r else l
     if isinstance(net, MaxNode):
-        return max(_ev(net.l, eps), _ev(net.r, eps))
+        l, r = _ev(net.l, eps), _ev(net.r, eps)
+        return r if r > l or r != r else l
     if isinstance(net, RootN):
         return _root(_ev(net.x, eps), net.n)
     if isinstance(net, SinRecipPow):
@@ -1071,13 +1073,12 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     if isinstance(net, AbsNode):
         return np.abs(_vec(net.x, e, bad))
     if isinstance(net, MinNode):
-        # Python's min/max keep the left operand unless the right one
-        # compares smaller/larger, NaN included
+        # the scalar path's rule: a nan operand on either side gives nan
         l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
-        return np.where(r < l, r, l)
+        return np.where((r < l) | (r != r), r, l)
     if isinstance(net, MaxNode):
         l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
-        return np.where(r > l, r, l)
+        return np.where((r > l) | (r != r), r, l)
     if isinstance(net, RootN):
         return _calls(partial(_root, n=net.n), _vec(net.x, e, bad).tolist(),
                       bad)

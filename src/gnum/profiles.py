@@ -770,62 +770,57 @@ def poly_ivl(p: Poly) -> Tuple[float, float]:
     return (lo, hi)
 
 
-_NONNEG_DEPTH = 4  # abs atoms replaced by +-their argument, at most
-
-
-def poly_nonneg(p: Poly) -> bool:
-    """Sound pointwise-nonnegativity certificate for a polynomial.
-
-    Handles termwise-nonnegative sums, interval-nonnegative combinations,
-    single-scale groups with a nonnegative group minimum, and the pairing
-    c*m*|W| + c*m*W >= 0 produced by the lattice expansions.  The search
-    reaches one candidate by replacing abs atoms in different orders, so
-    each (terms, depth) is decided once per call."""
-    seen: dict = {}
-
-    def search(p: Poly, depth: int) -> bool:
-        key = (frozenset(p.terms.items()), depth)
-        if key not in seen:
-            seen[key] = _nonneg_step(p, depth, search)
-        return seen[key]
-
-    return search(p, _NONNEG_DEPTH)
-
-
-def _nonneg_step(p: Poly, depth: int, search) -> bool:
-    """One step of ``poly_nonneg``'s search; ``search`` decides the
-    candidates at depth - 1."""
+def _certified(p: Poly) -> bool:
+    """Termwise nonnegative, interval-nonnegative, or a single scale
+    group with a nonnegative group minimum."""
     if all(_term_nonneg(m, c) for m, c in p.terms.items()):
         return True
     if poly_ivl(p)[0] >= 0.0:
         return True
     groups = p.grouped_by_scale()
-    if len(groups) == 1:
-        gm = group_min(groups[0][1])
-        if gm is not None and gm >= 0.0:
-            return True
-    if depth <= 0:
-        return False
+    gm = group_min(groups[0][1]) if len(groups) == 1 else None
+    return gm is not None and gm >= 0.0
+
+
+def _abs_bounds(p: Poly) -> Optional[Tuple[Poly, Poly]]:
+    """Two lower bounds of p from its first positive term c*m*|W|, in
+    ``sorted_terms`` order, with nonnegative other atoms and a polynomial
+    W: |W| replaced by W, and by -W.  None when there is no such term."""
     for m, c in p.sorted_terms():
         if isinstance(c, complex) or c <= 0:
             continue
-        absatoms = [(a, pw) for a, pw in m[2]
-                    if isinstance(a, AbsNode) and pw == 1]
-        for a, _ in absatoms:
-            rest = [(x, pw) for x, pw in m[2] if x is not a]
+        for a, pw in m[2]:
+            if not isinstance(a, AbsNode) or pw != 1:
+                continue
+            rest = tuple((x, px) for x, px in m[2] if x is not a)
             if not all(nonneg_net(x) for x, _ in rest):
                 continue
             w = rat(a.x)
-            if not w.is_poly():
-                continue
-            carrier = Poly({(m[0], m[1], tuple(rest)): c})
-            candidate = p.sub(Poly({m: c})).sub(carrier.mul(w.num))
-            if search(candidate, depth - 1):
-                return True
-            candidate = p.sub(Poly({m: c})).sub(carrier.mul(w.num.neg()))
-            if search(candidate, depth - 1):
-                return True
-    return False
+            if w.is_poly():
+                carrier = Poly({(m[0], m[1], rest): c}).mul(w.num)
+                base = p.sub(Poly({m: c}))
+                return base.add(carrier), base.sub(carrier)
+    return None
+
+
+def poly_nonneg(p: Poly) -> bool:
+    """Sound pointwise-nonnegativity certificate for a polynomial.
+
+    One greedy pass: while ``_certified`` fails, the two bounds of
+    ``_abs_bounds`` are tried (they cover the pairing c*m*|W| + c*m*W >= 0
+    of the lattice expansions); either one certified certifies p, and the
+    pass goes on with the one of fewer terms (W on a tie).  It ends: an
+    abs atom is |A| of an atom or of a normal form rebuilt as a net, so
+    the atoms of W nest fewer abs nodes than |W|, and each step trades
+    one atom of a term for such atoms."""
+    while not _certified(p):
+        bounds = _abs_bounds(p)
+        if bounds is None:
+            return False
+        p, other = sorted(bounds, key=lambda b: len(b.terms))
+        if _certified(other):
+            return True
+    return True
 
 
 # -- envelope analysis of normal forms --------------------------------------

@@ -234,9 +234,9 @@ def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):
         profiles.substitute_along(net, minus_one)
 
 
-def test_poly_nonneg_decides_each_candidate_once(monkeypatch):
-    # replacing three abs atoms in different orders reaches the same
-    # candidates; every search step evaluates one interval bound
+def test_poly_nonneg_replaces_each_atom_once(monkeypatch):
+    # one interval bound for p, then two per replaced abs atom (|W| by W
+    # and by -W); no bound certifies this p, negative at eps = 1/pi
     text = ("abs(sin(1/eps) - eps) + abs(cos(1/eps) - eps) + "
             "abs(sin(1/eps^2) - eps) - 5")
     p = profiles.rat(parse(text)[0]).num
@@ -245,7 +245,20 @@ def test_poly_nonneg_decides_each_candidate_once(monkeypatch):
     monkeypatch.setattr(profiles, "poly_ivl",
                         lambda q: steps.append(q) or ivl(q))
     assert profiles.poly_nonneg(p) is False
-    assert len(steps) == 27
+    assert len(steps) == 1 + 2 * 3
+    assert all("AbsNode" not in repr(q) for q in steps[-2:])
+
+
+@pytest.mark.parametrize("terms", [
+    ["sin(1/eps)", "cos(1/eps)"],
+    ["sin(1/eps)", "cos(1/eps)", "sin(1/eps^2)"],
+    ["sin(1/eps)", "cos(1/eps)", "sin(1/eps^2)", "cos(1/eps^2)"]],
+    ids=("2-atoms", "3-atoms", "4-atoms"))
+def test_leq_triangle_inequality(terms):
+    # sum t <= sum |t|: the pass replaces the atoms |t| one by one
+    x = parse(" + ".join(terms))[0]
+    y = parse(" + ".join(f"abs({t})" for t in terms))[0]
+    assert leq(x, y).is_true
 
 
 def test_leq_rejects_complex():

@@ -14,7 +14,7 @@ from gnum.constructions import (annihilator_split, characteristic_set,
                                 invertible_wrt, restriction_zero)
 from gnum.errors import PreconditionError, SearchExhausted
 from gnum.harness import (GridSpec, replay_growth_along, replay_moderate,
-                          replay_negligible)
+                          replay_negligible, replay_small_along)
 from gnum.nets import (EPS, Const, ExpNegRecip, Tier, absn, add, bump_train,
                        const, cos_recip, eval_net, gnumber, indicator, mul,
                        neg, powq, sin_recip, sub)
@@ -169,12 +169,18 @@ def test_characteristic_set_interleaved_trains():
         assert abs(eval_net(s.net, p)) < b
 
 
-def test_characteristic_set_lazy_tail():
+def test_characteristic_set_ends_at_its_prefix():
     r, s = interleaved_trains(F(1, 5))
     cs = characteristic_set(r, s, n_points=4)
-    # the recorded search rule extends beyond the materialized prefix
-    p5 = cs.points.value(5)
-    assert 0 < p5 < cs.points.value(4)
+    # the prefix is the start of a longer search, which goes on below it
+    longer = characteristic_set(r, s, n_points=5).points
+    assert [cs.points.value(j) for j in range(1, 5)] == \
+        [longer.value(j) for j in range(1, 5)]
+    assert 0 < longer.value(5) < cs.points.value(4)
+    with pytest.raises(SearchExhausted):
+        cs.points.value(5)
+    # a replay that needs a point past the prefix treats it as missing
+    assert not replay_small_along(const(1), cs.points, 2).passed
 
 
 def test_characteristic_set_has_no_point_below_index_one():

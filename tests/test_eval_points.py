@@ -105,15 +105,24 @@ def test_nodes_without_a_vector_rule_under_vector_nodes():
             assert_bit_identical(net, list(pts) + [0.0])
 
 
-def test_min_max_keep_python_nan_and_signed_zero_order():
-    # 0 * inf is nan once exp(-1/eps) underflows; min/max keep the left
-    # operand unless the right one compares smaller/larger
+def test_min_max_propagate_nan_and_keep_signed_zero_order():
+    # 0 * inf is nan once exp(-1/eps) underflows: a nan operand on either
+    # side gives nan; of two equal zeros min/max keep the left one
     nan_net = mul(ExpNegRecip(), inv(ExpNegRecip()))
     zero, minus_zero = Const(0.0), Const(-0.0)
     for l, r in ((EPS, nan_net), (nan_net, EPS), (zero, minus_zero),
                  (minus_zero, zero)):
         for op in (minn, maxn):
             assert_bit_identical(op(l, r), DEEP)
+            if nan_net in (l, r):
+                assert np.isnan(eval_points(op(l, r), DEEP)).all()
+
+
+def test_max_keeps_a_nan_right_operand():
+    # max(A, B) with B nan off the bump supports (inf * 0.0)
+    net, e = random_net(240, Tier.Arbitrary, 5), 1.0156e-3
+    assert math.isnan(eval_net(net, e))
+    assert np.isnan(eval_points(net, [e])).all()
 
 
 def test_overlapping_supports_take_the_first_probe():
