@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from typing import List, Optional
 
 import numpy as np
@@ -101,18 +103,16 @@ MINUS_INF = Valuation("minus-infinity")
 # numeric calibration helpers (witness thresholds; claims stay symbolic)
 # --------------------------------------------------------------------------
 
-def _log_points(lo: float, hi: float, n: int):
-    out = []
-    for i in range(n):
-        t = lo * (hi / lo) ** (i / (n - 1))
-        out.append(t)
-    return out
+def _log_points(lo: float, hi: float, n: int) -> List[float]:
+    """``lo * (hi / lo) ** (i / (n - 1))`` for i < n, by Python's ``**``."""
+    steps = map(pow, repeat(hi / lo), map(truediv, range(n), repeat(n - 1)))
+    return (lo * np.fromiter(steps, float, n)).tolist()
 
 
 def _powers(pts: List[float], m: int) -> np.ndarray:
     """``e ** m`` at each point, by Python's ``**`` (numpy's power can
-    round differently)."""
-    return np.array([e ** m for e in pts], dtype=float)
+    round differently); raises where ``**`` does."""
+    return np.fromiter(map(pow, pts, repeat(m)), float, len(pts))
 
 
 def _last_passing(pts: List[float], ok: np.ndarray) -> Optional[float]:
@@ -167,7 +167,8 @@ def _bisect_sign_change(g, a: float, b: float,
 
 def _calibrate_lower(net: NetExpr, m: int) -> float:
     """Largest scan point below which |net| >= eps**m holds at every
-    smaller scan point; a point the evaluator cannot resolve passes.
+    smaller scan point.  A point where the evaluator raises passes (it is
+    filled with inf); a nan value fails, which ends the prefix.
 
     A dense second pass guards against narrow cancellation windows
     (e.g. a train edge crossing a power term) slipping between the

@@ -19,7 +19,7 @@ from . import constructions as cons
 from . import dsl, harness, ideals, lattice, nets, smoothing
 from .errors import (DomainError, GnumError, ParseError, PreconditionError,
                      SearchExhausted, TierError)
-from .nets import GNumber, Tier, eval_net
+from .nets import GNumber, Tier, eval_net, eval_points
 
 SCHEMA_VERSION = "1"
 
@@ -227,19 +227,26 @@ def _cmd_zerodiv(args) -> dict:
     return doc
 
 
+def _point_values(net, pts):
+    """``eval_net(net, p)`` for each p in pts from one ``eval_points`` call,
+    lazily: at a point where eval_net raises, the loop raises there too."""
+    fail = object()
+    for p, v in zip(pts, eval_points(net, pts, fill=fail).tolist()):
+        yield eval_net(net, p) if v is fail else v
+
+
 def _cmd_split(args) -> dict:
     e1, e2 = args.expr
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
     sp = cons.annihilator_split(g1, g2)
-    grid = _grid(args)
-    tail, _ = grid.split()
+    tail = [float(e) for e in _grid(args).split()[0]]
+    rx = _point_values(nets.mul(g1.net, sp.x.net), tail)
+    s1mx = _point_values(nets.mul(g2.net, nets.sub(nets.ONE, sp.x.net)), tail)
+    m = min(10, args.m_max)
     worst_r = worst_s = 0.0
-    x = sp.x.net
     for e in tail:
-        e = float(e)
-        vr = abs(eval_net(nets.mul(g1.net, x), e)) ** 2
-        vs = abs(eval_net(nets.mul(g2.net, nets.sub(nets.ONE, x)), e)) ** 2
-        m = min(10, args.m_max)
+        vr = abs(next(rx)) ** 2
+        vs = abs(next(s1mx)) ** 2
         worst_r = max(worst_r, vr / (2 * e ** m))
         worst_s = max(worst_s, vs / (2 * e ** m))
     return {"query": {"r": e1, "s": e2}, "eta_scale": sp.eta_scale,
@@ -253,16 +260,14 @@ def _cmd_charset(args) -> dict:
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
     cs = cons.characteristic_set(g1, g2)
     pts = [cs.points.value(j) for j in range(1, 17)]
+    vals = zip(_point_values(g1.net, pts), _point_values(g2.net, pts))
     bounds = []
-    ok = True
     for p, q in zip(pts, cs.order_schedule):
         b = p ** float(q)
-        vr, vs = abs(eval_net(g1.net, p)), abs(eval_net(g2.net, p))
-        good = vr < b and vs < b
-        ok = ok and good
-        bounds.append({"eps": p, "exponent": str(q), "ok": good})
+        vr, vs = map(abs, next(vals))
+        bounds.append({"eps": p, "exponent": str(q), "ok": vr < b and vs < b})
     return {"query": {"r": e1, "s": e2}, "points": pts,
-            "schedule_ok": ok, "bounds": bounds}
+            "schedule_ok": all(d["ok"] for d in bounds), "bounds": bounds}
 
 
 def _cmd_idem(args) -> dict:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from numbers import Complex
 from typing import Optional, Tuple, Union
 
@@ -833,7 +834,10 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         l, r = _ev(net.l, eps), _ev(net.r, eps)
         return r if r > l or r != r else l
     if isinstance(net, RootN):
-        return _root(_ev(net.x, eps), net.n)
+        v = _ev(net.x, eps)
+        if v < 0.0:
+            raise DomainError("RootN of a negative value")
+        return math.pow(v, 1.0 / net.n) if v != 0.0 else 0.0
     if isinstance(net, SinRecipPow):
         return math.sin(eps ** -net._p)
     if isinstance(net, CosRecipPow):
@@ -895,12 +899,6 @@ def _pow_frac(v: Scalar, q: float) -> float:
         return math.pow(v, q)
     except OverflowError:
         return math.inf
-
-
-def _root(v: float, n: int) -> float:
-    if v < 0.0:
-        raise DomainError("RootN of a negative value")
-    return math.pow(v, 1.0 / n) if v != 0.0 else 0.0
 
 
 def _ev_bump(net: BumpTrain, eps: float) -> float:
@@ -990,12 +988,14 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
 
     Bit-identity holds by construction: numpy does only correctly
     rounded arithmetic, comparison and selection, and every libm call and
-    ``**`` is the Python call ``_ev`` makes, element by element.  A point
-    where the scalar path would raise or special-case (a domain error, an
-    overflow, a complex value, an index beyond int64) is flagged and
-    evaluated by eval_net.  A node without a vector rule (the blend and
-    witness nodes, complex constants) flags every point, so the whole net
-    goes to eval_net.
+    ``**`` is the call ``_ev`` makes, mapped over the elements with its
+    constant argument (numpy's exp and power are not libm: on an AVX-512
+    host about 5% of their results differ).  The scalar path's special
+    cases are masks around that call; a point where the call raises, or
+    the scalar path would (a domain error, an overflow, a complex value,
+    an index beyond int64), is flagged and evaluated by eval_net.  A node
+    without a vector rule (the blend and witness nodes, complex constants)
+    flags every point, so the whole net goes to eval_net.
     """
     net = _net(net)
     e = np.array(pts, dtype=float).reshape(-1)
@@ -1019,22 +1019,22 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     return out
 
 
-def _calls(fn, xs, bad, strict: bool = False) -> np.ndarray:
-    """``fn`` at each element of the list ``xs``, as float64.
+def _calls(fn, xs, bad, *args, strict: bool = False) -> np.ndarray:
+    """``fn(x, *args)`` at each element x of the list ``xs``, as float64.
 
     An element where fn raises, or returns anything but a float, is nan
     and flagged in ``bad`` (aligned with xs).  Without ``strict`` fn is
     trusted to return floats unless it raises, and all elements are
-    first tried in one pass."""
+    first tried in one ``map``: one C call each for a builtin fn."""
     if not strict:
         try:
-            return np.fromiter(map(fn, xs), float, len(xs))
+            return np.fromiter(map(fn, xs, *map(repeat, args)), float)
         except Exception:
             pass
     out = np.full(len(xs), math.nan)
     for i, x in enumerate(xs):
         try:
-            v = fn(x)
+            v = fn(x, *args)
         except Exception:
             bad[i] = True
             continue
@@ -1043,6 +1043,23 @@ def _calls(fn, xs, bad, strict: bool = False) -> np.ndarray:
         else:
             bad[i] = True
     return out
+
+
+def _math_pow(v: np.ndarray, c: float, at_zero: float,
+              bad: np.ndarray) -> np.ndarray:
+    """``math.pow(x, c)`` at each x of v as _pow_frac and RootN call it:
+    ``at_zero`` at a zero base; a negative base, which raises DomainError
+    there, is flagged."""
+    bad |= v < 0.0
+    zero = v == 0.0
+    out = _calls(math.pow, np.where(zero | bad, 1.0, v).tolist(), bad, c)
+    return np.where(zero, at_zero, out)
+
+
+def _exp_nonpos(u: np.ndarray) -> np.ndarray:
+    """``_exp`` at each element of u <= 0: math.exp, which cannot overflow
+    or raise there, and 0.0 below -745 (_exp's clamp)."""
+    return np.where(u < -745.0, 0.0, [*map(math.exp, u.tolist())])
 
 
 def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -1062,14 +1079,13 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         v = _vec(net.x, e, bad)
         return np.where(v == 0, math.inf, 1.0 / v)
     if isinstance(net, PowQ):
-        v = _vec(net.base, e, bad).tolist()
-        q = net.q
+        v, q = _vec(net.base, e, bad), net.q
         if q.denominator == 1:
-            # for n >= 0, _pow_int is pow unless pow overflows (flagged)
-            f = partial(pow, exp=q.numerator) if q.numerator >= 0 \
-                else partial(_pow_int, n=q.numerator)
-            return _calls(f, v, bad)
-        return _calls(partial(_pow_frac, q=float(q)), v, bad)
+            # _pow_int is pow, but inf at a zero base of a negative power
+            zero = (v == 0.0) & (q < 0)
+            u = _calls(pow, np.where(zero, 1.0, v).tolist(), bad, q.numerator)
+            return np.where(zero, math.inf, u)
+        return _math_pow(v, float(q), math.inf if q < 0 else 0.0, bad)
     if isinstance(net, AbsNode):
         return np.abs(_vec(net.x, e, bad))
     if isinstance(net, MinNode):
@@ -1080,14 +1096,13 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
         return np.where((r > l) | (r != r), r, l)
     if isinstance(net, RootN):
-        return _calls(partial(_root, n=net.n), _vec(net.x, e, bad).tolist(),
-                      bad)
+        return _math_pow(_vec(net.x, e, bad), 1.0 / net.n, 0.0, bad)
     if isinstance(net, (SinRecipPow, CosRecipPow)):
-        u = _calls(partial(pow, exp=-net._p), e.tolist(), bad)
+        u = _calls(pow, e.tolist(), bad, -net._p)
         f = math.sin if isinstance(net, SinRecipPow) else math.cos
         return _calls(f, u.tolist(), bad)
     if isinstance(net, ExpNegRecip):
-        return _calls(_exp, (-1.0 / e).tolist(), bad)
+        return _exp_nonpos(-1.0 / e)
     if isinstance(net, BumpTrain):
         return _vec_bump(net, e, bad)
     if isinstance(net, (Indicator, SpikeTrain)):
@@ -1184,9 +1199,7 @@ def _vec_bump(net: BumpTrain, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     out[idx] = h
     # a support that underflowed to its centre has height, no profile
     span = idx[w[hit[idx]] > 0.0]
-    pbad = np.zeros(len(span), bool)
-    out[span] *= _calls(bump_phi, t[span].tolist(), pbad)
-    bad[span[pbad]] = True
+    out[span] *= _exp_nonpos(1.0 - 1.0 / (1.0 - t[span] * t[span]))  # bump_phi
     return out
 
 

@@ -106,6 +106,20 @@ def test_strictly_nonzero_zero_net():
     assert is_strictly_nonzero(const(0)).is_false
 
 
+def test_calibrate_lower_nan_ends_the_prefix_and_a_raise_passes():
+    # 1e300 * (1e6 eps)^2 overflows above eps = 1.34e-2, where f - f is
+    # nan; the square root of 0.0134 - eps raises there instead
+    f = mul(const(1e300), powq(mul(const(1e6), EPS), 2))
+    nan_above = add(sub(f, f), const(1.0))
+    raise_above = add(PowQ(sub(const(0.0134), EPS), F(1, 2)), const(1.0))
+    pts = asym._log_points(1e-6, 0.6, 160)
+    last = max(p for p in pts if p < 1.34e-2)
+    assert math.isnan(eval_net(nan_above, pts[pts.index(last) + 1]))
+    assert eval_net(nan_above, last) == 1.0
+    assert asym._calibrate_lower(nan_above, 1) == last
+    assert asym._calibrate_lower(raise_above, 1) == 0.6
+
+
 def test_strictly_nonzero_abs_pair_rule():
     t = is_strictly_nonzero(add(absn(sin_recip(1)), absn(cos_recip(1))))
     assert t.is_true

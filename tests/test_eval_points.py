@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnum.asymptotics import _log_points
+from gnum.asymptotics import _log_points, _powers
+from gnum.cli import _point_values
 from gnum.errors import DomainError
 from gnum.harness import DEFAULT_GRID, random_net
 from gnum.nets import (EPS, AbsFactor, AnnihilatorTransition, BumpTrain,
                        Const, DecayHeights, ExpNegRecip, GelfandFactor, Inv,
-                       PowQ, RegularizedQuotient, ShrunkWidths, SmoothBlend,
-                       Tier, absn, add, bump_train, cos_recip, eval_net,
-                       eval_points, inv, maxn, minn, mul, powq, sin_recip,
-                       spikes)
+                       PowQ, RegularizedQuotient, RootN, ShrunkWidths,
+                       SmoothBlend, Tier, absn, add, bump_train, cos_recip,
+                       eval_net, eval_points, inv, maxn, minn, mul, neg,
+                       powq, sin_recip, spikes)
 from gnum.sequences import Geometric, Harmonic, PiSequence
 
 DEEP = np.logspace(math.log10(DEFAULT_GRID.eps_min) - 12.0,
@@ -195,3 +196,89 @@ def test_pi_sequence_train_indices_beyond_int64(mult, offset, idx):
     pts = DEEP[idx]
     assert_bit_identical(bump_train(s), pts)
     assert_bit_identical(add(spikes(s), EPS), pts)
+
+
+# the fast pass calls libm and ``**`` directly and masks the special cases
+# of _pow_int, _pow_frac, RootN and _exp; each is compared with the loop
+EDGE = np.concatenate((DEFAULT_GRID.points()[::4], np.logspace(-320, 0, 200),
+                       [1.0, 0.5, 1 / 745.0, 1 / 745.1, 1 / 745.2, 1e-300,
+                        5e-324]))
+POWERS = [F(-3), F(-2), F(-1), F(0), F(2), F(3), F(1, 2), F(-1, 2), F(3, 2)]
+
+
+def _powers_of(base):
+    return [PowQ(base, q) for q in POWERS] + [RootN(base, 2), RootN(base, 3)]
+
+
+def test_zero_bases_of_every_power_and_root():
+    # +-0.0 at every point, and zero off the train's supports only
+    train = mul(bump_train(Harmonic()), EPS)
+    for base in (Const(0.0), Const(-0.0), mul(EPS, Const(0.0)),
+                 mul(EPS, Const(-0.0)), train, neg(train)):
+        for net in _powers_of(base):
+            assert_bit_identical(net, EDGE)
+
+
+def test_negative_and_nan_bases():
+    # nan once exp(-1/eps) underflows; negative below eps = 1/2
+    nan_net = mul(ExpNegRecip(), Inv(ExpNegRecip()))
+    for base in (nan_net, add(EPS, Const(-0.5)), neg(nan_net),
+                 minn(add(EPS, Const(-0.5)), nan_net), sin_recip(1)):
+        for net in _powers_of(base):
+            assert_bit_identical(net, EDGE)
+
+
+def test_integer_powers_that_overflow():
+    big = PowQ(EPS, F(-300))
+    for base in (big, neg(big), add(big, Const(-1.0))):
+        for q in (F(3), F(-3), F(2), F(7)):
+            assert_bit_identical(PowQ(base, q), EDGE)
+    assert eval_points(PowQ(big, F(3)), [0.01])[0] == math.inf
+
+
+def test_oscillators_where_the_power_overflows():
+    tiny = np.logspace(-320, -100, 300)
+    for net in (sin_recip(2), cos_recip(2), sin_recip(F(7, 2)),
+                add(cos_recip(1), EPS)):
+        assert_bit_identical(net, tiny)
+        assert_bit_identical(net, EDGE)
+
+
+def test_exp_neg_recip_at_the_ends_of_the_range():
+    # -1/eps <= -1 never overflows; below -745 _exp clamps to 0.0 where
+    # math.exp would still give the smallest subnormal
+    pts = [1.0, 1e-300, 5e-324, 1 / 745.0, 1 / 745.1, 1 / 745.2]
+    for net in (ExpNegRecip(), Inv(ExpNegRecip()),
+                mul(ExpNegRecip(), Const(1e300))):
+        assert_bit_identical(net, pts)
+        assert_bit_identical(net, EDGE)
+    assert eval_points(ExpNegRecip(), [1 / 745.1])[0] == 0.0
+    assert math.exp(-745.1) > 0.0
+
+
+def test_calibration_scans_match_the_power_operator():
+    for lo, hi, n in ((1e-6, 0.6, 160), (1e-6, 0.6, 1400), (1e-6, 0.9, 200),
+                      (3e-5, 0.013, 1400)):
+        want = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+        got = _log_points(lo, hi, n)
+        assert got == want and all(type(p) is float for p in got)
+    with pytest.raises(ZeroDivisionError):      # i / (n - 1) at n = 1
+        _log_points(1e-6, 0.6, 1)
+    pts = _log_points(1e-6, 0.9, 200)
+    for m in (-5, -1, 0, 1, 7, 60):
+        assert _powers(pts, m).tolist() == [e ** m for e in pts]
+    # a negative exponent that overflows raises, as ``**`` does
+    with pytest.raises(OverflowError):
+        _powers([0.5, 1e-200], -2)
+    with pytest.raises(ZeroDivisionError):
+        _powers([0.5, 0.0], -1)
+
+
+def test_cli_point_values_raise_where_the_loop_does():
+    net = PowQ(add(EPS, Const(-0.5)), F(1, 2))
+    pts = [0.9, 0.7, 0.3, 0.6]
+    values = _point_values(net, pts)
+    assert [next(values), next(values)] == [eval_net(net, 0.9),
+                                            eval_net(net, 0.7)]
+    with pytest.raises(DomainError, match="negative value"):
+        next(values)
