@@ -221,15 +221,15 @@ def _lowers(net: NetExpr):
     return out
 
 
-def _lower_along(net: NetExpr):
-    """(seq, env), a power or growth bound of |net| along seq: Info's
-    first, then the candidate sequences', lazily."""
+def _lower_along(net: NetExpr, kinds=(POW, SUPERGROW)):
+    """(seq, env), a lower bound of |net| along seq: Info's first, of
+    any kind, then the candidate sequences' of the given kinds, lazily."""
     i = info(net).lower_seq
     if i is not None:
         yield i.seq, i.env
     for seq in candidate_sequences(net):
         lo = along_lower(net, seq)
-        if lo is not None and lo.kind in (POW, SUPERGROW):
+        if lo is not None and lo.kind in kinds:
             yield seq, lo
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -19,7 +20,7 @@ from . import constructions as cons
 from . import dsl, harness, ideals, lattice, nets, smoothing
 from .errors import (DomainError, GnumError, ParseError, PreconditionError,
                      SearchExhausted, TierError)
-from .nets import GNumber, Tier, eval_net, eval_points
+from .nets import GNumber, Tier, eval_points, unfill
 
 SCHEMA_VERSION = "1"
 
@@ -227,26 +228,19 @@ def _cmd_zerodiv(args) -> dict:
     return doc
 
 
-def _point_values(net, pts):
-    """``eval_net(net, p)`` for each p in pts from one ``eval_points`` call,
-    lazily: at a point where eval_net raises, the loop raises there too."""
-    fail = object()
-    for p, v in zip(pts, eval_points(net, pts, fill=fail).tolist()):
-        yield eval_net(net, p) if v is fail else v
-
-
 def _cmd_split(args) -> dict:
     e1, e2 = args.expr
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
     sp = cons.annihilator_split(g1, g2)
-    tail = [float(e) for e in _grid(args).split()[0]]
-    rx = _point_values(nets.mul(g1.net, sp.x.net), tail)
-    s1mx = _point_values(nets.mul(g2.net, nets.sub(nets.ONE, sp.x.net)), tail)
+    tail = _grid(args).split()[0].tolist()
+    rx = nets.mul(g1.net, sp.x.net)
+    s1mx = nets.mul(g2.net, nets.sub(nets.ONE, sp.x.net))
     m = min(10, args.m_max)
     worst_r = worst_s = 0.0
-    for e in tail:
-        vr = abs(next(rx)) ** 2
-        vs = abs(next(s1mx)) ** 2
+    for e, vr, vs in zip(tail, *(eval_points(n, tail, fill=math.nan).tolist()
+                                 for n in (rx, s1mx))):
+        vr = abs(unfill(rx, e, vr)) ** 2
+        vs = abs(unfill(s1mx, e, vs)) ** 2
         worst_r = max(worst_r, vr / (2 * e ** m))
         worst_s = max(worst_s, vs / (2 * e ** m))
     return {"query": {"r": e1, "s": e2}, "eta_scale": sp.eta_scale,
@@ -260,11 +254,12 @@ def _cmd_charset(args) -> dict:
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
     cs = cons.characteristic_set(g1, g2)
     pts = [cs.points.value(j) for j in range(1, 17)]
-    vals = zip(_point_values(g1.net, pts), _point_values(g2.net, pts))
     bounds = []
-    for p, q in zip(pts, cs.order_schedule):
+    for p, q, vr, vs in zip(pts, cs.order_schedule,
+                            *(eval_points(g.net, pts, fill=math.nan).tolist()
+                              for g in (g1, g2))):
         b = p ** float(q)
-        vr, vs = map(abs, next(vals))
+        vr, vs = abs(unfill(g1.net, p, vr)), abs(unfill(g2.net, p, vs))
         bounds.append({"eps": p, "exponent": str(q), "ok": vr < b and vs < b})
     return {"query": {"r": e1, "s": e2}, "points": pts,
             "schedule_ok": all(d["ok"] for d in bounds), "bounds": bounds}

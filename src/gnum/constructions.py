@@ -24,8 +24,8 @@ from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
 from .errors import PreconditionError, SearchExhausted
 from .nets import (AnnihilatorTransition, Const, ConstHeights,
                    GelfandFactor, GNumber, Indicator, NetExpr, ShrunkWidths,
-                   SmallCert, SpikeTrain, Tier, eval_net, eval_points,
-                   gnumber, iter_nodes)
+                   SmallCert, Tier, eval_net, eval_points, gnumber,
+                   iter_nodes, unfill)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, info, rat)
 from .sequences import Geometric, Midpoints, SequenceRule
@@ -63,7 +63,7 @@ def idempotent_classify(u) -> IdemVerdict:
     net = gu.net
     if gu.tier == Tier.Arbitrary:
         for node in iter_nodes(net):
-            if isinstance(node, (Indicator, SpikeTrain)):
+            if isinstance(node, Indicator):
                 return IdemVerdict("nontrivial-idempotent", node.s)
     d = nets.sub(nets.mul(net, net), net)
     tri = is_negligible(d)
@@ -118,16 +118,19 @@ def construct_zero_divisor(r) -> ZeroDivisorReport:
         return ZeroDivisorReport(s, Geometric(F(1, 2)), (), ())
     assert tri.witness is not None and tri.witness.kind == "small-along"
     seq = tri.witness.data[0]
+    cs = seq.values(16)
+    hs = [max(c * 1e-8, 1e-300) for c in cs]
+    pts = [p for c, h in zip(cs, hs) for p in (c, min(1.0, c + h), c - h)]
+    vals = eval_points(rnet, pts, fill=math.nan).tolist()
     widths = []
     for j in range(1, 17):
-        c = seq.value(j)
+        c, h = seq.value(j), hs[j - 1]
         # stop materializing once the required bound falls below what
         # double precision can resolve near the zero; the recorded tail
         # width rule covers the remaining indices
-        h = max(c * 1e-8, 1e-300)
-        vc = abs(eval_net(rnet, c))
-        slope = max(abs(abs(eval_net(rnet, min(1.0, c + h))) - vc),
-                    abs(abs(eval_net(rnet, c - h)) - vc)) / h
+        vc, vr, vl = (abs(unfill(rnet, pts[i], vals[i]))
+                      for i in range(3 * j - 3, 3 * j))
+        slope = max(abs(vr - vc), abs(vl - vc)) / h
         noise_floor = (slope + 1.0) * c * 2.0 ** -52 * 64.0
         if c ** (0.5 * j) < noise_floor and j > 4:
             break
@@ -164,8 +167,7 @@ def construct_zero_divisor(r) -> ZeroDivisorReport:
         heights=ConstHeights(1.0), small_cert=cert,
         check=min(64, n_mat + 32))
     s = GNumber(snet, Tier.Smooth)
-    unit_pts = tuple((seq.value(j), eval_net(snet, seq.value(j)))
-                     for j in range(1, n_mat + 1))
+    unit_pts = tuple(zip(cs[:n_mat], eval_points(snet, cs[:n_mat]).tolist()))
     return ZeroDivisorReport(s, seq, unit_pts, tuple(widths))
 
 
@@ -293,6 +295,9 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
                     n_points: int) -> List[float]:
     rs = nets.mul(rnet, snet)
     m = 2 * k_exp
+    (r_r, s_r), (r_s, s_s) = (
+        [eval_points(n, pts, fill=math.nan).tolist() for n in (rnet, snet)]
+        for pts in (seq_r.values(399), seq_s.values(399)))
     points: List[float] = []
     prev = 1.0
     for i in range(1, n_points + 1):
@@ -303,14 +308,16 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
             pr = seq_r.value(jr)
             if pr >= thr or pr <= 0:
                 continue
-            if abs(eval_net(rnet, pr)) <= abs(eval_net(snet, pr)):
+            if abs(unfill(rnet, pr, r_r[jr - 1])) <= \
+                    abs(unfill(snet, pr, s_r[jr - 1])):
                 continue
             # nearest s-anchor below the threshold bracketing the crossing
             for js in range(1, 400):
                 ps = seq_s.value(js)
                 if ps >= thr or ps <= 0:
                     continue
-                if abs(eval_net(snet, ps)) <= abs(eval_net(rnet, ps)):
+                if abs(unfill(snet, ps, s_s[js - 1])) <= \
+                        abs(unfill(rnet, ps, r_s[js - 1])):
                     continue
                 lo, hi = min(pr, ps), max(pr, ps)
                 root = _bisect_sign_change(

@@ -443,8 +443,8 @@ def _pp(net: NetExpr, lvl: int) -> str:
         if h is not None:
             inner += f", {h}"
         return f"bumptrain({inner})"
+    if isinstance(net, SpikeTrain):       # an Indicator subclass: first
+        return f"spikes({_sched_str(net.s)})"
     if isinstance(net, Indicator):
         return f"indicator({_sched_str(net.s)})"
-    if isinstance(net, SpikeTrain):
-        return f"spikes({_sched_str(net.s)})"
     raise ValueError(f"{type(net).__name__} is outside the printable grammar")

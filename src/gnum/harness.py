@@ -21,7 +21,7 @@ import numpy as np
 from . import nets
 from .asymptotics import DecisionTri, _first_violation, _powers, _real_values
 from .errors import DomainError, SearchExhausted
-from .nets import NetExpr, Tier, eval_net, eval_points
+from .nets import NetExpr, Tier, eval_net, eval_points, unfill
 from .sequences import Geometric, Harmonic, SequenceRule
 
 F = Fraction
@@ -71,10 +71,9 @@ def _abs_at(net: NetExpr, e: float) -> float:
     """|net(e)|; nan when the evaluator cannot produce a value (domain
     guard or an underflow/overflow collision inside a product)."""
     try:
-        v = abs(eval_net(net, e))
+        return abs(eval_net(net, e))
     except Exception:
         return math.nan
-    return v
 
 
 def _abs_points(net: NetExpr, pts) -> np.ndarray:
@@ -85,9 +84,10 @@ def _abs_points(net: NetExpr, pts) -> np.ndarray:
 def _raise_first_error(a: NetExpr, b: NetExpr, pts, va, vb) -> None:
     """Re-raise, in the order of the scalar loop over pts (a, then b, at
     each point), the first evaluation error hidden behind a nan fill."""
-    for e in pts[(va != va) | (vb != vb)].tolist():
-        eval_net(a, e)
-        eval_net(b, e)
+    nan = (va != va) | (vb != vb)
+    for e, x, y in zip(*(z[nan].tolist() for z in (pts, va, vb))):
+        unfill(a, e, x)
+        unfill(b, e, y)
 
 
 def eval_grid(net: NetExpr, grid: GridSpec = DEFAULT_GRID):
@@ -163,7 +163,7 @@ def _with_characteristic_points(grid: GridSpec, *sides: NetExpr) -> np.ndarray:
     set S in the sides, the point of S nearest to each grid point."""
     pts = grid.points()
     sets = {n.s for side in sides for n in nets.iter_nodes(side)
-            if isinstance(n, (nets.Indicator, nets.SpikeTrain))}
+            if isinstance(n, nets.Indicator)}
     if not sets:
         return pts
     near = {s.value(s.index_near(e)) for s in sets for e in pts.tolist()}
@@ -183,8 +183,7 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     to each grid point (within the grid's range) joins the grid."""
     an, bn = nets._net(a), nets._net(b)
     pts = _with_characteristic_points(grid, an, bn)
-    va = eval_points(an, pts, fill=math.nan)
-    vb = eval_points(bn, pts, fill=math.nan)
+    va, vb = (eval_points(n, pts, fill=math.nan) for n in (an, bn))
     tail, head = _split(pts)
     # errors surface in the scalar order: the head, then the tail
     _raise_first_error(an, bn,
@@ -245,14 +244,16 @@ def replay_growth_along(x, seq: SequenceRule, m_star: int) -> ReplayReport:
     sequence's first 256, refuting |x| = O(eps**m_star) with a fitted
     constant."""
     net = nets._net(x)
-    ratios = []
+    pts, vals, ratios = seq.values(256), [], []
     j = 0
     while len(ratios) < 64 and j < 256:
         j += 1
         e = seq.value(j)
         if e <= 0:
             break
-        v = _abs_at(net, e)
+        if j > len(vals):   # the next 64 points, as the walk reaches them
+            vals += _abs_points(net, pts[j - 1:j + 63]).tolist()
+        v = vals[j - 1]
         if math.isinf(v):
             return ReplayReport("growth-along", True, detail="overflows")
         scale = e ** m_star

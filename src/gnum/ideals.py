@@ -21,14 +21,15 @@ from typing import List, Optional, Tuple
 
 from . import nets
 from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
-                          _bisect_sign_change, along_data, is_negligible,
-                          is_strictly_nonzero, leq)
+                          _bisect_sign_change, _lower_along, _small_along,
+                          along_data, is_negligible, is_strictly_nonzero,
+                          leq)
 from .errors import PreconditionError
 from .harness import GridSpec
 from .lattice import gabs, gmax, gmin
 from .nets import (AbsFactor, AbsNode, Const, GNumber, Indicator, Mul, Neg,
-                   NetExpr, RegularizedQuotient, RootN, SpikeTrain, Tier,
-                   absn, eval_net, nonneg_net, rootn)
+                   NetExpr, RegularizedQuotient, RootN, Tier,
+                   absn, eval_net, eval_points, nonneg_net, rootn, unfill)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, candidate_sequences, canonical_net, info,
                        poly_upper, rat, rat_lower, rat_upper)
@@ -104,7 +105,7 @@ def _characteristic_core(net: NetExpr) -> Optional[NetExpr]:
     None otherwise."""
     while isinstance(net, (AbsNode, RootN)):
         net = net.x
-    return net if isinstance(net, (Indicator, SpikeTrain)) else None
+    return net if isinstance(net, Indicator) else None
 
 
 def _structural_factor(y: NetExpr, x: NetExpr) -> Optional[NetExpr]:
@@ -290,19 +291,13 @@ def dip_forcing_data(s) -> Optional[DipForcingData]:
     """Locate the level points of the dip-forcing refutation for the
     budgets N = 0..3."""
     snet = nets._gn(s).net
-    i = info(snet)
-    small = i.small_seq.seq if i.small_seq is not None else None
-    big = i.lower_seq.seq if i.lower_seq is not None else None
-    if small is None or big is None:
-        for seq in candidate_sequences(snet):
-            if small is None and along_small(snet, seq) is not None:
-                small = seq
-            if big is None:
-                lo = along_lower(snet, seq)
-                if lo is not None and lo.kind == POW:
-                    big = seq
+    small = next(_small_along(snet), None)
+    big = next((seq for seq, _ in _lower_along(snet, (POW,))), None)
     if small is None or big is None:
         return None
+    smalls, bigs = small.values(199), big.values(399)
+    s_small, s_big = (eval_points(snet, pts, fill=math.nan).tolist()
+                      for pts in (smalls, bigs))
     out = []
     for n_budget in range(4):
         lvl = 2 * n_budget + 2
@@ -314,16 +309,15 @@ def dip_forcing_data(s) -> Optional[DipForcingData]:
             if p_small ** lvl < 1e-250:
                 break  # level below any floating resolution
             # nearest big anchor adjacent to the small point
-            p_big = None
-            for jb in range(1, 400):
-                v = big.value(jb)
-                if v < p_small:
-                    break
-                p_big = v
-            if p_big is None:
+            jb = next((k for k, v in enumerate(bigs) if v < p_small),
+                      len(bigs))
+            if jb == len(bigs) < 399:
+                big.value(jb + 1)  # the scan passes a finite rule's end
+            if jb == 0:
                 continue
-            if abs(eval_net(snet, p_small)) >= p_small ** lvl or \
-                    abs(eval_net(snet, p_big)) <= p_big ** lvl:
+            p_big = bigs[jb - 1]
+            if abs(unfill(snet, p_small, s_small[j - 1])) >= p_small ** lvl \
+                    or abs(unfill(snet, p_big, s_big[jb - 1])) <= p_big ** lvl:
                 continue
             # |s| - eps**lvl changes sign between the small and the big
             # point (p_small <= p_big)
@@ -391,9 +385,9 @@ def replay_dip_forcing(s, data: DipForcingData) -> bool:
     (N, p) the square root of |s(p)| exceeds twice eps**-N * |s(p)|, so a
     moderate factor of budget N cannot reach the root there."""
     snet = nets._gn(s).net
+    vals = eval_points(snet, [p for _, p, _ in data.levels]).tolist()
     ok = True
-    for n_budget, p, _sval in data.levels:
-        v = abs(eval_net(snet, p))
+    for (n_budget, p, _), v in zip(data.levels, map(abs, vals)):
         yv = v ** 0.5
         if not (yv > 0.0 and p ** (-n_budget) * v <= 0.5 * yv):
             ok = False

@@ -355,10 +355,9 @@ class Indicator(NetExpr):
 
 
 @dataclass(frozen=True)
-class SpikeTrain(NetExpr):
-    """Value 1 exactly at the points eps_j, 0 elsewhere; Arbitrary tier."""
-
-    s: SequenceRule
+class SpikeTrain(Indicator):
+    """Indicator's function (1 at the points eps_j, 0 elsewhere) under its
+    own name (DSL ``spikes``, the refuter's target); unequal to Indicator."""
 
 
 # -- witness nodes produced by the construction operators -------------------
@@ -437,7 +436,7 @@ class SmoothBlend(NetExpr):
 def functional_children(net: NetExpr):
     """Subexpressions evaluated as functions (sample data excluded)."""
     if isinstance(net, (Const, Eps, SinRecipPow, CosRecipPow, ExpNegRecip,
-                        Indicator, SpikeTrain, BumpTrain, SmoothBlend)):
+                        Indicator, BumpTrain, SmoothBlend)):
         return ()
     if isinstance(net, PowQ):
         return (net.base,)
@@ -475,7 +474,7 @@ def nonneg_net(net: NetExpr) -> bool:
     """Sound structural certificate that net(eps) >= 0 for all eps."""
     if isinstance(net, Const):
         return not isinstance(net.c, complex) and net.c >= 0
-    if isinstance(net, (Eps, ExpNegRecip, AbsNode, Indicator, SpikeTrain,
+    if isinstance(net, (Eps, ExpNegRecip, AbsNode, Indicator,
                         AnnihilatorTransition)):
         return True
     if isinstance(net, RootN):
@@ -572,7 +571,7 @@ class Tier(IntEnum):
 
 def minimal_tier(net: NetExpr) -> Tier:
     """Most restrictive tier structurally admitting the tree."""
-    if isinstance(net, (Indicator, SpikeTrain)):
+    if isinstance(net, Indicator):
         return Tier.Arbitrary
     if isinstance(net, PowQ):
         t = minimal_tier(net.base)
@@ -846,7 +845,7 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         return _exp(-1.0 / eps)
     if isinstance(net, BumpTrain):
         return _ev_bump(net, eps)
-    if isinstance(net, (Indicator, SpikeTrain)):
+    if isinstance(net, Indicator):
         return _ev_spike(net.s, eps)
     if isinstance(net, GelfandFactor):
         v = _ev(net.a, eps)
@@ -984,18 +983,19 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     The array is float64 when every value is a float, otherwise an
     object array of the scalar values.  With ``fill``, a point where
     eval_net raises gets ``fill``; without it the first such exception
-    propagates, as it does from the loop.
+    propagates, as it does from the loop.  Library code calls eval_net
+    for one point or where the next point depends on the last value; a
+    list of points known in advance goes through eval_points, with
+    ``fill=nan`` and a read through ``unfill`` where the loop stops early,
+    skips points or does more between them, so that it raises where the
+    scalar loop would.
 
-    Bit-identity holds by construction: numpy does only correctly
-    rounded arithmetic, comparison and selection, and every libm call and
-    ``**`` is the call ``_ev`` makes, mapped over the elements with its
-    constant argument (numpy's exp and power are not libm: on an AVX-512
-    host about 5% of their results differ).  The scalar path's special
-    cases are masks around that call; a point where the call raises, or
-    the scalar path would (a domain error, an overflow, a complex value,
-    an index beyond int64), is flagged and evaluated by eval_net.  A node
-    without a vector rule (the blend and witness nodes, complex constants)
-    flags every point, so the whole net goes to eval_net.
+    Bit-identity holds by construction (README, "Grid evaluation"):
+    numpy does only correctly rounded arithmetic, comparison and
+    selection, every libm call and ``**`` is the call ``_ev`` makes, and
+    a point where the scalar path raises or special-cases is flagged and
+    evaluated by eval_net, as is every point of a net that holds a node
+    without a vector rule (blend and witness nodes, complex constants).
     """
     net = _net(net)
     e = np.array(pts, dtype=float).reshape(-1)
@@ -1017,6 +1017,12 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
             out = out.astype(object)
         out[i] = v
     return out
+
+
+def unfill(net, p: float, v) -> Scalar:
+    """``eval_net(net, p)`` from v = ``eval_points(net, pts, fill=nan)``
+    at p: v, or at a nan (maybe a fill) eval_net again, raising its error."""
+    return eval_net(net, p) if v != v else v
 
 
 def _calls(fn, xs, bad, *args, strict: bool = False) -> np.ndarray:
@@ -1081,10 +1087,15 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     if isinstance(net, PowQ):
         v, q = _vec(net.base, e, bad), net.q
         if q.denominator == 1:
-            # _pow_int is pow, but inf at a zero base of a negative power
-            zero = (v == 0.0) & (q < 0)
-            u = _calls(pow, np.where(zero, 1.0, v).tolist(), bad, q.numerator)
-            return np.where(zero, math.inf, u)
+            # _pow_int: pow, but inf where it overflows (a zero base of a
+            # negative power too), complex(inf, 0) at a negative base
+            # (flagged).  Sure where n*log2|v| > 1025 (n clamped to fit a
+            # float); nearer 2**1024 pow raises and eval_net decides
+            n = q.numerator
+            inf = max(-4096, min(n, 4096)) * np.log2(np.abs(v)) > 1025.0
+            bad |= inf & (v < 0.0)
+            u = _calls(pow, np.where(inf, 1.0, v).tolist(), bad, n)
+            return np.where(inf, math.inf, u)
         return _math_pow(v, float(q), math.inf if q < 0 else 0.0, bad)
     if isinstance(net, AbsNode):
         return np.abs(_vec(net.x, e, bad))
@@ -1105,7 +1116,7 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         return _exp_nonpos(-1.0 / e)
     if isinstance(net, BumpTrain):
         return _vec_bump(net, e, bad)
-    if isinstance(net, (Indicator, SpikeTrain)):
+    if isinstance(net, Indicator):
         return _vec_spike(net.s, e, bad)
     # no vector rule: the whole net is evaluated by eval_net
     bad[:] = True

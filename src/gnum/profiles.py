@@ -33,9 +33,9 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    BumpTrain, Const, ConstHeights, CosRecipPow, DecayHeights,
                    Eps, ExpNegRecip, GelfandFactor, Indicator, Inv, MaxNode,
                    MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
-                   RootN, SinRecipPow, SmoothBlend, SpikeTrain, is_real_net,
+                   RootN, SinRecipPow, SmoothBlend, is_real_net,
                    nonneg_net, nonneg_power)
-from .scales import MONO_ONE, Poly, RatForm, atoms_from, canonical_net
+from .scales import CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -266,7 +266,7 @@ def enclose(net: NetExpr, a: float = 0.0, b: float = 1.0
         j2 = s.index_near(a) + 2 if a > 0 else INF
         sup = net.heights.sup(s, max(1, s.index_near(b) - 2), j2)
         return (0.0 if nets._heights_nonneg(net.heights) else -sup, sup)
-    if isinstance(net, (Indicator, SpikeTrain, AnnihilatorTransition)):
+    if isinstance(net, (Indicator, AnnihilatorTransition)):
         return (0.0, 1.0)
     if isinstance(net, (GelfandFactor, AbsFactor)):
         m = 4.0 if isinstance(net, GelfandFactor) else 2.0  # |value| <= m
@@ -409,7 +409,7 @@ def _info(net: NetExpr) -> Info:
                     lower=low)
     if isinstance(net, BumpTrain):
         return _info_bump(net)
-    if isinstance(net, (Indicator, SpikeTrain)):
+    if isinstance(net, Indicator):
         return Info(nonneg=True, upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(net.s, Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(Midpoints(net.s), Env(ZERO_K)))
@@ -454,16 +454,14 @@ def _info_add(net: Add) -> Info:
                 upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
-def _trains_disjoint(x: BumpTrain, y: BumpTrain, n: int = 200) -> bool:
-    """Numeric check that the first n supports of two trains are pairwise
-    disjoint (used to certify exact-zero products of interleaved trains)."""
+def _trains_disjoint(x: BumpTrain, y: BumpTrain) -> bool:
+    """Numeric check that the first 200 supports of two trains are
+    pairwise disjoint (used to certify exact-zero products of interleaved
+    trains)."""
     def supports(t):
-        out = []
-        for j in range(1, n + 1):
-            c = t.schedule.value(j)
-            w = t.widths.value(t.schedule, j)
-            out.append((c - w, c + w))
-        return out
+        cws = ((t.schedule.value(j), t.widths.value(t.schedule, j))
+               for j in range(1, 201))
+        return [(c - w, c + w) for c, w in cws]
     sx, sy = supports(x), supports(y)
     for (a1, b1) in sx:
         for (a2, b2) in sy:
@@ -549,11 +547,11 @@ def _pythagoras(p: Poly) -> Poly:
                 rest_atoms = atoms_from(atoms[:idx] + atoms[idx + 1:])
                 reduced = (k, q, rest_atoms)
                 del terms[mono]
-                if abs(c2 - common) > CHOP_ABS * max(1.0, abs(c2)):
+                if abs(c2 - common) > CHOP * max(1.0, abs(c2)):
                     terms[partner] = c2 - common
                 else:
                     del terms[partner]
-                if abs(c - common) > CHOP_ABS * max(1.0, abs(c)):
+                if abs(c - common) > CHOP * max(1.0, abs(c)):
                     terms[mono] = c - common
                 terms[reduced] = terms.get(reduced, 0.0) + common
                 if terms[reduced] == 0.0:
@@ -563,9 +561,6 @@ def _pythagoras(p: Poly) -> Poly:
             if changed:
                 break
     return Poly(terms)
-
-
-CHOP_ABS = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -989,7 +984,7 @@ def substitute_along(net: NetExpr, seq: SequenceRule
         return Const(v), True
     if isinstance(net, (SinRecipPow, CosRecipPow)):
         return None
-    if isinstance(net, (Indicator, SpikeTrain)):
+    if isinstance(net, Indicator):
         if net.s == seq:
             return Const(1.0), True
         if _points_disjoint(seq, net.s):
@@ -1065,7 +1060,7 @@ def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
         elif isinstance(node, BumpTrain):
             push(node.schedule)
             push(Midpoints(node.schedule))
-        elif isinstance(node, (Indicator, SpikeTrain)):
+        elif isinstance(node, Indicator):
             push(node.s)
             push(Midpoints(node.s))
         elif isinstance(node, SmoothBlend):

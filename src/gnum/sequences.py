@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, SearchExhausted
 
 PI = math.pi
 
@@ -31,7 +31,14 @@ class SequenceRule:
         raise NotImplementedError
 
     def values(self, n: int):
-        return [self.value(j) for j in range(1, n + 1)]
+        """value(j) for j = 1..n, fewer where a finite rule ends first."""
+        out = []
+        for j in range(1, n + 1):
+            try:
+                out.append(self.value(j))
+            except SearchExhausted:
+                break
+        return out
 
     def gap(self, j: int) -> float:
         return self.value(j) - self.value(j + 1)

@@ -34,7 +34,7 @@ from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
                    ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
                    NetExpr, PHI_MAX_SLOPE, PowQ, RootN, SinRecipPow,
                    SmoothBlend, SpikeTrain, Tier, bump_phi, eval_net,
-                   minimal_tier, nonneg_net)
+                   eval_points, minimal_tier, nonneg_net, unfill)
 from .profiles import abs_range, enclose
 from .sequences import Harmonic
 
@@ -147,15 +147,9 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
 def _numeric_modulus(net: NetExpr, a: float, b: float) -> float:
     """Estimated Lipschitz constant (not certified; flagged by callers)."""
     h = (b - a) / 128
-    worst = 0.0
-    prev = eval_net(net, a) if a > 0 else eval_net(net, b)
-    for i in range(1, 129):
-        e = a + h * i
-        if not 0 < e <= 1:
-            continue
-        v = eval_net(net, e)
-        worst = max(worst, abs(v - prev) / h)
-        prev = v
+    pts = [e for e in (a + h * i for i in range(129)) if 0 < e <= 1]
+    v = eval_points(net, pts).tolist()   # every point is read, in order
+    worst = max([0.0, *(abs(x - p) / h for p, x in zip(v, v[1:]))])
     return worst * 4.0 + 1e-12
 
 
@@ -209,7 +203,6 @@ def _band_plan(blend: SmoothBlend, b: int):
             if _band_ok(blend, b, w, env):
                 break
             w *= 0.5
-            levels += 1
             if w < math.exp(LOG_ULP + math.log(a)):
                 return ("exact", 0.0, flag)
         else:
@@ -219,13 +212,11 @@ def _band_plan(blend: SmoothBlend, b: int):
 
 def _band_ok(blend: SmoothBlend, b: int, w: float, env: float) -> bool:
     a, hi = _band_bounds(b)
-    n = 48
-    for i in range(n + 1):
-        e = a + (hi - a) * i / n
-        if not 0 < e <= 1:
-            continue
+    pts = [e for e in (a + (hi - a) * i / 48 for i in range(49)) if 0 < e <= 1]
+    src = eval_points(blend.source, pts, fill=math.nan).tolist()
+    for e, v in zip(pts, src):
         out = _blend_value(blend, e, w)
-        if abs(out - eval_net(blend.source, e)) > 0.5 * env:
+        if abs(out - unfill(blend.source, e, v)) > 0.5 * env:
             return False
     return True
 
@@ -248,13 +239,11 @@ def _band_bumps(b: int, w: float, eps: float):
 
 def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
     b = _band_of(eps)
+    pairs = []
     if w_override is not None:
         # the width check also samples bumps whose weight underflowed
         pairs = _band_bumps(b, w_override, eps)
-    elif _band_plan(blend, b)[0] == "exact":
-        return eval_net(blend.source, eps)
-    else:
-        pairs = []
+    elif _band_plan(blend, b)[0] != "exact":
         for nb in (b, b - 1, b + 1):
             if nb < 0:
                 continue
@@ -262,10 +251,8 @@ def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
             if plan[0] == "real":
                 pairs += [(c, p) for c, p in _band_bumps(nb, plan[1], eps)
                           if p > 0.0]
-    if not pairs:
-        return eval_net(blend.source, eps)
     total = sum(p for _, p in pairs)
-    if total <= 0.0:
+    if total <= 0.0:    # no bump holds eps: the source's own value
         return eval_net(blend.source, eps)
     out = 0.0
     for c, p in pairs:
@@ -328,25 +315,26 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
         return SmoothingReport(GNumber(simplified, Tier.Smooth), 0.0, (),
                                shortcut=True)
     blend = SmoothBlend(simplified)
-    grid = grid or DEFAULT_GRID
+    pts = (grid or DEFAULT_GRID).points().tolist()
+    sides = (blend, net, ExpNegRecip())   # the blend goes point by point
     worst = 0.0
     flags = []
     seen = set()
-    for e in grid.points():
-        e = float(e)
+    for e, vb, vn, bv in zip(pts, *(eval_points(s, pts, fill=math.nan)
+                                    .tolist() for s in sides)):
         b = _band_of(e)
         if b not in seen:
             seen.add(b)
             plan = _band_plan(blend, b)
             if plan[2]:
                 flags.append((b, plan[2]))
-        vb, vn = eval_net(blend, e), eval_net(net, e)
+        vb, vn = unfill(blend, e, vb), unfill(net, e, vn)
         # equal values (the same infinity too) or two nans match; any
         # other non-finite difference is an unbounded ratio
         if vb == vn or (cmath.isnan(vb) and cmath.isnan(vn)):
             continue
         diff = abs(vb - vn)
-        bv = eval_net(ExpNegRecip(), e)
+        bv = unfill(sides[2], e, bv)
         worst = max(worst, diff / bv if bv > 0.0 and math.isfinite(diff)
                     else math.inf)
     return SmoothingReport(GNumber(blend, Tier.Smooth), worst, tuple(flags))

@@ -13,17 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnum import constructions, ideals, nets
 from gnum.asymptotics import _log_points, _powers
-from gnum.cli import _point_values
-from gnum.errors import DomainError
-from gnum.harness import DEFAULT_GRID, random_net
-from gnum.nets import (EPS, AbsFactor, AnnihilatorTransition, BumpTrain,
+from gnum.errors import DomainError, SearchExhausted
+from gnum.constructions import (CharsetPoints, _charset_points,
+                                construct_zero_divisor, interleaved_trains)
+from gnum.harness import DEFAULT_GRID, GridSpec, random_net, replay_growth_along
+from gnum.ideals import dip_forcing_data, replay_dip_forcing
+from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, BumpTrain,
                        Const, DecayHeights, ExpNegRecip, GelfandFactor, Inv,
-                       PowQ, RegularizedQuotient, RootN, ShrunkWidths,
+                       Mul, PowQ, RegularizedQuotient, RootN, ShrunkWidths,
                        SmoothBlend, Tier, absn, add, bump_train, cos_recip,
-                       eval_net, eval_points, inv, maxn, minn, mul, neg,
-                       powq, sin_recip, spikes)
-from gnum.sequences import Geometric, Harmonic, PiSequence
+                       eval_net, eval_points, gnumber, inv, maxn, minn, mul,
+                       neg, powq, sin_recip, spikes, sub, unfill)
+from gnum.sequences import Geometric, Harmonic, Midpoints, PiSequence
+from gnum.smoothing import _band_ok, _numeric_modulus, smooth_approximate
 
 DEEP = np.logspace(math.log10(DEFAULT_GRID.eps_min) - 12.0,
                    math.log10(DEFAULT_GRID.eps_min), 400)
@@ -236,6 +240,32 @@ def test_integer_powers_that_overflow():
     assert eval_points(PowQ(big, F(3)), [0.01])[0] == math.inf
 
 
+def test_integer_powers_past_the_overflow_threshold(monkeypatch):
+    # where n*log2|v| > 1025 the result is inf without a call of pow, or
+    # complex(inf, 0) from eval_net at a negative base; nearer 2**1024 pow
+    # raises and the point goes to eval_net
+    subn = np.linspace(1 / 745.2, 1 / 700.0, 300)    # exp(-1/eps) subnormal
+    tiny = 2.0 ** -np.linspace(330.0, 345.0, 61)      # eps**-3 near 2**1024
+    pts = np.concatenate((EDGE, subn, tiny,
+                          2.0 ** -np.linspace(1000, 1074, 75)))
+    for base in (EPS, neg(EPS), ExpNegRecip(), neg(ExpNegRecip()),
+                 mul(EPS, Const(2.0 ** 600))):
+        for n in (-1, -2, -3, 2, 3, -4097, 4097, 10 ** 400):
+            assert_bit_identical(PowQ(base, F(n)), pts)
+    calls = []
+
+    def counted(net, e):
+        calls.append(e)
+        return eval_net(net, e)
+
+    monkeypatch.setattr(nets, "eval_net", counted)
+    deep = np.linspace(1 / 744.0, 1 / 712.0, 50)     # exp(-1/eps) < 2**-1026
+    assert (eval_points(PowQ(ExpNegRecip(), F(-1)), deep) == math.inf).all()
+    assert not calls
+    got = eval_points(PowQ(neg(ExpNegRecip()), F(-1)), deep)
+    assert len(calls) == len(deep) and set(got.tolist()) == {complex(math.inf)}
+
+
 def test_oscillators_where_the_power_overflows():
     tiny = np.logspace(-320, -100, 300)
     for net in (sin_recip(2), cos_recip(2), sin_recip(F(7, 2)),
@@ -274,11 +304,115 @@ def test_calibration_scans_match_the_power_operator():
         _powers([0.5, 0.0], -1)
 
 
-def test_cli_point_values_raise_where_the_loop_does():
+def test_unfill_raises_where_the_loop_does():
+    # a fill hides the error at 0.3; reading that value raises it, a
+    # genuine nan reads as nan, every other value is the scalar one
     net = PowQ(add(EPS, Const(-0.5)), F(1, 2))
     pts = [0.9, 0.7, 0.3, 0.6]
-    values = _point_values(net, pts)
-    assert [next(values), next(values)] == [eval_net(net, 0.9),
-                                            eval_net(net, 0.7)]
+    vals = eval_points(net, pts, fill=math.nan).tolist()
+    assert [unfill(net, p, v) for p, v in zip(pts[:2], vals)] == \
+        [eval_net(net, 0.9), eval_net(net, 0.7)]
     with pytest.raises(DomainError, match="negative value"):
-        next(values)
+        unfill(net, pts[2], vals[2])
+    nan_net = mul(ExpNegRecip(), inv(ExpNegRecip()))
+    assert math.isnan(unfill(nan_net, 1e-3, eval_points(nan_net, [1e-3])[0]))
+
+
+# Loops over a point list known in advance evaluate it with eval_points
+# and read each value through unfill: they raise the scalar loop's
+# exception at the point the loop reaches, and nothing where it stops
+# first or skips.  _raising_at(p) raises only within 1e-6 of p.
+
+NEGATIVE = "fractional power of a negative value"
+
+
+def _raising_at(p):
+    """1.0 on (0, 1], except within 1e-6 of p, where it raises DomainError."""
+    d = add(EPS, Const(-p))
+    return maxn(Const(1.0), PowQ(add(mul(d, d), Const(-1e-12)), F(1, 2)))
+
+
+def test_growth_replay_raises_past_a_charset_prefix():
+    seq = CharsetPoints(tuple(0.5 ** k for k in range(1, 11)))
+    with pytest.raises(SearchExhausted, match="index 11"):
+        replay_growth_along(EPS, seq, 1)
+    # an overflow ends the walk at its first point
+    assert replay_growth_along(Const(math.inf), seq, 1).detail == "overflows"
+    # an evaluation error is a nan, which the walk skips
+    geo = Geometric(F(1, 2))
+    assert replay_growth_along(mul(EPS, _raising_at(0.25)), geo, 1) == \
+        replay_growth_along(EPS, geo, 1)
+
+
+def test_smoothing_raises_where_its_loops_do():
+    pts = GridSpec(n_points=50, eps_min=1e-3).points()
+    net = mul(EPS, _raising_at(float(pts[30])))
+    with pytest.raises(DomainError, match=NEGATIVE):
+        smooth_approximate(gnumber(net, Tier.Continuous),
+                           GridSpec(n_points=50, eps_min=1e-3))
+    ok = mul(EPS, _raising_at(float(pts[30]) * 1.001))
+    smooth_approximate(gnumber(ok, Tier.Continuous),
+                       GridSpec(n_points=50, eps_min=1e-3))
+    # 0.5 is the 65th of the 129 modulus points on [1/4, 3/4]
+    net = mul(EPS, _raising_at(0.5))
+    with pytest.raises(DomainError, match=NEGATIVE):
+        _numeric_modulus(net, 0.25, 0.75)
+    assert _numeric_modulus(net, 0.25, 0.49) > 0.0
+    # the width check of band [1/4, 1/2] stops at its first point with
+    # env < 0, and reads all 49 points, the last being 1/2, with env = inf
+    assert not _band_ok(SmoothBlend(net), 1, 0.0625, -1.0)
+    with pytest.raises(DomainError, match=NEGATIVE):
+        _band_ok(SmoothBlend(net), 1, 0.0625, math.inf)
+
+
+def test_charset_scan_raises_only_at_anchors_it_reads():
+    r, s = interleaved_trains()
+    seq_r, seq_s = Geometric(F(1, 4)), Midpoints(Geometric(F(1, 4)))
+    want = _charset_points(r.net, s.net, 1, seq_r, seq_s, 3)
+    # 1/64 is an r-anchor the scan never reaches; 1/4 is its first read
+    got = _charset_points(mul(r.net, _raising_at(1 / 64)), s.net, 1,
+                          seq_r, seq_s, 3)
+    assert got == want
+    with pytest.raises(DomainError, match=NEGATIVE):
+        _charset_points(mul(r.net, _raising_at(1 / 4)), s.net, 1,
+                        seq_r, seq_s, 3)
+
+
+def test_zero_divisor_raises_only_at_centres_it_reads(monkeypatch):
+    # for sin(1/eps) the width loop reads centre n + 1 and stops there
+    r = sin_recip(1)
+    want = construct_zero_divisor(gnumber(r))
+    seq, n = want.zero_sequence, len(want.widths)
+    tri = constructions.is_strictly_nonzero(r)
+    monkeypatch.setattr(constructions, "is_strictly_nonzero", lambda x: tri)
+    got = construct_zero_divisor(
+        gnumber(mul(r, _raising_at(seq.value(n + 2))), Tier.Continuous))
+    assert (got.widths, got.unit_points) == (want.widths, want.unit_points)
+    with pytest.raises(DomainError, match=NEGATIVE):
+        construct_zero_divisor(
+            gnumber(mul(r, _raising_at(seq.value(n + 1))), Tier.Continuous))
+
+
+def test_dip_forcing_raises_only_at_anchors_it_reads(monkeypatch):
+    # dips to eps_j**j at eps_j = 1/j, value 1 on the midpoints between
+    sched = Harmonic()
+    s = add(sub(Const(1.0), bump_train(sched)),
+            bump_train(sched, heights=DecayHeights(F(1), F(0))))
+    want = dip_forcing_data(s)
+    # the same search sequences for s + 0 * _raising_at(p)
+    monkeypatch.setattr(ideals, "_small_along", lambda net: iter([sched]))
+    monkeypatch.setattr(ideals, "_lower_along", lambda net, kinds: iter(
+        [(Midpoints(sched), None)]))
+
+    def with_error_at(p):
+        return Add(s, Mul(Const(0.0), _raising_at(p)))
+
+    # every level skips 1/2 (not below its bound 1/(N+2)); 1/3 is the
+    # first small anchor read, 5/12 the big anchor beside it
+    assert dip_forcing_data(with_error_at(1 / 2)) == want
+    for p in (1 / 3, 5 / 12):
+        with pytest.raises(DomainError, match=NEGATIVE):
+            dip_forcing_data(with_error_at(p))
+    assert replay_dip_forcing(with_error_at(1 / 2), want)
+    with pytest.raises(DomainError, match=NEGATIVE):
+        replay_dip_forcing(with_error_at(want.levels[1][1]), want)

@@ -12,7 +12,7 @@ from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
                           random_net, replay_moderate, replay_negligible,
                           replay_order_violation, replay_small_along,
                           verify_decision)
-from gnum.nets import (EPS, ExpNegRecip, Indicator, SpikeTrain, Tier, const,
+from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
                        eval_net, inv, iter_nodes, minimal_tier, neg, powq,
                        sin_recip)
 from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
@@ -140,7 +140,7 @@ def test_random_net_tier_admissible():
     for seed in range(40):
         x = random_net(seed, Tier.Continuous, 4)
         assert minimal_tier(x) <= Tier.Continuous
-        assert not any(isinstance(n, (Indicator, SpikeTrain))
+        assert not any(isinstance(n, Indicator)
                        for n in iter_nodes(x))
     for seed in range(20):
         x = random_net(seed, Tier.Smooth, 4)

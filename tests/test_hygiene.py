@@ -75,3 +75,34 @@ def test_every_private_name_is_read():
     dead = [f"{module}:{line} {name}" for module, tree in TREES.items()
             for name, line in _private_defs(tree) if name not in read]
     assert not dead, f"private names nothing reads: {dead}"
+
+
+# The functions of src/gnum that call eval_net, with their number of
+# calls: each is for one point or a search whose next point depends on the
+# last value.  A list of points known in advance goes through eval_points,
+# and a loop over it that stops early or skips points reads its values
+# through unfill.  A change here is a reviewed decision that a new call is
+# not such a loop.
+SCALAR_EVAL = {
+    ("nets.py", "eval_points"): 1,          # the fallback for flagged points
+    ("nets.py", "unfill"): 1,               # re-raising a filled error
+    ("harness.py", "_abs_at"): 1,           # ternary search and lazy ladder
+    ("smoothing.py", "_blend_value"): 2,
+    ("smoothing.py", "refute_continuous_representative"): 5,
+    ("constructions.py", "construct_zero_divisor"): 1,  # width halving
+    ("constructions.py", "_charset_points"): 4,  # bisection and its root
+    ("ideals.py", "dip_forcing_data"): 2,        # bisection and its root
+}
+
+
+def test_eval_net_only_where_reviewed():
+    calls = {}
+    for module, tree in TREES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "eval_net" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    key = (module, getattr(top, "name", "<module>"))
+                    calls[key] = calls.get(key, 0) + 1
+    assert calls == SCALAR_EVAL

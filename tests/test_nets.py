@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from gnum import nets
 from gnum.asymptotics import leq
-from gnum.errors import DomainError, TierError
+from gnum.dsl import print_net
+from gnum.errors import DomainError, PreconditionError, TierError
 from gnum.nets import (EPS, AbsNode, Const, DecayHeights, ExpNegRecip,
                        GNumber, Indicator, SmoothBlend, SpikeTrain, Tier,
                        absn, add, bump_train, const, cos_recip, eval_net,
@@ -18,6 +19,7 @@ from gnum.nets import (EPS, AbsNode, Const, DecayHeights, ExpNegRecip,
                        powq, rootn, sin_recip, spikes, sub, tier_relax)
 from gnum.harness import GridSpec, random_net
 from gnum.sequences import Geometric, Harmonic, PiSequence
+from gnum.smoothing import refute_continuous_representative
 
 
 GRID = GridSpec(n_points=250, eps_min=1e-6).points()
@@ -236,6 +238,23 @@ def test_indicator_arbitrary_only():
         GNumber(Indicator(Harmonic()), Tier.Smooth)
     with pytest.raises(TierError):
         GNumber(SpikeTrain(Harmonic()), Tier.Continuous)
+
+
+def test_spike_train_is_an_indicator_under_its_own_name():
+    s = Harmonic()
+    spike, ind = SpikeTrain(s), Indicator(s)
+    assert isinstance(spike, Indicator) and not isinstance(ind, SpikeTrain)
+    assert repr(spike) == "SpikeTrain(s=Harmonic())"
+    assert print_net(spike) == "spikes(harmonic)"
+    assert print_net(ind) == "indicator(harmonic)"
+    assert hash(spike) == hash(ind) == hash((s,))
+    assert spike != ind and ind != spike and spike == SpikeTrain(s)
+    assert len({spike, ind}) == 2
+    for e in (1.0, 0.5, 0.4):
+        assert eval_net(spike, e) == eval_net(ind, e)
+    # the refuter's target is the spike net, not the indicator
+    with pytest.raises(PreconditionError, match="spike net"):
+        refute_continuous_representative(ind, EPS)
 
 
 def test_eval_deterministic():
