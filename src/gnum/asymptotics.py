@@ -435,23 +435,9 @@ def _lead_sign(R: Poly):
     if profiles.poly_lower(R) is None:
         return None, None
     (k, q), lead = R.grouped_by_scale()[0]
-    return _group_sign(lead), (max(1, math.floor(q) + 1) if k == 0 else 1)
-
-
-def _group_sign(lead) -> Optional[int]:
-    """Definite sign of a single-scale group, if certifiable."""
-    if len(lead) == 1 and not lead[0][0]:
-        c = lead[0][1]
-        if isinstance(c, complex):
-            return None
-        return 1 if c > 0 else (-1 if c < 0 else 0)
-    gm = profiles.group_min(lead)
-    if gm is not None and gm > 0:
-        return 1
-    gm_neg = profiles.group_min([(a, -c) for a, c in lead])
-    if gm_neg is not None and gm_neg > 0:
-        return -1
-    return None
+    bound = profiles.group_bound(lead)
+    return (None if bound is None else bound[0],
+            max(1, math.floor(q) + 1) if k == 0 else 1)
 
 
 def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> WitnessRecord:

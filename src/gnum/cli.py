@@ -141,17 +141,13 @@ def _cmd_classify(args) -> dict:
     for text in _inputs(args):
         g = _parse_expr(text, args)
         doc = {"query": text, "tier": str(g.tier)}
-        mod = asym.is_moderate(g.net)
-        doc["moderate"] = _tri_doc(
-            mod, harness.verify_decision("moderate", mod, g.net, grid=grid))
-        neg = asym.is_negligible(g.net)
-        doc["negligible"] = _tri_doc(
-            neg, harness.verify_decision("negligible", neg, g.net, grid=grid,
-                                         m_max=args.m_max))
-        snz = asym.is_strictly_nonzero(g.net)
-        doc["strictly_nonzero"] = _tri_doc(
-            snz, harness.verify_decision("strictly-nonzero", snz, g.net,
-                                         grid=grid, m_max=args.m_max))
+        for claim, decide in (("moderate", asym.is_moderate),
+                              ("negligible", asym.is_negligible),
+                              ("strictly-nonzero", asym.is_strictly_nonzero)):
+            tri = decide(g.net)
+            replay = harness.verify_decision(claim, tri, g.net, grid=grid,
+                                             m_max=args.m_max)
+            doc[claim.replace("-", "_")] = _tri_doc(tri, replay)
         v = asym.valuation(g.net)
         doc["valuation"] = repr(v) if v is not None else "unknown"
         slope, se = harness.estimate_valuation(g.net, grid)
@@ -362,54 +358,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "decision procedures and ring-structure witnesses")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, help, flags):
+    def command(name, run, help, flags):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--tier", choices=sorted(_TIERS), default=None)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    def multi(name, help, flags):
-        p = command(name, help, flags)
+    def multi(name, run, help, flags):
+        p = command(name, run, help, flags)
         p.add_argument("expr", nargs="*")
         p.add_argument("--file", default=None,
                        help="read one expression per line")
 
-    def fixed(name, help, flags, n):
-        command(name, help, flags).add_argument("expr", nargs=n)
+    def fixed(name, run, help, flags, n):
+        command(name, run, help, flags).add_argument("expr", nargs=n)
 
-    multi("classify", "moderate/negligible/strictly-nonzero/valuation",
+    multi("classify", _cmd_classify,
+          "moderate/negligible/strictly-nonzero/valuation",
           _GRID + ("--m-max", "--json"))
-    fixed("compare", "gn_equal and the partial order",
+    fixed("compare", _cmd_compare, "gn_equal and the partial order",
           _GRID + ("--m-max", "--a-max", "--json"), 2)
-    fixed("lattice", "abs/min/max and order contracts", ("--json",), 2)
-    multi("smooth", "smooth approximation report", _GRID + ("--json",))
-    fixed("zerodiv", "zero-divisor construction",
+    fixed("lattice", _cmd_lattice, "abs/min/max and order contracts",
+          ("--json",), 2)
+    multi("smooth", _cmd_smooth, "smooth approximation report",
+          _GRID + ("--json",))
+    fixed("zerodiv", _cmd_zerodiv, "zero-divisor construction",
           _GRID + ("--m-max", "--json"), 1)
-    fixed("split", "annihilator split for rs = 0",
+    fixed("split", _cmd_split, "annihilator split for rs = 0",
           _GRID + ("--m-max", "--json"), 2)
-    fixed("charset", "characteristic set for rs = 0", ("--json",), 2)
-    multi("idem", "idempotent classification", ("--json",))
-    pi = command("ideal", "ideal algebra operations", ("--root-cap", "--json"))
+    fixed("charset", _cmd_charset, "characteristic set for rs = 0",
+          ("--json",), 2)
+    multi("idem", _cmd_idem, "idempotent classification", ("--json",))
+    pi = command("ideal", _cmd_ideal, "ideal algebra operations",
+                 ("--root-cap", "--json"))
     pi.add_argument("op", choices=["membership", "reduce", "intersect",
                                    "power", "radical", "isradical"])
     pi.add_argument("args", nargs="+")
-    multi("eval-grid", "eps/value columns", _GRID)
+    multi("eval-grid", _cmd_eval_grid, "eps/value columns", _GRID)
     return ap
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "compare": _cmd_compare,
-    "lattice": _cmd_lattice,
-    "smooth": _cmd_smooth,
-    "zerodiv": _cmd_zerodiv,
-    "split": _cmd_split,
-    "charset": _cmd_charset,
-    "idem": _cmd_idem,
-    "ideal": _cmd_ideal,
-    "eval-grid": _cmd_eval_grid,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -421,7 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     as_json = getattr(args, "json", False)  # eval-grid prints columns
     try:
-        doc = _HANDLERS[args.command](args)
+        doc = args.run(args)
     except ParseError as e:
         err = {"schema_version": SCHEMA_VERSION, "error": "parse",
                "message": str(e), "line": e.line, "column": e.column,

@@ -9,6 +9,7 @@ materialized lazily (an explicit prefix plus a recorded rule).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,20 +282,22 @@ def _nonzero_source(net: NetExpr) -> Tuple[SequenceRule, int]:
     return Geometric(F(1, 2)), max(1, m_star)
 
 
-def _product_threshold(rs: NetExpr, m: int) -> float:
-    """Largest scan point below which |r*s| < eps**m holds."""
+def _product_thresholds(rs: NetExpr, m: int):
+    """Largest scan points below which |r*s| < eps**m, eps**(m + 2), ...
+    holds (1e-6 where none is); |r*s| is evaluated once, at the first."""
     pts = [10.0 ** (-6 + 5.7 * i / 239) for i in range(240)]
     # evaluated from the top, so an error is the one the largest point raises
     v = np.abs(eval_points(rs, pts[::-1])).astype(float)[::-1]
-    good = _last_passing(pts, v < _powers(pts, m))
-    return good if good is not None else 1e-6
+    for m_i in itertools.count(m, 2):
+        good = _last_passing(pts, v < _powers(pts, m_i))
+        yield good if good is not None else 1e-6
 
 
 def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
                     seq_r: SequenceRule, seq_s: SequenceRule,
                     n_points: int) -> List[float]:
-    rs = nets.mul(rnet, snet)
     m = 2 * k_exp
+    thresholds = _product_thresholds(nets.mul(rnet, snet), m)
     (r_r, s_r), (r_s, s_s) = (
         [eval_points(n, pts, fill=math.nan).tolist() for n in (rnet, snet)]
         for pts in (seq_r.values(399), seq_s.values(399)))
@@ -302,7 +305,7 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
     prev = 1.0
     for i in range(1, n_points + 1):
         m_i = m + 2 * (i - 1)
-        thr = min(prev * 0.99, 1.0 / (i + 1), _product_threshold(rs, m_i) * 0.9)
+        thr = min(prev * 0.99, 1.0 / (i + 1), next(thresholds) * 0.9)
         found = None
         for jr in range(1, 400):
             pr = seq_r.value(jr)

@@ -172,15 +172,10 @@ class _Parser:
         return F(self._signed_int())
 
     def _signed_int(self) -> int:
-        sign = 1
         if self.peek().kind == "-":
             self.next()
-            sign = -1
-        t = self.expect("num", "integer")
-        if "." in t.text:
-            raise ParseError("expected an integer", t.line, t.col,
-                             ("integer",))
-        return sign * int(t.text)
+            return -self._uint()
+        return self._uint()
 
     def _uint(self) -> int:
         t = self.expect("num", "integer")
@@ -208,117 +203,90 @@ class _Parser:
             return out
         if t.kind != "name":
             raise self._err(("expression",))
-        name = t.text
-        self.next()
-        if name == "eps":
-            return nets.EPS
-        if name == "i":
-            return Const(1j)
+        return self._call("name")
+
+    def _call(self, what: str):
+        """``name`` or ``name(arg, ...)`` for a name in ``_CALLS[what]``,
+        whose entry gives the kind of each argument (a trailing ``?``: it
+        may be left out with its comma) and the constructor of the node."""
+        t = self.expect("name", what)
+        table = _CALLS[what]
+        if t.text not in table:
+            raise ParseError(f"unknown {what} {t.text!r}", t.line, t.col,
+                             tuple(table))
+        kinds, make = table[t.text]
+        args = []
+        if kinds:
+            self.expect("(", "'('")
+            for k, kind in enumerate(kinds):
+                if k and kind.endswith("?") and self.peek().kind != ",":
+                    break
+                if k:
+                    self.expect(",", "','")
+                args.append(self._arg(kind.rstrip("?"), t.text))
+            self.expect(")", "')'")
+        return make(*args)
+
+    def _arg(self, kind: str, name: str):
+        if kind == "expr":
+            return self.parse_expr()
+        if kind == "int":
+            return self._uint()
+        if kind == "frac":
+            return self.parse_fraction()
+        if kind == "num":
+            return float(self.expect("num", "number").text)
+        if kind in _CALLS:
+            return self._call(kind)
+        # '-1/eps' of exp(...); '1/eps' ['^' exponent] of sin(...), cos(...)
         if name == "exp":
-            self.expect("(", "'('")
             self.expect("-", "'-'")
-            one = self.expect("num", "'1'")
-            if one.text != "1":
-                raise ParseError("expected '1' in exp(-1/eps)", one.line,
-                                 one.col, ("1",))
-            self.expect("/", "'/'")
-            self._expect_name("eps")
-            self.expect(")", "')'")
-            return ExpNegRecip()
-        if name in ("sin", "cos"):
-            self.expect("(", "'('")
-            one = self.expect("num", "'1'")
-            if one.text != "1":
-                raise ParseError(f"expected '1' in {name}(1/eps...)",
-                                 one.line, one.col, ("1",))
-            self.expect("/", "'/'")
-            self._expect_name("eps")
-            p = F(1)
-            if self.peek().kind == "^":
-                self.next()
-                p = self.parse_exponent()
-            self.expect(")", "')'")
-            return SinRecipPow(p) if name == "sin" else CosRecipPow(p)
-        if name == "abs":
-            self.expect("(", "'('")
-            x = self.parse_expr()
-            self.expect(")", "')'")
-            return AbsNode(x)
-        if name in ("min", "max"):
-            self.expect("(", "'('")
-            l = self.parse_expr()
-            self.expect(",", "','")
-            r = self.parse_expr()
-            self.expect(")", "')'")
-            return nets.minn(l, r) if name == "min" else nets.maxn(l, r)
-        if name == "root":
-            self.expect("(", "'('")
-            x = self.parse_expr()
-            self.expect(",", "','")
-            n = self._uint()
-            self.expect(")", "')'")
-            return nets.rootn(x, n)
-        if name == "bumptrain":
-            self.expect("(", "'('")
-            sched = self.parse_schedule()
-            heights = ConstHeights(1.0)
-            if self.peek().kind == ",":
-                self.next()
-                heights = self.parse_heights()
-            self.expect(")", "')'")
-            return nets.bump_train(sched, heights=heights)
-        if name in ("indicator", "spikes"):
-            self.expect("(", "'('")
-            sched = self.parse_schedule()
-            self.expect(")", "')'")
-            return (Indicator if name == "indicator" else SpikeTrain)(sched)
-        raise ParseError(f"unknown name {name!r}", t.line, t.col,
-                         ("eps", "i", "exp", "sin", "cos", "abs", "min",
-                          "max", "root", "bumptrain", "indicator", "spikes"))
-
-    def _expect_name(self, name: str) -> None:
+        one = self.expect("num", "'1'")
+        if one.text != "1":
+            where = "exp(-1/eps)" if name == "exp" else f"{name}(1/eps...)"
+            raise ParseError(f"expected '1' in {where}", one.line, one.col,
+                             ("1",))
+        self.expect("/", "'/'")
         t = self.peek()
-        if t.kind != "name" or t.text != name:
-            raise self._err((f"'{name}'",))
+        if t.kind != "name" or t.text != "eps":
+            raise self._err(("'eps'",))
         self.next()
+        if name != "exp" and self.peek().kind == "^":
+            self.next()
+            return self.parse_exponent()
+        return F(1)
 
-    def parse_schedule(self) -> SequenceRule:
-        t = self.expect("name", "schedule")
-        if t.text == "geo":
-            self.expect("(", "'('")
-            r = self.parse_fraction()
-            self.expect(")", "')'")
-            return Geometric(r)
-        if t.text == "harmonic":
-            return Harmonic()
-        if t.text == "harmonic_mid":
-            return HarmonicMidpoints()
-        if t.text == "pizeros":
-            self.expect("(", "'('")
-            p = self.parse_fraction()
-            self.expect(")", "')'")
-            return PiSequence(F(1), F(0), p)
-        raise ParseError(f"unknown schedule {t.text!r}", t.line, t.col,
-                         ("geo", "harmonic", "harmonic_mid", "pizeros"))
 
-    def parse_heights(self):
-        t = self.expect("name", "heights")
-        if t.text == "ones":
-            return ConstHeights(1.0)
-        if t.text == "const":
-            self.expect("(", "'('")
-            v = self.expect("num", "number")
-            self.expect(")", "')'")
-            return ConstHeights(float(v.text))
-        if t.text == "decay":
-            self.expect("(", "'('")
-            a = self.parse_fraction()
-            self.expect(",", "','")
-            b = self.parse_fraction()
-            self.expect(")", "')'")
-            return DecayHeights(a, b)
-        raise ParseError(f"unknown heights {t.text!r}", t.line, t.col,
-                         ("ones", "const", "decay"))
+# name -> (argument kinds, constructor) for atoms, schedules and heights;
+# the order of each table is the order an unknown name's error lists
+_CALLS = {
+    "name": {
+        "eps": ((), lambda: nets.EPS),
+        "i": ((), lambda: Const(1j)),
+        "exp": (("1/eps",), lambda _: ExpNegRecip()),
+        "sin": (("1/eps",), SinRecipPow),
+        "cos": (("1/eps",), CosRecipPow),
+        "abs": (("expr",), AbsNode),
+        "min": (("expr", "expr"), nets.minn),
+        "max": (("expr", "expr"), nets.maxn),
+        "root": (("expr", "int"), nets.rootn),
+        "bumptrain": (("schedule", "heights?"),
+                      lambda s, h=None: nets.bump_train(s, heights=h)),
+        "indicator": (("schedule",), Indicator),
+        "spikes": (("schedule",), SpikeTrain),
+    },
+    "schedule": {
+        "geo": (("frac",), Geometric),
+        "harmonic": ((), Harmonic),
+        "harmonic_mid": ((), HarmonicMidpoints),
+        "pizeros": (("frac",), lambda p: PiSequence(F(1), F(0), p)),
+    },
+    "heights": {
+        "ones": ((), lambda: ConstHeights(1.0)),
+        "const": (("num",), ConstHeights),
+        "decay": (("frac", "frac"), DecayHeights),
+    },
+}
 
 
 def parse(text: str) -> Tuple[NetExpr, Tier]:

@@ -25,14 +25,15 @@ from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
                           along_data, is_negligible, is_strictly_nonzero,
                           leq)
 from .errors import PreconditionError
-from .harness import GridSpec
+from .harness import GridSpec, replay_negligible_diff
 from .lattice import gabs, gmax, gmin
 from .nets import (AbsFactor, AbsNode, Const, GNumber, Indicator, Mul, Neg,
                    NetExpr, RegularizedQuotient, RootN, Tier,
                    absn, eval_net, eval_points, nonneg_net, rootn, unfill)
-from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
-                       along_small, candidate_sequences, canonical_net, info,
-                       poly_upper, rat, rat_lower, rat_upper)
+from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, _rat_abs,
+                       along_lower, along_small, candidate_sequences,
+                       canonical_net, info, poly_upper, rat, rat_lower,
+                       rat_upper)
 from .scales import RatForm
 
 F = Fraction
@@ -126,7 +127,6 @@ def _structural_factor(y: NetExpr, x: NetExpr) -> Optional[NetExpr]:
 def _exact_quotient(y: NetExpr, x: NetExpr, use_abs: bool) -> Optional[NetExpr]:
     """a with rat(a) = rat(y)/rat(x) when the division is exact and the
     quotient is a moderate polynomial."""
-    from .profiles import _rat_abs
     ry = _rat_abs(y) if use_abs else rat(y)
     rx = _rat_abs(x) if use_abs else rat(x)
     if rx.num.is_zero():
@@ -161,7 +161,6 @@ def _replay_witness(a: NetExpr, x: NetExpr, y: NetExpr) -> bool:
     """Numeric sanity check of a membership witness: |a*x - y| must fall
     below every tested power up to eps**8, up to the evaluator's
     rounding floor."""
-    from .harness import replay_negligible_diff
     return bool(replay_negligible_diff(nets.mul(a, x), y, 8, _REPLAY_GRID))
 
 
@@ -194,24 +193,14 @@ def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
     return None
 
 
-def membership(y, x) -> DecisionTri:
-    """Decide y in x*R (the principal ideal of x)."""
-    gy, gx = nets._gn(y), nets._gn(x)
-    ynet, xnet = gy.net, gx.net
-    if is_negligible(ynet).is_true:
-        return DecisionTri(True, WitnessRecord("membership-factor",
-                                               (Const(0.0),)))
-    a = _structural_factor(ynet, xnet)
-    if a is not None and _replay_witness(a, xnet, ynet):
-        return DecisionTri(True, WitnessRecord("membership-factor", (a,)))
-    a = _exact_quotient(ynet, xnet, use_abs=False)
-    if a is not None and _replay_witness(a, xnet, ynet):
-        return DecisionTri(True, WitnessRecord("membership-factor", (a,)))
+def _witnesses(ynet: NetExpr, xnet: NetExpr):
+    """Candidate factors a with a*x = y mod negligibility, cheapest first,
+    each with the reason a True answer reports (None: no candidate)."""
+    yield _structural_factor(ynet, xnet), ""
+    yield _exact_quotient(ynet, xnet, use_abs=False), ""
     b = _exact_quotient(ynet, xnet, use_abs=True)
     if b is not None:
-        a = _compose_witness([_phase(ynet, True), b, _phase(xnet, False)])
-        if _replay_witness(a, xnet, ynet):
-            return DecisionTri(True, WitnessRecord("membership-factor", (a,)))
+        yield _compose_witness([_phase(ynet, True), b, _phase(xnet, False)]), ""
     # domination route: |y| <= C eps^-M |x| makes the regularized
     # quotient a moderate witness
     y_abs = ynet if nonneg_net(ynet) else absn(ynet)
@@ -223,14 +212,24 @@ def membership(y, x) -> DecisionTri:
         seen.add((C, M))
         bound = nets.mul(Const(C), x_abs) if M == 0 else \
             nets.mul(Const(C), nets.mul(nets.powq(nets.EPS, -M), x_abs))
-        t = leq(y_abs, bound)
-        if not t.is_true:
-            continue
-        b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
-        a = _compose_witness([_phase(ynet, True), b, _phase(xnet, False)])
-        if _replay_witness(a, xnet, ynet):
-            return DecisionTri(True, WitnessRecord(
-                "membership-factor", (a,), ), reason=f"dominated C={C} M={M}")
+        if leq(y_abs, bound).is_true:
+            b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
+            yield (_compose_witness([_phase(ynet, True), b,
+                                     _phase(xnet, False)]),
+                   f"dominated C={C} M={M}")
+
+
+def membership(y, x) -> DecisionTri:
+    """Decide y in x*R (the principal ideal of x)."""
+    gy, gx = nets._gn(y), nets._gn(x)
+    ynet, xnet = gy.net, gx.net
+    if is_negligible(ynet).is_true:
+        return DecisionTri(True, WitnessRecord("membership-factor",
+                                               (Const(0.0),)))
+    for a, reason in _witnesses(ynet, xnet):
+        if a is not None and _replay_witness(a, xnet, ynet):
+            return DecisionTri(True, WitnessRecord("membership-factor", (a,)),
+                               reason=reason)
     # forcing refutation: x below every power along a sequence where y
     # keeps power size
     seqs = candidate_sequences(xnet)

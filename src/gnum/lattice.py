@@ -15,6 +15,7 @@ from __future__ import annotations
 from . import nets
 from .asymptotics import leq
 from .errors import PreconditionError
+from .harness import GridSpec
 from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, maxn,
                    minimal_tier, minn, nonneg_net)
 from .smoothing import _presimplify, smooth_approximate
@@ -26,7 +27,6 @@ def _finish(net, resmooth: bool) -> GNumber:
     if resmooth and mt > Tier.Smooth:
         # the output net does not depend on the report grid; a coarse one
         # keeps lattice-level re-smoothing cheap
-        from .harness import GridSpec
         return smooth_approximate(simplified,
                                   grid=GridSpec(n_points=160,
                                                 eps_min=1e-5)).output

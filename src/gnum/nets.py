@@ -30,15 +30,15 @@ from .sequences import Geometric, Harmonic, HarmonicMidpoints, SequenceRule
 
 Scalar = Union[float, complex]
 
-_EXP_MAX = 700.0  # exp overflow guard; math.exp raises past ~709
-
 
 def _exp(u: float) -> float:
-    if u > _EXP_MAX:
-        return math.inf
+    """math.exp, with inf where it overflows and 0.0 below -745."""
     if u < -745.0:
         return 0.0
-    return math.exp(u)
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +168,7 @@ class DecayHeights(HeightRule):
                 j += 1
         if j2 == math.inf:
             return math.inf
-        top = max(self.value(schedule, j1), self.value(schedule, j2))
-        # past exp(_EXP_MAX) an inner height may read inf (log-space path)
-        return top if top <= math.exp(_EXP_MAX) else math.inf
+        return max(self.value(schedule, j1), self.value(schedule, j2))
 
 
 class WidthRule:

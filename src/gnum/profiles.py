@@ -35,7 +35,8 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
                    RootN, SinRecipPow, SmoothBlend, is_real_net,
                    nonneg_net, nonneg_power)
-from .scales import CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net
+from .scales import (CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net,
+                     mono_sort_key)
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -596,14 +597,10 @@ def _rat(net: NetExpr) -> RatForm:
         return RatForm.from_poly(Poly.atom(net))
     if isinstance(net, AbsNode):
         return _rat_abs(net.x)
-    if isinstance(net, MinNode):
+    if isinstance(net, (MinNode, MaxNode)):    # (l + r -+ |l - r|) / 2
         d = nets.sub(net.l, net.r)
-        half = rat(net.l).add(rat(net.r)).add(_rat_abs(d).neg())
-        return half.scale(0.5)
-    if isinstance(net, MaxNode):
-        d = nets.sub(net.l, net.r)
-        half = rat(net.l).add(rat(net.r)).add(_rat_abs(d))
-        return half.scale(0.5)
+        s, a = rat(net.l).add(rat(net.r)), _rat_abs(d)
+        return s.add(a.neg() if isinstance(net, MinNode) else a).scale(0.5)
     if isinstance(net, RootN):
         r = rat(net.x)
         out = _rat_frac_pow(r, F(1, net.n))
@@ -624,7 +621,6 @@ def _atom_abs(a: NetExpr, p: Fraction) -> Tuple[NetExpr, Fraction]:
 def _canonical_abs_atom(p: Poly) -> NetExpr:
     """|P| = |-P|: fix the sign so structurally opposite polynomials map
     to the same atom."""
-    from .scales import mono_sort_key
     lead = min(p.terms, key=mono_sort_key)
     c = complex(p.terms[lead])
     if (c.real, c.imag) < (0.0, 0.0):
@@ -883,6 +879,23 @@ def group_min(terms) -> Optional[float]:
     return total
 
 
+def group_bound(lead) -> Optional[Tuple[Optional[int], float]]:
+    """(sign, c) with sign * sum(lead) >= c > 0 pointwise on a single
+    scale group, or None; a lone constant gives its sign (None if
+    complex) and its modulus."""
+    if len(lead) == 1 and not lead[0][0]:
+        c = lead[0][1]
+        return (None if isinstance(c, complex) else (c > 0) - (c < 0),
+                abs(c))
+    gm = group_min(lead)
+    if gm is not None and gm > 0.0:
+        return 1, gm
+    gm_neg = group_min([(a, -c) for a, c in lead])
+    if gm_neg is not None and gm_neg > 0.0:
+        return -1, gm_neg
+    return None
+
+
 def poly_lower(p: Poly) -> Optional[Env]:
     """Eventual lower bound: a dominant scale group bounded away from 0,
     with every other term strictly dominated."""
@@ -890,16 +903,9 @@ def poly_lower(p: Poly) -> Optional[Env]:
         return None
     groups = p.grouped_by_scale()
     (k, q), lead = groups[0]
-    if len(lead) == 1 and not lead[0][0]:
-        c = abs(lead[0][1])
-    else:
-        gm = group_min(lead)
-        if gm is None or gm <= 0.0:
-            gm_neg = group_min([(a, -c) for a, c in lead])
-            if gm_neg is None or gm_neg <= 0.0:
-                return None
-            gm = gm_neg
-        c = gm
+    bound = group_bound(lead)
+    if bound is None:
+        return None
     rest_env = Env(ZERO_K)
     for (k2, q2), terms in groups[1:]:
         for atoms, c2 in terms:
@@ -907,7 +913,7 @@ def poly_lower(p: Poly) -> Optional[Env]:
                                  _term_upper((k2, q2, atoms), c2))
             if rest_env is None:
                 return None
-    lead_env = env_from_scale(k, q, c)
+    lead_env = env_from_scale(k, q, bound[1])
     if lead_env.kind == SUPERPOW:
         return None
     return lower_vs_upper(lead_env, rest_env)

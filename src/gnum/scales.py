@@ -236,7 +236,7 @@ def canonical_net(p: Poly) -> NetExpr:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatForm:
     """num/den with den from a structurally nowhere-zero net (den != 0
     pointwise); den == Poly.const(1) on the purely polynomial fragment."""
@@ -260,11 +260,8 @@ class RatForm:
             m, c = st
             num = self.num.divide_mono(m).scale(1.0 / c)
             return RatForm(num, Poly.const(1.0))
-        g1 = self.num.gcd_mono()
-        g2 = self.den.gcd_mono()
-        g = (min(g1[0], g2[0]), min(g1[1], g2[1]),
-             atoms_from({a: min(dict(g1[2]).get(a, F0), dict(g2[2]).get(a, F0))
-                         for a in set(dict(g1[2])) & set(dict(g2[2]))}.items()))
+        g = Poly({self.num.gcd_mono(): 1.0,
+                  self.den.gcd_mono(): 1.0}).gcd_mono()
         if g != MONO_ONE:
             return RatForm(self.num.divide_mono(g), self.den.divide_mono(g))
         return self

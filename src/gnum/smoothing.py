@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 from . import nets
 from .asymptotics import _bisect_sign_change
 from .errors import PreconditionError, SearchExhausted, TierError
+from .harness import DEFAULT_GRID
 from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
                    ExpNegRecip, GNumber, Inv, MaxNode, MinNode, Mul, Neg,
                    NetExpr, PHI_MAX_SLOPE, PowQ, RootN, SinRecipPow,
@@ -305,7 +306,6 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
     structurally smooth: a partition-of-unity blend of constant samples,
     free of abs/min/max/root nodes.
     """
-    from .harness import DEFAULT_GRID
     net = nets._net(x)
     if minimal_tier(net) >= Tier.Arbitrary:
         raise TierError("smoothing is defined on continuous-tier nets; "

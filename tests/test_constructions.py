@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gnum import constructions
 from gnum.asymptotics import gn_equal, is_moderate, is_negligible
 from gnum.constructions import (annihilator_split, characteristic_set,
                                 construct_zero_divisor, gelfand_witnesses,
@@ -226,3 +227,20 @@ def test_invertible_wrt_cases():
     t = invertible_wrt(gnumber(sin_recip(1)), ones)
     assert t.is_true
     assert t.witness.data[1] == 0  # |sin| = 1 exactly on that sequence
+
+
+def test_characteristic_set_evaluates_the_product_once(monkeypatch):
+    # |r*s| is the same on the scan points at every level; only the power
+    # it is compared with changes
+    r, s = interleaved_trains(F(1, 4))
+    rs, calls = mul(r.net, s.net), []
+    real = constructions.eval_points
+
+    def counting(net, pts, fill=None):
+        calls.append(net == rs)
+        return real(net, pts, fill=fill)
+
+    monkeypatch.setattr(constructions, "eval_points", counting)
+    cs = characteristic_set(r, s, n_points=6)
+    assert len(cs.order_schedule) == 6
+    assert calls.count(True) == 1

@@ -120,6 +120,58 @@ def test_print_parse_examples():
         assert again == net, text
 
 
+def test_print_parse_schedules_heights_and_complex_constants():
+    for text in ["bumptrain(pizeros(1/2))", "indicator(pizeros(3))",
+                 "spikes(pizeros(2/3))", "bumptrain(geo(1/2), const(2.5))",
+                 "bumptrain(harmonic, const(3))",
+                 "bumptrain(harmonic_mid, const(0.001))",
+                 "bumptrain(harmonic, decay(-1/2, 2))",
+                 "i", "2*i", "-2*i", "(1 + 2*i)", "(1 - 2*i)", "(0.5 - 1*i)"]:
+        net, _ = parse(text)
+        assert print_net(net) == text
+        assert parse(text)[0] == net
+    # unit heights print as nothing
+    assert print_net(parse("bumptrain(harmonic, const(1))")[0]) == \
+        "bumptrain(harmonic)"
+    for c in (1j, 2j, -2j, 1 + 2j, 1 - 2j, 0.5 - 1j, 1.5j):
+        assert parse(print_net(Const(c)))[0] == Const(c)
+
+
+def test_parse_errors_of_names_and_call_arguments():
+    cases = [
+        ("2 + foo", "unknown name 'foo'", 5,
+         ("eps", "i", "exp", "sin", "cos", "abs", "min", "max", "root",
+          "bumptrain", "indicator", "spikes")),
+        ("bumptrain(geometric(1/2))", "unknown schedule 'geometric'", 11,
+         ("geo", "harmonic", "harmonic_mid", "pizeros")),
+        ("bumptrain(harmonic, flat)", "unknown heights 'flat'", 21,
+         ("ones", "const", "decay")),
+        ("bumptrain(harmonic, 2)", "unexpected '2', expected heights", 21,
+         ("heights",)),
+        ("spikes(1)", "unexpected '1', expected schedule", 8, ("schedule",)),
+        ("exp(-2/eps)", "expected '1' in exp(-1/eps)", 6, ("1",)),
+        ("exp(1/eps)", "unexpected '1', expected '-'", 5, ("'-'",)),
+        ("cos(2/eps)", "expected '1' in cos(1/eps...)", 5, ("1",)),
+        ("sin(1/x)", "unexpected 'x', expected 'eps'", 7, ("'eps'",)),
+        ("exp(-1/eps^2)", "unexpected '^', expected ')'", 11, ("')'",)),
+        ("root(eps, 2.5)", "expected an integer", 11, ("integer",)),
+        ("eps^(-1.5/2)", "expected an integer", 7, ("integer",)),
+        ("bumptrain(geo(1/2), decay(1 0))", "unexpected '0', expected ','",
+         29, ("','",)),
+        ("bumptrain(harmonic ones)", "unexpected 'ones', expected ')'", 20,
+         ("')'",)),
+        ("bumptrain(harmonic, const(x))", "unexpected 'x', expected number",
+         27, ("number",)),
+        ("min(eps", "unexpected end of input, expected ','", 7, ("','",)),
+    ]
+    for text, message, column, expected in cases:
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value).startswith(message), text
+        assert (ei.value.line, ei.value.column) == (1, column), text
+        assert tuple(ei.value.expected) == expected, text
+
+
 def test_roundtrip_200_random_asts():
     tiers = [Tier.Smooth, Tier.Continuous, Tier.Arbitrary]
     mismatches = []

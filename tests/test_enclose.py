@@ -14,7 +14,7 @@ from gnum.dsl import parse
 from gnum.harness import random_net
 from gnum.nets import ConstHeights, DecayHeights, Tier, eval_net, eval_points
 from gnum.profiles import enclose, info, poly_ivl, rat
-from gnum.sequences import Geometric, Harmonic
+from gnum.sequences import Geometric, Harmonic, PiSequence
 
 BANDS = ((0.0, 1.0), (1e-3, 2e-3), (1e-6, 1e-5))
 
@@ -89,12 +89,18 @@ def test_decay_heights_sup_is_the_walk(slope, offset, schedule, j1, n):
     j2 = j1 + n - 1
     walk = max((h.value(schedule, j) for j in range(j1, j2 + 1)),
                default=0.0)
-    sup = h.sup(schedule, j1, j2)
-    assert sup >= walk
-    # beyond exp(700) the height's two power paths disagree on overflow,
-    # and the sup reads inf
-    if walk <= math.exp(700.0):
-        assert sup == walk
+    assert h.sup(schedule, j1, j2) == walk
+
+
+def test_decay_heights_overflow_once_on_both_power_paths():
+    # h_179 takes the log-space path and h_180 the integer power; both
+    # overflow where math.exp and ** do, so the heights rise to inf
+    h = DecayHeights(F(-1, 2), F(-22))
+    s = PiSequence(F(1), F(-49, 100), F(1))
+    vals = [h.value(s, j) for j in range(176, 183)]
+    assert vals == sorted(vals)
+    assert vals[3] < vals[4] < math.inf == vals[5]
+    assert h.sup(s, 176, 179) == vals[3]
 
 
 @settings(max_examples=100, deadline=None)

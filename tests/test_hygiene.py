@@ -106,3 +106,14 @@ def test_eval_net_only_where_reviewed():
                     key = (module, getattr(top, "name", "<module>"))
                     calls[key] = calls.get(key, 0) + 1
     assert calls == SCALAR_EVAL
+
+
+def test_imports_only_at_module_level():
+    # a function-level import hides a dependency; the tree walk's blend
+    # import is the one that breaks a cycle (smoothing imports nets)
+    local = sorted((module, top.name) for module, tree in TREES.items()
+                   for top in tree.body
+                   if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                   for node in ast.walk(top)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert local == [("nets.py", "_ev")]
