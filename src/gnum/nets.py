@@ -15,12 +15,13 @@ Arbitrary.  Structural admissibility is checked at construction time;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from numbers import Complex
+from operator import attrgetter
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -238,12 +239,51 @@ class SmallCert:
 # --------------------------------------------------------------------------
 
 class NetExpr:
-    """Base class for net expression nodes (immutable)."""
+    """Base class for net expression nodes (immutable).
+
+    Every node type is a frozen dataclass declared with ``_node``: it
+    compares and prints by its fields, and it stores its hash when it is
+    built, the value the generated dataclass hash gives (the hash of the
+    tuple of compared fields).  A child already holds its hash, so
+    building a node costs one hash of its own fields and ``hash(node)``
+    never walks the subtree, however deep: nets are the keys of the
+    analysis caches and their atoms the keys of polynomial monomials.
+    """
 
     __slots__ = ()
 
+    def __hash__(self):
+        return self._hash
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """Declare a node type: ``dataclass(frozen=True)`` with the hash
+    stored at the end of ``__init__``, after the class's own
+    ``__post_init__`` normalisation."""
+    normalise = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        if normalise is not None:
+            normalise(self)
+        object.__setattr__(self, "_hash", hash(compared(self)))
+
+    # set before dataclass(), whose __init__ calls __post_init__ if present
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = NetExpr.__hash__
+    # the tuple of compared fields, as the generated hash builds it
+    names = [f.name for f in fields(cls) if f.compare]
+    if len(names) > 1:
+        compared = attrgetter(*names)
+    elif names:
+        get = attrgetter(names[0])
+        compared = lambda node: (get(node),)
+    else:
+        compared = lambda node: ()
+    return cls
+
+
+@_node
 class Const(NetExpr):
     c: Scalar
 
@@ -254,63 +294,63 @@ class Const(NetExpr):
             object.__setattr__(self, "c", float(self.c))
 
 
-@dataclass(frozen=True)
+@_node
 class Eps(NetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class PowQ(NetExpr):
     base: NetExpr
     q: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Add(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(NetExpr):
     x: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Inv(NetExpr):
     x: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class AbsNode(NetExpr):
     x: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class MinNode(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class MaxNode(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class RootN(NetExpr):
     x: NetExpr
     n: int
 
 
-@dataclass(frozen=True)
+@_node
 class SinRecipPow(NetExpr):
     """eps -> sin(eps**-p)."""
 
@@ -321,7 +361,7 @@ class SinRecipPow(NetExpr):
         object.__setattr__(self, "_p", float(self.p))
 
 
-@dataclass(frozen=True)
+@_node
 class CosRecipPow(NetExpr):
     p: Fraction = Fraction(1)
     _p: float = field(init=False, repr=False, compare=False)
@@ -330,12 +370,12 @@ class CosRecipPow(NetExpr):
         object.__setattr__(self, "_p", float(self.p))
 
 
-@dataclass(frozen=True)
+@_node
 class ExpNegRecip(NetExpr):
     """eps -> exp(-1/eps); the canonical nonzero negligible net."""
 
 
-@dataclass(frozen=True)
+@_node
 class BumpTrain(NetExpr):
     """Sum_j h_j * phi((eps - eps_j)/w_j) with pairwise disjoint supports."""
 
@@ -345,14 +385,14 @@ class BumpTrain(NetExpr):
     small_cert: Optional[SmallCert] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Indicator(NetExpr):
     """Characteristic function e_S of S = {eps_j}; Arbitrary tier only."""
 
     s: SequenceRule
 
 
-@dataclass(frozen=True)
+@_node
 class SpikeTrain(Indicator):
     """Indicator's function (1 at the points eps_j, 0 elsewhere) under its
     own name (DSL ``spikes``, the refuter's target); unequal to Indicator."""
@@ -360,7 +400,7 @@ class SpikeTrain(Indicator):
 
 # -- witness nodes produced by the construction operators -------------------
 
-@dataclass(frozen=True)
+@_node
 class GelfandFactor(NetExpr):
     """eps -> -chi(2|a_eps|)/a_eps extended by 0 where |a_eps| <= 1/4.
 
@@ -372,7 +412,7 @@ class GelfandFactor(NetExpr):
     a: NetExpr
 
 
-@dataclass(frozen=True)
+@_node
 class RegularizedQuotient(NetExpr):
     """eps -> num * conj(den) / (|den|^2 + exp(-1/eps)^2).
 
@@ -387,7 +427,7 @@ class RegularizedQuotient(NetExpr):
     dom_bound: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@_node
 class AnnihilatorTransition(NetExpr):
     """Smooth-step transition between the annihilators of r and s.
 
@@ -399,7 +439,7 @@ class AnnihilatorTransition(NetExpr):
     eta_scale: float = 1.0
 
 
-@dataclass(frozen=True)
+@_node
 class AbsFactor(NetExpr):
     """The absolute-value factor a with a*x = |x| up to negligibility.
 
@@ -414,7 +454,7 @@ class AbsFactor(NetExpr):
     inverse: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class SmoothBlend(NetExpr):
     """Partition-of-unity smoothing of ``source``: sum chi_k * source(c_k)
     with sample points c_k on a per-band uniform subdivision whose width

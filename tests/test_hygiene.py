@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from gnum.nets import NetExpr
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "gnum"
 TREES = {p.name: ast.parse(p.read_text(), str(p))
          for p in sorted(SRC.glob("*.py"))}
@@ -117,3 +119,17 @@ def test_imports_only_at_module_level():
                    for node in ast.walk(top)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert local == [("nets.py", "_ev")]
+
+
+def test_every_node_type_hashes_by_its_stored_hash():
+    # a node type declared without nets._node would keep the generated
+    # dataclass hash, which walks the whole subtree on every lookup
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+    node_types = list(walk(NetExpr))
+    assert len(node_types) >= 22
+    recursive = [c.__name__ for c in node_types
+                 if c.__hash__ is not NetExpr.__hash__]
+    assert not recursive, f"node types with their own __hash__: {recursive}"

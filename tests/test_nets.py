@@ -1,6 +1,8 @@
 """Net construction, evaluation, tiers, and structural invariants."""
 
 import math
+import sys
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +138,62 @@ def test_cached_rule_constants_leave_repr_eq_hash():
         assert repr(a) == text
     assert DecayHeights(F(1), F(0)) != DecayHeights(F(1), F(1))
     assert PiSequence(F(1), F(0), F(1)) != PiSequence(F(1), F(0), F(2))
+
+
+def _node_subclasses(cls=nets.NetExpr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_subclasses(sub)
+
+
+def _one_node_of_each_type():
+    cert = nets.SmallCert(mul(EPS, EPS), F(1, 2), F(2), 8, True)
+    train = nets.BumpTrain(Harmonic(), nets.ShrunkWidths((0.125, 0.0625)),
+                           DecayHeights(F(1), F(1, 2)), cert)
+    return [Const(2), nets.Eps(), nets.PowQ(EPS, F(1, 2)),
+            nets.Add(EPS, Const(1)), nets.Mul(EPS, EPS), nets.Neg(EPS),
+            nets.Inv(EPS), AbsNode(EPS), nets.MinNode(EPS, Const(0.5)),
+            nets.MaxNode(EPS, Const(0.5)), nets.RootN(EPS, 3),
+            nets.SinRecipPow(F(1, 2)), nets.CosRecipPow(F(3)), ExpNegRecip(),
+            train, Indicator(Geometric()), SpikeTrain(Harmonic()),
+            nets.GelfandFactor(sin_recip(1)),
+            nets.RegularizedQuotient(EPS, add(EPS, ExpNegRecip()), 2.0),
+            nets.AnnihilatorTransition(EPS, neg(EPS), 0.5),
+            nets.AbsFactor(sub(EPS, Const(0.5)), True),
+            SmoothBlend(indicator(Harmonic()))]
+
+
+def test_every_node_stores_the_generated_dataclass_hash():
+    built = _one_node_of_each_type()
+    assert {type(n) for n in built} == set(_node_subclasses())
+    # every node of every tree, the certificate's reference net and the
+    # blend's source included, so the stored hashes agree with the
+    # generated one level by level
+    trees = built + [built[14].small_cert.ref, built[-1].source]
+    for node in (n for tree in trees for n in nets.iter_nodes(tree)):
+        compared = tuple(getattr(node, f.name) for f in fields(node)
+                         if f.compare)
+        assert hash(node) == hash(compared), type(node).__name__
+    for a, b in zip(built, _one_node_of_each_type()):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(nets.Eps()) == hash(())
+    assert hash(Const(2)) == hash(Const(2 + 0j)) == hash(Const(2.0)) \
+        == hash((2.0,))
+    assert repr(Const(2 + 0j)) == "Const(c=2.0)"
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(200)
+        chain = EPS
+        for k in range(1, 5000):
+            chain = nets.Add(chain, Const(k))
+        table = {chain: "chain"}
+        assert hash(chain) == hash((chain.l, chain.r))
+        assert table[chain] == "chain"
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _decay_by_fractions(h, schedule, j):
