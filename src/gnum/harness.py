@@ -225,7 +225,8 @@ def replay_lower_eventual(x, m: int, eps0: float,
                           grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| >= eps**m on grid points below eps0 (strict nonzeroness)."""
     net = nets._net(x)
-    pts = [float(e) for e in grid.points() if e <= eps0]
+    e = grid.points()
+    pts = e[e <= eps0].tolist()
     if len(pts) < 3:
         pts = [eps0 * 0.5 ** k for k in range(1, 12) if eps0 * 0.5 ** k > 1e-9]
     need = _powers(pts, m) * (1 - 1e-9)
@@ -437,8 +438,8 @@ def estimate_valuation(x, grid: GridSpec = DEFAULT_GRID) -> Tuple[float, float]:
     keep = (0.0 < v) & (v < math.inf)
     if keep.sum() < 8:
         return (math.nan, math.inf)
-    t = np.array([math.log(e) for e in pts[keep].tolist()])
-    v = np.array([math.log(a) for a in v[keep].tolist()])
+    t = np.fromiter(map(math.log, pts[keep].tolist()), float)
+    v = np.fromiter(map(math.log, v[keep].tolist()), float)
     n = len(t)
     tbar = t.mean()
     sxx = float(((t - tbar) ** 2).sum())

@@ -15,7 +15,9 @@ Arbitrary.  Structural admissibility is checked at construction time;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import partial
@@ -1034,16 +1036,21 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     a point where the scalar path raises or special-cases is flagged and
     evaluated by eval_net, as is every point of a net that holds a node
     without a vector rule (blend and witness nodes, complex constants).
+    An atom's vector is computed once per grid and kept in a bounded
+    memo (``_ATOMS``), keyed so that only an atom that evaluates the same
+    bit for bit can share it.
     """
     net = _net(net)
     e = np.array(pts, dtype=float).reshape(-1)
     bad = ~((0.0 < e) & (e <= 1.0))
     try:
         with np.errstate(all="ignore"):
-            out = _vec(net, np.where(bad, 1.0, e), bad)
+            out = _vec(net, np.where(bad, 1.0, e), bad, e.tobytes())
     except RecursionError:
         out = np.full(len(e), math.nan)
         bad[:] = True
+    if not out.flags.writeable:     # a memoised atom's vector
+        out = out.copy()
     for i in np.flatnonzero(bad).tolist():
         try:
             v = eval_net(net, float(e[i]))
@@ -1106,24 +1113,30 @@ def _exp_nonpos(u: np.ndarray) -> np.ndarray:
     return np.where(u < -745.0, 0.0, [*map(math.exp, u.tolist())])
 
 
-def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
+         g: Optional[bytes]) -> np.ndarray:
     """``net`` at the points ``e`` as float64.  Flags in ``bad`` the points
-    whose value must come from eval_net; their entries are arbitrary."""
+    whose value must come from eval_net; their entries are arbitrary.
+    Under the grid's bytes ``g`` an atom's vector is read from the memo
+    (read-only); with ``g`` None it is computed."""
+    if g is not None and (isinstance(net, _ATOM_TYPES) or (
+            isinstance(net, PowQ) and isinstance(net.base, Eps))):
+        return _atom_vec(net, e, bad, g)
     if isinstance(net, Const) and type(net.c) is float:
         return np.full(len(e), net.c)
     if isinstance(net, Eps):
         return e
     if isinstance(net, Add):
-        return _vec(net.l, e, bad) + _vec(net.r, e, bad)
+        return _vec(net.l, e, bad, g) + _vec(net.r, e, bad, g)
     if isinstance(net, Mul):
-        return _vec(net.l, e, bad) * _vec(net.r, e, bad)
+        return _vec(net.l, e, bad, g) * _vec(net.r, e, bad, g)
     if isinstance(net, Neg):
-        return -_vec(net.x, e, bad)
+        return -_vec(net.x, e, bad, g)
     if isinstance(net, Inv):
-        v = _vec(net.x, e, bad)
+        v = _vec(net.x, e, bad, g)
         return np.where(v == 0, math.inf, 1.0 / v)
     if isinstance(net, PowQ):
-        v, q = _vec(net.base, e, bad), net.q
+        v, q = _vec(net.base, e, bad, g), net.q
         if q.denominator == 1:
             # _pow_int: pow, but inf where it overflows (a zero base of a
             # negative power too), complex(inf, 0) at a negative base
@@ -1136,16 +1149,16 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
             return np.where(inf, math.inf, u)
         return _math_pow(v, float(q), math.inf if q < 0 else 0.0, bad)
     if isinstance(net, AbsNode):
-        return np.abs(_vec(net.x, e, bad))
+        return np.abs(_vec(net.x, e, bad, g))
     if isinstance(net, MinNode):
         # the scalar path's rule: a nan operand on either side gives nan
-        l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
+        l, r = _vec(net.l, e, bad, g), _vec(net.r, e, bad, g)
         return np.where((r < l) | (r != r), r, l)
     if isinstance(net, MaxNode):
-        l, r = _vec(net.l, e, bad), _vec(net.r, e, bad)
+        l, r = _vec(net.l, e, bad, g), _vec(net.r, e, bad, g)
         return np.where((r > l) | (r != r), r, l)
     if isinstance(net, RootN):
-        return _math_pow(_vec(net.x, e, bad), 1.0 / net.n, 0.0, bad)
+        return _math_pow(_vec(net.x, e, bad, g), 1.0 / net.n, 0.0, bad)
     if isinstance(net, (SinRecipPow, CosRecipPow)):
         u = _calls(pow, e.tolist(), bad, -net._p)
         f = math.sin if isinstance(net, SinRecipPow) else math.cos
@@ -1263,3 +1276,108 @@ def _vec_spike(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         bad |= live & jbad[p]
         hit |= live & (c[p] == e)
     return np.where(hit, 1.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# the atom memo of eval_points
+# --------------------------------------------------------------------------
+
+# An atom depends on eps alone and costs a libm or Python call per point;
+# the same few recur in every net on the same few grids.
+_ATOM_TYPES = (SinRecipPow, CosRecipPow, ExpNegRecip, BumpTrain, Indicator)
+ATOM_MEMO_BYTES = 512 * 1024
+
+
+def _exact(x):
+    """A key of x that values evaluating differently never share: each
+    value tagged with its type, a float also with its sign (since
+    ``0.0 == -0.0``), a Fraction as its integer pair (hashed in C), a
+    frozen dataclass by its compared fields.  Equal keys mean equal
+    types and values, floats bit for bit."""
+    if isinstance(x, float):
+        return type(x), x, math.copysign(1.0, x)
+    if isinstance(x, Fraction):
+        return type(x), x.numerator, x.denominator
+    if type(x) is tuple:
+        return (tuple, *map(_exact, x))
+    if is_dataclass(x):
+        return (type(x), *[_exact(getattr(x, f.name)) for f in fields(x)
+                           if f.compare])
+    return type(x), x
+
+
+def _atom_key(net: NetExpr):
+    # a bump train's certificate is construction data, not evaluated
+    if isinstance(net, BumpTrain):
+        return (BumpTrain, _exact(net.schedule), _exact(net.widths),
+                _exact(net.heights))
+    return _exact(net)
+
+
+class _AtomMemo:
+    """Atom vectors of recent grids, least recently used first: ``grids``
+    maps a grid's bytes to an OrderedDict from an atom's ``_atom_key`` to
+    (read-only vector, own ``bad`` mask or None when no point is flagged).
+    ``nbytes`` is the ``sys.getsizeof`` of every grid key, vector and mask
+    held, at most ATOM_MEMO_BYTES."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.grids = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, g: bytes, key):
+        atoms = self.grids.get(g)
+        hit = None if atoms is None else atoms.get(key)
+        if hit is not None:
+            self.grids.move_to_end(g)
+            atoms.move_to_end(key)
+        return hit
+
+    def put(self, g: bytes, key, hit):
+        # nothing below calls deeper than this first _size: a
+        # RecursionError stops put before it changes anything
+        size = _size(hit)
+        if size + sys.getsizeof(g) > ATOM_MEMO_BYTES:
+            return
+        atoms = self.grids.get(g)
+        if atoms is None:
+            atoms = self.grids[g] = OrderedDict()
+            self.nbytes += sys.getsizeof(g)
+        self.grids.move_to_end(g)
+        atoms[key] = hit
+        self.nbytes += size
+        while self.nbytes > ATOM_MEMO_BYTES:    # never reaches the new entry
+            old_g, old = next(iter(self.grids.items()))
+            self.nbytes -= _size(old.popitem(last=False)[1])
+            if not old:
+                del self.grids[old_g]
+                self.nbytes -= sys.getsizeof(old_g)
+
+
+def _size(hit) -> int:
+    v, mask = hit
+    return sys.getsizeof(v) + (0 if mask is None else sys.getsizeof(mask))
+
+
+_ATOMS = _AtomMemo()
+
+
+def _atom_vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
+              g: bytes) -> np.ndarray:
+    """The atom's vector from the memo, its flags added to ``bad``.  An atom
+    rule only sets flags, never reads them, so its own mask computed from
+    none is what it would add to any ``bad``."""
+    key = _atom_key(net)
+    hit = _ATOMS.get(g, key)
+    if hit is None:
+        own = np.zeros(len(e), bool)
+        v = _vec(net, e, own, None)
+        v.flags.writeable = False
+        hit = v, (own if own.any() else None)
+        _ATOMS.put(g, key, hit)
+    if hit[1] is not None:
+        bad |= hit[1]
+    return hit[0]

@@ -2,10 +2,12 @@
 
 The reference is ``[eval_net(net, p) for p in pts]``: the same values
 (``==``, or both NaN, zeros with the same sign), the same types, and the
-same first exception.
+same first exception, whether the atom memo is empty or warm.
 """
 
+import inspect
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,11 +23,12 @@ from gnum.constructions import (CharsetPoints, _charset_points,
 from gnum.harness import DEFAULT_GRID, GridSpec, random_net, replay_growth_along
 from gnum.ideals import dip_forcing_data, replay_dip_forcing
 from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, BumpTrain,
-                       Const, DecayHeights, ExpNegRecip, GelfandFactor, Inv,
-                       Mul, PowQ, RegularizedQuotient, RootN, ShrunkWidths,
-                       SmoothBlend, Tier, absn, add, bump_train, cos_recip,
-                       eval_net, eval_points, gnumber, inv, maxn, minn, mul,
-                       neg, powq, sin_recip, spikes, sub, unfill)
+                       Const, ConstHeights, DecayHeights, ExpNegRecip,
+                       GelfandFactor, Inv, Mul, PowQ, RegularizedQuotient,
+                       RootN, ShrunkWidths, SmoothBlend, Tier, absn, add,
+                       bump_train, cos_recip, eval_net, eval_points, gnumber,
+                       inv, maxn, minn, mul, neg, powq, sin_recip, spikes,
+                       sub, unfill)
 from gnum.sequences import Geometric, Harmonic, Midpoints, PiSequence
 from gnum.smoothing import _band_ok, _numeric_modulus, smooth_approximate
 
@@ -79,6 +82,93 @@ def test_random_nets_every_grid(tier, depth):
         net = random_net(seed, tier, depth)
         for pts in GRIDS.values():
             assert_bit_identical(net, pts)
+
+
+# The atom memo: an atom's vector is computed once per grid and kept, at
+# most ATOM_MEMO_BYTES of it, under a key that only atoms evaluating alike
+# share.
+
+def test_random_nets_with_a_warm_memo():
+    # the second run reads every atom the first one left in the memo
+    nets._ATOMS.clear()
+    full = GRIDS["default"]
+    sub = full[full <= 0.01]
+    for run in range(2):
+        for tier in Tier:
+            for seed in range(6):
+                net = random_net(seed, tier, 4)
+                for pts in (full, sub):
+                    assert_bit_identical(net, pts)
+    assert {full.tobytes(), sub.tobytes()} <= set(nets._ATOMS.grids)
+
+
+def test_equal_trains_with_zeros_of_either_sign():
+    # ConstHeights(0.0) == ConstHeights(-0.0), so the trains compare and
+    # hash alike; on its supports one is 0.0, the other -0.0
+    plus = BumpTrain(Harmonic(), heights=ConstHeights(0.0))
+    minus = BumpTrain(Harmonic(), heights=ConstHeights(-0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    pts = GRIDS["default"]
+    for order in ((plus, minus), (minus, plus)):
+        nets._ATOMS.clear()
+        for net in order:
+            want = np.signbit([eval_net(net, p) for p in pts.tolist()])
+            assert want.any() == (net is minus)
+            assert (np.signbit(eval_points(net, pts)) == want).all()
+
+
+def test_a_result_is_the_callers_to_write():
+    pts = np.concatenate((GRIDS["default"], [1e-19, 1e-300]))
+    for net in (ExpNegRecip(), PowQ(EPS, F(3)), sin_recip(2),
+                bump_train(Harmonic()), spikes(Geometric(F(1, 2)))):
+        first = eval_points(net, pts, fill=math.nan)
+        want = first.copy()
+        first[:] = 7.0
+        again = eval_points(net, pts, fill=math.nan)
+        assert again.flags.writeable and again is not first
+        assert np.array_equal(again, want, equal_nan=True)
+        assert_bit_identical(net, pts)
+
+
+def test_the_memo_holds_at_most_its_cap():
+    assert nets.ATOM_MEMO_BYTES == 512 * 1024
+    memo = nets._ATOMS
+    for k in range(1, 40):
+        pts = GRIDS["default"][k:]
+        for p in range(1, 6):
+            eval_points(add(powq(EPS, p * k), sin_recip(F(k, p))), pts)
+        assert memo.nbytes == _held(memo) <= nets.ATOM_MEMO_BYTES
+    # 39 grids of 10 atoms, 8 kB a vector: the oldest grids are gone
+    assert GRIDS["default"][1:].tobytes() not in memo.grids
+    assert GRIDS["default"][39:].tobytes() in memo.grids
+
+
+def _held(memo) -> int:
+    return sum(map(sys.getsizeof, memo.grids)) + sum(
+        nets._size(hit) for atoms in memo.grids.values()
+        for hit in atoms.values())
+
+
+def test_a_recursion_error_leaves_the_memo_consistent():
+    # each limit cuts the walk of a chain of atoms at another depth, the
+    # memo's lookups, updates and evictions included
+    memo, full, pts = nets._ATOMS, GRIDS["default"], GRIDS["default"][::50]
+    chain = EPS
+    for k in range(1, 40):
+        chain = Add(chain, PowQ(EPS, F(k)))
+    depth, limit = len(inspect.stack(0)), sys.getrecursionlimit()
+    try:
+        for extra in range(40, 100):
+            memo.clear()
+            for k in range(1, 70):      # a full memo: a put evicts
+                eval_points(cos_recip(F(1, k)), full)
+            sys.setrecursionlimit(depth + extra)
+            eval_points(chain, pts, fill=math.nan)
+            sys.setrecursionlimit(limit)
+            assert memo.nbytes == _held(memo) <= nets.ATOM_MEMO_BYTES
+    finally:
+        sys.setrecursionlimit(limit)
+    assert_bit_identical(chain, pts)
 
 
 def test_points_outside_the_domain_raise_like_the_loop():

@@ -4,10 +4,12 @@ neither the package nor its tests read.  Both are what a deletion leaves
 behind."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+from gnum import nets
 from gnum.nets import NetExpr
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gnum"
@@ -133,3 +135,39 @@ def test_every_node_type_hashes_by_its_stored_hash():
     recursive = [c.__name__ for c in node_types
                  if c.__hash__ is not NetExpr.__hash__]
     assert not recursive, f"node types with their own __hash__: {recursive}"
+
+
+# Every module-level cache of src/gnum with its bound: an lru_cache's
+# maxsize (None: unbounded), the atom memo's cap in bytes.  A new cache,
+# and above all a new unbounded one, is a reviewed decision here.
+CACHES = {
+    "profiles.info": None,
+    "profiles.rat": None,
+    "profiles._rat_abs": None,
+    "smoothing._band_plan": None,
+    "nets._ATOMS": 512 * 1024,
+}
+# module-level containers that are constant tables, not caches
+TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
+          "harness._LEAF_CONSTS", "harness._OSC_POWERS",
+          "profiles._HALF_PI_SIN", "profiles._OSC_POINTS"}
+
+
+def test_every_module_level_cache_is_listed_with_its_bound():
+    caches, tables = {}, set()
+    for name in TREES:
+        stem = name[:-3]
+        mod = importlib.import_module(
+            "gnum" if stem == "__init__" else f"gnum.{stem}")
+        for attr, v in vars(mod).items():
+            where = f"{stem}.{attr}"
+            if hasattr(v, "cache_parameters"):
+                if v.__module__ == mod.__name__:    # not an import of one
+                    caches[where] = v.cache_parameters()["maxsize"]
+            elif isinstance(v, nets._AtomMemo):
+                caches[where] = nets.ATOM_MEMO_BYTES
+            elif isinstance(v, (dict, list, set)) \
+                    and not attr.startswith("__"):
+                tables.add(where)
+    assert caches == CACHES
+    assert tables == TABLES
