@@ -4,8 +4,9 @@ A net is a closed immutable tree built from the primitives below; there
 are no opaque user closures, which is what keeps the asymptotic decision
 procedures (see ``asymptotics``) able to pattern-match representatives.
 ``eval_net`` evaluates any admissible tree at a concrete eps in double
-precision, deterministically; ``eval_points`` gives the same values, bit
-for bit, on a whole array of points.
+precision, deterministically, through each node's closure, built once by
+its type's rule in ``_EVAL_RULES``; ``eval_points`` gives the same
+values, bit for bit, on a whole array of points.
 
 Tiers tag the regularity of eps -> r_eps: Smooth < Continuous <
 Arbitrary.  Structural admissibility is checked at construction time;
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from numbers import Complex
-from operator import attrgetter
+from operator import attrgetter, gt, lt
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -250,12 +251,17 @@ class NetExpr:
     building a node costs one hash of its own fields and ``hash(node)``
     never walks the subtree, however deep: nets are the keys of the
     analysis caches and their atoms the keys of polynomial monomials.
+    A node also keeps the closure ``eval_net`` builds for it, which a
+    pickle or copy leaves out (closures do not pickle).
     """
 
     __slots__ = ()
 
     def __hash__(self):
         return self._hash
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_fn"}
 
 
 def _node(cls):
@@ -837,65 +843,143 @@ def eval_net(net, eps: float) -> Scalar:
     agree bit-exactly."""
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0,1], got {eps}")
-    return _ev(_net(net), eps)
+    net = _net(net)
+    try:
+        fn = net._fn
+    except AttributeError:
+        fn = _build(net)
+    return fn(eps)
 
 
-def _ev(net: NetExpr, eps: float) -> Scalar:
-    if isinstance(net, Const):
-        return net.c
-    if isinstance(net, Eps):
-        return eps
-    if isinstance(net, Add):
-        return _ev(net.l, eps) + _ev(net.r, eps)
-    if isinstance(net, Mul):
-        return _ev(net.l, eps) * _ev(net.r, eps)
-    if isinstance(net, Neg):
-        return -_ev(net.x, eps)
-    if isinstance(net, Inv):
-        v = _ev(net.x, eps)
-        if v == 0:
-            # operand is structurally nowhere zero; a float 0.0 is an
-            # underflow, so the true reciprocal overflows
+def _build(net: NetExpr):
+    """Net's closure ``eps -> value``, built children first by a loop
+    over a stack.  A node keeps its closure as it keeps its hash, so a
+    shared subterm is built once; a closure holds the fields it reads and
+    its children's closures, not the node (a blend's excepted)."""
+    stack = [net]
+    while stack:
+        node = stack.pop()
+        if "_fn" in node.__dict__:
+            continue
+        rule = _EVAL_RULES.get(type(node))
+        if rule is None:
+            raise TypeError(f"cannot evaluate node {type(node).__name__}")
+        kids = functional_children(node)
+        todo = [c for c in kids if "_fn" not in c.__dict__]
+        if todo:
+            stack += [node, *todo]
+        else:
+            object.__setattr__(node, "_fn",
+                               rule(node, *[c._fn for c in kids]))
+    return net._fn
+
+
+def _const(c):
+    return lambda eps: c
+
+
+def _inv(x):
+    def ev(eps):
+        v = x(eps)
+        if v == 0:  # an underflow, as v is nowhere zero: 1/v overflows
             return math.inf
         return 1.0 / v
-    if isinstance(net, PowQ):
-        v = _ev(net.base, eps)
-        q = net.q
-        if q.denominator == 1:
-            return _pow_int(v, q.numerator)
-        return _pow_frac(v, float(q))
-    if isinstance(net, AbsNode):
-        return abs(_ev(net.x, eps))
-    if isinstance(net, MinNode):
-        l, r = _ev(net.l, eps), _ev(net.r, eps)
-        return r if r < l or r != r else l
-    if isinstance(net, MaxNode):
-        l, r = _ev(net.l, eps), _ev(net.r, eps)
-        return r if r > l or r != r else l
-    if isinstance(net, RootN):
-        v = _ev(net.x, eps)
+    return ev
+
+
+def _powq(base, q):
+    if q.denominator == 1:
+        n = q.numerator
+
+        def int_power(eps):
+            v = base(eps)
+            if v == 0 and n < 0:
+                return math.inf
+            try:
+                return v ** n
+            except OverflowError:
+                return math.inf if (not isinstance(v, complex) and v > 0) \
+                    else complex(math.inf, 0)
+        return int_power
+    p = float(q)
+
+    def frac_power(eps):
+        v = base(eps)
+        if isinstance(v, complex):
+            raise DomainError("fractional power of a complex value")
+        if v < 0.0:
+            raise DomainError("fractional power of a negative value")
+        if v == 0.0:
+            return math.inf if p < 0 else 0.0
+        try:
+            return math.pow(v, p)
+        except OverflowError:
+            return math.inf
+    return frac_power
+
+
+def _select(before, l, r):
+    # min and max: a nan operand on either side gives nan
+    def ev(eps):
+        a, b = l(eps), r(eps)
+        return b if before(b, a) or b != b else a
+    return ev
+
+
+def _root(x, n):
+    def ev(eps):
+        v = x(eps)
         if v < 0.0:
             raise DomainError("RootN of a negative value")
-        return math.pow(v, 1.0 / net.n) if v != 0.0 else 0.0
-    if isinstance(net, SinRecipPow):
-        return math.sin(eps ** -net._p)
-    if isinstance(net, CosRecipPow):
-        return math.cos(eps ** -net._p)
-    if isinstance(net, ExpNegRecip):
-        return _exp(-1.0 / eps)
-    if isinstance(net, BumpTrain):
-        return _ev_bump(net, eps)
-    if isinstance(net, Indicator):
-        return _ev_spike(net.s, eps)
-    if isinstance(net, GelfandFactor):
-        v = _ev(net.a, eps)
+        return math.pow(v, 1.0 / n) if v != 0.0 else 0.0
+    return ev
+
+
+def _osc(f, p):
+    return lambda eps: f(eps ** p)
+
+
+def _bump(s, widths, heights):
+    index_near, centre = s.index_near, s.value
+
+    def ev(eps):
+        j0 = index_near(eps)
+        for j in range(max(1, j0 - 2), j0 + 3):
+            c, w = centre(j), widths(s, j)
+            if w <= 0.0:
+                if eps == c:
+                    return heights(s, j)
+                continue
+            t = (eps - c) / w
+            if -1.0 < t < 1.0:
+                return heights(s, j) * bump_phi(t)
+        return 0.0
+    return ev
+
+
+def _spike(index_near, at):
+    def ev(eps):
+        j0 = index_near(eps)
+        for j in range(max(1, j0 - 2), j0 + 3):
+            if at(j) == eps:
+                return 1.0
+        return 0.0
+    return ev
+
+
+def _gelfand(a):
+    def ev(eps):
+        v = a(eps)
         m = abs(v)
         if m <= 0.25:
             return 0.0
         return -gelfand_chi(2.0 * m) / v
-    if isinstance(net, RegularizedQuotient):
-        nv = _ev(net.num, eps)
-        dv = _ev(net.den, eps)
+    return ev
+
+
+def _quotient(num, den):
+    def ev(eps):
+        nv, dv = num(eps), den(eps)
         delta = _exp(-1.0 / eps)
         m = abs(dv)  # m * m overflows to inf where m ** 2 raises
         denom = m * m + delta * delta
@@ -903,64 +987,72 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
             return 0.0
         return nv * dv.conjugate() / denom if isinstance(dv, complex) \
             else nv * dv / denom
-    if isinstance(net, AnnihilatorTransition):
-        d = abs(_ev(net.s, eps)) - abs(_ev(net.r, eps))
-        eta = net.eta_scale * _exp(-1.0 / eps)
+    return ev
+
+
+def _transition(r, s, scale):
+    def ev(eps):
+        d = abs(s(eps)) - abs(r(eps))
+        eta = scale * _exp(-1.0 / eps)
         if eta == 0.0:
             return 1.0 if d > 0.0 else (0.0 if d < 0.0 else 0.5)
         return transition_pm1(d / eta)
-    if isinstance(net, AbsFactor):
-        return _ev_abs_factor(net, eps)
-    if isinstance(net, SmoothBlend):
-        from .smoothing import _blend_value
-        return _blend_value(net, eps)
-    raise TypeError(f"cannot evaluate node {type(net).__name__}")
+    return ev
 
 
-def _pow_int(v: Scalar, n: int) -> Scalar:
-    if v == 0 and n < 0:
-        return math.inf
-    try:
-        return v ** n
-    except OverflowError:
-        return math.inf if (not isinstance(v, complex) and v > 0) \
-            else complex(math.inf, 0)
+def _abs_factor(x, inverse):
+    def ev(eps):
+        v = x(eps)
+        m = abs(v)
+        if m == 0.0:
+            return 0.0
+        if isinstance(v, complex):
+            phase = v / m if inverse else v.conjugate() / m
+        else:
+            phase = 1.0 if v > 0 else -1.0
+        patched = 0.0
+        for idx, chi in patch_weights(eps):
+            em = eps ** idx
+            b = em / m if m >= em else 1.0
+            patched += b * chi
+        return phase * (1.0 - patched)
+    return ev
 
 
-def _pow_frac(v: Scalar, q: float) -> float:
-    if isinstance(v, complex):
-        raise DomainError("fractional power of a complex value")
-    if v < 0.0:
-        raise DomainError("fractional power of a negative value")
-    if v == 0.0:
-        return math.inf if q < 0 else 0.0
-    try:
-        return math.pow(v, q)
-    except OverflowError:
-        return math.inf
+def _blend(net):
+    # a blend's value reads its band plan, which is keyed by the node
+    from .smoothing import _blend_value
+    return partial(_blend_value, net)
 
 
-def _ev_bump(net: BumpTrain, eps: float) -> float:
-    j0 = net.schedule.index_near(eps)
-    for j in range(max(1, j0 - 2), j0 + 3):
-        c = net.schedule.value(j)
-        w = net.widths.value(net.schedule, j)
-        if w <= 0.0:
-            if eps == c:
-                return net.heights.value(net.schedule, j)
-            continue
-        t = (eps - c) / w
-        if -1.0 < t < 1.0:
-            return net.heights.value(net.schedule, j) * bump_phi(t)
-    return 0.0
-
-
-def _ev_spike(s: SequenceRule, eps: float) -> float:
-    j0 = s.index_near(eps)
-    for j in range(max(1, j0 - 2), j0 + 3):
-        if s.value(j) == eps:
-            return 1.0
-    return 0.0
+# a node type's rule: from the node and its children's closures (in
+# functional_children order), the node's closure, which holds the node
+# only for a blend
+_EVAL_RULES = {
+    Const: lambda net: _const(net.c),
+    Eps: lambda net: lambda eps: eps,
+    Add: lambda net, l, r: lambda eps: l(eps) + r(eps),
+    Mul: lambda net, l, r: lambda eps: l(eps) * r(eps),
+    Neg: lambda net, x: lambda eps: -x(eps),
+    Inv: lambda net, x: _inv(x),
+    PowQ: lambda net, x: _powq(x, net.q),
+    AbsNode: lambda net, x: lambda eps: abs(x(eps)),
+    MinNode: lambda net, l, r: _select(lt, l, r),
+    MaxNode: lambda net, l, r: _select(gt, l, r),
+    RootN: lambda net, x: _root(x, net.n),
+    SinRecipPow: lambda net: _osc(math.sin, -net._p),
+    CosRecipPow: lambda net: _osc(math.cos, -net._p),
+    ExpNegRecip: lambda net: lambda eps: _exp(-1.0 / eps),
+    BumpTrain: lambda net: _bump(net.schedule, net.widths.value,
+                                 net.heights.value),
+    Indicator: lambda net: _spike(net.s.index_near, net.s.value),
+    SpikeTrain: lambda net: _spike(net.s.index_near, net.s.value),
+    GelfandFactor: lambda net, a: _gelfand(a),
+    RegularizedQuotient: lambda net, num, den: _quotient(num, den),
+    AnnihilatorTransition: lambda net, r, s: _transition(r, s, net.eta_scale),
+    AbsFactor: lambda net, x: _abs_factor(x, net.inverse),
+    SmoothBlend: _blend,
+}
 
 
 def patch_weights(eps: float):
@@ -993,23 +1085,6 @@ def patch_weights(eps: float):
     return [(m, p / total) for m, p in acc]
 
 
-def _ev_abs_factor(net: AbsFactor, eps: float) -> Scalar:
-    v = _ev(net.x, eps)
-    m = abs(v)
-    if m == 0.0:
-        return 0.0
-    if isinstance(v, complex):
-        phase = v / m if net.inverse else v.conjugate() / m
-    else:
-        phase = 1.0 if v > 0 else -1.0
-    patched = 0.0
-    for idx, chi in patch_weights(eps):
-        em = eps ** idx
-        b = em / m if m >= em else 1.0
-        patched += b * chi
-    return phase * (1.0 - patched)
-
-
 # --------------------------------------------------------------------------
 # evaluation on many points
 # --------------------------------------------------------------------------
@@ -1032,10 +1107,11 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
 
     Bit-identity holds by construction (README, "Grid evaluation"):
     numpy does only correctly rounded arithmetic, comparison and
-    selection, every libm call and ``**`` is the call ``_ev`` makes, and
-    a point where the scalar path raises or special-cases is flagged and
-    evaluated by eval_net, as is every point of a net that holds a node
-    without a vector rule (blend and witness nodes, complex constants).
+    selection, every libm call and ``**`` is the call the node's scalar
+    rule makes, and a point where that rule raises or special-cases is
+    flagged and evaluated by eval_net, as is every point of a net that
+    holds a node without a vector rule (blend and witness nodes, complex
+    constants).
     An atom's vector is computed once per grid and kept in a bounded
     memo (``_ATOMS``), keyed so that only an atom that evaluates the same
     bit for bit can share it.
@@ -1098,9 +1174,9 @@ def _calls(fn, xs, bad, *args, strict: bool = False) -> np.ndarray:
 
 def _math_pow(v: np.ndarray, c: float, at_zero: float,
               bad: np.ndarray) -> np.ndarray:
-    """``math.pow(x, c)`` at each x of v as _pow_frac and RootN call it:
-    ``at_zero`` at a zero base; a negative base, which raises DomainError
-    there, is flagged."""
+    """``math.pow(x, c)`` at each x of v as the scalar rules of fractional
+    powers and roots call it: ``at_zero`` at a zero base; a negative base,
+    which raises DomainError there, is flagged."""
     bad |= v < 0.0
     zero = v == 0.0
     out = _calls(math.pow, np.where(zero | bad, 1.0, v).tolist(), bad, c)
@@ -1138,8 +1214,8 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
     if isinstance(net, PowQ):
         v, q = _vec(net.base, e, bad, g), net.q
         if q.denominator == 1:
-            # _pow_int: pow, but inf where it overflows (a zero base of a
-            # negative power too), complex(inf, 0) at a negative base
+            # the scalar rule: pow, but inf where it overflows (a zero base
+            # of a negative power too), complex(inf, 0) at a negative base
             # (flagged).  Sure where n*log2|v| > 1025 (n clamped to fit a
             # float); nearer 2**1024 pow raises and eval_net decides
             n = q.numerator
@@ -1202,10 +1278,11 @@ def _anchors(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
 
 
 def _probe(s: SequenceRule, e: np.ndarray, bad: np.ndarray):
-    """The indices ``_ev_bump``/``_ev_spike`` probe at each point, in
-    probe order: ``(valid, js, pos)`` where row k is the probe of
-    j0 - 2 + k, ``valid[k]`` says whether it is made (index >= 1), ``js``
-    holds the distinct indices and ``pos[k]`` each probe's place in js."""
+    """The indices the scalar rules of bump trains and spikes probe at
+    each point, in probe order: ``(valid, js, pos)`` where row k is the
+    probe of j0 - 2 + k, ``valid[k]`` says whether it is made (index
+    >= 1), ``js`` holds the distinct indices and ``pos[k]`` each probe's
+    place in js."""
     j0 = _anchors(s, e, bad)
     cand = j0 + np.arange(-2, 3)[:, None]
     valid = cand >= 1
@@ -1307,11 +1384,14 @@ def _exact(x):
 
 
 def _atom_key(net: NetExpr):
-    # a bump train's certificate is construction data, not evaluated
-    if isinstance(net, BumpTrain):
-        return (BumpTrain, _exact(net.schedule), _exact(net.widths),
-                _exact(net.heights))
-    return _exact(net)
+    # made at the atom's first visit and kept on it, beside its closure
+    key = net.__dict__.get("_key")
+    if key is None:
+        # a bump train's certificate is construction data, not evaluated
+        key = _exact(net) if not isinstance(net, BumpTrain) else (
+            BumpTrain, *map(_exact, (net.schedule, net.widths, net.heights)))
+        object.__setattr__(net, "_key", key)
+    return key
 
 
 class _AtomMemo:

@@ -293,7 +293,8 @@ def test_pi_sequence_train_indices_beyond_int64(mult, offset, idx):
 
 
 # the fast pass calls libm and ``**`` directly and masks the special cases
-# of _pow_int, _pow_frac, RootN and _exp; each is compared with the loop
+# of the scalar rules of powers and roots and of _exp; each is compared
+# with the loop
 EDGE = np.concatenate((DEFAULT_GRID.points()[::4], np.logspace(-320, 0, 200),
                        [1.0, 0.5, 1 / 745.0, 1 / 745.1, 1 / 745.2, 1e-300,
                         5e-324]))

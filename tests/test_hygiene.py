@@ -113,28 +113,40 @@ def test_eval_net_only_where_reviewed():
 
 
 def test_imports_only_at_module_level():
-    # a function-level import hides a dependency; the tree walk's blend
-    # import is the one that breaks a cycle (smoothing imports nets)
+    # a function-level import hides a dependency; the blend's evaluation
+    # rule imports the one that breaks a cycle (smoothing imports nets)
     local = sorted((module, top.name) for module, tree in TREES.items()
                    for top in tree.body
                    if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                    for node in ast.walk(top)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
-    assert local == [("nets.py", "_ev")]
+    assert local == [("nets.py", "_blend")]
+
+
+def _node_types(cls=NetExpr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_types(sub)
 
 
 def test_every_node_type_hashes_by_its_stored_hash():
     # a node type declared without nets._node would keep the generated
     # dataclass hash, which walks the whole subtree on every lookup
-    def walk(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from walk(sub)
-    node_types = list(walk(NetExpr))
+    node_types = list(_node_types())
     assert len(node_types) >= 22
     recursive = [c.__name__ for c in node_types
                  if c.__hash__ is not NetExpr.__hash__]
     assert not recursive, f"node types with their own __hash__: {recursive}"
+
+
+def test_every_node_type_has_an_evaluation_rule():
+    # eval_net looks a node's rule up by its exact type, so a subclass
+    # (SpikeTrain of Indicator) needs its own entry; without one, eval_net
+    # raises TypeError("cannot evaluate node ...")
+    node_types = [c for c in _node_types() if c.__module__ == nets.__name__]
+    assert nets.SpikeTrain in node_types and len(node_types) >= 22
+    missing = [c.__name__ for c in node_types if c not in nets._EVAL_RULES]
+    assert not missing, f"node types without an evaluation rule: {missing}"
 
 
 # Every module-level cache of src/gnum with its bound: an lru_cache's
@@ -149,7 +161,7 @@ CACHES = {
 }
 # module-level containers that are constant tables, not caches
 TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
-          "harness._LEAF_CONSTS", "harness._OSC_POWERS",
+          "harness._LEAF_CONSTS", "harness._OSC_POWERS", "nets._EVAL_RULES",
           "profiles._HALF_PI_SIN", "profiles._OSC_POINTS"}
 
 
