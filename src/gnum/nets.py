@@ -9,8 +9,10 @@ its type's rule in ``_EVAL_RULES``; ``eval_points`` gives the same
 values, bit for bit, on a whole array of points.
 
 Tiers tag the regularity of eps -> r_eps: Smooth < Continuous <
-Arbitrary.  Structural admissibility is checked at construction time;
-``minimal_tier`` infers the most restrictive tier a tree lives in.
+Arbitrary.  Structural admissibility is checked at construction time,
+when a node also stores its hash and its structural ``Facts`` (realness,
+sign certificates, the most restrictive tier it lives in), each from its
+children's, so no query walks a subtree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import partial
 from itertools import repeat
 from numbers import Complex
 from operator import attrgetter, gt, lt
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -251,6 +253,8 @@ class NetExpr:
     building a node costs one hash of its own fields and ``hash(node)``
     never walks the subtree, however deep: nets are the keys of the
     analysis caches and their atoms the keys of polynomial monomials.
+    It stores its structural facts (``_facts``) the same way, from its
+    type's rule in ``_FACT_RULES`` and its children's stored facts.
     A node also keeps the closure ``eval_net`` builds for it, which a
     pickle or copy leaves out (closures do not pickle).
     """
@@ -264,30 +268,37 @@ class NetExpr:
         return {k: v for k, v in vars(self).items() if k != "_fn"}
 
 
+def _fields_getter(names):
+    """node -> the tuple of its fields ``names``."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
+
+
 def _node(cls):
-    """Declare a node type: ``dataclass(frozen=True)`` with the hash
-    stored at the end of ``__init__``, after the class's own
-    ``__post_init__`` normalisation."""
+    """Declare a node type: ``dataclass(frozen=True)`` with the hash and
+    the structural facts stored at the end of ``__init__``, after the
+    class's own ``__post_init__`` normalisation."""
     normalise = cls.__dict__.get("__post_init__")
 
     def __post_init__(self):
         if normalise is not None:
             normalise(self)
         object.__setattr__(self, "_hash", hash(compared(self)))
+        object.__setattr__(self, "_facts", _FACT_RULES[type(self)](
+            self, *[c._facts for c in self._children(self)]))
 
     # set before dataclass(), whose __init__ calls __post_init__ if present
     cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = NetExpr.__hash__
     # the tuple of compared fields, as the generated hash builds it
-    names = [f.name for f in fields(cls) if f.compare]
-    if len(names) > 1:
-        compared = attrgetter(*names)
-    elif names:
-        get = attrgetter(names[0])
-        compared = lambda node: (get(node),)
-    else:
-        compared = lambda node: ()
+    compared = _fields_getter([f.name for f in fields(cls) if f.compare])
+    # the functional children: the fields annotated NetExpr, less sample data
+    cls._children = staticmethod(_fields_getter([
+        f.name for f in fields(cls)
+        if f.type == "NetExpr" and not f.metadata.get("sample")]))
     return cls
 
 
@@ -472,139 +483,26 @@ class SmoothBlend(NetExpr):
     blend is structurally smooth regardless of the source's tier.
     """
 
-    source: NetExpr
+    source: NetExpr = field(metadata={"sample": True})
 
 
 # --------------------------------------------------------------------------
-# structural predicates
+# structural facts
 # --------------------------------------------------------------------------
 
 def functional_children(net: NetExpr):
     """Subexpressions evaluated as functions (sample data excluded)."""
-    if isinstance(net, (Const, Eps, SinRecipPow, CosRecipPow, ExpNegRecip,
-                        Indicator, BumpTrain, SmoothBlend)):
-        return ()
-    if isinstance(net, PowQ):
-        return (net.base,)
-    if isinstance(net, (Add, Mul, MinNode, MaxNode)):
-        return (net.l, net.r)
-    if isinstance(net, (Neg, Inv, AbsNode, RootN, AbsFactor)):
-        return (net.x,)
-    if isinstance(net, GelfandFactor):
-        return (net.a,)
-    if isinstance(net, RegularizedQuotient):
-        return (net.num, net.den)
-    if isinstance(net, AnnihilatorTransition):
-        return (net.r, net.s)
-    raise TypeError(f"unknown net node {type(net).__name__}")
+    return net._children(net)
 
 
 def iter_nodes(net: NetExpr):
-    yield net
-    for c in functional_children(net):
-        yield from iter_nodes(c)
+    """Every node in pre-order, left child first, by a loop over a stack."""
+    stack = [net]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(functional_children(node))
 
-
-def is_real_net(net: NetExpr) -> bool:
-    """Sound check that the net is real-valued on I."""
-    if isinstance(net, Const):
-        return not isinstance(net.c, complex)
-    if isinstance(net, AbsNode):
-        return True
-    if isinstance(net, SmoothBlend):
-        return is_real_net(net.source)
-    return all(is_real_net(c) for c in functional_children(net))
-
-
-def nonneg_net(net: NetExpr) -> bool:
-    """Sound structural certificate that net(eps) >= 0 for all eps."""
-    if isinstance(net, Const):
-        return not isinstance(net.c, complex) and net.c >= 0
-    if isinstance(net, (Eps, ExpNegRecip, AbsNode, Indicator,
-                        AnnihilatorTransition)):
-        return True
-    if isinstance(net, RootN):
-        return True  # constructor requires nonneg operand
-    if isinstance(net, PowQ):
-        return nonneg_power(net.base, net.q)
-    if isinstance(net, Add):
-        return nonneg_net(net.l) and nonneg_net(net.r)
-    if isinstance(net, Mul):
-        if nonneg_net(net.l) and nonneg_net(net.r):
-            return True
-        return net.l == net.r and is_real_net(net.l)
-    if isinstance(net, MinNode):
-        return nonneg_net(net.l) and nonneg_net(net.r)
-    if isinstance(net, MaxNode):
-        return nonneg_net(net.l) or nonneg_net(net.r)
-    if isinstance(net, Inv):
-        return positive_net(net.x)
-    if isinstance(net, BumpTrain):
-        return _heights_nonneg(net.heights)
-    return False
-
-
-def nonneg_power(x: NetExpr, q: Fraction) -> bool:
-    """Sound certificate that x**q >= 0: x >= 0, or q even and x real."""
-    return nonneg_net(x) or (q.denominator == 1 and q.numerator % 2 == 0
-                             and is_real_net(x))
-
-
-def _heights_nonneg(rule: HeightRule) -> bool:
-    if isinstance(rule, ConstHeights):
-        return rule.c >= 0
-    if isinstance(rule, DecayHeights):
-        return True
-    return False
-
-
-def positive_net(net: NetExpr) -> bool:
-    """Sound structural certificate that net(eps) > 0 for all eps."""
-    if isinstance(net, Const):
-        return not isinstance(net.c, complex) and net.c > 0
-    if isinstance(net, (Eps, ExpNegRecip)):
-        return True
-    if isinstance(net, Inv):
-        return positive_net(net.x)
-    if isinstance(net, PowQ):
-        return positive_net(net.base)
-    if isinstance(net, RootN):
-        return positive_net(net.x)
-    if isinstance(net, Mul):
-        return positive_net(net.l) and positive_net(net.r)
-    if isinstance(net, Add):
-        return (positive_net(net.l) and nonneg_net(net.r)) or \
-               (nonneg_net(net.l) and positive_net(net.r))
-    if isinstance(net, MinNode):
-        return positive_net(net.l) and positive_net(net.r)
-    if isinstance(net, MaxNode):
-        return (positive_net(net.l) and is_real_net(net.r)) or \
-               (positive_net(net.r) and is_real_net(net.l))
-    return False
-
-
-def nowhere_zero_net(net: NetExpr) -> bool:
-    """Sound structural certificate that net never vanishes on I."""
-    if positive_net(net):
-        return True
-    if isinstance(net, Const):
-        return net.c != 0
-    if isinstance(net, Neg):
-        return nowhere_zero_net(net.x)
-    if isinstance(net, (Mul,)):
-        return nowhere_zero_net(net.l) and nowhere_zero_net(net.r)
-    if isinstance(net, Inv):
-        return nowhere_zero_net(net.x)
-    if isinstance(net, PowQ):
-        return nowhere_zero_net(net.base)
-    if isinstance(net, AbsNode):
-        return nowhere_zero_net(net.x)
-    return False
-
-
-# --------------------------------------------------------------------------
-# tiers
-# --------------------------------------------------------------------------
 
 class Tier(IntEnum):
     Smooth = 0
@@ -615,23 +513,130 @@ class Tier(IntEnum):
         return self.name.lower()
 
 
+class Facts(NamedTuple):
+    """Sound structural certificates for a net on I: real-valued, >= 0,
+    > 0 and never 0, and the most restrictive tier structurally admitting
+    the tree.  A node stores its facts when it is built (``_facts``)."""
+
+    real: bool
+    nonneg: bool
+    positive: bool
+    nowhere_zero: bool
+    tier: Tier
+
+
+def _facts(real, nonneg, positive, tier, nowhere_zero=False) -> Facts:
+    # nowhere zero: positive, or by the node type's own rule
+    return Facts(real, nonneg, positive, positive or nowhere_zero, tier)
+
+
+_SMOOTH, _CONTINUOUS = Tier.Smooth, Tier.Continuous
+_POSITIVE = _facts(True, True, True, _SMOOTH)
+_OSCILLATING = _facts(True, False, False, _SMOOTH)
+_INDICATOR = _facts(True, True, False, Tier.Arbitrary)
+
+
+def _const_facts(net):
+    c = net.c
+    real = not isinstance(c, complex)
+    return _facts(real, real and c >= 0, real and c > 0, _SMOOTH, c != 0)
+
+
+def _mul_facts(net, l, r):
+    # x*x >= 0 for real x; the hashes are stored, so unequal operands
+    # are not deep-compared
+    same = net.l is net.r or (hash(net.l) == hash(net.r) and net.l == net.r)
+    return _facts(l.real and r.real,
+                  (l.nonneg and r.nonneg) or (same and l.real),
+                  l.positive and r.positive, max(l.tier, r.tier),
+                  l.nowhere_zero and r.nowhere_zero)
+
+
+# a node type's rule: from the node and its children's facts (in
+# functional_children order), the node's facts; the blend reads its
+# source, which is sample data rather than a child
+_FACT_RULES = {
+    Const: _const_facts,
+    Eps: lambda net: _POSITIVE,
+    PowQ: lambda net, x: _facts(
+        x.real, nonneg_power(net.base, net.q), x.positive,
+        x.tier if net.q.denominator == 1 or x.positive
+        else max(x.tier, _CONTINUOUS), x.nowhere_zero),
+    Add: lambda net, l, r: _facts(
+        l.real and r.real, l.nonneg and r.nonneg,
+        (l.positive and r.nonneg) or (l.nonneg and r.positive),
+        max(l.tier, r.tier)),
+    Mul: _mul_facts,
+    Neg: lambda net, x: _facts(x.real, False, False, x.tier, x.nowhere_zero),
+    Inv: lambda net, x: _facts(x.real, x.positive, x.positive, x.tier,
+                               x.nowhere_zero),
+    AbsNode: lambda net, x: _facts(True, True, False,
+                                   max(x.tier, _CONTINUOUS), x.nowhere_zero),
+    MinNode: lambda net, l, r: _facts(
+        l.real and r.real, l.nonneg and r.nonneg, l.positive and r.positive,
+        max(l.tier, r.tier, _CONTINUOUS)),
+    MaxNode: lambda net, l, r: _facts(
+        l.real and r.real, l.nonneg or r.nonneg,
+        (l.positive and r.real) or (r.positive and l.real),
+        max(l.tier, r.tier, _CONTINUOUS)),
+    # the constructor requires a nonnegative operand
+    RootN: lambda net, x: _facts(x.real, True, x.positive,
+                                 max(x.tier, _CONTINUOUS)),
+    SinRecipPow: lambda net: _OSCILLATING,
+    CosRecipPow: lambda net: _OSCILLATING,
+    ExpNegRecip: lambda net: _POSITIVE,
+    BumpTrain: lambda net: _facts(
+        True, isinstance(net.heights, DecayHeights) or (
+            isinstance(net.heights, ConstHeights) and net.heights.c >= 0),
+        False, _SMOOTH),
+    Indicator: lambda net: _INDICATOR,
+    SpikeTrain: lambda net: _INDICATOR,
+    GelfandFactor: lambda net, a: _facts(a.real, False, False, a.tier),
+    RegularizedQuotient: lambda net, num, den: _facts(
+        num.real and den.real, False, False, max(num.tier, den.tier)),
+    AnnihilatorTransition: lambda net, r, s: _facts(
+        r.real and s.real, True, False, max(r.tier, s.tier, _CONTINUOUS)),
+    AbsFactor: lambda net, x: _facts(x.real, False, False,
+                                     max(x.tier, _CONTINUOUS)),
+    SmoothBlend: lambda net: _facts(net.source._facts.real, False, False,
+                                    _SMOOTH),
+}
+
+
+def is_real_net(net: NetExpr) -> bool:
+    """Sound check that the net is real-valued on I."""
+    return net._facts.real
+
+
+def nonneg_net(net: NetExpr) -> bool:
+    """Sound structural certificate that net(eps) >= 0 for all eps."""
+    return net._facts.nonneg
+
+
+def nonneg_power(x: NetExpr, q: Fraction) -> bool:
+    """Sound certificate that x**q >= 0: x >= 0, or q even and x real."""
+    return x._facts.nonneg or (q.denominator == 1 and q.numerator % 2 == 0
+                               and x._facts.real)
+
+
+def positive_net(net: NetExpr) -> bool:
+    """Sound structural certificate that net(eps) > 0 for all eps."""
+    return net._facts.positive
+
+
+def nowhere_zero_net(net: NetExpr) -> bool:
+    """Sound structural certificate that net never vanishes on I."""
+    return net._facts.nowhere_zero
+
+
 def minimal_tier(net: NetExpr) -> Tier:
     """Most restrictive tier structurally admitting the tree."""
-    if isinstance(net, Indicator):
-        return Tier.Arbitrary
-    if isinstance(net, PowQ):
-        t = minimal_tier(net.base)
-        if net.q.denominator == 1 or positive_net(net.base):
-            return t
-        return max(t, Tier.Continuous)
-    if isinstance(net, (AbsNode, MinNode, MaxNode, RootN,
-                        AnnihilatorTransition, AbsFactor)):
-        t = max((minimal_tier(c) for c in functional_children(net)),
-                default=Tier.Smooth)
-        return max(t, Tier.Continuous)
-    return max((minimal_tier(c) for c in functional_children(net)),
-               default=Tier.Smooth)
+    return net._facts.tier
 
+
+# --------------------------------------------------------------------------
+# tiers
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GNumber:
@@ -726,7 +731,7 @@ def powq(base, q) -> NetExpr:
     base = _net(base)
     q = Fraction(q)
     if q.denominator != 1:
-        if not (positive_net(base) or nonneg_net(base)):
+        if not nonneg_net(base):    # a positive net is nonneg
             raise DomainError("fractional PowQ needs a nonnegative base")
     elif q < 0 and not nowhere_zero_net(base):
         raise DomainError("negative integer PowQ needs a nowhere-zero base")

@@ -266,7 +266,7 @@ def enclose(net: NetExpr, a: float = 0.0, b: float = 1.0
         s = net.schedule
         j2 = s.index_near(a) + 2 if a > 0 else INF
         sup = net.heights.sup(s, max(1, s.index_near(b) - 2), j2)
-        return (0.0 if nets._heights_nonneg(net.heights) else -sup, sup)
+        return (0.0 if nonneg_net(net) else -sup, sup)
     if isinstance(net, (Indicator, AnnihilatorTransition)):
         return (0.0, 1.0)
     if isinstance(net, (GelfandFactor, AbsFactor)):
@@ -515,7 +515,7 @@ def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env]]:
 def _info_bump(net: BumpTrain) -> Info:
     up, center_lo = _heights_env(net.heights, net.schedule)
     lseq = AlongSeq(net.schedule, center_lo) if center_lo is not None else None
-    return Info(nonneg=nets._heights_nonneg(net.heights),
+    return Info(nonneg=nonneg_net(net),
                 upper=up,
                 lower_seq=lseq,
                 small_seq=AlongSeq(Midpoints(net.schedule), Env(ZERO_K)))
@@ -1040,12 +1040,8 @@ def substitute_along(net: NetExpr, seq: SequenceRule
             return nets.powq(subbed[0], net.q), exact
         except DomainError:
             return None
-    if isinstance(net, AbsNode):
-        return AbsNode(subbed[0]), exact
-    if isinstance(net, MinNode):
-        return MinNode(subbed[0], subbed[1]), exact
-    if isinstance(net, MaxNode):
-        return MaxNode(subbed[0], subbed[1]), exact
+    if isinstance(net, (AbsNode, MinNode, MaxNode)):
+        return type(net)(*subbed), exact
     if isinstance(net, RootN):
         return RootN(subbed[0], net.n), exact
     return None

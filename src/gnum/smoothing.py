@@ -289,12 +289,8 @@ def _presimplify(net: NetExpr) -> NetExpr:
         if l == r:
             return l
         return type(net)(l, r)
-    if isinstance(net, Add):
-        return Add(_presimplify(net.l), _presimplify(net.r))
-    if isinstance(net, Mul):
-        return Mul(_presimplify(net.l), _presimplify(net.r))
-    if isinstance(net, Neg):
-        return Neg(_presimplify(net.x))
+    if isinstance(net, (Add, Mul, Neg)):
+        return type(net)(*map(_presimplify, nets.functional_children(net)))
     return net
 
 

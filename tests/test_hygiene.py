@@ -149,6 +149,17 @@ def test_every_node_type_has_an_evaluation_rule():
     assert not missing, f"node types without an evaluation rule: {missing}"
 
 
+def test_every_node_type_has_a_fact_rule():
+    # a node's facts are stored when it is built, from the rule of its
+    # exact type, so a subclass (SpikeTrain of Indicator) needs its own
+    # entry; without one, building the node raises KeyError
+    node_types = [c for c in _node_types() if c.__module__ == nets.__name__]
+    assert nets.SpikeTrain in node_types and len(node_types) >= 22
+    missing = [c.__name__ for c in node_types if c not in nets._FACT_RULES]
+    assert not missing, f"node types without a fact rule: {missing}"
+    assert set(nets._FACT_RULES) == set(node_types)
+
+
 # Every module-level cache of src/gnum with its bound: an lru_cache's
 # maxsize (None: unbounded), the atom memo's cap in bytes.  A new cache,
 # and above all a new unbounded one, is a reviewed decision here.
@@ -162,7 +173,7 @@ CACHES = {
 # module-level containers that are constant tables, not caches
 TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
           "harness._LEAF_CONSTS", "harness._OSC_POWERS", "nets._EVAL_RULES",
-          "profiles._HALF_PI_SIN", "profiles._OSC_POINTS"}
+          "nets._FACT_RULES", "profiles._HALF_PI_SIN", "profiles._OSC_POINTS"}
 
 
 def test_every_module_level_cache_is_listed_with_its_bound():

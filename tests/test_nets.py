@@ -196,6 +196,35 @@ def test_hashing_a_deep_chain_does_not_recurse():
         sys.setrecursionlimit(limit)
 
 
+def _iter_nodes_recursive(net):
+    yield net
+    for c in nets.functional_children(net):
+        yield from _iter_nodes_recursive(c)
+
+
+def test_iter_nodes_is_a_loop_in_pre_order():
+    # pre-order, left child first: candidate_sequences (printed by the
+    # golden corpus) and the benchmark's witness node count read it
+    limit = sys.getrecursionlimit()
+    chain = EPS
+    for k in range(5000):
+        chain = nets.Add(chain, Const(k))
+    try:
+        sys.setrecursionlimit(200)
+        count = sum(1 for _ in nets.iter_nodes(chain))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 10001
+    shallow = EPS
+    for k in range(300):
+        shallow = nets.Add(shallow, nets.Mul(Const(k), nets.Neg(EPS)))
+    nodes = list(nets.iter_nodes(shallow))
+    assert len(nodes) == 1501
+    assert all(a is b for a, b in zip(nodes, _iter_nodes_recursive(shallow)))
+    for net in _one_node_of_each_type():
+        assert list(nets.iter_nodes(net)) == list(_iter_nodes_recursive(net))
+
+
 def _decay_by_fractions(h, schedule, j):
     """DecayHeights.value computed on Fractions, index by index."""
     q = h.slope * j + h.offset
