@@ -6,7 +6,8 @@ procedures (see ``asymptotics``) able to pattern-match representatives.
 ``eval_net`` evaluates any admissible tree at a concrete eps in double
 precision, deterministically, through each node's closure, built once by
 its type's rule in ``_EVAL_RULES``; ``eval_points`` gives the same
-values, bit for bit, on a whole array of points.
+values, bit for bit, on a whole array of points, by its type's rule in
+``_VEC_RULES``.
 
 Tiers tag the regularity of eps -> r_eps: Smooth < Continuous <
 Arbitrary.  Structural admissibility is checked at construction time,
@@ -32,7 +33,8 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, TierError
-from .sequences import Geometric, Harmonic, HarmonicMidpoints, SequenceRule
+from .sequences import (PI, Geometric, Harmonic, HarmonicMidpoints, Midpoints,
+                        PiSequence, SequenceRule)
 
 Scalar = Union[float, complex]
 
@@ -109,8 +111,12 @@ PHI_MAX_SLOPE = 2.278874883727966
 # --------------------------------------------------------------------------
 
 class HeightRule:
-    def value(self, schedule: SequenceRule, j: int) -> float:
+    def at(self, j: int, c: float) -> float:
+        """h_j, for c the schedule's point eps_j."""
         raise NotImplementedError
+
+    def value(self, schedule: SequenceRule, j: int) -> float:
+        return self.at(j, schedule.value(j))
 
     def sup(self, schedule: SequenceRule, j1: int, j2: float) -> float:
         """Sup of |h_j| for j1 <= j <= j2 (j2 may be inf; 0.0 if empty)."""
@@ -120,6 +126,9 @@ class HeightRule:
 @dataclass(frozen=True)
 class ConstHeights(HeightRule):
     c: float = 1.0
+
+    def at(self, j, c):
+        return self.c
 
     def value(self, schedule, j):
         return self.c
@@ -147,9 +156,8 @@ class DecayHeights(HeightRule):
         object.__setattr__(self, "_b", o.numerator * s.denominator)
         object.__setattr__(self, "_d", s.denominator * o.denominator)
 
-    def value(self, schedule, j):
+    def at(self, j, base):
         n = self._a * j + self._b
-        base = schedule.value(j)
         if n % self._d == 0 and abs(n // self._d) <= 512:
             try:
                 return base ** (n // self._d)
@@ -178,8 +186,14 @@ class DecayHeights(HeightRule):
 
 
 class WidthRule:
-    def value(self, schedule: SequenceRule, j: int) -> float:
+    def step(self, j: int, c: float, value) -> Tuple[float, Optional[float]]:
+        """(w_j, eps_{j+1} if the rule reads it, else None), for c the
+        schedule's point eps_j and ``value`` its rule: the next probe of a
+        train takes eps_{j+1} as its centre without reading it again."""
         raise NotImplementedError
+
+    def value(self, schedule: SequenceRule, j: int) -> float:
+        return self.step(j, schedule.value(j), schedule.value)[0]
 
 
 @dataclass(frozen=True)
@@ -194,8 +208,9 @@ class GapFraction(WidthRule):
             raise DomainError("gap fraction must be in (0, 1/4]")
         object.__setattr__(self, "_frac", float(self.frac))
 
-    def value(self, schedule, j):
-        return self._frac * schedule.gap(j)
+    def step(self, j, c, value):
+        nxt = value(j + 1)
+        return self._frac * (c - nxt), nxt
 
 
 @dataclass(frozen=True)
@@ -217,12 +232,18 @@ class ShrunkWidths(WidthRule):
         object.__setattr__(self, "_slope", float(self.slope))
         object.__setattr__(self, "_offset", float(self.offset))
 
+    def step(self, j, c, value):
+        if j <= len(self.values):
+            return self.values[j - 1], None
+        nxt = value(j + 1)
+        e = (self._slope * j + self._offset) * math.log(c)
+        return min(0.25 * (c - nxt), _exp(e)), nxt
+
     def value(self, schedule, j):
+        # an explicit width reads no point of the schedule
         if j <= len(self.values):
             return self.values[j - 1]
-        gap = 0.25 * schedule.gap(j)
-        e = (self._slope * j + self._offset) * math.log(schedule.value(j))
-        return min(gap, _exp(e))
+        return super().value(schedule, j)
 
 
 @dataclass(frozen=True)
@@ -944,20 +965,23 @@ def _osc(f, p):
     return lambda eps: f(eps ** p)
 
 
-def _bump(s, widths, heights):
-    index_near, centre = s.index_near, s.value
-
+def _bump(index_near, value, width, height):
     def ev(eps):
         j0 = index_near(eps)
-        for j in range(max(1, j0 - 2), j0 + 3):
-            c, w = centre(j), widths(s, j)
+        j, nxt = max(1, j0 - 2), None
+        # probes j0 - 2 .. j0 + 2, each schedule point read once: a probe's
+        # centre is the point its predecessor's width read, if it did
+        while j < j0 + 3:
+            c = value(j) if nxt is None else nxt
+            w, nxt = width(j, c, value)
             if w <= 0.0:
                 if eps == c:
-                    return heights(s, j)
-                continue
-            t = (eps - c) / w
-            if -1.0 < t < 1.0:
-                return heights(s, j) * bump_phi(t)
+                    return height(j, c)
+            else:
+                t = (eps - c) / w
+                if -1.0 < t < 1.0:
+                    return height(j, c) * bump_phi(t)
+            j += 1
         return 0.0
     return ev
 
@@ -1024,10 +1048,11 @@ def _abs_factor(x, inverse):
     return ev
 
 
-def _blend(net):
-    # a blend's value reads its band plan, which is keyed by the node
-    from .smoothing import _blend_value
-    return partial(_blend_value, net)
+def _smoothing():
+    # a blend's rules read its band plans, which smoothing keys by the
+    # node; smoothing imports nets, so nets imports it only here
+    from . import smoothing
+    return smoothing
 
 
 # a node type's rule: from the node and its children's closures (in
@@ -1048,15 +1073,15 @@ _EVAL_RULES = {
     SinRecipPow: lambda net: _osc(math.sin, -net._p),
     CosRecipPow: lambda net: _osc(math.cos, -net._p),
     ExpNegRecip: lambda net: lambda eps: _exp(-1.0 / eps),
-    BumpTrain: lambda net: _bump(net.schedule, net.widths.value,
-                                 net.heights.value),
+    BumpTrain: lambda net: _bump(net.schedule.index_near, net.schedule.value,
+                                 net.widths.step, net.heights.at),
     Indicator: lambda net: _spike(net.s.index_near, net.s.value),
     SpikeTrain: lambda net: _spike(net.s.index_near, net.s.value),
     GelfandFactor: lambda net, a: _gelfand(a),
     RegularizedQuotient: lambda net, num, den: _quotient(num, den),
     AnnihilatorTransition: lambda net, r, s: _transition(r, s, net.eta_scale),
     AbsFactor: lambda net, x: _abs_factor(x, net.inverse),
-    SmoothBlend: _blend,
+    SmoothBlend: lambda net: partial(_smoothing()._blend_value, net),
 }
 
 
@@ -1111,12 +1136,12 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     scalar loop would.
 
     Bit-identity holds by construction (README, "Grid evaluation"):
-    numpy does only correctly rounded arithmetic, comparison and
-    selection, every libm call and ``**`` is the call the node's scalar
-    rule makes, and a point where that rule raises or special-cases is
-    flagged and evaluated by eval_net, as is every point of a net that
-    holds a node without a vector rule (blend and witness nodes, complex
-    constants).
+    every node type has a vector rule in ``_VEC_RULES``, numpy does only
+    correctly rounded arithmetic, comparison and selection, every libm
+    call and ``**`` is the call the node's scalar rule makes, and a point
+    where that rule raises or special-cases, or whose value is not a
+    float (a complex constant or intermediate), is flagged and evaluated
+    by eval_net.
     An atom's vector is computed once per grid and kept in a bounded
     memo (``_ATOMS``), keyed so that only an atom that evaluates the same
     bit for bit can share it.
@@ -1126,12 +1151,16 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     bad = ~((0.0 < e) & (e <= 1.0))
     try:
         with np.errstate(all="ignore"):
-            out = _vec(net, np.where(bad, 1.0, e), bad, e.tobytes())
+            # count_nonzero is the cheapest test of a mask
+            out = _vec(net, np.where(bad, 1.0, e) if np.count_nonzero(bad)
+                       else e, bad, e.tobytes())
     except RecursionError:
         out = np.full(len(e), math.nan)
         bad[:] = True
     if not out.flags.writeable:     # a memoised atom's vector
         out = out.copy()
+    if not np.count_nonzero(bad):
+        return out
     for i in np.flatnonzero(bad).tolist():
         try:
             v = eval_net(net, float(e[i]))
@@ -1191,77 +1220,267 @@ def _math_pow(v: np.ndarray, c: float, at_zero: float,
 def _exp_nonpos(u: np.ndarray) -> np.ndarray:
     """``_exp`` at each element of u <= 0: math.exp, which cannot overflow
     or raise there, and 0.0 below -745 (_exp's clamp)."""
-    return np.where(u < -745.0, 0.0, [*map(math.exp, u.tolist())])
+    return np.where(u < -745.0, 0.0,
+                    np.fromiter(map(math.exp, u.tolist()), float, len(u)))
+
+
+def _phi(t: np.ndarray) -> np.ndarray:
+    """``bump_phi`` at each element of t."""
+    on = (-1.0 < t) & (t < 1.0)
+    t = np.where(on, t, 0.0)
+    return np.where(on, _exp_nonpos(1.0 - 1.0 / (1.0 - t * t)), 0.0)
+
+
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    """``smoothstep01`` at each element of t (nan at a nan)."""
+    mid = np.where((t <= 0.0) | (t >= 1.0), 0.5, t)
+    a, b = _exp_nonpos(-1.0 / mid), _exp_nonpos(-1.0 / (1.0 - mid))
+    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / (a + b)))
 
 
 def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
          g: Optional[bytes]) -> np.ndarray:
-    """``net`` at the points ``e`` as float64.  Flags in ``bad`` the points
-    whose value must come from eval_net; their entries are arbitrary.
-    Under the grid's bytes ``g`` an atom's vector is read from the memo
-    (read-only); with ``g`` None it is computed."""
+    """``net`` at the points ``e`` as float64, by its type's rule in
+    ``_VEC_RULES``.  Flags in ``bad`` the points whose value must come
+    from eval_net; their entries are arbitrary.  Under the grid's bytes
+    ``g`` an atom's vector is read from the memo (read-only); with ``g``
+    None it is computed."""
     if g is not None and (isinstance(net, _ATOM_TYPES) or (
             isinstance(net, PowQ) and isinstance(net.base, Eps))):
         return _atom_vec(net, e, bad, g)
-    if isinstance(net, Const) and type(net.c) is float:
-        return np.full(len(e), net.c)
-    if isinstance(net, Eps):
-        return e
-    if isinstance(net, Add):
-        return _vec(net.l, e, bad, g) + _vec(net.r, e, bad, g)
-    if isinstance(net, Mul):
-        return _vec(net.l, e, bad, g) * _vec(net.r, e, bad, g)
-    if isinstance(net, Neg):
-        return -_vec(net.x, e, bad, g)
-    if isinstance(net, Inv):
-        v = _vec(net.x, e, bad, g)
-        return np.where(v == 0, math.inf, 1.0 / v)
-    if isinstance(net, PowQ):
-        v, q = _vec(net.base, e, bad, g), net.q
-        if q.denominator == 1:
-            # the scalar rule: pow, but inf where it overflows (a zero base
-            # of a negative power too), complex(inf, 0) at a negative base
-            # (flagged).  Sure where n*log2|v| > 1025 (n clamped to fit a
-            # float); nearer 2**1024 pow raises and eval_net decides
-            n = q.numerator
-            inf = max(-4096, min(n, 4096)) * np.log2(np.abs(v)) > 1025.0
-            bad |= inf & (v < 0.0)
-            u = _calls(pow, np.where(inf, 1.0, v).tolist(), bad, n)
-            return np.where(inf, math.inf, u)
-        return _math_pow(v, float(q), math.inf if q < 0 else 0.0, bad)
-    if isinstance(net, AbsNode):
-        return np.abs(_vec(net.x, e, bad, g))
-    if isinstance(net, MinNode):
-        # the scalar path's rule: a nan operand on either side gives nan
-        l, r = _vec(net.l, e, bad, g), _vec(net.r, e, bad, g)
-        return np.where((r < l) | (r != r), r, l)
-    if isinstance(net, MaxNode):
-        l, r = _vec(net.l, e, bad, g), _vec(net.r, e, bad, g)
-        return np.where((r > l) | (r != r), r, l)
-    if isinstance(net, RootN):
-        return _math_pow(_vec(net.x, e, bad, g), 1.0 / net.n, 0.0, bad)
-    if isinstance(net, (SinRecipPow, CosRecipPow)):
-        u = _calls(pow, e.tolist(), bad, -net._p)
-        f = math.sin if isinstance(net, SinRecipPow) else math.cos
-        return _calls(f, u.tolist(), bad)
-    if isinstance(net, ExpNegRecip):
-        return _exp_nonpos(-1.0 / e)
-    if isinstance(net, BumpTrain):
-        return _vec_bump(net, e, bad)
-    if isinstance(net, Indicator):
-        return _vec_spike(net.s, e, bad)
-    # no vector rule: the whole net is evaluated by eval_net
+    return _VEC_RULES[type(net)](net, e, bad, g)
+
+
+def _flag_all(e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     bad[:] = True
     return np.full(len(e), math.nan)
+
+
+def _vec_const(net, e, bad, g):
+    # a complex constant's points go to eval_net
+    return np.full(len(e), net.c) if type(net.c) is float \
+        else _flag_all(e, bad)
+
+
+def _vec_inv(net, e, bad, g):
+    v = _vec(net.x, e, bad, g)
+    return np.where(v == 0, math.inf, 1.0 / v)
+
+
+def _vec_powq(net, e, bad, g):
+    v, q = _vec(net.base, e, bad, g), net.q
+    if q.denominator == 1:
+        # the scalar rule: pow, but inf where it overflows (a zero base
+        # of a negative power too), complex(inf, 0) at a negative base
+        # (flagged).  Sure where n*log2|v| > 1025 (n clamped to fit a
+        # float); nearer 2**1024 pow raises and eval_net decides
+        n = q.numerator
+        inf = max(-4096, min(n, 4096)) * np.log2(np.abs(v)) > 1025.0
+        bad |= inf & (v < 0.0)
+        u = _calls(pow, np.where(inf, 1.0, v).tolist(), bad, n)
+        return np.where(inf, math.inf, u)
+    return _math_pow(v, float(q), math.inf if q < 0 else 0.0, bad)
+
+
+def _vec_select(before):
+    # min and max: a nan operand on either side gives nan
+    def rule(net, e, bad, g):
+        l, r = _vec(net.l, e, bad, g), _vec(net.r, e, bad, g)
+        return np.where(before(r, l) | (r != r), r, l)
+    return rule
+
+
+def _vec_osc(f):
+    def rule(net, e, bad, g):
+        return _calls(f, _calls(pow, e.tolist(), bad, -net._p).tolist(), bad)
+    return rule
+
+
+def _vec_gelfand(net, e, bad, g):
+    v = _vec(net.a, e, bad, g)
+    m = np.abs(v)
+    # -gelfand_chi(2.0 * m) / v
+    return np.where(m <= 0.25, 0.0, -_smoothstep(2.0 * (2.0 * m) - 1.0) / v)
+
+
+def _vec_quotient(net, e, bad, g):
+    nv, dv = _vec(net.num, e, bad, g), _vec(net.den, e, bad, g)
+    delta = _vec(_EXP_NEG_RECIP, e, bad, g)
+    m = np.abs(dv)
+    denom = m * m + delta * delta
+    return np.where(denom == 0.0, 0.0, nv * dv / denom)
+
+
+def _vec_transition(net, e, bad, g):
+    if type(net.eta_scale) is not float:    # never built by annihilator_split
+        return _flag_all(e, bad)
+    d = np.abs(_vec(net.s, e, bad, g)) - np.abs(_vec(net.r, e, bad, g))
+    eta = net.eta_scale * _vec(_EXP_NEG_RECIP, e, bad, g)
+    u = d / eta
+    # transition_pm1(u)
+    step = np.where(u <= -1.0, 0.0, np.where(
+        u >= 1.0, 1.0, _smoothstep(0.5 * (u + 1.0))))
+    return np.where(eta == 0.0, np.where(
+        d > 0.0, 1.0, np.where(d < 0.0, 0.0, 0.5)), step)
+
+
+def _vec_patch_weights(e: np.ndarray):
+    """``patch_weights`` at each point as five slots in its order, the m
+    of the patch cover from max(2, int(1/eps) - 1) up and then m = 1:
+    ``(ms, chis, cover)``, a slot's chi 0.0 where patch_weights does not
+    list it, and ``cover`` False where patch_weights raises."""
+    base = np.trunc(1.0 / e)        # int(1.0 / eps), which raises at inf
+    cover = np.isfinite(base)
+    base = np.where(cover, base, 3.0)
+    off = np.maximum(2.0 - base, -1.0)
+    ms, ps = [], []
+    for k in range(4):
+        # m - 1, m and m + 1 as float(int), each one rounding of base + n
+        lo, hi = 1.0 / (base + (off + (k + 1))), 1.0 / (base + (off + (k - 1)))
+        on = (off + k <= 2.0) & (lo < e) & (e < hi)
+        ms.append(base + (off + k))
+        ps.append(np.where(on, _phi((2.0 * e - lo - hi) / (hi - lo)), 0.0))
+    lo, hi = 1.0 / 3.0, 1.0
+    ms.append(np.ones(len(e)))
+    ps.append(np.where((lo < e) & (e <= hi), _phi((e - hi) / (hi - lo)), 0.0))
+    total = ps[0] + ps[1] + ps[2] + ps[3] + ps[4]   # sum() of the listed
+    cover &= total > 0.0
+    return ms, [p / total for p in ps], cover
+
+
+def _vec_abs_factor(net, e, bad, g):
+    v = _vec(net.x, e, bad, g)
+    m = np.abs(v)
+    ms, chis, cover = _vec_patch_weights(e)
+    bad |= ~cover & (m != 0.0)
+    patched = np.zeros(len(e))
+    el = e.tolist()
+    for idx, chi in zip(ms, chis):
+        em = np.fromiter(map(pow, el, idx.tolist()), float, len(el))
+        patched += np.where(m >= em, em / m, 1.0) * chi
+    phase = np.where(v > 0.0, 1.0, -1.0)
+    return np.where(m == 0.0, 0.0, phase * (1.0 - patched))
+
+
+def _vec_widths(s: SequenceRule, widths: WidthRule, js: np.ndarray,
+                c: np.ndarray, cbad: np.ndarray):
+    """A train's widths at the probed indices js, whose centres c carry
+    the flags cbad: ``(w, jbad)``, jbad flagging an index whose width, or
+    a centre it reads, must come from eval_net."""
+    if isinstance(widths, GapFraction):
+        cn, nbad = _seq_next(s, js, c, cbad)
+        return widths._frac * (c - cn), cbad | nbad
+    jbad = cbad.copy()
+    if not isinstance(widths, ShrunkWidths):
+        return _calls(partial(widths.value, s), js.tolist(), jbad,
+                      strict=True), jbad
+    head = js <= len(widths.values)
+    w = np.array((*widths.values, math.nan))[np.where(head, js - 1, -1)]
+    tail = np.flatnonzero(~head)
+    if len(tail):
+        # min(0.25 * (c - cn), _exp(x)); an x > 0 may overflow: eval_net
+        jt, c = js[tail], c[tail]
+        cn, nbad = _seq_next(s, jt, c, cbad[tail])
+        tbad = np.zeros(len(tail), bool)
+        x = (widths._slope * jt + widths._offset) * _calls(
+            math.log, c.tolist(), tbad)
+        jbad[tail] |= nbad | tbad | (x > 0.0)
+        ex, gap = _exp_nonpos(np.minimum(x, 0.0)), 0.25 * (c - cn)
+        w[tail] = np.where(ex < gap, ex, gap)
+    return w, jbad
+
+
+def _vec_bump(net, e, bad):
+    s = net.schedule
+    valid, js, pos = _probe(s, e, bad)
+    cbad = np.zeros(len(js), bool)
+    c = _seq_values(s, js, cbad)
+    w, jbad = _vec_widths(s, net.widths, js, c, cbad)
+    hit = np.full(len(e), -1)       # place in js of the first probe that hits
+    t = np.zeros(len(e))
+    for k in range(5):
+        p = pos[k]
+        live = valid[k] & (hit < 0)
+        bad |= live & jbad[p]
+        tk = (e - c[p]) / w[p]
+        on = live & np.where(w[p] <= 0.0, e == c[p], (-1.0 < tk) & (tk < 1.0))
+        hit[on] = p[on]
+        t[on] = tk[on]
+    out = np.zeros(len(e))
+    idx = np.flatnonzero(hit >= 0)
+    if not len(idx):
+        return out
+    hj, inv = _distinct(hit[idx])
+    hbad = np.zeros(len(hj), bool)
+    # the heights read the centres already computed
+    height, centre = net.heights.at, dict(zip(js[hj].tolist(),
+                                              c[hj].tolist()))
+    h = _calls(lambda j: height(j, centre[j]), js[hj].tolist(), hbad,
+               strict=True)[inv]
+    bad[idx[hbad[inv]]] = True
+    out[idx] = h
+    # a support that underflowed to its centre has height, no profile
+    span = idx[w[hit[idx]] > 0.0]
+    out[span] *= _phi(t[span])
+    return out
+
+
+def _vec_spike(net, e, bad):
+    valid, js, pos = _probe(net.s, e, bad)
+    jbad = np.zeros(len(js), bool)
+    c = _seq_values(net.s, js, jbad)
+    hit = np.zeros(len(e), bool)
+    for k in range(5):
+        p = pos[k]
+        live = valid[k] & ~hit
+        bad |= live & jbad[p]
+        hit |= live & (c[p] == e)
+    return np.where(hit, 1.0, 0.0)
+
+
+_EXP_NEG_RECIP = ExpNegRecip()
+
+# a node type's rule: ``(net, e, bad, g) -> net at the points e``, reading
+# its children through _vec
+_VEC_RULES = {
+    Const: _vec_const,
+    Eps: lambda net, e, bad, g: e,
+    Add: lambda net, e, bad, g: _vec(net.l, e, bad, g) + _vec(net.r, e, bad, g),
+    Mul: lambda net, e, bad, g: _vec(net.l, e, bad, g) * _vec(net.r, e, bad, g),
+    Neg: lambda net, e, bad, g: -_vec(net.x, e, bad, g),
+    Inv: _vec_inv,
+    PowQ: _vec_powq,
+    AbsNode: lambda net, e, bad, g: np.abs(_vec(net.x, e, bad, g)),
+    MinNode: _vec_select(lt),
+    MaxNode: _vec_select(gt),
+    RootN: lambda net, e, bad, g: _math_pow(
+        _vec(net.x, e, bad, g), 1.0 / net.n, 0.0, bad),
+    SinRecipPow: _vec_osc(math.sin),
+    CosRecipPow: _vec_osc(math.cos),
+    ExpNegRecip: lambda net, e, bad, g: _exp_nonpos(-1.0 / e),
+    BumpTrain: lambda net, e, bad, g: _vec_bump(net, e, bad),
+    Indicator: lambda net, e, bad, g: _vec_spike(net, e, bad),
+    SpikeTrain: lambda net, e, bad, g: _vec_spike(net, e, bad),
+    GelfandFactor: _vec_gelfand,
+    RegularizedQuotient: _vec_quotient,
+    AnnihilatorTransition: _vec_transition,
+    AbsFactor: _vec_abs_factor,
+    SmoothBlend: lambda net, e, bad, g: _smoothing()._blend_points(net, e, bad),
+}
 
 
 def _anchors(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """``s.index_near`` at each point as int64; a point where it raises or
     leaves int64 is flagged (anchor 1)."""
+    while isinstance(s, Midpoints):     # the index_near of its rule
+        s = s.of
     if isinstance(s, Geometric):
         x = _calls(math.log, e.tolist(), bad) / math.log(s._ratio)
     elif isinstance(s, (Harmonic, HarmonicMidpoints)):
         x = 1.0 / e
+    elif isinstance(s, PiSequence):
+        t = _calls(pow, e.tolist(), bad, -s._power)
+        x = (t / PI - s._offset) / s._mult
     else:
         out = np.ones(len(e), np.int64)
         for i, v in enumerate(e.tolist()):
@@ -1300,64 +1519,57 @@ def _distinct(a: np.ndarray):
     them (np.unique without its return_inverse machinery, which costs
     the process more than a megabyte of resident memory)."""
     s = np.sort(a, axis=None)
-    js = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    first = np.ones(len(s), bool)     # first of each run of equal values
+    first[1:] = s[1:] != s[:-1]
+    js = s[first]
     return js, np.searchsorted(js, a)
+
+
+def _seq_next(s: SequenceRule, js: np.ndarray, c: np.ndarray,
+              cbad: np.ndarray):
+    """``s.value`` at j + 1 for each j of js, given c, its value at js,
+    with flags cbad: ``(c_next, flags)``.  A j + 1 that js holds is read
+    from c; only the others are computed."""
+    k = np.minimum(np.searchsorted(js, js + 1), len(js) - 1)
+    cn, nbad = c[k], cbad[k]
+    miss = np.flatnonzero(js[k] != js + 1)
+    if len(miss):
+        mbad = np.zeros(len(miss), bool)
+        cn[miss] = _seq_values(s, js[miss] + 1, mbad)
+        nbad[miss] = mbad
+    return cn, nbad
 
 
 def _seq_values(s: SequenceRule, js: np.ndarray,
                 jbad: np.ndarray) -> np.ndarray:
+    """``s.value`` at each index of js (int64, sorted, distinct, >= 1) as
+    float64; an index where it raises or gives a non-float is flagged in
+    ``jbad``."""
     if isinstance(s, Harmonic):
         return 1.0 / js
-    return _calls(s.value, js.tolist(), jbad, strict=True)
-
-
-def _vec_bump(net: BumpTrain, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    s = net.schedule
-    valid, js, pos = _probe(s, e, bad)
-    jbad = np.zeros(len(js), bool)
-    c = _seq_values(s, js, jbad)
-    if isinstance(net.widths, GapFraction):
-        w = net.widths._frac * (c - _seq_values(s, js + 1, jbad))
-    else:
-        w = _calls(partial(net.widths.value, s), js.tolist(), jbad,
-                   strict=True)
-    hit = np.full(len(e), -1)       # place in js of the first probe that hits
-    t = np.zeros(len(e))
-    for k in range(5):
-        p = pos[k]
-        live = valid[k] & (hit < 0)
-        bad |= live & jbad[p]
-        tk = (e - c[p]) / w[p]
-        on = live & np.where(w[p] <= 0.0, e == c[p], (-1.0 < tk) & (tk < 1.0))
-        hit[on] = p[on]
-        t[on] = tk[on]
-    out = np.zeros(len(e))
-    idx = np.flatnonzero(hit >= 0)
-    if not len(idx):
+    if isinstance(s, Geometric):
+        return np.fromiter(map(pow, repeat(s._ratio), js.tolist()), float,
+                           len(js))
+    if isinstance(s, PiSequence):
+        t = (s._mult * js + s._offset) * PI
+        return _calls(pow, t.tolist(), jbad, -1.0 / s._power)
+    if isinstance(s, Midpoints):
+        # 0.5 * (of.value(j) + of.value(j + 1))
+        v = _seq_values(s.of, js, jbad)
+        vn, nbad = _seq_next(s.of, js, v, jbad)
+        jbad |= nbad
+        return 0.5 * (v + vn)
+    if isinstance(s, HarmonicMidpoints):
+        # int true division, exact below 2j(j+1) < 2**53 (j < 2**26),
+        # where numpy divides the same two floats
+        out = (2 * js + 1) / (2 * js * (js + 1))
+        big = np.flatnonzero(js >= 2 ** 26)
+        if len(big):
+            bbad = np.zeros(len(big), bool)
+            out[big] = _calls(s.value, js[big].tolist(), bbad, strict=True)
+            jbad[big] |= bbad
         return out
-    hj, inv = _distinct(hit[idx])
-    hbad = np.zeros(len(hj), bool)
-    h = _calls(partial(net.heights.value, s), js[hj].tolist(), hbad,
-               strict=True)[inv]
-    bad[idx[hbad[inv]]] = True
-    out[idx] = h
-    # a support that underflowed to its centre has height, no profile
-    span = idx[w[hit[idx]] > 0.0]
-    out[span] *= _exp_nonpos(1.0 - 1.0 / (1.0 - t[span] * t[span]))  # bump_phi
-    return out
-
-
-def _vec_spike(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    valid, js, pos = _probe(s, e, bad)
-    jbad = np.zeros(len(js), bool)
-    c = _seq_values(s, js, jbad)
-    hit = np.zeros(len(e), bool)
-    for k in range(5):
-        p = pos[k]
-        live = valid[k] & ~hit
-        bad |= live & jbad[p]
-        hit |= live & (c[p] == e)
-    return np.where(hit, 1.0, 0.0)
+    return _calls(s.value, js.tolist(), jbad, strict=True)
 
 
 # --------------------------------------------------------------------------

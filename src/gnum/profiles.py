@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import nets
 from .errors import DomainError
 from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
@@ -463,12 +465,10 @@ def _trains_disjoint(x: BumpTrain, y: BumpTrain) -> bool:
         cws = ((t.schedule.value(j), t.widths.value(t.schedule, j))
                for j in range(1, 201))
         return [(c - w, c + w) for c, w in cws]
-    sx, sy = supports(x), supports(y)
-    for (a1, b1) in sx:
-        for (a2, b2) in sy:
-            if a1 < b2 and a2 < b1:
-                return False
-    return True
+    sx, sy = np.array(supports(x)), np.array(supports(y))
+    # supports (a1, b1) of x and (a2, b2) of y overlap where a1 < b2 and
+    # a2 < b1, over every pair at once; a nan compares False, as in Python
+    return not ((sx[:, :1] < sy[:, 1]) & (sy[:, 0] < sx[:, 1:])).any()
 
 
 def _info_mul(net: Mul) -> Info:
@@ -1049,11 +1049,8 @@ def substitute_along(net: NetExpr, seq: SequenceRule
 
 def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
     """Sequences worth probing for along-sequence decisions."""
-    seqs: List[SequenceRule] = []
-
-    def push(s):
-        if s not in seqs:
-            seqs.append(s)
+    seqs = {}   # a dict keeps the rules in first-pushed order, each once
+    push = seqs.setdefault
 
     for node in nets.iter_nodes(net):
         if isinstance(node, (SinRecipPow, CosRecipPow)):
@@ -1070,7 +1067,7 @@ def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
                 push(s)
     push(Harmonic())
     push(Geometric(F(1, 2)))
-    return seqs[:16]
+    return list(seqs)[:16]
 
 
 def along_lower(net: NetExpr, seq: SequenceRule) -> Optional[Env]:

@@ -19,17 +19,22 @@ from gnum import constructions, ideals, nets
 from gnum.asymptotics import _log_points, _powers
 from gnum.errors import DomainError, SearchExhausted
 from gnum.constructions import (CharsetPoints, _charset_points,
-                                construct_zero_divisor, interleaved_trains)
+                                annihilator_split, construct_zero_divisor,
+                                gelfand_witnesses, interleaved_trains)
 from gnum.harness import DEFAULT_GRID, GridSpec, random_net, replay_growth_along
-from gnum.ideals import dip_forcing_data, replay_dip_forcing
+from gnum.ideals import (FinIdeal, dip_forcing_data, membership,
+                         principal_forms, replay_dip_forcing)
+from gnum.lattice import abs_factor
 from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, BumpTrain,
                        Const, ConstHeights, DecayHeights, ExpNegRecip,
-                       GelfandFactor, Inv, Mul, PowQ, RegularizedQuotient,
-                       RootN, ShrunkWidths, SmoothBlend, Tier, absn, add,
+                       GapFraction, GelfandFactor, Inv, Mul, PowQ,
+                       RegularizedQuotient, RootN, ShrunkWidths, SmoothBlend,
+                       Tier, absn, add,
                        bump_train, cos_recip, eval_net, eval_points, gnumber,
                        inv, maxn, minn, mul, neg, powq, sin_recip, spikes,
                        sub, unfill)
-from gnum.sequences import Geometric, Harmonic, Midpoints, PiSequence
+from gnum.sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
+                            PiSequence)
 from gnum.smoothing import _band_ok, _numeric_modulus, smooth_approximate
 
 DEEP = np.logspace(math.log10(DEFAULT_GRID.eps_min) - 12.0,
@@ -181,9 +186,10 @@ def test_points_outside_the_domain_raise_like_the_loop():
         eval_points(net, [0.5, 0.0])
 
 
-def test_nodes_without_a_vector_rule_under_vector_nodes():
-    # blend and witness nodes and complex constants have no vector rule:
-    # the whole net goes to eval_net, values, types and first error alike
+def test_witness_nodes_and_complex_constants_under_other_nodes():
+    # blend and witness nodes under other nodes, with complex constants and
+    # complex intermediates, whose points the vector rules flag for
+    # eval_net: values, types and first error alike
     s, c = sin_recip(1), cos_recip(1)
     nodes = (SmoothBlend(absn(s)), SmoothBlend(mul(Const(1j), absn(s))),
              GelfandFactor(s), RegularizedQuotient(EPS, s),
@@ -198,6 +204,154 @@ def test_nodes_without_a_vector_rule_under_vector_nodes():
                     add(Inv(node), bump_train(Harmonic()))):
             assert_bit_identical(net, pts)
             assert_bit_identical(net, list(pts) + [0.0])
+
+
+# Every node type has a vector rule.  The nets the constructions build
+# are evaluated on the vector path, each point by its rule, and a point
+# goes to eval_net only where a rule flags it (a complex value, an index
+# past int64, a point where the scalar rule raises).
+
+@pytest.fixture(scope="module")
+def witness_nets():
+    """The witness nets of the paper's constructions, by name."""
+    r, s = interleaved_trains()
+    a = sin_recip(1)
+    gw = gelfand_witnesses(gnumber(a), gnumber(sub(Const(1.0), a)))
+    out = {
+        "zero divisor of sin(1/eps)":
+            construct_zero_divisor(gnumber(a)).s.net,
+        "zero divisor of cos(1/eps^2)":
+            construct_zero_divisor(gnumber(cos_recip(2))).s.net,
+        "zero divisor of a train": construct_zero_divisor(
+            gnumber(bump_train(Geometric(F(1, 2))))).s.net,
+        "interleaved trains": add(r.net, s.net),
+        "annihilator split": annihilator_split(r, s).x.net,
+        "gelfand r": gw.r.net, "gelfand s": gw.s.net,
+        "gelfand product": gw.product_net(),
+        "abs factor": abs_factor(gnumber(mul(powq(EPS, 3), cos_recip(1)))).net,
+        "abs factor of a train": abs_factor(gnumber(r.net)).net,
+    }
+    for k, (x, y) in enumerate(((EPS, sin_recip(1)), (r.net, s.net),
+                                (mul(Const(3.0), EPS), powq(EPS, 2)))):
+        sum_form, max_form = principal_forms(FinIdeal((gnumber(x),
+                                                       gnumber(y))))
+        witness = membership(sum_form.net, max_form.net).witness.data[0]
+        out[f"membership quotient {k}"] = witness
+    for k, x in enumerate((absn(sin_recip(1)), maxn(sin_recip(1), cos_recip(1)),
+                           minn(EPS, Const(0.5)),
+                           PowQ(absn(sin_recip(1)), F(3, 2)))):
+        out[f"smoothed {k}"] = smooth_approximate(
+            gnumber(x, Tier.Continuous)).output.net
+    return out
+
+
+def test_witness_nets_are_real_constructions(witness_nets):
+    kinds = {type(node) for net in witness_nets.values()
+             for node in nets.iter_nodes(net)}
+    assert {SmoothBlend, RegularizedQuotient, AbsFactor, GelfandFactor,
+            AnnihilatorTransition, BumpTrain} <= kinds
+    assert any(isinstance(net, BumpTrain)
+               and isinstance(net.widths, ShrunkWidths)
+               and isinstance(net.schedule, PiSequence)
+               for net in witness_nets.values())
+
+
+def test_witness_nets_match_the_loop(witness_nets):
+    pts = np.concatenate((GRIDS["default"][::3], GRIDS["lower-scan"],
+                          DEEP[::20], [5e-324, 1e-300, 0.5,
+                                       math.nextafter(1.0, 0.0), 1.0]))
+    nan_net = mul(ExpNegRecip(), inv(ExpNegRecip()))
+    for name, net in witness_nets.items():
+        assert_bit_identical(net, pts)
+        # signed zeros, nan, a complex value and a first error around it
+        for wrapped in (neg(net), add(net, nan_net), mul(net, Const(1j)),
+                        mul(net, _raising_at(float(pts[200])))):
+            assert_bit_identical(wrapped, pts)
+
+
+def test_witness_nets_take_no_scalar_point(witness_nets, monkeypatch):
+    # in-domain grid points with indices inside int64 are never flagged
+    pts = GRIDS["default"]
+    for net in witness_nets.values():
+        eval_points(net, pts)     # builds band plans and certificates
+    calls = []
+
+    def counted(net, e):
+        calls.append(e)
+        return eval_net(net, e)
+
+    monkeypatch.setattr(nets, "eval_net", counted)
+    for name, net in witness_nets.items():
+        want = [eval_net(net, p) for p in pts.tolist()]
+        got = eval_points(net, pts).tolist()
+        assert all(_same(w, g) for w, g in zip(want, got)), name
+        assert not calls, name
+
+
+def test_witness_rules_at_their_special_cases():
+    # |a| = 1/4 exactly (0.0 against -0.0), quotients whose denominator
+    # underflows to 0, transitions with d = 0 and eta = 0, abs factors of
+    # a zero operand where patch_weights raises (5e-324) and at the patch
+    # boundaries 1/m, a non-float eta scale
+    pts = np.concatenate((GRIDS["default"][::4], DEEP[::40],
+                          [1.0 / m for m in range(1, 60)],
+                          [1 / 3, 0.75, 1 / 745.0, 1e-300, 5e-324]))
+    zero, nan = mul(EPS, Const(0.0)), Const(math.nan)
+    cases = [GelfandFactor(add(EPS, Const(-0.75))), GelfandFactor(Const(-0.25)),
+             GelfandFactor(zero), GelfandFactor(nan),
+             GelfandFactor(powq(EPS, -2)),
+             RegularizedQuotient(EPS, zero), RegularizedQuotient(zero, zero),
+             RegularizedQuotient(neg(EPS), bump_train(Harmonic())),
+             RegularizedQuotient(powq(EPS, -200), powq(EPS, -200)),
+             AnnihilatorTransition(zero, zero), AnnihilatorTransition(EPS, zero),
+             AnnihilatorTransition(zero, EPS, 1e-300),
+             AnnihilatorTransition(nan, EPS), AnnihilatorTransition(EPS, EPS, 2),
+             AbsFactor(zero), AbsFactor(EPS), AbsFactor(neg(EPS), inverse=True),
+             AbsFactor(nan), AbsFactor(powq(EPS, -300)),
+             AbsFactor(bump_train(Harmonic()))]
+    for net in cases:
+        assert_bit_identical(net, pts)
+        assert_bit_identical(net, pts[:-1])
+    assert math.copysign(1.0, eval_net(cases[0], 1.0)) == 1.0
+    with pytest.raises(OverflowError):      # int(1.0 / 5e-324)
+        eval_points(AbsFactor(EPS), [0.5, 5e-324])
+
+
+def test_bump_trains_over_every_schedule():
+    # the vector schedules (pi, midpoints, harmonic midpoints, whose vector
+    # rule stops at 2j(j+1) = 2**53) and the Python one of a charset,
+    # which raises past its prefix, under every width and height rule
+    pi = PiSequence(F(1), F(1, 2), F(2))
+    charset = CharsetPoints(tuple(0.5 ** k for k in range(1, 11)))
+    near = 1.0 / np.linspace(2.0 ** 26 - 40, 2.0 ** 26 + 40, 81)
+    pts = np.concatenate((GRIDS["default"][::5], near,
+                          np.logspace(-9, -7, 60), charset.points,
+                          [0.5 ** 10 * 0.999, 0.5 ** 11, 1e-19, 1e-300]))
+    rules = [(GapFraction(), ConstHeights(1.0)),
+             (GapFraction(F(1, 8)), DecayHeights(F(1), F(0))),
+             (ShrunkWidths((0.05, 0.01, 1e-3) + (1e-4,) * 7),
+              DecayHeights(F(1, 2), F(1))),
+             (ShrunkWidths((0.02,), F(1), F(0)), ConstHeights(-0.5))]
+    for s in (pi, Midpoints(pi), HarmonicMidpoints(),
+              Midpoints(HarmonicMidpoints()), Midpoints(Midpoints(Harmonic())),
+              charset, Midpoints(charset)):
+        assert_bit_identical(spikes(s), pts)
+        for widths, heights in rules:
+            assert_bit_identical(BumpTrain(s, widths, heights), pts)
+    with pytest.raises(SearchExhausted, match="index 11"):
+        eval_points(BumpTrain(charset), [0.5 ** 10 * 0.999])
+
+
+def test_harmonic_midpoints_past_two_to_the_26():
+    # numpy divides the two ints as floats only below 2j(j+1) = 2**53
+    s = HarmonicMidpoints()
+    js = np.unique(np.concatenate((
+        np.arange(2 ** 26 - 5, 2 ** 26 + 5),
+        np.random.default_rng(0).integers(2, 2 ** 40, 500))))
+    jbad = np.zeros(len(js), bool)
+    got = nets._seq_values(s, js, jbad)
+    assert not jbad.any()
+    assert got.tolist() == [s.value(j) for j in js.tolist()]
 
 
 def test_min_max_propagate_nan_and_keep_signed_zero_order():
@@ -229,7 +383,10 @@ def test_overlapping_supports_take_the_first_probe():
 
 
 def test_empty_and_exact_train_points():
-    assert eval_points(EPS, []).shape == (0,)
+    blend = smooth_approximate(gnumber(absn(sin_recip(1)))).output.net
+    for net in (EPS, bump_train(Harmonic()), spikes(Harmonic()), blend,
+                AbsFactor(EPS)):
+        assert eval_points(net, []).shape == (0,)
     s = Geometric(F(1, 3))
     assert_bit_identical(spikes(s), s.values(40))
     assert_bit_identical(bump_train(s), s.values(40))

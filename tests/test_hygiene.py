@@ -113,14 +113,15 @@ def test_eval_net_only_where_reviewed():
 
 
 def test_imports_only_at_module_level():
-    # a function-level import hides a dependency; the blend's evaluation
-    # rule imports the one that breaks a cycle (smoothing imports nets)
+    # a function-level import hides a dependency; the blend's rules (scalar
+    # and vector) read smoothing through the one import that breaks a
+    # cycle (smoothing imports nets)
     local = sorted((module, top.name) for module, tree in TREES.items()
                    for top in tree.body
                    if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                    for node in ast.walk(top)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
-    assert local == [("nets.py", "_blend")]
+    assert local == [("nets.py", "_smoothing")]
 
 
 def _node_types(cls=NetExpr):
@@ -149,6 +150,15 @@ def test_every_node_type_has_an_evaluation_rule():
     assert not missing, f"node types without an evaluation rule: {missing}"
 
 
+def test_every_node_type_has_a_vector_rule():
+    # eval_points looks a node's vector rule up by its exact type, as
+    # eval_net does its scalar rule, so no node type sends a whole net to
+    # eval_net; without an entry eval_points raises KeyError
+    node_types = [c for c in _node_types() if c.__module__ == nets.__name__]
+    assert nets.SpikeTrain in node_types and len(node_types) >= 22
+    assert set(nets._VEC_RULES) == set(node_types)
+
+
 def test_every_node_type_has_a_fact_rule():
     # a node's facts are stored when it is built, from the rule of its
     # exact type, so a subclass (SpikeTrain of Indicator) needs its own
@@ -173,7 +183,8 @@ CACHES = {
 # module-level containers that are constant tables, not caches
 TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
           "harness._LEAF_CONSTS", "harness._OSC_POWERS", "nets._EVAL_RULES",
-          "nets._FACT_RULES", "profiles._HALF_PI_SIN", "profiles._OSC_POINTS"}
+          "nets._FACT_RULES", "nets._VEC_RULES", "profiles._HALF_PI_SIN",
+          "profiles._OSC_POINTS"}
 
 
 def test_every_module_level_cache_is_listed_with_its_bound():
