@@ -164,6 +164,12 @@ def _replay_witness(a: NetExpr, x: NetExpr, y: NetExpr) -> bool:
     return bool(replay_negligible_diff(nets.mul(a, x), y, 8, _REPLAY_GRID))
 
 
+# the grid of domination bounds (C, M), and its weakest bound, which
+# dominates every other
+_GRID_C, _GRID_M = (1.0, 2.0, 4.0, 8.0), (0, 1, 2)
+_WEAKEST_BOUND = (_GRID_C[-1], _GRID_M[-1])
+
+
 def _dominations(y_abs: NetExpr, x_abs: NetExpr):
     """Candidate (C, M) with |y| <= C * eps**-M * |x|, cheapest first."""
     up = rat_upper(rat(y_abs)) or info(y_abs).upper
@@ -175,9 +181,16 @@ def _dominations(y_abs: NetExpr, x_abs: NetExpr):
             yield (2.0 * up.c / lo.c, m)
         elif lo.kind == SUPERGROW:
             yield (1.0, 0)
-    for C in (1.0, 2.0, 4.0, 8.0):
-        for M in (0, 1, 2):
+    for C in _GRID_C:
+        for M in _GRID_M:
             yield (C, M)
+
+
+def _domination_bound(x_abs: NetExpr, C: float, M: int) -> NetExpr:
+    """The net C * eps**-M * |x|."""
+    if M == 0:
+        return nets.mul(Const(C), x_abs)
+    return nets.mul(Const(C), nets.mul(nets.powq(nets.EPS, -M), x_abs))
 
 
 def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
@@ -195,7 +208,23 @@ def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
 
 def _witnesses(ynet: NetExpr, xnet: NetExpr):
     """Candidate factors a with a*x = y mod negligibility, cheapest first,
-    each with the reason a True answer reports (None: no candidate)."""
+    each with the reason a True answer reports (None: no candidate).
+
+    The domination route tries the bounds of `_dominations` in its order
+    and skips a bound that one already refuted rules out.  Every
+    candidate C is positive, |x| >= 0 and eps is in (0, 1], so
+
+        C * eps**-M * |x| <= C' * eps**-M' * |x|  when C <= C' and M <= M',
+
+    and if |y| <= C' * eps**-M' * |x| is False, so is every bound with
+    C <= C' and M <= M'.  When the first bound is not accepted, the
+    weakest grid bound (C = 8, M = 2), which dominates every other grid
+    bound, is asked next; its refutation ends the route.  True and
+    Unknown verdicts prune nothing, and `leq` is asked each bound at most
+    once per call.  So long as `leq` decides no bound True that a weaker
+    bound's refutation rules out, the bounds yielded are those of the
+    plain scan, in its order.
+    """
     yield _structural_factor(ynet, xnet), ""
     yield _exact_quotient(ynet, xnet, use_abs=False), ""
     b = _exact_quotient(ynet, xnet, use_abs=True)
@@ -205,14 +234,23 @@ def _witnesses(ynet: NetExpr, xnet: NetExpr):
     # quotient a moderate witness
     y_abs = ynet if nonneg_net(ynet) else absn(ynet)
     x_abs = xnet if nonneg_net(xnet) else absn(xnet)
-    seen = set()
-    for C, M in _dominations(y_abs, x_abs):
-        if (C, M) in seen:
+    verdicts = {}
+
+    def holds(C, M):
+        if (C, M) not in verdicts:
+            verdicts[C, M] = leq(y_abs, _domination_bound(x_abs, C, M))
+        return verdicts[C, M]
+
+    def refuted(C, M):
+        return any(t.is_false and C <= c and M <= m
+                   for (c, m), t in verdicts.items())
+
+    for k, (C, M) in enumerate(dict.fromkeys(_dominations(y_abs, x_abs))):
+        if k == 1 and not refuted(*_WEAKEST_BOUND):
+            holds(*_WEAKEST_BOUND)
+        if refuted(C, M):
             continue
-        seen.add((C, M))
-        bound = nets.mul(Const(C), x_abs) if M == 0 else \
-            nets.mul(Const(C), nets.mul(nets.powq(nets.EPS, -M), x_abs))
-        if leq(y_abs, bound).is_true:
+        if holds(C, M).is_true:
             b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
             yield (_compose_witness([_phase(ynet, True), b,
                                      _phase(xnet, False)]),

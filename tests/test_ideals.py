@@ -1,25 +1,32 @@
 """Ideal algebra: principal reduction, membership routes, powers,
-radicals, and radicality of principal ideals."""
+radicals, and radicality of principal ideals.  The domination search of
+membership is compared with the loop it replaced, kept here verbatim."""
 
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from gnum.asymptotics import gn_equal, is_negligible, is_strictly_nonzero
+from gnum import ideals, nets
+from gnum.asymptotics import (gn_equal, is_negligible, is_strictly_nonzero,
+                              leq)
 from gnum.constructions import interleaved_trains
 from gnum.errors import PreconditionError
 from gnum.harness import GridSpec, random_net, replay_negligible_diff
-from gnum.ideals import (FinIdeal, RootFamilyIdeal, dip_forcing_data,
-                         intersect_principal, is_radical_principal,
-                         membership, power_membership, principal_forms,
-                         principal_reduce, radical_membership,
-                         replay_dip_forcing)
+from gnum.ideals import (_WEAKEST_BOUND, FinIdeal, RootFamilyIdeal,
+                         _compose_witness, _domination_bound, _dominations,
+                         _exact_quotient, _phase, _structural_factor,
+                         dip_forcing_data, intersect_principal,
+                         is_radical_principal, membership, power_membership,
+                         principal_forms, principal_reduce,
+                         radical_membership, replay_dip_forcing)
 from gnum.lattice import gabs
-from gnum.nets import (EPS, DecayHeights, ExpNegRecip, Tier, absn, add,
-                       bump_train, const, cos_recip, eval_net, gnumber,
-                       indicator, maxn, mul, neg, powq, rootn, sin_recip,
-                       spikes, sub)
+from gnum.nets import (EPS, Const, DecayHeights, ExpNegRecip,
+                       RegularizedQuotient, Tier, absn, add, bump_train,
+                       const, cos_recip, eval_net, gnumber, indicator, maxn,
+                       mul, neg, nonneg_net, powq, rootn, sin_recip, spikes,
+                       sub)
+from gnum.profiles import _rat_abs, info, rat
 from gnum.sequences import Geometric, Harmonic
 
 GRID = GridSpec(n_points=300, eps_min=1e-6)
@@ -272,3 +279,144 @@ def test_convex_in_ideal_via_convex_factor():
     for x, y in pairs:
         a = convex_factor(gnumber(x), gnumber(y)).net
         assert replay_negligible_diff(mul(a, x), y, 10, GRID).passed
+
+
+# -- the domination search ---------------------------------------------------
+#
+# `_witnesses` skips a domination bound that a refuted one rules out.  The
+# reference below is the loop it ran before, copied verbatim: it asks
+# `leq` every bound in order until one holds.
+
+
+def _reference_witnesses(ynet, xnet):
+    yield _structural_factor(ynet, xnet), ""
+    yield _exact_quotient(ynet, xnet, use_abs=False), ""
+    b = _exact_quotient(ynet, xnet, use_abs=True)
+    if b is not None:
+        yield _compose_witness([_phase(ynet, True), b, _phase(xnet, False)]), ""
+    # domination route: |y| <= C eps^-M |x| makes the regularized
+    # quotient a moderate witness
+    y_abs = ynet if nonneg_net(ynet) else absn(ynet)
+    x_abs = xnet if nonneg_net(xnet) else absn(xnet)
+    seen = set()
+    for C, M in _dominations(y_abs, x_abs):
+        if (C, M) in seen:
+            continue
+        seen.add((C, M))
+        bound = nets.mul(Const(C), x_abs) if M == 0 else \
+            nets.mul(Const(C), nets.mul(nets.powq(nets.EPS, -M), x_abs))
+        if leq(y_abs, bound).is_true:
+            b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
+            yield (_compose_witness([_phase(ynet, True), b,
+                                     _phase(xnet, False)]),
+                   f"dominated C={C} M={M}")
+
+
+def _clear_analysis_caches():
+    for cached in (info, rat, _rat_abs):
+        cached.cache_clear()
+
+
+def _answer(fn, *args):
+    _clear_analysis_caches()
+    try:
+        t = fn(*args)
+    except Exception as exc:  # both loops must raise alike
+        return "raises", type(exc).__name__, str(exc)
+    return t.value, t.reason, repr(t.witness)
+
+
+def _assert_same_as_reference(monkeypatch, calls):
+    for fn, *args in calls:
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_witnesses", _reference_witnesses)
+            want = _answer(fn, *args)
+        assert _answer(fn, *args) == want, (fn.__name__, args)
+    _clear_analysis_caches()
+
+
+def _corpus_calls():
+    """The ideal operations of the benchmark's `witnesses` workload:
+    generator forms, intersections, powers and radicals."""
+    t1, t2 = interleaved_trains(F(1, 4))
+    t3, t4 = interleaved_trains(F(1, 5))
+    calls = []
+    for r, s in [(sin_recip(1), cos_recip(1)), (EPS, powq(EPS, 2)),
+                 (EPS, sin_recip(1)), (powq(EPS, -1), EPS), (t1.net, t2.net),
+                 (cos_recip(1), add(const(2), sin_recip(1))),
+                 (mul(const(3), EPS), mul(const(5), powq(EPS, 2)))]:
+        sum_form, max_form = principal_forms(
+            FinIdeal((gnumber(r), gnumber(s))))
+        calls += [(membership, sum_form.net, max_form.net),
+                  (membership, max_form.net, sum_form.net)]
+    for x, y in [(EPS, powq(EPS, 2)), (powq(EPS, 2), powq(EPS, 3)),
+                 (powq(EPS, 2), powq(EPS, 5)), (t1.net, t2.net),
+                 (t3.net, t4.net)]:
+        g = intersect_principal(gnumber(x), gnumber(y)).net
+        calls += [(membership, z, w) for z in (mul(x, y), const(1))
+                  for w in (g, x, y)]
+    for g, k in [(sin_recip(1), 1), (EPS, 2), (t1.net, 1), (cos_recip(1), 3)]:
+        r = mul(powq(EPS, k), g)
+        calls += [(power_membership, gnumber(mul(r, r)), gnumber(g), 2),
+                  (membership, r, g)]
+    calls += [(is_radical_principal, gnumber(s))
+              for s in (dip_train(), indicator(Geometric(F(1, 2))),
+                        bump_train(Geometric(F(1, 2))), EPS)]
+    return calls
+
+
+def _random_pairs(seeds, depth):
+    """(y, x), (1, x), (y, x*x) and (y*x, x) for x = net seed + 7000."""
+    pairs = []
+    for seed in seeds:
+        for tier in Tier:
+            y = random_net(seed, tier, depth)
+            x = random_net(seed + 7000, tier, depth)
+            pairs += [(y, x), (const(1), x), (y, mul(x, x)), (mul(y, x), x)]
+    return pairs
+
+
+def test_domination_search_matches_reference_on_ideal_operations(
+        monkeypatch):
+    _assert_same_as_reference(monkeypatch, _corpus_calls())
+
+
+def test_domination_search_matches_reference_on_random_pairs(monkeypatch):
+    # at depth 3, seeds 18 and 21 hold pairs whose weakest bound holds
+    # while the first does not, so the scan goes on past the probe, and
+    # seed 22 one whose weakest bound is Unknown while a stronger one holds
+    pairs = _random_pairs(range(4), 2) + _random_pairs((18, 21, 22), 3)
+    _assert_same_as_reference(monkeypatch,
+                              [(membership, y, x) for y, x in pairs])
+
+
+def test_refuted_weakest_bound_ends_the_domination_search(monkeypatch):
+    # 1 is not dominated by a bump train: every bound is refuted, and
+    # the refutation of C = 8, M = 2 rules out the ten bounds between
+    t1, _ = interleaved_trains(F(1, 4))
+    asked = []
+
+    def counting_leq(a, b):
+        asked.append(b)
+        return leq(a, b)
+
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    assert membership(const(1), t1.net).is_false
+    assert asked == [_domination_bound(t1.net, 1.0, 0),
+                     _domination_bound(t1.net, *_WEAKEST_BOUND)]
+
+
+def test_leq_never_beats_a_refuted_bound_with_a_stronger_one():
+    # the premise of the pruning: where |y| <= C' eps^-M' |x| is refuted,
+    # no candidate bound with C <= C' and M <= M' is decided True
+    refuted_total = 0
+    for y, x in _random_pairs(range(5, 9), 2):
+        y_abs = y if nonneg_net(y) else absn(y)
+        x_abs = x if nonneg_net(x) else absn(x)
+        verdicts = {(C, M): leq(y_abs, _domination_bound(x_abs, C, M)).value
+                    for C, M in dict.fromkeys(_dominations(y_abs, x_abs))}
+        refuted = [b for b, v in verdicts.items() if v is False]
+        refuted_total += len(refuted)
+        assert not [(b, r) for b, v in verdicts.items() if v is True
+                    for r in refuted if b[0] <= r[0] and b[1] <= r[1]]
+    assert refuted_total >= 200  # 255 refuted bounds in these 48 pairs
