@@ -25,6 +25,7 @@ admitting the parsed tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -308,6 +309,8 @@ _LVL_ADD, _LVL_MUL, _LVL_POW, _LVL_ATOM = 0, 1, 2, 3
 
 
 def _fmt_num(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"constant {v!r} is outside the printable grammar")
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)

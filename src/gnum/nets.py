@@ -1049,7 +1049,7 @@ def _abs_factor(x, inverse):
 
 
 def _smoothing():
-    # a blend's rules read its band plans, which smoothing keys by the
+    # a blend's rule reads its band plans, which smoothing keys by the
     # node; smoothing imports nets, so nets imports it only here
     from . import smoothing
     return smoothing
@@ -1141,7 +1141,7 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     call and ``**`` is the call the node's scalar rule makes, and a point
     where that rule raises or special-cases, or whose value is not a
     float (a complex constant or intermediate), is flagged and evaluated
-    by eval_net.
+    by eval_net; a blend or a Gelfand factor flags every point.
     An atom's vector is computed once per grid and kept in a bounded
     memo (``_ATOMS``), keyed so that only an atom that evaluates the same
     bit for bit can share it.
@@ -1251,7 +1251,10 @@ def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
     return _VEC_RULES[type(net)](net, e, bad, g)
 
 
-def _flag_all(e: np.ndarray, bad: np.ndarray) -> np.ndarray:
+def _flag_all(net, e, bad, g):
+    # every point to eval_net: the rule of a blend and a Gelfand factor,
+    # for which no workload pays for a vector twin (README, "Grid
+    # evaluation")
     bad[:] = True
     return np.full(len(e), math.nan)
 
@@ -1259,7 +1262,7 @@ def _flag_all(e: np.ndarray, bad: np.ndarray) -> np.ndarray:
 def _vec_const(net, e, bad, g):
     # a complex constant's points go to eval_net
     return np.full(len(e), net.c) if type(net.c) is float \
-        else _flag_all(e, bad)
+        else _flag_all(net, e, bad, g)
 
 
 def _vec_inv(net, e, bad, g):
@@ -1296,13 +1299,6 @@ def _vec_osc(f):
     return rule
 
 
-def _vec_gelfand(net, e, bad, g):
-    v = _vec(net.a, e, bad, g)
-    m = np.abs(v)
-    # -gelfand_chi(2.0 * m) / v
-    return np.where(m <= 0.25, 0.0, -_smoothstep(2.0 * (2.0 * m) - 1.0) / v)
-
-
 def _vec_quotient(net, e, bad, g):
     nv, dv = _vec(net.num, e, bad, g), _vec(net.den, e, bad, g)
     delta = _vec(_EXP_NEG_RECIP, e, bad, g)
@@ -1313,7 +1309,7 @@ def _vec_quotient(net, e, bad, g):
 
 def _vec_transition(net, e, bad, g):
     if type(net.eta_scale) is not float:    # never built by annihilator_split
-        return _flag_all(e, bad)
+        return _flag_all(net, e, bad, g)
     d = np.abs(_vec(net.s, e, bad, g)) - np.abs(_vec(net.r, e, bad, g))
     eta = net.eta_scale * _vec(_EXP_NEG_RECIP, e, bad, g)
     u = d / eta
@@ -1441,7 +1437,7 @@ def _vec_spike(net, e, bad):
 _EXP_NEG_RECIP = ExpNegRecip()
 
 # a node type's rule: ``(net, e, bad, g) -> net at the points e``, reading
-# its children through _vec
+# its children through _vec; a blend or a Gelfand factor flags every point
 _VEC_RULES = {
     Const: _vec_const,
     Eps: lambda net, e, bad, g: e,
@@ -1461,11 +1457,11 @@ _VEC_RULES = {
     BumpTrain: lambda net, e, bad, g: _vec_bump(net, e, bad),
     Indicator: lambda net, e, bad, g: _vec_spike(net, e, bad),
     SpikeTrain: lambda net, e, bad, g: _vec_spike(net, e, bad),
-    GelfandFactor: _vec_gelfand,
+    GelfandFactor: _flag_all,
     RegularizedQuotient: _vec_quotient,
     AnnihilatorTransition: _vec_transition,
     AbsFactor: _vec_abs_factor,
-    SmoothBlend: lambda net, e, bad, g: _smoothing()._blend_points(net, e, bad),
+    SmoothBlend: _flag_all,
 }
 
 

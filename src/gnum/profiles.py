@@ -150,22 +150,24 @@ def lower_vs_upper(lo: Optional[Env], up: Optional[Env]) -> Optional[Env]:
 
 
 def env_inv_upper(lo: Optional[Env]) -> Optional[Env]:
-    """Upper bound of 1/x from a lower bound of |x|."""
+    """Upper bound of 1/x from a lower bound of |x|; a power bound
+    c eps^q inverts only where 0 < c < inf, else None (no envelope)."""
     if lo is None:
         return None
     if lo.kind == SUPERGROW:
         return Env(SUPERPOW)
-    if lo.kind == POW:
+    if lo.kind == POW and 0.0 < lo.c < math.inf:
         return Env(POW, -lo.q, 1.0 / lo.c)
     return None
 
 
 def env_inv_lower(up: Optional[Env]) -> Optional[Env]:
+    """Lower bound of |1/x| from an upper bound of |x|, by the same rule."""
     if up is None:
         return None
     if up.kind in (ZERO_K, SUPERPOW):
         return Env(SUPERGROW)
-    if up.kind == POW:
+    if up.kind == POW and 0.0 < up.c < math.inf:
         return Env(POW, -up.q, 1.0 / up.c)
     return None
 
@@ -668,7 +670,6 @@ def _abs_poly(p: Poly) -> Optional[Poly]:
     return None
 
 
-@lru_cache(maxsize=None)
 def _rat_abs(net: NetExpr) -> RatForm:
     """Normal form of |net| with multiplicative/structural rewrites."""
     if isinstance(net, (Neg, AbsNode)):

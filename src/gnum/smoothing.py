@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import nets
 from .asymptotics import _bisect_sign_change
 from .errors import PreconditionError, SearchExhausted, TierError
@@ -260,86 +258,6 @@ def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
     out = 0.0
     for c, p in pairs:
         out += (p / total) * eval_net(blend.source, min(c, 1.0))
-    return out
-
-
-def _blend_points(blend: SmoothBlend, e: np.ndarray,
-                  bad: np.ndarray) -> np.ndarray:
-    """``_blend_value(blend, eps)`` at each point of e, as float64: the
-    vector rule of a blend (``nets._VEC_RULES``).  Each band's plan is
-    read once, the source is evaluated through the vector path at the
-    points and bump centres the sums read, and ``total`` and ``out`` are
-    summed pair by pair in _blend_value's order.  A point where a plan or
-    the source raises, or the source's value is not a float, is flagged
-    in ``bad``."""
-    band = np.where(e >= 0.5, 0, -np.frexp(e)[1])         # _band_of
-    size = int(band.max(initial=0)) + 2
-    fail, exact = np.zeros(size, bool), np.zeros(size, bool)
-    a, w, count = np.zeros(size), np.full(size, math.nan), np.zeros(size)
-    plans = {}
-
-    def plan(b):
-        if b not in plans:
-            try:
-                plans[b] = _band_plan(blend, b)
-            except Exception:       # raised again by eval_net
-                plans[b] = None
-                fail[b] = True
-            else:
-                if plans[b][0] == "real":
-                    a[b], hi = _band_bounds(b)
-                    w[b] = plans[b][1]
-                    count[b] = round((hi - a[b]) / w[b])
-        return plans[b]
-
-    for b in sorted(set(band.tolist())):
-        own = plan(b)
-        if own is None or own[0] == "exact":
-            exact[b] = own is not None
-            continue
-        for nb in (b - 1, b + 1):
-            if nb >= 0:
-                plan(nb)
-    # the pairs of _band_bumps with psi > 0, slot by slot in its order:
-    # bands b, b - 1, b + 1, bumps k - 1, k, k + 1 of each, as (points,
-    # psi, centre); a slot that holds no pair adds 0.0 to both sums
-    ok = ~(fail | exact)[band]
-    bad |= fail[band]
-    slots = []
-    for d in (0, -1, 1):
-        nb = band + d
-        live = ok & (nb >= 0)
-        nb = np.where(nb >= 0, nb, 0)
-        bad |= live & fail[nb]
-        an, wn = a[nb], w[nb]
-        k = np.floor((e - an) / wn)
-        for i in (k - 1.0, k, k + 1.0):
-            c = an + (i + 0.5) * wn
-            t = (e - c) / wn
-            at = np.flatnonzero(live & (0.0 <= i) & (i < count[nb])
-                                & (-1.0 < t) & (t < 1.0))
-            p = nets._phi(t[at])
-            at, p = at[p > 0.0], p[p > 0.0]
-            slots.append((at, p, c[at]))
-    total = np.zeros(len(e))
-    for at, p, _ in slots:
-        total[at] += p
-    own = np.flatnonzero(~fail[band] & (total <= 0.0))
-    # the source at each point that takes its own value and at each
-    # centre, min(c, 1.0)
-    pts = np.concatenate(
-        [e[own], *(np.where(1.0 < c, 1.0, c) for _, _, c in slots)])
-    flagged = np.zeros(len(pts), bool)
-    v = nets._vec(blend.source, pts, flagged, None)
-    out = np.zeros(len(e))
-    start = len(own)
-    for at, p, _ in slots:
-        end = start + len(at)
-        bad[at[flagged[start:end]]] = True
-        out[at] += (p / total[at]) * v[start:end]
-        start = end
-    bad[own] |= flagged[:len(own)]
-    out[own] = v[:len(own)]
     return out
 
 

@@ -235,6 +235,23 @@ def test_leq_when_the_larger_side_is_minus_infinity():
     assert all(eps0 == 1e-6 for _, eps0 in t.witness.data)
 
 
+def test_deciders_on_the_inverse_of_eps_plus_the_smallest_subnormal():
+    # lower_vs_upper halves the bound 5e-324 of eps + 5e-324 to 0, which
+    # no envelope may invert: each decider answers, and every decided
+    # verdict passes its replay
+    x = inv(add(EPS, const(5e-324)))
+    for claim, t in (("moderate", is_moderate(x)),
+                     ("negligible", is_negligible(x)),
+                     ("strictly-nonzero", is_strictly_nonzero(x))):
+        rep = verify_decision(claim, t, x)
+        assert rep is None or rep.passed, (claim, t, rep)
+    for claim, fn in (("leq", leq), ("gn_equal", gn_equal)):
+        t = fn(x, EPS)
+        rep = verify_decision(claim, t, x, EPS)
+        assert rep is None or rep.passed, (claim, t, rep)
+    valuation(x)
+
+
 def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):
     # along the sine's -1 points the base is -1: no square root of it
     net, minus_one = PowQ(sin_recip(1), F(1, 2)), PiSequence(F(2), F(3, 2))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 from fractions import Fraction as F
@@ -191,6 +192,16 @@ def test_print_rejects_non_grammar_nodes():
     with pytest.raises(ValueError):
         print_net(out)
 
+
+
+def test_print_rejects_non_finite_constants():
+    # the grammar has no nan or inf literal: the grammar's ValueError, in
+    # a complex constant's parts too, and cli._plain falls back to repr
+    for c in (math.nan, math.inf, -math.inf, complex(math.nan, 1.0),
+              complex(1.0, math.inf), complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="outside the printable grammar"):
+            print_net(Const(c))
+    assert cli._plain(Const(math.inf)) == repr(Const(math.inf))
 
 # -- CLI -----------------------------------------------------------------------
 

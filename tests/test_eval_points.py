@@ -209,7 +209,8 @@ def test_witness_nodes_and_complex_constants_under_other_nodes():
 # Every node type has a vector rule.  The nets the constructions build
 # are evaluated on the vector path, each point by its rule, and a point
 # goes to eval_net only where a rule flags it (a complex value, an index
-# past int64, a point where the scalar rule raises).
+# past int64, a point where the scalar rule raises).  A blend or a
+# Gelfand factor flags every point: those nets go to eval_net whole.
 
 @pytest.fixture(scope="module")
 def witness_nets():
@@ -270,10 +271,17 @@ def test_witness_nets_match_the_loop(witness_nets):
 
 
 def test_witness_nets_take_no_scalar_point(witness_nets, monkeypatch):
-    # in-domain grid points with indices inside int64 are never flagged
+    # in-domain grid points with indices inside int64 are never flagged,
+    # in the nets that hold no blend and no Gelfand factor: the zero
+    # divisors, the interleaved trains, the annihilator split, the abs
+    # factors and the membership quotients
+    vector = {name: net for name, net in witness_nets.items()
+              if not any(isinstance(node, (SmoothBlend, GelfandFactor))
+                         for node in nets.iter_nodes(net))}
+    assert len(vector) == 10
     pts = GRIDS["default"]
-    for net in witness_nets.values():
-        eval_points(net, pts)     # builds band plans and certificates
+    for net in vector.values():
+        eval_points(net, pts)     # builds certificates
     calls = []
 
     def counted(net, e):
@@ -281,7 +289,7 @@ def test_witness_nets_take_no_scalar_point(witness_nets, monkeypatch):
         return eval_net(net, e)
 
     monkeypatch.setattr(nets, "eval_net", counted)
-    for name, net in witness_nets.items():
+    for name, net in vector.items():
         want = [eval_net(net, p) for p in pts.tolist()]
         got = eval_points(net, pts).tolist()
         assert all(_same(w, g) for w, g in zip(want, got)), name

@@ -113,9 +113,9 @@ def test_eval_net_only_where_reviewed():
 
 
 def test_imports_only_at_module_level():
-    # a function-level import hides a dependency; the blend's rules (scalar
-    # and vector) read smoothing through the one import that breaks a
-    # cycle (smoothing imports nets)
+    # a function-level import hides a dependency; the blend's scalar rule
+    # reads smoothing through the one import that breaks a cycle
+    # (smoothing imports nets)
     local = sorted((module, top.name) for module, tree in TREES.items()
                    for top in tree.body
                    if isinstance(top, (ast.FunctionDef, ast.ClassDef))
@@ -152,11 +152,15 @@ def test_every_node_type_has_an_evaluation_rule():
 
 def test_every_node_type_has_a_vector_rule():
     # eval_points looks a node's vector rule up by its exact type, as
-    # eval_net does its scalar rule, so no node type sends a whole net to
-    # eval_net; without an entry eval_points raises KeyError
+    # eval_net does its scalar rule; without an entry it raises KeyError.
+    # Only a blend and a Gelfand factor send every point, and so the
+    # whole net, to eval_net
     node_types = [c for c in _node_types() if c.__module__ == nets.__name__]
     assert nets.SpikeTrain in node_types and len(node_types) >= 22
     assert set(nets._VEC_RULES) == set(node_types)
+    by_eval_net = {c for c, rule in nets._VEC_RULES.items()
+                   if rule is nets._flag_all}
+    assert by_eval_net == {nets.SmoothBlend, nets.GelfandFactor}
 
 
 def test_every_node_type_has_a_fact_rule():
@@ -176,7 +180,6 @@ def test_every_node_type_has_a_fact_rule():
 CACHES = {
     "profiles.info": None,
     "profiles.rat": None,
-    "profiles._rat_abs": None,
     "smoothing._band_plan": None,
     "nets._ATOMS": 512 * 1024,
 }

@@ -26,7 +26,7 @@ from gnum.nets import (EPS, Const, DecayHeights, ExpNegRecip,
                        const, cos_recip, eval_net, gnumber, indicator, maxn,
                        mul, neg, nonneg_net, powq, rootn, sin_recip, spikes,
                        sub)
-from gnum.profiles import _rat_abs, info, rat
+from gnum.profiles import info, rat
 from gnum.sequences import Geometric, Harmonic
 
 GRID = GridSpec(n_points=300, eps_min=1e-6)
@@ -313,7 +313,7 @@ def _reference_witnesses(ynet, xnet):
 
 
 def _clear_analysis_caches():
-    for cached in (info, rat, _rat_abs):
+    for cached in (info, rat):
         cached.cache_clear()
 
 
