@@ -25,8 +25,9 @@ from . import nets, profiles
 from .errors import SearchExhausted
 from .nets import NetExpr, eval_points, is_real_net
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, along_lower,
-                       along_small, candidate_sequences, info, poly_nonneg,
-                       rat, rat_lower, rat_upper, substitute_along)
+                       along_small, candidate_sequences, enclose, info,
+                       poly_nonneg, rat, rat_lower, rat_upper,
+                       substitute_along)
 from .scales import Poly
 from .sequences import Geometric
 
@@ -192,7 +193,9 @@ def _calibrate_leq(pts: List[float], vx: np.ndarray, vy: np.ndarray,
     smaller scan point, from x and y on the scan (nan where a side has
     no real value, which ends the prefix)."""
     ay = np.abs(vy)
-    with np.errstate(invalid="ignore"):  # y = -inf: -inf + inf slack is nan
+    # y = -inf: -inf + inf slack is nan; y near the largest float: the
+    # slack overflows to inf, which compares correctly
+    with np.errstate(invalid="ignore", over="ignore"):
         ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
     good = _last_passing(pts, ok)
     return good if good is not None else 1e-6
@@ -382,8 +385,7 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
         if sign == -1:
             return DecisionTri(False, WitnessRecord(
                 "order-violation", (a_w, _find_order_violation(xn, yn, a_w))))
-    lo_ivl = info(d).ivl[0]
-    if lo_ivl >= 0.0:
+    if enclose(d)[0] >= 0.0:
         return DecisionTri(True, _leq_thresholds(xn, yn, a_max),
                            reason="pointwise")
     # along-sequence refutation: if y - x is eventually bounded below a

@@ -375,7 +375,8 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     for a, eps0 in thresholds:
         sel = pts <= eps0
         e, xs, ys = pts[sel], vx[sel], vy[sel]
-        bad = xs > ys + _powers(e.tolist(), a) + slack[sel]
+        with np.errstate(over="ignore"):  # y near the largest float: inf
+            bad = xs > ys + _powers(e.tolist(), a) + slack[sel]
         k = int(np.argmax(bad)) if bad.any() else len(e)
         _raise_first_error(xn, yn, e[:k], xs[:k], ys[:k])
         if k < len(e):

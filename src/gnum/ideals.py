@@ -210,20 +210,15 @@ def _witnesses(ynet: NetExpr, xnet: NetExpr):
     """Candidate factors a with a*x = y mod negligibility, cheapest first,
     each with the reason a True answer reports (None: no candidate).
 
-    The domination route tries the bounds of `_dominations` in its order
-    and skips a bound that one already refuted rules out.  Every
-    candidate C is positive, |x| >= 0 and eps is in (0, 1], so
+    The domination route asks the bounds of `_dominations` in its order,
+    each at most once, with one gate: after the first bound, the weakest
+    grid bound (C = 8, M = 2) is asked.  Every grid bound has C <= 8 and
+    M <= 2, |x| >= 0 and eps is in (0, 1], so
 
-        C * eps**-M * |x| <= C' * eps**-M' * |x|  when C <= C' and M <= M',
+        C * eps**-M * |x| <= 8 * eps**-2 * |x|,
 
-    and if |y| <= C' * eps**-M' * |x| is False, so is every bound with
-    C <= C' and M <= M'.  When the first bound is not accepted, the
-    weakest grid bound (C = 8, M = 2), which dominates every other grid
-    bound, is asked next; its refutation ends the route.  True and
-    Unknown verdicts prune nothing, and `leq` is asked each bound at most
-    once per call.  So long as `leq` decides no bound True that a weaker
-    bound's refutation rules out, the bounds yielded are those of the
-    plain scan, in its order.
+    and when |y| <= 8 * eps**-2 * |x| is False no grid bound holds: the
+    route ends there.
     """
     yield _structural_factor(ynet, xnet), ""
     yield _exact_quotient(ynet, xnet, use_abs=False), ""
@@ -234,27 +229,23 @@ def _witnesses(ynet: NetExpr, xnet: NetExpr):
     # quotient a moderate witness
     y_abs = ynet if nonneg_net(ynet) else absn(ynet)
     x_abs = xnet if nonneg_net(xnet) else absn(xnet)
-    verdicts = {}
 
     def holds(C, M):
-        if (C, M) not in verdicts:
-            verdicts[C, M] = leq(y_abs, _domination_bound(x_abs, C, M))
-        return verdicts[C, M]
+        return leq(y_abs, _domination_bound(x_abs, C, M))
 
-    def refuted(C, M):
-        return any(t.is_false and C <= c and M <= m
-                   for (c, m), t in verdicts.items())
-
-    for k, (C, M) in enumerate(dict.fromkeys(_dominations(y_abs, x_abs))):
-        if k == 1 and not refuted(*_WEAKEST_BOUND):
-            holds(*_WEAKEST_BOUND)
-        if refuted(C, M):
-            continue
-        if holds(C, M).is_true:
+    gate = None
+    for C, M in dict.fromkeys(_dominations(y_abs, x_abs)):
+        t = gate if gate is not None and (C, M) == _WEAKEST_BOUND \
+            else holds(C, M)
+        if t.is_true:
             b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
             yield (_compose_witness([_phase(ynet, True), b,
                                      _phase(xnet, False)]),
                    f"dominated C={C} M={M}")
+        if gate is None:
+            gate = t if (C, M) == _WEAKEST_BOUND else holds(*_WEAKEST_BOUND)
+            if gate.is_false:
+                return
 
 
 def membership(y, x) -> DecisionTri:
@@ -382,18 +373,18 @@ def dip_forcing_data(s) -> Optional[DipForcingData]:
 def is_radical_principal(s) -> DecisionTri:
     """Is the principal ideal <s> radical (equivalently idempotent)?
 
-    Decided through the single check sqrt(|s|) in <s> on the generator.
     In the smooth and continuous tiers <s> is radical iff s is
-    negligible or invertible.  True for the zero class and for
-    invertible s; a continuous-tier s that is neither (|s| >= eps**m0
-    and |s| < eps**L for every L, each at arbitrarily small eps) passes
-    through every level eps**L (L > m0) at arbitrarily small eps, and
-    where |s| = eps**(2N+2) any a with |a| <= eps**-N leaves
-    |a*s - sqrt(|s|)| >= eps**(N+1)/2, so the answer is False with a
-    replayable refutation at located dip-level points.  In the
-    arbitrary tier the characteristic nets e_S (Indicator, SpikeTrain)
-    generate radical ideals: sqrt(|e_S|) = e_S, so the answer is True
-    with factor 1.
+    negligible or invertible, and the answer follows that dichotomy.
+    A continuous-tier s decided neither negligible nor strictly nonzero
+    (|s| >= eps**m0 and |s| < eps**L for every L, each at arbitrarily
+    small eps) passes through every level eps**L (L > m0) at arbitrarily
+    small eps, and where |s| = eps**(2N+2) any a with |a| <= eps**-N
+    leaves |a*s - sqrt(|s|)| >= eps**(N+1)/2: False, with a replayable
+    refutation at located dip-level points.  Any other nonzero s is
+    decided through the check sqrt(|s|) in <s>, whose True answer
+    carries the factor; in the arbitrary tier the characteristic nets
+    e_S (Indicator, SpikeTrain) pass it with factor 1, as
+    sqrt(|e_S|) = e_S.
     """
     gs = nets._gn(s)
     snet = gs.net
@@ -402,19 +393,15 @@ def is_radical_principal(s) -> DecisionTri:
         return DecisionTri(True, WitnessRecord("membership-factor",
                                                (Const(0.0),)),
                            reason="zero ideal")
-    y = rootn(absn(snet), 2)
-    t = membership(y, snet)
-    if not t.is_unknown:
-        return t
-    if tn.is_false and is_strictly_nonzero(snet).is_false and \
-            gs.tier <= Tier.Continuous:
+    if gs.tier <= Tier.Continuous and tn.is_false and \
+            is_strictly_nonzero(snet).is_false:
         data = dip_forcing_data(snet)
         if data is not None:
             return DecisionTri(False, WitnessRecord("dip-forcing",
                                                     (data,)))
         return DecisionTri(False, WitnessRecord("dip-forcing", (None,)),
                            reason="level points not materialized")
-    return UNKNOWN
+    return membership(rootn(absn(snet), 2), snet)
 
 
 def replay_dip_forcing(s, data: DipForcingData) -> bool:

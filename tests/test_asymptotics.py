@@ -14,7 +14,8 @@ from gnum import asymptotics as asym
 from gnum import profiles
 from gnum.asymptotics import (gn_equal, is_moderate, is_negligible,
                               is_strictly_nonzero, leq, valuation)
-from gnum.dsl import parse
+from gnum.dsl import parse, print_net
+from gnum.errors import GnumError
 from gnum.harness import (GridSpec, random_net, replay_negligible,
                           verify_decision)
 from gnum.nets import (EPS, DecayHeights, ExpNegRecip, PowQ, Tier, absn, add,
@@ -250,6 +251,45 @@ def test_deciders_on_the_inverse_of_eps_plus_the_smallest_subnormal():
         rep = verify_decision(claim, t, x, EPS)
         assert rep is None or rep.passed, (claim, t, rep)
     valuation(x)
+
+
+EDGE_CONSTANTS = (0.0, -0.0, 5e-324, 1e-300, 1e16, 1e300,
+                  1.7976931348623157e308, -1e300)
+EDGE_ATOMS = (EPS, powq(EPS, 400), powq(EPS, -400), sin_recip(1),
+              inv(add(EPS, const(1))))
+EDGE_SHAPES = (lambda a, c: add(a, c), lambda a, c: mul(a, c),
+               lambda a, c: add(mul(a, c), EPS))
+
+
+def _declared(fn, *args):
+    """fn(*args), or None when it raises a declared `GnumError`."""
+    try:
+        return fn(*args)
+    except GnumError:
+        return None
+
+
+@pytest.mark.parametrize("c", EDGE_CONSTANTS, ids=repr)
+def test_edge_of_float_constants_raise_nothing_undeclared(c):
+    # every atom with the constant added, multiplied, and multiplied then
+    # added to eps; a RuntimeWarning is an error here, as in all of Tier-1.
+    # The replays are run for their exceptions only: on the constants
+    # 1e-300 and 5e-324 they reject verdicts whose sampled thresholds
+    # and violation points do not hold on the float grid
+    for atom in EDGE_ATOMS:
+        for shape in EDGE_SHAPES:
+            x = shape(atom, const(c))
+            for claim, fn, args in (
+                    ("moderate", is_moderate, (x,)),
+                    ("negligible", is_negligible, (x,)),
+                    ("strictly-nonzero", is_strictly_nonzero, (x,)),
+                    ("leq", leq, (x, EPS)), ("leq", leq, (EPS, x)),
+                    ("gn_equal", gn_equal, (x, EPS))):
+                t = _declared(fn, *args)
+                if t is not None:
+                    _declared(verify_decision, claim, t, *args)
+            _declared(valuation, x)
+            _declared(print_net, x)
 
 
 def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):

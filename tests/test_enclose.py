@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gnum.dsl import parse
 from gnum.harness import random_net
 from gnum.nets import ConstHeights, DecayHeights, Tier, eval_net, eval_points
-from gnum.profiles import enclose, info, poly_ivl, rat
+from gnum.profiles import enclose, poly_ivl, rat
 from gnum.sequences import Geometric, Harmonic, PiSequence
 
 BANDS = ((0.0, 1.0), (1e-3, 2e-3), (1e-6, 1e-5))
@@ -43,10 +43,10 @@ def test_enclose_contains_every_value_of_random_nets(tier):
     assert not outside, outside[:4]
 
 
-def test_info_interval_is_the_enclosure_on_the_unit_interval():
+def test_the_default_band_is_the_unit_interval():
     for seed in range(20):
         net = random_net(seed, Tier.Continuous, 4)
-        assert info(net).ivl == enclose(net) == enclose(net, 0.0, 1.0)
+        assert enclose(net) == enclose(net, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("text", [

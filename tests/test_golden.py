@@ -32,7 +32,7 @@ from gnum.nets import (EPS, ConstHeights, DecayHeights, Tier, absn,
                        bump_train, eval_net, gnumber, inv, maxn, minn, mul,
                        powq, sub)
 from gnum.profiles import (along_lower, along_small, candidate_sequences,
-                           info, rat)
+                           enclose, info, rat)
 from gnum.sequences import Geometric, Midpoints
 from gnum.smoothing import (_band_plan, refute_continuous_representative,
                             smooth_approximate)
@@ -201,7 +201,7 @@ def golden_lines():
         for tier in Tier:
             for depth in DEPTHS:
                 x = random_net(seed, tier, depth)
-                out.append(f"net {seed} {tier} {depth} ivl: {info(x).ivl!r}")
+                out.append(f"net {seed} {tier} {depth} ivl: {enclose(x)!r}")
     for text in COMPLEX_SMOOTH_INPUTS:
         out += _smooth_lines(text, _gn(text), pts, blends)
     for text, blend in blends:

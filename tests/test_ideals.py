@@ -1,6 +1,7 @@
 """Ideal algebra: principal reduction, membership routes, powers,
 radicals, and radicality of principal ideals.  The domination search of
-membership is compared with the loop it replaced, kept here verbatim."""
+membership and the radicality check are compared with the code they
+replaced, kept here verbatim."""
 
 import math
 from fractions import Fraction as F
@@ -8,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from gnum import ideals, nets
-from gnum.asymptotics import (gn_equal, is_negligible, is_strictly_nonzero,
-                              leq)
+from gnum.asymptotics import (UNKNOWN, DecisionTri, WitnessRecord, gn_equal,
+                              is_negligible, is_strictly_nonzero, leq)
 from gnum.constructions import interleaved_trains
 from gnum.errors import PreconditionError
 from gnum.harness import GridSpec, random_net, replay_negligible_diff
@@ -283,9 +284,9 @@ def test_convex_in_ideal_via_convex_factor():
 
 # -- the domination search ---------------------------------------------------
 #
-# `_witnesses` skips a domination bound that a refuted one rules out.  The
-# reference below is the loop it ran before, copied verbatim: it asks
-# `leq` every bound in order until one holds.
+# `_witnesses` ends the route when the weakest grid bound is refuted.  The
+# reference below is the loop it ran before any pruning, copied verbatim:
+# it asks `leq` every bound in order until one holds.
 
 
 def _reference_witnesses(ynet, xnet):
@@ -420,3 +421,59 @@ def test_leq_never_beats_a_refuted_bound_with_a_stronger_one():
         assert not [(b, r) for b, v in verdicts.items() if v is True
                     for r in refuted if b[0] <= r[0] and b[1] <= r[1]]
     assert refuted_total >= 200  # 255 refuted bounds in these 48 pairs
+
+
+# -- radicality by the dichotomy ---------------------------------------------
+#
+# `is_radical_principal` answers a continuous-tier generator that is neither
+# negligible nor strictly nonzero by dip forcing, without asking membership.
+# The reference below is the order it had before, copied verbatim:
+# membership first, dip forcing only where membership is Unknown.
+
+
+def _reference_is_radical_principal(s):
+    gs = nets._gn(s)
+    snet = gs.net
+    tn = is_negligible(snet)
+    if tn.is_true:
+        return DecisionTri(True, WitnessRecord("membership-factor",
+                                               (Const(0.0),)),
+                           reason="zero ideal")
+    y = rootn(absn(snet), 2)
+    t = membership(y, snet)
+    if not t.is_unknown:
+        return t
+    if tn.is_false and is_strictly_nonzero(snet).is_false and \
+            gs.tier <= Tier.Continuous:
+        data = dip_forcing_data(snet)
+        if data is not None:
+            return DecisionTri(False, WitnessRecord("dip-forcing",
+                                                    (data,)))
+        return DecisionTri(False, WitnessRecord("dip-forcing", (None,)),
+                           reason="level points not materialized")
+    return UNKNOWN
+
+
+def test_radicality_matches_reference_on_random_nets():
+    for seed in range(20):
+        for tier in Tier:
+            s = gnumber(random_net(seed, tier, 3))
+            assert _answer(is_radical_principal, s) == \
+                _answer(_reference_is_radical_principal, s), (seed, tier)
+    _clear_analysis_caches()
+
+
+@pytest.mark.parametrize("s", [dip_train(), bump_train(Geometric(F(1, 2)))],
+                         ids=["dip-train", "unit-bump-train"])
+def test_radicality_by_dip_forcing_asks_no_domination_bound(monkeypatch, s):
+    asked = []
+
+    def counting_leq(a, b):
+        asked.append(b)
+        return leq(a, b)
+
+    monkeypatch.setattr(ideals, "leq", counting_leq)
+    t = is_radical_principal(gnumber(s))
+    assert not asked
+    assert t.is_false and t.witness.kind == "dip-forcing"
+    assert replay_dip_forcing(s, t.witness.data[0])

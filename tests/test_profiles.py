@@ -80,12 +80,13 @@ def test_candidate_sequences_of_a_blend_are_its_source_s():
                   PiSequence(F(2), F(3, 2), F(1))]
     assert candidate_sequences(SmoothBlend(sin_recip(1))) == \
         sin_points + [Harmonic(), Geometric(F(1, 2))]
-    # the source's own defaults come before a later node's sequences
+    # the source's sequences take its place in the pre-order walk, and
+    # the fallbacks come after a later node's sequences
     cos_points = [PiSequence(F(1), F(1, 2), F(2)), PiSequence(F(2), F(0), F(2)),
                   PiSequence(F(2), F(1), F(2))]
     net = mul(SmoothBlend(absn(cos_recip(2))), bump_train(Harmonic()))
     assert candidate_sequences(net) == \
-        cos_points + [Harmonic(), Geometric(F(1, 2)), Midpoints(Harmonic())]
+        cos_points + [Harmonic(), Midpoints(Harmonic()), Geometric(F(1, 2))]
 
 
 E1 = (F(0), F(1), ())          # the monomial eps
