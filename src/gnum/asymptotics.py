@@ -49,10 +49,27 @@ class WitnessRecord:
       small-along        data = (seq,)
       eventual-threshold data = ((a, eps0), ...)
       order-violation    data = (a, eps_example)
+
+    ``data`` may be a function of no arguments: a threshold scan that no
+    verdict depends on.  The first read of ``data`` (by ``repr``, ``==``,
+    ``hash`` or a replay) calls it and stores its tuple in its place, so
+    a caller that reads only the verdict pays for no scan.  A scan raises
+    nothing: it evaluates with the inf and nan fills of ``eval_points``,
+    whose vector rules run under ``np.errstate``.
     """
 
     kind: str
     data: tuple = ()
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name == "data" and callable(value):
+            value = value()
+            object.__setattr__(self, "data", value)
+        return value
+
+    def __reduce__(self):           # a pickle holds data, not its scan
+        return WitnessRecord, (self.kind, self.data)
 
 
 @dataclass(frozen=True)
@@ -288,8 +305,8 @@ def is_negligible(x) -> DecisionTri:
                 "lower-bound-along", (Geometric(F(1, 2)), None, lo.c)))
         m_star = max(1, math.floor(lo.q) + 1)
         return DecisionTri(False, WitnessRecord(
-            "exponent-bound", ("m-fails", m_star,
-                               _calibrate_lower(net, m_star))))
+            "exponent-bound",
+            lambda: ("m-fails", m_star, _calibrate_lower(net, m_star))))
     hit = next(_lower_along(net), None)
     if hit is not None:
         return DecisionTri(False, WitnessRecord("lower-bound-along",
@@ -312,9 +329,8 @@ def is_strictly_nonzero(x) -> DecisionTri:
     lo = next(iter(_lowers(net)), None)
     if lo is not None:
         m = _lower_exponent(lo)
-        eps0 = _calibrate_lower(net, m)
-        return DecisionTri(True, WitnessRecord("exponent-bound",
-                                               ("m", m, eps0)))
+        return DecisionTri(True, WitnessRecord(
+            "exponent-bound", lambda: ("m", m, _calibrate_lower(net, m))))
     for up in _uppers(net):
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(False, WitnessRecord(
@@ -370,24 +386,25 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
     xn, yn = nets._net(x), nets._net(y)
     if not (is_real_net(xn) and is_real_net(yn)):
         raise TypeError("leq is defined for real-valued nets")
+    holds = WitnessRecord("eventual-threshold",
+                          lambda: _leq_thresholds(xn, yn, a_max))
     d = nets.sub(yn, xn)
     r = rat(d)
     if r.is_poly():
         R = _order_relevant(r.num)
         if R.is_zero():
-            return DecisionTri(True, _leq_thresholds(xn, yn, a_max),
-                               reason="equal-mod-negligible")
+            return DecisionTri(True, holds, reason="equal-mod-negligible")
         if poly_nonneg(R):
-            return DecisionTri(True, _leq_thresholds(xn, yn, a_max))
+            return DecisionTri(True, holds)
         sign, a_w = _lead_sign(R)
         if sign == 1:
-            return DecisionTri(True, _leq_thresholds(xn, yn, a_max))
+            return DecisionTri(True, holds)
         if sign == -1:
             return DecisionTri(False, WitnessRecord(
-                "order-violation", (a_w, _find_order_violation(xn, yn, a_w))))
+                "order-violation",
+                lambda: (a_w, _find_order_violation(xn, yn, a_w))))
     if enclose(d)[0] >= 0.0:
-        return DecisionTri(True, _leq_thresholds(xn, yn, a_max),
-                           reason="pointwise")
+        return DecisionTri(True, holds, reason="pointwise")
     # along-sequence refutation: if y - x is eventually bounded below a
     # strictly negative power along a computable sequence, the order
     # characterization fails cofinally at every larger exponent
@@ -442,12 +459,12 @@ def _lead_sign(R: Poly):
             max(1, math.floor(q) + 1) if k == 0 else 1)
 
 
-def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> WitnessRecord:
+def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> tuple:
+    """((a, eps0) for a = 1..a_max): the thresholds of x <= y + eps**a."""
     pts = _log_points(1e-6, 0.9, 160)
     vx, vy = _real_values(x, pts), _real_values(y, pts)
-    data = tuple((a, _calibrate_leq(pts, vx, vy, a))
+    return tuple((a, _calibrate_leq(pts, vx, vy, a))
                  for a in range(1, a_max + 1))
-    return WitnessRecord("eventual-threshold", data)
 
 
 def _find_order_violation(x: NetExpr, y: NetExpr, a: int) -> Optional[float]:

@@ -1,25 +1,32 @@
-"""Depth-5 coherence sweep, run as a script (pytest does not collect it):
+"""Depth-5 coherence sweep and `leq` pairs, run as a script (pytest
+does not collect it):
 
     PYTHONPATH=src python tests/depth5_sweep.py
 
 Moderate, negligible and strictly nonzero are decided for `random_net`
-seeds 400-999 in all three tiers at depth 5, and every decided verdict is
-replayed by `verify_decision`.  As under pytest, a `RuntimeWarning` is an
-error.  The exit status is 1 when an exception escapes a decider or a
-replay, or when a replay rejects a verdict other than the four known
-oracle false alarms below; the counts are printed either way.
+seeds 400-999 in all three tiers at depth 5, and `leq` for the smooth
+pairs (seed s, seed s + 5000) with s in 0-299 at depths 3 and 4.  Every
+decided verdict is replayed by `verify_decision`, which reads the
+witness thresholds the deciders leave unscanned.  As under pytest, a
+`RuntimeWarning` is an error.  The exit status is 1 when an exception
+escapes a decider or a replay, or when a replay rejects a verdict other
+than the known ones below; the counts are printed either way.
 """
 
 import sys
 import time
 import warnings
 
-from gnum.asymptotics import is_moderate, is_negligible, is_strictly_nonzero
+from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
+                              leq)
 from gnum.harness import random_net, verify_decision
 from gnum.nets import Tier
 
 SEEDS = range(400, 1000)
 DEPTH = 5
+PAIR_SEEDS = range(300)
+PAIR_DEPTHS = (3, 4)
+PAIR_OFFSET = 5000
 CLAIMS = (("moderate", is_moderate), ("negligible", is_negligible),
           ("strictly-nonzero", is_strictly_nonzero))
 # correct verdicts that the replay rejects: `replay_moderate` fits C = 0
@@ -29,39 +36,66 @@ KNOWN_REJECTIONS = {(Tier.Arbitrary, 575, "moderate"),
                     (Tier.Arbitrary, 648, "moderate"),
                     (Tier.Arbitrary, 750, "moderate"),
                     (Tier.Continuous, 723, "negligible")}
+# `leq` pairs (depth, seed) decided True whose sampled thresholds the
+# replay refutes on its finer grid: each holds a bump train or a
+# sin/cos(1/eps^2) oscillator
+KNOWN_PAIR_REJECTIONS = {(3, s) for s in (17, 73, 123, 175, 184, 204, 206,
+                                          220, 257)} | \
+    {(4, s) for s in (18, 117, 210, 248)}
 
 
-def main() -> int:
-    warnings.simplefilter("error", RuntimeWarning)
-    t0 = time.time()
-    decisions = unknown = 0
-    rejected, raised = set(), []
+def _net_cases():
+    """(case, claim, decider, arguments) of the depth-5 nets."""
     for seed in SEEDS:
         for tier in Tier:
             x = random_net(seed, tier, DEPTH)
             for claim, decide in CLAIMS:
-                decisions += 1
-                try:
-                    t = decide(x)
-                    rep = verify_decision(claim, t, x)
-                except Exception as exc:  # every escape is reported
-                    raised.append((tier, seed, claim, repr(exc)))
-                    continue
-                if rep is None:
-                    unknown += 1
-                elif not rep.passed:
-                    rejected.add((tier, seed, claim))
-    new = sorted(rejected - KNOWN_REJECTIONS)
-    print(f"{decisions} decisions, {unknown} Unknown, {len(raised)} raised, "
-          f"{len(rejected)} rejected by replay ({len(new)} not known), "
-          f"{time.time() - t0:.1f} s")
+                yield (tier, seed, claim), claim, decide, (x,)
+
+
+def _pair_cases():
+    """(case, claim, decider, arguments) of the `leq` pairs."""
+    for depth in PAIR_DEPTHS:
+        for seed in PAIR_SEEDS:
+            pair = (random_net(seed, Tier.Smooth, depth),
+                    random_net(seed + PAIR_OFFSET, Tier.Smooth, depth))
+            yield (depth, seed), "leq", leq, pair
+
+
+def _sweep(cases, known, label):
+    t0 = time.time()
+    decisions = unknown = 0
+    rejected, raised = set(), []
+    for case, claim, decide, args in cases:
+        decisions += 1
+        try:
+            t = decide(*args)
+            rep = verify_decision(claim, t, *args)
+        except Exception as exc:  # every escape is reported
+            raised.append((*case, repr(exc)))
+            continue
+        if rep is None:
+            unknown += 1
+        elif not rep.passed:
+            rejected.add(case)
+    new = sorted(rejected - known)
+    print(f"{label}: {decisions} decisions, {unknown} Unknown, "
+          f"{len(raised)} raised, {len(rejected)} rejected by replay "
+          f"({len(new)} not known), {time.time() - t0:.1f} s")
     for case in raised:
         print("raised:", *case)
     for case in new:
         print("rejected:", *case)
-    for case in sorted(KNOWN_REJECTIONS - rejected):
+    for case in sorted(known - rejected):
         print("known rejection no longer seen:", *case)
-    return 1 if raised or new else 0
+    return bool(raised or new)
+
+
+def main() -> int:
+    warnings.simplefilter("error", RuntimeWarning)
+    failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
+    failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
