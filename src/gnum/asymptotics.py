@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nets, profiles
 from .errors import SearchExhausted
-from .nets import NetExpr, eval_points, is_real_net
+from .nets import Mul, NetExpr, eval_points, is_real_net, nonneg_net
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, along_lower,
                        along_small, candidate_sequences, enclose, info,
                        poly_nonneg, rat, rat_lower, rat_upper,
@@ -421,6 +421,11 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
             if pt is not None:
                 return DecisionTri(False, WitnessRecord("order-violation",
                                                         (a_w, pt)))
+    # scaled bound: y = k*z with k >= 1 and z >= 0 on I (k is real, as y
+    # is) gives z <= y on I, so x <= z gives x <= y
+    if isinstance(yn, Mul) and enclose(yn.l)[0] >= 1.0 and \
+            nonneg_net(yn.r) and leq(xn, yn.r, a_max).is_true:
+        return DecisionTri(True, holds, reason="scaled-bound")
     return UNKNOWN
 
 

@@ -188,8 +188,10 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     # errors surface in the scalar order: the head, then the tail
     _raise_first_error(an, bn,
                        *(np.roll(z, -len(tail)) for z in (pts, va, vb)))
-    scale = 1.0 + np.abs(va) + np.abs(vb)
-    with np.errstate(invalid="ignore"):  # both sides inf: inf - inf is nan
+    # both sides inf: inf - inf is nan; near the largest float the sums
+    # overflow to inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = 1.0 + np.abs(va) + np.abs(vb)
         out = np.abs(va - vb) - 1e-13 * scale
     # max(0.0, out), with nan read as 0
     vt, vh = _split(np.where(out > 0.0, out, 0.0).astype(float))

@@ -164,33 +164,32 @@ def _replay_witness(a: NetExpr, x: NetExpr, y: NetExpr) -> bool:
     return bool(replay_negligible_diff(nets.mul(a, x), y, 8, _REPLAY_GRID))
 
 
-# the grid of domination bounds (C, M), and its weakest bound, which
-# dominates every other
-_GRID_C, _GRID_M = (1.0, 2.0, 4.0, 8.0), (0, 1, 2)
-_WEAKEST_BOUND = (_GRID_C[-1], _GRID_M[-1])
-
-
-def _dominations(y_abs: NetExpr, x_abs: NetExpr):
-    """Candidate (C, M) with |y| <= C * eps**-M * |x|, cheapest first."""
+def _envelope_bound(y_abs: NetExpr, x_abs: NetExpr
+                    ) -> Optional[Tuple[float, int]]:
+    """(C, M) with |y| <= C * eps**-M * |x| for eps small enough, read off
+    the envelopes |y| <= c1 * eps**q1 and |x| >= c2 * eps**q2: C = 2*c1/c2
+    and M = max(0, ceil(q2 - q1)), or (1, 0) when |x| is above every
+    power.  None when the envelopes give no finite C."""
     up = rat_upper(rat(y_abs)) or info(y_abs).upper
     lo = rat_lower(rat(x_abs)) or info(x_abs).lower
-    if up is not None and lo is not None and up.kind in (ZERO_K, SUPERPOW,
-                                                         POW):
-        if lo.kind == POW and up.kind == POW:
-            m = max(0, math.ceil(lo.q - up.q))
-            yield (2.0 * up.c / lo.c, m)
-        elif lo.kind == SUPERGROW:
-            yield (1.0, 0)
-    for C in _GRID_C:
-        for M in _GRID_M:
-            yield (C, M)
+    if up is None or lo is None or up.kind not in (ZERO_K, SUPERPOW, POW):
+        return None
+    if lo.kind == SUPERGROW:
+        return 1.0, 0
+    if lo.kind == POW and up.kind == POW and lo.c > 0.0:
+        C = 2.0 * up.c / lo.c
+        if math.isfinite(C):
+            return C, max(0, math.ceil(lo.q - up.q))
+    return None
 
 
 def _domination_bound(x_abs: NetExpr, C: float, M: int) -> NetExpr:
-    """The net C * eps**-M * |x|."""
-    if M == 0:
-        return nets.mul(Const(C), x_abs)
-    return nets.mul(Const(C), nets.mul(nets.powq(nets.EPS, -M), x_abs))
+    """The net C * eps**-M * |x|, as eps**-1 * (... * (C * |x|)), so that
+    the scaled-bound rule of `leq` peels one factor at a time."""
+    out = nets.mul(Const(C), x_abs)
+    for _ in range(M):
+        out = nets.mul(nets.powq(nets.EPS, -1), out)
+    return out
 
 
 def _forcing(y: NetExpr, x: NetExpr, seqs) -> Optional[DecisionTri]:
@@ -210,42 +209,29 @@ def _witnesses(ynet: NetExpr, xnet: NetExpr):
     """Candidate factors a with a*x = y mod negligibility, cheapest first,
     each with the reason a True answer reports (None: no candidate).
 
-    The domination route asks the bounds of `_dominations` in its order,
-    each at most once, with one gate: after the first bound, the weakest
-    grid bound (C = 8, M = 2) is asked.  Every grid bound has C <= 8 and
-    M <= 2, |x| >= 0 and eps is in (0, 1], so
-
-        C * eps**-M * |x| <= 8 * eps**-2 * |x|,
-
-    and when |y| <= 8 * eps**-2 * |x| is False no grid bound holds: the
-    route ends there.
+    The domination route: any bound |y| <= C * eps**-M * |x| makes the
+    regularized quotient of |y| by |x| a moderate witness, with C only as
+    its clamp at M = 0.  The envelope bound asks `leq` nothing; then `leq`
+    is asked once, for 8 * eps**-2 * |x|.
     """
     yield _structural_factor(ynet, xnet), ""
     yield _exact_quotient(ynet, xnet, use_abs=False), ""
     b = _exact_quotient(ynet, xnet, use_abs=True)
     if b is not None:
         yield _compose_witness([_phase(ynet, True), b, _phase(xnet, False)]), ""
-    # domination route: |y| <= C eps^-M |x| makes the regularized
-    # quotient a moderate witness
     y_abs = ynet if nonneg_net(ynet) else absn(ynet)
     x_abs = xnet if nonneg_net(xnet) else absn(xnet)
 
-    def holds(C, M):
-        return leq(y_abs, _domination_bound(x_abs, C, M))
+    def dominated(C, M):
+        b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
+        return (_compose_witness([_phase(ynet, True), b, _phase(xnet, False)]),
+                f"dominated C={C} M={M}")
 
-    gate = None
-    for C, M in dict.fromkeys(_dominations(y_abs, x_abs)):
-        t = gate if gate is not None and (C, M) == _WEAKEST_BOUND \
-            else holds(C, M)
-        if t.is_true:
-            b = RegularizedQuotient(y_abs, x_abs, C if M == 0 else None)
-            yield (_compose_witness([_phase(ynet, True), b,
-                                     _phase(xnet, False)]),
-                   f"dominated C={C} M={M}")
-        if gate is None:
-            gate = t if (C, M) == _WEAKEST_BOUND else holds(*_WEAKEST_BOUND)
-            if gate.is_false:
-                return
+    env = _envelope_bound(y_abs, x_abs)
+    if env is not None:
+        yield dominated(*env)
+    if leq(y_abs, _domination_bound(x_abs, 8.0, 2)).is_true:
+        yield dominated(8.0, 2)
 
 
 def membership(y, x) -> DecisionTri:

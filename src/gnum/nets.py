@@ -457,9 +457,9 @@ class RegularizedQuotient(NetExpr):
     """eps -> num * conj(den) / (|den|^2 + exp(-1/eps)^2).
 
     Tikhonov-regularized quotient used as an ideal-membership witness;
-    ``dom_bound`` records a certified pointwise bound |num| <= C*|den|
-    when one is known (then |value| <= C and value*den - num is
-    negligible, dominated by C*exp(-1/eps)).
+    ``dom_bound`` records a bound |num| <= C*|den| that holds for eps
+    small enough, when one is known (then eventually |value| <= C and
+    value*den - num is negligible, dominated by C*exp(-1/eps)).
     """
 
     num: NetExpr

@@ -1,5 +1,5 @@
-"""Depth-5 coherence sweep and `leq` pairs, run as a script (pytest
-does not collect it):
+"""Depth-5 coherence sweep, `leq` pairs, membership pairs and the order
+grid, run as a script (pytest does not collect it):
 
     PYTHONPATH=src python tests/depth5_sweep.py
 
@@ -7,26 +7,38 @@ Moderate, negligible and strictly nonzero are decided for `random_net`
 seeds 400-999 in all three tiers at depth 5, and `leq` for the smooth
 pairs (seed s, seed s + 5000) with s in 0-299 at depths 3 and 4.  Every
 decided verdict is replayed by `verify_decision`, which reads the
-witness thresholds the deciders leave unscanned.  As under pytest, a
+witness thresholds the deciders leave unscanned.  Membership y in x*R
+is decided for the pairs of `test_ideals.membership_pairs`, seeds 0-59
+at depths 2 and 3, each True answer replayed by `membership` itself.
+The order grid asks `leq` the 12 domination bounds of each depth-2
+pair and checks its verdicts against the implications between the
+bounds (`test_ideals.order_violations`).  As under pytest, a
 `RuntimeWarning` is an error.  The exit status is 1 when an exception
-escapes a decider or a replay, or when a replay rejects a verdict other
-than the known ones below; the counts are printed either way.
+escapes a decider or a replay, when a replay rejects a verdict other
+than the known ones below, or when the order grid has a soundness or
+completeness violation; the counts are printed either way.
 """
 
 import sys
 import time
 import warnings
+from collections import Counter
 
 from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
                               leq)
 from gnum.harness import random_net, verify_decision
+from gnum.ideals import membership
 from gnum.nets import Tier
+from test_ideals import membership_pairs, order_grid, order_violations
 
 SEEDS = range(400, 1000)
 DEPTH = 5
 PAIR_SEEDS = range(300)
 PAIR_DEPTHS = (3, 4)
 PAIR_OFFSET = 5000
+MEMBER_SEEDS = range(60)
+MEMBER_DEPTHS = (2, 3)
+ORDER_DEPTH = 2
 CLAIMS = (("moderate", is_moderate), ("negligible", is_negligible),
           ("strictly-nonzero", is_strictly_nonzero))
 # correct verdicts that the replay rejects: `replay_moderate` fits C = 0
@@ -91,10 +103,48 @@ def _sweep(cases, known, label):
     return bool(raised or new)
 
 
+def _membership_pairs() -> bool:
+    """Decide every membership pair; True when an exception escapes."""
+    t0 = time.time()
+    verdicts, raised = Counter(), []
+    for depth in MEMBER_DEPTHS:
+        for seed in MEMBER_SEEDS:
+            for i, (y, x) in enumerate(membership_pairs((seed,), depth)):
+                try:
+                    verdicts[membership(y, x).value] += 1
+                except Exception as exc:  # every escape is reported
+                    raised.append((depth, seed, i, repr(exc)))
+    print(f"membership pairs: {sum(verdicts.values()) + len(raised)} "
+          f"queries, {verdicts[True]} True, {verdicts[False]} False, "
+          f"{verdicts[None]} Unknown, {len(raised)} raised, "
+          f"{time.time() - t0:.1f} s")
+    for case in raised:
+        print("raised:", *case)
+    return bool(raised)
+
+
+def _order_grid() -> bool:
+    """Ask the grid bounds of every depth-2 membership pair; True on a
+    soundness or completeness violation."""
+    t0 = time.time()
+    grid = order_grid(membership_pairs(MEMBER_SEEDS, ORDER_DEPTH))
+    unsound, incomplete = order_violations(grid)
+    print(f"order grid: {len(grid)} pairs x {len(grid[0])} bounds, "
+          f"{len(unsound)} unsound, {len(incomplete)} incomplete, "
+          f"{time.time() - t0:.1f} s")
+    for case in unsound:
+        print("unsound:", *case)
+    for case in incomplete:
+        print("incomplete:", *case)
+    return bool(unsound or incomplete)
+
+
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
+    failed |= _membership_pairs()
+    failed |= _order_grid()
     return 1 if failed else 0
 
 

@@ -21,12 +21,13 @@ from gnum.dsl import parse, print_net
 from gnum.errors import GnumError
 from gnum.harness import (GridSpec, random_net, replay_negligible,
                           verify_decision)
-from gnum.ideals import intersect_principal, is_radical_principal, membership
+from gnum.ideals import (_domination_bound, intersect_principal,
+                         is_radical_principal, membership)
 from gnum.lattice import convex_factor
 from gnum.nets import (EPS, DecayHeights, ExpNegRecip, PowQ, Tier, absn, add,
                        bump_train, const, cos_recip, eval_net, gnumber,
-                       indicator, inv, is_real_net, mul, neg, powq, sin_recip,
-                       spikes, sub)
+                       indicator, inv, is_real_net, maxn, mul, neg, powq,
+                       sin_recip, spikes, sub)
 from gnum.profiles import (SUPERGROW, SUPERPOW, ZERO_K, candidate_sequences,
                            enclose, poly_nonneg, rat, substitute_along)
 from gnum.sequences import Geometric, Harmonic, PiSequence
@@ -298,6 +299,8 @@ def test_edge_of_float_constants_raise_nothing_undeclared(c):
                     _declared(verify_decision, claim, t, *args)
             _declared(valuation, x)
             _declared(print_net, x)
+            for y, g in ((x, EPS), (EPS, x), (const(1), x)):
+                _declared(membership, y, g)
 
 
 def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):
@@ -338,6 +341,29 @@ def test_leq_triangle_inequality(terms):
     x = parse(" + ".join(terms))[0]
     y = parse(" + ".join(f"abs({t})" for t in terms))[0]
     assert leq(x, y).is_true
+
+
+def test_leq_scaled_bound_peels_a_factor_of_at_least_one():
+    # t1 + t2 = max(t1, t2) up to a negligible net, but the normal forms
+    # leave t1 + t2 <= C * eps**-M * max(t1, t2) Unknown for M >= 1; the
+    # rule peels both factors eps**-1, down to 8 * max(t1, t2), which holds
+    t1, t2 = interleaved_trains(F(1, 4))
+    y, x = add(t1.net, t2.net), maxn(t1.net, t2.net)
+    bound = _domination_bound(x, 8.0, 2)
+    t = leq(y, bound)
+    assert t.is_true and t.reason == "scaled-bound"
+    assert verify_decision("leq", t, y, bound).passed
+    # a factor below 1 somewhere on I, or a z not certified >= 0 (here
+    # 8 * max(t1, t2) - exp(-1/eps), with y <= z True), is not peeled
+    z = _domination_bound(x, 8.0, 1)
+    for k in (const(0.5), sin_recip(1)):
+        assert leq(y, mul(k, z)).is_unknown
+    unsigned = sub(mul(const(8.0), x), ExpNegRecip())
+    assert leq(y, unsigned).is_true
+    assert leq(y, mul(powq(EPS, -1), unsigned)).is_unknown
+    # and a complex factor makes the bound complex, outside the order
+    with pytest.raises(TypeError):
+        leq(y, mul(const(2j), z))
 
 
 def test_leq_rejects_complex():

@@ -1,7 +1,8 @@
 """Ideal algebra: principal reduction, membership routes, powers,
-radicals, and radicality of principal ideals.  The domination search of
+radicals, and radicality of principal ideals.  The domination route of
 membership and the radicality check are compared with the code they
-replaced, kept here verbatim."""
+replaced, kept here verbatim, and the order's answers on the domination
+bounds are checked against the implications between them."""
 
 import math
 from fractions import Fraction as F
@@ -14,9 +15,9 @@ from gnum.asymptotics import (UNKNOWN, DecisionTri, WitnessRecord, gn_equal,
 from gnum.constructions import interleaved_trains
 from gnum.errors import PreconditionError
 from gnum.harness import GridSpec, random_net, replay_negligible_diff
-from gnum.ideals import (_WEAKEST_BOUND, FinIdeal, RootFamilyIdeal,
-                         _compose_witness, _domination_bound, _dominations,
-                         _exact_quotient, _phase, _structural_factor,
+from gnum.ideals import (FinIdeal, RootFamilyIdeal, _compose_witness,
+                         _domination_bound, _exact_quotient, _phase,
+                         _replay_witness, _structural_factor,
                          dip_forcing_data, intersect_principal,
                          is_radical_principal, membership, power_membership,
                          principal_forms, principal_reduce,
@@ -27,7 +28,8 @@ from gnum.nets import (EPS, Const, DecayHeights, ExpNegRecip,
                        const, cos_recip, eval_net, gnumber, indicator, maxn,
                        mul, neg, nonneg_net, powq, rootn, sin_recip, spikes,
                        sub)
-from gnum.profiles import info, rat
+from gnum.profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, info, rat,
+                           rat_lower, rat_upper)
 from gnum.sequences import Geometric, Harmonic
 
 GRID = GridSpec(n_points=300, eps_min=1e-6)
@@ -137,7 +139,7 @@ def test_membership_regularized_quotient_past_float_squares():
     # x = (eps^3 + eps)*(0.5*exp(-1/eps)^-1) passes 1.3e154 on the
     # replay grid, where |x|**2 overflows
     y, x = _smooth_pair(37)
-    assert repr(membership(y, x)) == "DecisionTri(True [dominated C=2.0 M=1])"
+    assert repr(membership(y, x)) == "DecisionTri(True [dominated C=1.0 M=0])"
     t = radical_membership(y, RootFamilyIdeal(gnumber(x)))
     assert repr(t) == "DecisionTri(True [root n=1])"
 
@@ -282,11 +284,30 @@ def test_convex_in_ideal_via_convex_factor():
         assert replay_negligible_diff(mul(a, x), y, 10, GRID).passed
 
 
-# -- the domination search ---------------------------------------------------
+# -- the domination route ----------------------------------------------------
 #
-# `_witnesses` ends the route when the weakest grid bound is refuted.  The
-# reference below is the loop it ran before any pruning, copied verbatim:
-# it asks `leq` every bound in order until one holds.
+# `_witnesses` reads one bound off the envelopes and asks `leq` one more.
+# The reference below is the loop it ran before any pruning, copied
+# verbatim with the candidates it asked: the envelope bound, then the grid
+# of bounds C * eps**-M * |x|, each asked of `leq` in order until one holds.
+
+GRID_C, GRID_M = (1.0, 2.0, 4.0, 8.0), (0, 1, 2)
+
+
+def _dominations(y_abs, x_abs):
+    """Candidate (C, M) with |y| <= C * eps**-M * |x|, cheapest first."""
+    up = rat_upper(rat(y_abs)) or info(y_abs).upper
+    lo = rat_lower(rat(x_abs)) or info(x_abs).lower
+    if up is not None and lo is not None and up.kind in (ZERO_K, SUPERPOW,
+                                                         POW):
+        if lo.kind == POW and up.kind == POW:
+            m = max(0, math.ceil(lo.q - up.q))
+            yield (2.0 * up.c / lo.c, m)
+        elif lo.kind == SUPERGROW:
+            yield (1.0, 0)
+    for C in GRID_C:
+        for M in GRID_M:
+            yield (C, M)
 
 
 def _reference_witnesses(ynet, xnet):
@@ -327,12 +348,21 @@ def _answer(fn, *args):
     return t.value, t.reason, repr(t.witness)
 
 
-def _assert_same_as_reference(monkeypatch, calls):
+def _assert_verdicts_as_reference(monkeypatch, calls):
+    """A verdict the reference decides is kept, and one it leaves Unknown
+    may become True only with a membership witness that replays; the
+    reasons and witnesses of True answers may differ."""
     for fn, *args in calls:
         with monkeypatch.context() as m:
             m.setattr(ideals, "_witnesses", _reference_witnesses)
             want = _answer(fn, *args)
-        assert _answer(fn, *args) == want, (fn.__name__, args)
+        _clear_analysis_caches()
+        t = fn(*args)
+        if want[0] is None and t.is_true and fn is membership:
+            y, x = args
+            assert _replay_witness(t.witness.data[0], x, y), args
+        else:
+            assert t.value == want[0], (fn.__name__, args)
     _clear_analysis_caches()
 
 
@@ -366,8 +396,9 @@ def _corpus_calls():
     return calls
 
 
-def _random_pairs(seeds, depth):
-    """(y, x), (1, x), (y, x*x) and (y*x, x) for x = net seed + 7000."""
+def membership_pairs(seeds, depth):
+    """(y, x), (1, x), (y, x*x) and (y*x, x) for y = net seed and
+    x = net seed + 7000, in every tier."""
     pairs = []
     for seed in seeds:
         for tier in Tier:
@@ -379,21 +410,21 @@ def _random_pairs(seeds, depth):
 
 def test_domination_search_matches_reference_on_ideal_operations(
         monkeypatch):
-    _assert_same_as_reference(monkeypatch, _corpus_calls())
+    _assert_verdicts_as_reference(monkeypatch, _corpus_calls())
 
 
 def test_domination_search_matches_reference_on_random_pairs(monkeypatch):
     # at depth 3, seeds 18 and 21 hold pairs whose weakest bound holds
-    # while the first does not, so the scan goes on past the probe, and
-    # seed 22 one whose weakest bound is Unknown while a stronger one holds
-    pairs = _random_pairs(range(4), 2) + _random_pairs((18, 21, 22), 3)
-    _assert_same_as_reference(monkeypatch,
-                              [(membership, y, x) for y, x in pairs])
+    # while the envelope bound does not, and seed 22 one whose weakest
+    # bound the reference's `leq` left Unknown while a stronger one held
+    pairs = membership_pairs(range(4), 2) + membership_pairs((18, 21, 22), 3)
+    _assert_verdicts_as_reference(monkeypatch,
+                                  [(membership, y, x) for y, x in pairs])
 
 
 def test_refuted_weakest_bound_ends_the_domination_search(monkeypatch):
-    # 1 is not dominated by a bump train: every bound is refuted, and
-    # the refutation of C = 8, M = 2 rules out the ten bounds between
+    # 1 is not dominated by a bump train: the envelopes give no bound, and
+    # the one bound asked, C = 8 and M = 2, is refuted
     t1, _ = interleaved_trains(F(1, 4))
     asked = []
 
@@ -403,24 +434,52 @@ def test_refuted_weakest_bound_ends_the_domination_search(monkeypatch):
 
     monkeypatch.setattr(ideals, "leq", counting_leq)
     assert membership(const(1), t1.net).is_false
-    assert asked == [_domination_bound(t1.net, 1.0, 0),
-                     _domination_bound(t1.net, *_WEAKEST_BOUND)]
+    assert asked == [_domination_bound(t1.net, 8.0, 2)]
 
 
-def test_leq_never_beats_a_refuted_bound_with_a_stronger_one():
-    # the premise of the pruning: where |y| <= C' eps^-M' |x| is refuted,
-    # no candidate bound with C <= C' and M <= M' is decided True
-    refuted_total = 0
-    for y, x in _random_pairs(range(5, 9), 2):
+def order_grid(pairs):
+    """For each pair (y, x), `leq`'s verdict on |y| <= C * eps**-M * |x|
+    for every (C, M) of the grid."""
+    out = []
+    for y, x in pairs:
         y_abs = y if nonneg_net(y) else absn(y)
         x_abs = x if nonneg_net(x) else absn(x)
-        verdicts = {(C, M): leq(y_abs, _domination_bound(x_abs, C, M)).value
-                    for C, M in dict.fromkeys(_dominations(y_abs, x_abs))}
-        refuted = [b for b, v in verdicts.items() if v is False]
-        refuted_total += len(refuted)
-        assert not [(b, r) for b, v in verdicts.items() if v is True
-                    for r in refuted if b[0] <= r[0] and b[1] <= r[1]]
-    assert refuted_total >= 200  # 255 refuted bounds in these 48 pairs
+        out.append({(C, M): leq(y_abs, _domination_bound(x_abs, C, M)).value
+                    for C in GRID_C for M in GRID_M})
+    return out
+
+
+def order_violations(grid):
+    """(unsound, incomplete) cases (pair index, bound, weaker bound) of
+    the verdict tables of `order_grid`.  On I a bound with a larger C and
+    M is weaker, so a bound decided True makes every weaker bound true:
+    a weaker bound decided False is unsound, and one not decided True is
+    a gap in completeness."""
+    unsound, incomplete = [], []
+    for i, verdicts in enumerate(grid):
+        for b, v in verdicts.items():
+            for w, vw in verdicts.items():
+                if v is True and w != b and b[0] <= w[0] and b[1] <= w[1]:
+                    if vw is False:
+                        unsound.append((i, b, w))
+                    if vw is not True:
+                        incomplete.append((i, b, w))
+    return unsound, incomplete
+
+
+def test_leq_answers_the_domination_bounds_as_they_imply_each_other():
+    # a metamorphic test of the order (Chen et al., "Metamorphic Testing:
+    # A Review of Challenges and Opportunities", ACM Computing Surveys,
+    # 2018): weakening a bound that holds keeps it holding.  Without the
+    # scaled-bound rule 20 (bound, weaker bound) cases in these 144 pairs
+    # are True, then not True.  Of the 1,728 verdicts 814 are True and
+    # 428 False
+    grid = order_grid(membership_pairs(range(12), 2))
+    unsound, incomplete = order_violations(grid)
+    assert not unsound
+    assert not incomplete
+    verdicts = [v for t in grid for v in t.values()]
+    assert verdicts.count(True) >= 800 and verdicts.count(False) >= 400
 
 
 # -- radicality by the dichotomy ---------------------------------------------
