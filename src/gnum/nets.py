@@ -277,7 +277,9 @@ class NetExpr:
     It stores its structural facts (``_facts``) the same way, from its
     type's rule in ``_FACT_RULES`` and its children's stored facts.
     A node also keeps the closure ``eval_net`` builds for it, which a
-    pickle or copy leaves out (closures do not pickle).
+    pickle or copy leaves out (closures do not pickle), and, once it is
+    a polynomial atom, the sort key ``scales._atom_key`` makes from its
+    ``repr`` at first use (``_repr``).
     """
 
     __slots__ = ()

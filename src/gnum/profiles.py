@@ -21,6 +21,7 @@ certifies it; the decision procedures turn missing information into
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,8 +38,7 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
                    RootN, SinRecipPow, SmoothBlend, is_real_net,
                    nonneg_net, nonneg_power)
-from .scales import (CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net,
-                     mono_sort_key)
+from .scales import CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -625,8 +625,7 @@ def _atom_abs(a: NetExpr, p: Fraction) -> Tuple[NetExpr, Fraction]:
 def _canonical_abs_atom(p: Poly) -> NetExpr:
     """|P| = |-P|: fix the sign so structurally opposite polynomials map
     to the same atom."""
-    lead = min(p.terms, key=mono_sort_key)
-    c = complex(p.terms[lead])
+    c = complex(p.sorted_terms()[0][1])
     if (c.real, c.imag) < (0.0, 0.0):
         p = p.neg()
     return AbsNode(canonical_net(p))
@@ -806,15 +805,19 @@ def poly_nonneg(p: Poly) -> bool:
     pass goes on with the one of fewer terms (W on a tie).  It ends: an
     abs atom is |A| of an atom or of a normal form rebuilt as a net, so
     the atoms of W nest fewer abs nodes than |W|, and each step trades
-    one atom of a term for such atoms."""
-    while not _certified(p):
+    one atom of a term for such atoms.  A step removes the traded term
+    by cancelling it, which inf - inf = nan never does, so a coefficient
+    that is not finite ends the pass with False."""
+    while all(map(cmath.isfinite, p.terms.values())):
+        if _certified(p):
+            return True
         bounds = _abs_bounds(p)
         if bounds is None:
             return False
         p, other = sorted(bounds, key=lambda b: len(b.terms))
         if _certified(other):
             return True
-    return True
+    return False
 
 
 # -- envelope analysis of normal forms --------------------------------------

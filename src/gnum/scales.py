@@ -13,13 +13,21 @@ handled by the envelope bounds in ``profiles``.
 
 Exponents stay exact so decisions never depend on floating noise;
 coefficients are doubles and near-total cancellations are chopped at
-relative 1e-12, mirroring the evaluator's own rounding.
+relative 1e-12, mirroring the evaluator's own rounding; an infinite
+coefficient is kept, never chopped as cancelled.
+
+Monomials print and sort by their atoms' ``repr``, which each atom node
+stores at its first use, and a ``Poly`` sorts its terms once and keeps
+the order (its scale groups are runs of it): a polynomial's terms are
+never changed once it is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import nets
@@ -35,7 +43,12 @@ MONO_ONE: Mono = (F0, F0, ())
 
 
 def _atom_key(a: NetExpr) -> str:
-    return repr(a)
+    # made at the atom's first use and kept on it, as nets._atom_key is
+    key = a.__dict__.get("_repr")
+    if key is None:
+        key = repr(a)
+        object.__setattr__(a, "_repr", key)
+    return key
 
 
 def atoms_from(pairs: Iterable[Tuple[NetExpr, Fraction]]) -> Atoms:
@@ -71,13 +84,23 @@ def mono_sort_key(m: Mono):
     return (m[0], m[1], tuple((_atom_key(a), p) for a, p in m[2]))
 
 
-class Poly:
-    """Finite monomial sum with chop-on-cancel coefficient arithmetic."""
+def _cancelled(s, peak: float) -> bool:
+    """A sum chopped against the largest term that went into it; an
+    infinite peak is never a cancellation."""
+    return abs(s) <= CHOP * peak < math.inf
 
-    __slots__ = ("terms",)
+
+class Poly:
+    """Finite monomial sum with chop-on-cancel coefficient arithmetic.
+
+    ``terms`` is never mutated after construction (every operation builds
+    a new ``Poly``), so the order ``sorted_terms`` computes is kept."""
+
+    __slots__ = ("terms", "_sorted")
 
     def __init__(self, terms: Optional[Dict[Mono, complex]] = None):
         self.terms: Dict[Mono, complex] = terms or {}
+        self._sorted: Optional[Tuple[Tuple[Mono, complex], ...]] = None
 
     # -- builders ---------------------------------------------------------
 
@@ -107,7 +130,7 @@ class Poly:
             if m in out:
                 a = out[m]
                 s = a + c
-                if abs(s) <= CHOP * max(abs(a), abs(c)):
+                if _cancelled(s, max(abs(a), abs(c))):
                     del out[m]
                 else:
                     out[m] = s
@@ -127,17 +150,17 @@ class Poly:
         return Poly({m: v * c for m, v in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
-        acc: Dict[Mono, complex] = {}
-        peak: Dict[Mono, float] = {}
+        # one [sum, peak] slot per product monomial: hashing a monomial
+        # hashes each of its Fraction exponents
+        acc: Dict[Mono, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
                 c = c1 * c2
-                acc[m] = acc.get(m, 0.0) + c
-                peak[m] = max(peak.get(m, 0.0), abs(c))
-        out = {m: c for m, c in acc.items()
-               if abs(c) > CHOP * peak[m]}
-        return Poly(out)
+                slot = acc.setdefault(mono_mul(m1, m2), [0.0, 0.0])
+                slot[0] += c
+                slot[1] = max(slot[1], abs(c))
+        return Poly({m: s for m, (s, peak) in acc.items()
+                     if not _cancelled(s, peak)})
 
     def pow_int(self, n: int) -> "Poly":
         if n < 0:
@@ -157,15 +180,20 @@ class Poly:
         return not self.terms
 
     def sorted_terms(self) -> List[Tuple[Mono, complex]]:
-        return sorted(self.terms.items(), key=lambda mc: mono_sort_key(mc[0]))
+        """The terms in ``mono_sort_key`` order, sorted at the first call;
+        each call returns a fresh list."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.terms.items(),
+                                        key=lambda mc: mono_sort_key(mc[0])))
+        return list(self._sorted)
 
     def grouped_by_scale(self) -> List[Tuple[Tuple[Fraction, Fraction],
                                              List[Tuple[Atoms, complex]]]]:
-        """Terms grouped by pure scale (k, q), most dominant group first."""
-        groups: Dict[Tuple[Fraction, Fraction], List[Tuple[Atoms, complex]]] = {}
-        for m, c in self.sorted_terms():
-            groups.setdefault(scale_key(m), []).append((m[2], c))
-        return sorted(groups.items(), key=lambda g: g[0])
+        """Terms grouped by pure scale (k, q), most dominant group first:
+        (k, q) leads the sort key, so each group is a run of the stored
+        order."""
+        return [(k, [(m[2], c) for m, c in run]) for k, run in
+                groupby(self.sorted_terms(), key=lambda mc: scale_key(mc[0]))]
 
     def single_term(self) -> Optional[Tuple[Mono, complex]]:
         if len(self.terms) == 1:
@@ -191,6 +219,8 @@ class Poly:
         return (k, q, atoms_from(common.items()))
 
     def divide_mono(self, m: Mono) -> "Poly":
+        if m == MONO_ONE:   # as simplify divides over a constant denominator
+            return self
         inv = mono_pow(m, Fraction(-1))
         return Poly({mono_mul(t, inv): c for t, c in self.terms.items()})
 

@@ -30,6 +30,7 @@ from gnum.nets import (EPS, DecayHeights, ExpNegRecip, PowQ, Tier, absn, add,
                        sin_recip, spikes, sub)
 from gnum.profiles import (SUPERGROW, SUPERPOW, ZERO_K, candidate_sequences,
                            enclose, poly_nonneg, rat, substitute_along)
+from gnum.scales import MONO_ONE, Poly
 from gnum.sequences import Geometric, Harmonic, PiSequence
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
@@ -301,6 +302,30 @@ def test_edge_of_float_constants_raise_nothing_undeclared(c):
             _declared(print_net, x)
             for y, g in ((x, EPS), (EPS, x), (const(1), x)):
                 _declared(membership, y, g)
+
+
+def test_an_overflowed_product_is_not_cancelled():
+    # 1e300 * 1e300 is inf, which is no cancellation: the net is inf * eps
+    # on the float grid, so not negligible and strictly nonzero
+    x = mul(const(1e300), mul(const(1e300), EPS))
+    assert repr(rat(x).num) == "Poly(inf*eps^1)"
+    for claim, fn, want in (("moderate", is_moderate, True),
+                            ("negligible", is_negligible, False),
+                            ("strictly-nonzero", is_strictly_nonzero, True)):
+        t = fn(x)
+        assert t.value is want, claim
+        rep = verify_decision(claim, t, x)
+        assert rep is None or rep.passed, (claim, t, rep)
+
+
+def test_an_infinite_sum_is_not_cancelled():
+    inf = Poly.const(math.inf)
+    assert inf.add(Poly.const(1.0)).terms == {MONO_ONE: math.inf}
+    # inf - inf = nan is kept too, and no nonnegativity pass is certified
+    # on a coefficient that is not finite
+    nan = inf.sub(inf)
+    assert math.isnan(nan.terms[MONO_ONE])
+    assert not poly_nonneg(nan) and not poly_nonneg(inf)
 
 
 def test_substitution_drops_a_power_only_on_a_domain_error(monkeypatch):

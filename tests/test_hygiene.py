@@ -208,3 +208,63 @@ def test_every_module_level_cache_is_listed_with_its_bound():
                 tables.add(where)
     assert caches == CACHES
     assert tables == TABLES
+
+
+# A polynomial keeps the order its terms sort in (scales.Poly.sorted_terms),
+# which holds only while its ``terms`` dict is never changed after
+# construction.  Nothing may assign, delete or update an item of a
+# ``.terms`` attribute, and only Poly.__init__ may assign the attribute.
+TERMS_MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
+
+
+def _scoped(node, scope=()):
+    """(enclosing class and function names, node) of every node below."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _scoped(child, inner)
+
+
+def _terms_writes(tree):
+    """(scope, line, kind) of every write to a ``.terms`` attribute."""
+    def terms(n):
+        return isinstance(n, ast.Attribute) and n.attr == "terms"
+
+    for scope, node in _scoped(tree):
+        ctx = type(getattr(node, "ctx", None))
+        if terms(node) and ctx in (ast.Store, ast.Del):
+            yield scope, node.lineno, f"{ctx.__name__.lower()} .terms"
+        elif isinstance(node, ast.Subscript) and terms(node.value) \
+                and ctx in (ast.Store, ast.Del):
+            yield scope, node.lineno, f"{ctx.__name__.lower()} .terms[...]"
+        elif isinstance(node, ast.Call) and terms(
+                getattr(node.func, "value", None)) \
+                and node.func.attr in TERMS_MUTATORS:
+            yield scope, node.lineno, f".terms.{node.func.attr}()"
+
+
+def test_the_scan_finds_every_kind_of_terms_write():
+    src = ("def f(p, q):\n"
+           "    p.terms[m] = 1\n    p.terms[m] += 1\n    del p.terms[m]\n"
+           "    p.terms.pop(m)\n    p.terms.update(q)\n    p.terms.clear()\n"
+           "    p.terms.setdefault(m, 0)\n    p.terms = {}\n"
+           "    p.terms, q = {}, 1\n    del p.terms\n"
+           "    return dict(p.terms), p.terms.get(m), p.terms[m]\n")
+    kinds = [kind for _, _, kind in _terms_writes(ast.parse(src))]
+    assert kinds == ["store .terms[...]"] * 2 + ["del .terms[...]"] + [
+        f".terms.{name}()" for name in ("pop", "update", "clear",
+                                        "setdefault")] + [
+        "store .terms"] * 2 + ["del .terms"]
+
+
+def test_poly_terms_are_never_mutated_after_construction():
+    writes = [(module, scope, line, kind)
+              for module, tree in TREES.items()
+              for scope, line, kind in _terms_writes(tree)]
+    init = [w for w in writes if w[:2] == ("scales.py", ("Poly", "__init__"))]
+    assert [w[3] for w in init] == ["store .terms"]
+    others = [f"{module}:{line} {kind}"
+              for module, scope, line, kind in writes
+              if (module, scope) != ("scales.py", ("Poly", "__init__"))]
+    assert not others, f"writes to a Poly's terms: {others}"
