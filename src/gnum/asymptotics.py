@@ -12,6 +12,7 @@ each witness kind numerically on a grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,7 +357,7 @@ def valuation(x) -> Optional[Valuation]:
     def lead_scale(p):
         groups = p.grouped_by_scale()
         (k, q), lead = groups[0]
-        if len(lead) != 1 or lead[0][0]:
+        if len(lead) != 1 or lead[0][0] or not cmath.isfinite(lead[0][1]):
             return None
         for (k2, q2), terms in groups[1:]:
             for atoms, c2 in terms:

@@ -277,9 +277,9 @@ class NetExpr:
     It stores its structural facts (``_facts``) the same way, from its
     type's rule in ``_FACT_RULES`` and its children's stored facts.
     A node also keeps the closure ``eval_net`` builds for it, which a
-    pickle or copy leaves out (closures do not pickle), and, once it is
-    a polynomial atom, the sort key ``scales._atom_key`` makes from its
-    ``repr`` at first use (``_repr``).
+    pickle or copy leaves out (closures do not pickle), and the values
+    ``stored`` makes for it at their first use: its exact key as a grid
+    atom (``_key``) and its sort key as a polynomial atom (``_repr``).
     """
 
     __slots__ = ()
@@ -289,6 +289,16 @@ class NetExpr:
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_fn"}
+
+
+def stored(node: NetExpr, name: str, make):
+    """``make(node)``, made at the first call for this ``name`` and kept
+    on the node (a frozen dataclass) as the attribute ``name``."""
+    value = node.__dict__.get(name)
+    if value is None:
+        value = make(node)
+        object.__setattr__(node, name, value)
+    return value
 
 
 def _fields_getter(names):
@@ -1598,15 +1608,14 @@ def _exact(x):
     return type(x), x
 
 
+def _exact_atom(net: NetExpr):
+    # a bump train's certificate is construction data, not evaluated
+    return _exact(net) if not isinstance(net, BumpTrain) else (
+        BumpTrain, *map(_exact, (net.schedule, net.widths, net.heights)))
+
+
 def _atom_key(net: NetExpr):
-    # made at the atom's first visit and kept on it, beside its closure
-    key = net.__dict__.get("_key")
-    if key is None:
-        # a bump train's certificate is construction data, not evaluated
-        key = _exact(net) if not isinstance(net, BumpTrain) else (
-            BumpTrain, *map(_exact, (net.schedule, net.widths, net.heights)))
-        object.__setattr__(net, "_key", key)
-    return key
+    return stored(net, "_key", _exact_atom)
 
 
 class _AtomMemo:

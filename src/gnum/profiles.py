@@ -823,6 +823,8 @@ def poly_nonneg(p: Poly) -> bool:
 # -- envelope analysis of normal forms --------------------------------------
 
 def _term_upper(m, c) -> Optional[Env]:
+    if not cmath.isfinite(c):
+        return None  # an overflowed coefficient bounds nothing
     e = env_from_scale(m[0], m[1], abs(c))
     for a, p in m[2]:
         if p > 0:
@@ -860,7 +862,7 @@ def group_min(terms) -> Optional[float]:
     total = 0.0
     pair: dict = {}
     for atoms, c in terms:
-        if isinstance(c, complex):
+        if isinstance(c, complex) or not math.isfinite(c):
             return None
         if len(atoms) == 1 and atoms[0][1] == 1 and c > 0 and \
                 isinstance(atoms[0][0], AbsNode) and \
@@ -887,9 +889,11 @@ def group_min(terms) -> Optional[float]:
 def group_bound(lead) -> Optional[Tuple[Optional[int], float]]:
     """(sign, c) with sign * sum(lead) >= c > 0 pointwise on a single
     scale group, or None; a lone constant gives its sign (None if
-    complex) and its modulus."""
+    complex) and its modulus, and no bound if it is not finite."""
     if len(lead) == 1 and not lead[0][0]:
         c = lead[0][1]
+        if not cmath.isfinite(c):
+            return None
         return (None if isinstance(c, complex) else (c > 0) - (c < 0),
                 abs(c))
     gm = group_min(lead)

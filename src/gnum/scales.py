@@ -13,8 +13,10 @@ handled by the envelope bounds in ``profiles``.
 
 Exponents stay exact so decisions never depend on floating noise;
 coefficients are doubles and near-total cancellations are chopped at
-relative 1e-12, mirroring the evaluator's own rounding; an infinite
-coefficient is kept, never chopped as cancelled.
+relative 1e-12, mirroring the evaluator's own rounding.  An infinite
+coefficient is kept, never chopped as cancelled, and inf - inf = nan is
+kept with it; the envelope bounds in ``profiles`` take a coefficient
+that is not finite for no bound at all.
 
 Monomials print and sort by their atoms' ``repr``, which each atom node
 stores at its first use, and a ``Poly`` sorts its terms once and keeps
@@ -43,12 +45,7 @@ MONO_ONE: Mono = (F0, F0, ())
 
 
 def _atom_key(a: NetExpr) -> str:
-    # made at the atom's first use and kept on it, as nets._atom_key is
-    key = a.__dict__.get("_repr")
-    if key is None:
-        key = repr(a)
-        object.__setattr__(a, "_repr", key)
-    return key
+    return nets.stored(a, "_repr", repr)
 
 
 def atoms_from(pairs: Iterable[Tuple[NetExpr, Fraction]]) -> Atoms:
@@ -94,13 +91,17 @@ class Poly:
     """Finite monomial sum with chop-on-cancel coefficient arithmetic.
 
     ``terms`` is never mutated after construction (every operation builds
-    a new ``Poly``), so the order ``sorted_terms`` computes is kept."""
+    a new ``Poly``), so the order ``sorted_terms`` computes is kept.  The
+    dict passed to ``Poly(...)`` is the polynomial's own from then on, and
+    so is the list ``sorted_terms`` returns: neither is changed by anyone.
+    ``tests/test_hygiene.py`` checks ``src/gnum`` for writes through a
+    ``.terms`` attribute only, not through another name for the dict."""
 
     __slots__ = ("terms", "_sorted")
 
     def __init__(self, terms: Optional[Dict[Mono, complex]] = None):
         self.terms: Dict[Mono, complex] = terms or {}
-        self._sorted: Optional[Tuple[Tuple[Mono, complex], ...]] = None
+        self._sorted: Optional[List[Tuple[Mono, complex]]] = None
 
     # -- builders ---------------------------------------------------------
 
@@ -180,12 +181,12 @@ class Poly:
         return not self.terms
 
     def sorted_terms(self) -> List[Tuple[Mono, complex]]:
-        """The terms in ``mono_sort_key`` order, sorted at the first call;
-        each call returns a fresh list."""
+        """The terms in ``mono_sort_key`` order, sorted at the first call
+        and kept: every call returns the same list, which is read only."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.terms.items(),
-                                        key=lambda mc: mono_sort_key(mc[0])))
-        return list(self._sorted)
+            self._sorted = sorted(self.terms.items(),
+                                  key=lambda mc: mono_sort_key(mc[0]))
+        return self._sorted
 
     def grouped_by_scale(self) -> List[Tuple[Tuple[Fraction, Fraction],
                                              List[Tuple[Atoms, complex]]]]:

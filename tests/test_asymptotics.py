@@ -318,6 +318,22 @@ def test_an_overflowed_product_is_not_cancelled():
         assert rep is None or rep.passed, (claim, t, rep)
 
 
+def test_an_overflowed_difference_is_not_decided_nonzero():
+    # x - x has the coefficient inf - inf = nan, which bounds nothing: the
+    # zero net is not decided nonzero, nor is x decided unequal to itself
+    x = mul(const(1e300), mul(const(1e300), EPS))
+    d = sub(x, x)
+    assert repr(rat(d).num) == "Poly(nan*eps^1)"
+    assert is_negligible(d).value is not False
+    assert is_strictly_nonzero(d).value is not True
+    assert gn_equal(x, x).value is not False
+    assert valuation(d) is None
+    # eps - x*x >= 0 only below eps = 1e-1200, which no float grid reaches
+    t = leq(mul(x, x), EPS)
+    rep = verify_decision("leq", t, mul(x, x), EPS)
+    assert rep is None or rep.passed, (t, rep)
+
+
 def test_an_infinite_sum_is_not_cancelled():
     inf = Poly.const(math.inf)
     assert inf.add(Poly.const(1.0)).terms == {MONO_ONE: math.inf}
