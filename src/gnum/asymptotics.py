@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
-from typing import List, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -122,23 +122,51 @@ MINUS_INF = Valuation("minus-infinity")
 # numeric calibration helpers (witness thresholds; claims stay symbolic)
 # --------------------------------------------------------------------------
 
-def _log_points(lo: float, hi: float, n: int) -> List[float]:
-    """``lo * (hi / lo) ** (i / (n - 1))`` for i < n, by Python's ``**``."""
-    steps = map(pow, repeat(hi / lo), map(truediv, range(n), repeat(n - 1)))
-    return (lo * np.fromiter(steps, float, n)).tolist()
+class Scan:
+    """Points from ``build()`` (or a subclass's ``_build``), their
+    ``e ** m`` by Python's ``**`` (numpy's power can round differently;
+    it raises where ``**`` does) and ``math.log``, kept at first use."""
+
+    def __init__(self, build: Callable[[], Iterable[float]]):
+        self._build = build
+
+    @staticmethod
+    def log(lo: float, hi: float, n: int) -> Scan:
+        """``lo * (hi / lo) ** (i / (n - 1))`` for i < n, by ``**``."""
+        return Scan(lambda: lo * np.fromiter(map(pow, repeat(hi / lo), map(
+            truediv, range(n), repeat(n - 1))), float, n))
+
+    def _stored(self, key, make) -> np.ndarray:
+        store = self.__dict__.setdefault("_arrays", {})
+        if key not in store:
+            store[key] = np.fromiter(make(), float)
+            store[key].flags.writeable = False
+        return store[key]
+
+    def points(self) -> np.ndarray:
+        return self._stored("points", self._build)
+
+    def powers(self, m: int) -> np.ndarray:
+        return self._stored(m, lambda: map(pow, self.points().tolist(),
+                                           repeat(m)))
+
+    def logs(self) -> np.ndarray:
+        return self._stored("logs", lambda: map(math.log,
+                                                self.points().tolist()))
 
 
-def _powers(pts: List[float], m: int) -> np.ndarray:
-    """``e ** m`` at each point, by Python's ``**`` (numpy's power can
-    round differently); raises where ``**`` does."""
-    return np.fromiter(map(pow, pts, repeat(m)), float, len(pts))
+# the fixed scans of _calibrate_lower, leq and _product_thresholds
+_LOWER_SCAN, _LOWER_DENSE = (Scan.log(1e-6, 0.6, n) for n in (160, 1400))
+_LEQ_SCAN, _VIOLATION_SCAN = Scan.log(1e-6, 0.9, 160), Scan.log(1e-6, 0.9, 200)
+_PRODUCT_SCAN = Scan(lambda: (10.0 ** (-6 + 5.7 * i / 239)
+                              for i in range(240)))
 
 
-def _last_passing(pts: List[float], ok: np.ndarray) -> Optional[float]:
+def _last_passing(pts: np.ndarray, ok: np.ndarray) -> float:
     """The last point of the longest prefix of ``pts`` on which ``ok``
-    holds; None when it fails at the first point."""
+    holds; 1e-6 when it fails at the first point."""
     k = len(pts) if ok.all() else int(np.argmin(ok))
-    return pts[k - 1] if k else None
+    return float(pts[k - 1]) if k else 1e-6
 
 
 def _real_values(net: NetExpr, pts) -> np.ndarray:
@@ -152,11 +180,12 @@ def _real_values(net: NetExpr, pts) -> np.ndarray:
 
 
 def _first_violation(x: NetExpr, y: NetExpr, a: int,
-                     pts: List[float]) -> Optional[float]:
-    """First point of ``pts`` with x > y + eps**a; points where either
+                     scan: Scan) -> Optional[float]:
+    """First point of the scan with x > y + eps**a; points where either
     side has no real value are skipped."""
-    bad = _real_values(x, pts) > _real_values(y, pts) + _powers(pts, a)
-    return pts[int(np.argmax(bad))] if bad.any() else None
+    pts = scan.points()
+    bad = _real_values(x, pts) > _real_values(y, pts) + scan.powers(a)
+    return float(pts[int(np.argmax(bad))]) if bad.any() else None
 
 
 def _bisect_sign_change(g, a: float, b: float,
@@ -192,31 +221,15 @@ def _calibrate_lower(net: NetExpr, m: int) -> float:
     A dense second pass guards against narrow cancellation windows
     (e.g. a train edge crossing a power term) slipping between the
     coarse scan points."""
-    def ok(pts):
-        v = np.abs(eval_points(net, pts, fill=math.inf)).astype(float)
-        return v >= _powers(pts, m)
+    def last_passing(scan):
+        v = np.abs(eval_points(net, scan.points(), fill=math.inf))
+        return _last_passing(scan.points(), v.astype(float) >= scan.powers(m))
 
-    pts = _log_points(1e-6, 0.6, 160)
-    good = _last_passing(pts, ok(pts))
-    if good is None:
-        return 1e-6
-    pts = _log_points(1e-6, good, 1400)
-    refined = _last_passing(pts, ok(pts))
-    return refined if refined is not None else 1e-6
-
-
-def _calibrate_leq(pts: List[float], vx: np.ndarray, vy: np.ndarray,
-                   a: int) -> float:
-    """Largest scan point below which x <= y + eps**a holds at every
-    smaller scan point, from x and y on the scan (nan where a side has
-    no real value, which ends the prefix)."""
-    ay = np.abs(vy)
-    # y = -inf: -inf + inf slack is nan; y near the largest float: the
-    # slack overflows to inf, which compares correctly
-    with np.errstate(invalid="ignore", over="ignore"):
-        ok = vx <= vy + _powers(pts, a) + 1e-12 * np.where(ay > 1.0, ay, 1.0)
-    good = _last_passing(pts, ok)
-    return good if good is not None else 1e-6
+    good = last_passing(_LOWER_SCAN)
+    if good == 1e-6:    # the scan's first point: a dense pass gives it too
+        return good
+    return last_passing(_LOWER_DENSE if good == 0.6
+                        else Scan.log(1e-6, good, 1400))
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +464,7 @@ def _find_violation_on_seq(x: NetExpr, y: NetExpr, a: int, seq) -> Optional[floa
             continue
         if 0 < e <= 1:
             pts.append(e)
-    return _first_violation(x, y, a, pts)
+    return _first_violation(x, y, a, Scan(lambda: pts))
 
 
 def _lead_sign(R: Poly):
@@ -466,13 +479,20 @@ def _lead_sign(R: Poly):
 
 
 def _leq_thresholds(x: NetExpr, y: NetExpr, a_max: int) -> tuple:
-    """((a, eps0) for a = 1..a_max): the thresholds of x <= y + eps**a."""
-    pts = _log_points(1e-6, 0.9, 160)
+    """((a, eps0) for a = 1..a_max): eps0 is the largest scan point below
+    which x <= y + eps**a holds at every smaller scan point (1e-6 when
+    none is); a point where a side has no real value (nan) ends that."""
+    pts = _LEQ_SCAN.points()
     vx, vy = _real_values(x, pts), _real_values(y, pts)
-    return tuple((a, _calibrate_leq(pts, vx, vy, a))
-                 for a in range(1, a_max + 1))
+    ay = np.abs(vy)
+    slack = 1e-12 * np.where(ay > 1.0, ay, 1.0)
+    # y = -inf: -inf + inf slack is nan; y near the largest float: the
+    # sum overflows to inf, which compares correctly
+    with np.errstate(invalid="ignore", over="ignore"):
+        return tuple((a, _last_passing(pts, vx <= vy + _LEQ_SCAN.powers(a)
+                                       + slack)) for a in range(1, a_max + 1))
 
 
 def _find_order_violation(x: NetExpr, y: NetExpr, a: int) -> Optional[float]:
     """First scan point with x > y + eps**a."""
-    return _first_violation(x, y, a, _log_points(1e-6, 0.9, 200))
+    return _first_violation(x, y, a, _VIOLATION_SCAN)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import nets
 from .asymptotics import (DecisionTri, UNKNOWN, WitnessRecord,
-                          _bisect_sign_change, _last_passing, _lower_exponent,
-                          _powers, along_data, gn_equal, is_moderate,
+                          _PRODUCT_SCAN, _bisect_sign_change, _last_passing,
+                          _lower_exponent, along_data, gn_equal, is_moderate,
                           is_negligible, is_strictly_nonzero)
 from .errors import PreconditionError, SearchExhausted
 from .nets import (AnnihilatorTransition, Const, ConstHeights,
@@ -285,12 +285,11 @@ def _nonzero_source(net: NetExpr) -> Tuple[SequenceRule, int]:
 def _product_thresholds(rs: NetExpr, m: int):
     """Largest scan points below which |r*s| < eps**m, eps**(m + 2), ...
     holds (1e-6 where none is); |r*s| is evaluated once, at the first."""
-    pts = [10.0 ** (-6 + 5.7 * i / 239) for i in range(240)]
+    pts = _PRODUCT_SCAN.points()
     # evaluated from the top, so an error is the one the largest point raises
     v = np.abs(eval_points(rs, pts[::-1])).astype(float)[::-1]
     for m_i in itertools.count(m, 2):
-        good = _last_passing(pts, v < _powers(pts, m_i))
-        yield good if good is not None else 1e-6
+        yield _last_passing(pts, v < _PRODUCT_SCAN.powers(m_i))
 
 
 def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nets
-from .asymptotics import DecisionTri, _first_violation, _powers, _real_values
+from .asymptotics import DecisionTri, Scan, _first_violation, _real_values
 from .errors import DomainError, SearchExhausted
 from .nets import NetExpr, Tier, eval_net, eval_points, unfill
 from .sequences import Geometric, Harmonic, SequenceRule
@@ -28,8 +28,9 @@ F = Fraction
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced evaluation grid on [eps_min, 1]."""
+class GridSpec(Scan):
+    """Log-spaced evaluation grid on [eps_min, 1] by ``np.logspace``: a
+    ``Scan``, so its points, powers, logs and ``deep()`` are built once."""
 
     n_points: int = 1000
     eps_min: float = 1e-6
@@ -38,8 +39,13 @@ class GridSpec:
         if not 0.0 < self.eps_min < 1.0 or self.n_points < 8:
             raise DomainError("grid needs 0 < eps_min < 1 and >= 8 points")
 
-    def points(self) -> np.ndarray:
+    def _build(self):
         return np.logspace(math.log10(self.eps_min), 0.0, self.n_points)
+
+    def deep(self) -> np.ndarray:
+        """400 log-spaced points over the twelve decades below eps_min."""
+        lo = math.log10(self.eps_min)
+        return self._stored("deep", lambda: np.logspace(lo - 12.0, lo, 400))
 
     def split(self) -> Tuple[np.ndarray, np.ndarray]:
         """(tail, head): smallest 30% of the points, and the rest."""
@@ -126,8 +132,7 @@ def replay_negligible(x, m_max: int = 12,
     if not len(head):
         return ReplayReport(f"negligible(m<={m_max})", True,
                             detail="no evaluable points")
-    ext = np.logspace(math.log10(grid.eps_min) - 12.0,
-                      math.log10(grid.eps_min), 400)
+    ext = grid.deep()
     ve = _abs_points(net, ext)
     ext, ve = ext[np.isfinite(ve)], ve[np.isfinite(ve)]
     for m in range(0, m_max + 1):
@@ -227,17 +232,17 @@ def replay_lower_eventual(x, m: int, eps0: float,
                           grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| >= eps**m on grid points below eps0 (strict nonzeroness)."""
     net = nets._net(x)
-    e = grid.points()
-    pts = e[e <= eps0].tolist()
-    if len(pts) < 3:
-        pts = [eps0 * 0.5 ** k for k in range(1, 12) if eps0 * 0.5 ** k > 1e-9]
-    need = _powers(pts, m) * (1 - 1e-9)
+    scan, sel = grid, grid.points() <= eps0
+    if np.count_nonzero(sel) < 3:
+        scan, sel = Scan(lambda: [eps0 * 0.5 ** k for k in range(1, 12)
+                                  if eps0 * 0.5 ** k > 1e-9]), slice(None)
+    pts, need = scan.points()[sel], scan.powers(m)[sel] * (1 - 1e-9)
     v = _abs_points(net, pts)
     short = np.where(v < need, need - v, 0.0)
     if len(pts) and short.max() > 0.0:
         i = int(np.argmax(short))      # the first point of largest shortfall
         return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", False,
-                            float(short[i]), pts[i])
+                            float(short[i]), float(pts[i]))
     return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", True)
 
 
@@ -378,7 +383,7 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
         sel = pts <= eps0
         e, xs, ys = pts[sel], vx[sel], vy[sel]
         with np.errstate(over="ignore"):  # y near the largest float: inf
-            bad = xs > ys + _powers(e.tolist(), a) + slack[sel]
+            bad = xs > ys + grid.powers(a)[sel] + slack[sel]
         k = int(np.argmax(bad)) if bad.any() else len(e)
         _raise_first_error(xn, yn, e[:k], xs[:k], ys[:k])
         if k < len(e):
@@ -389,8 +394,8 @@ def replay_leq(x, y, thresholds, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
 
 def replay_order_violation(x, y, a: int, pt: Optional[float],
                            grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
-    cands = [pt] if pt is not None else grid.points().tolist()
-    hit = _first_violation(nets._net(x), nets._net(y), a, cands)
+    scan = grid if pt is None else Scan(lambda: [pt])
+    hit = _first_violation(nets._net(x), nets._net(y), a, scan)
     if hit is not None:
         return ReplayReport("order-violation", True, arg_eps=hit)
     return ReplayReport("order-violation", False,
@@ -436,12 +441,11 @@ def verify_decision(claim: str, tri: DecisionTri, x, y=None,
 def estimate_valuation(x, grid: GridSpec = DEFAULT_GRID) -> Tuple[float, float]:
     """Least-squares slope of log|x| vs log eps (with standard error)
     over grid points where the value is finite and nonzero."""
-    pts = grid.points()
-    v = _abs_points(nets._net(x), pts)
+    v = _abs_points(nets._net(x), grid.points())
     keep = (0.0 < v) & (v < math.inf)
     if keep.sum() < 8:
         return (math.nan, math.inf)
-    t = np.fromiter(map(math.log, pts[keep].tolist()), float)
+    t = grid.logs()[keep]
     v = np.fromiter(map(math.log, v[keep].tolist()), float)
     n = len(t)
     tbar = t.mean()

@@ -687,6 +687,8 @@ class GNumber:
 
 
 def gnumber(net: NetExpr, tier: Optional[Tier] = None) -> GNumber:
+    if not isinstance(net, NetExpr):
+        raise DomainError(f"gnumber needs a net, not {type(net).__name__}")
     return GNumber(net, minimal_tier(net) if tier is None else tier)
 
 

@@ -123,7 +123,7 @@ def test_calibrate_lower_nan_ends_the_prefix_and_a_raise_passes():
     f = mul(const(1e300), powq(mul(const(1e6), EPS), 2))
     nan_above = add(sub(f, f), const(1.0))
     raise_above = add(PowQ(sub(const(0.0134), EPS), F(1, 2)), const(1.0))
-    pts = asym._log_points(1e-6, 0.6, 160)
+    pts = asym._LOWER_SCAN.points().tolist()
     last = max(p for p in pts if p < 1.34e-2)
     assert math.isnan(eval_net(nan_above, pts[pts.index(last) + 1]))
     assert eval_net(nan_above, last) == 1.0
@@ -661,11 +661,8 @@ def _reference_leq(x, y, a_max=6):
 
 
 def _reference_leq_thresholds(x, y, a_max):
-    pts = asym._log_points(1e-6, 0.9, 160)
-    vx, vy = asym._real_values(x, pts), asym._real_values(y, pts)
-    data = tuple((a, asym._calibrate_leq(pts, vx, vy, a))
-                 for a in range(1, a_max + 1))
-    return WitnessRecord("eventual-threshold", data)
+    return WitnessRecord("eventual-threshold",
+                         asym._leq_thresholds(x, y, a_max))
 
 
 def _outcome(fn, *args):

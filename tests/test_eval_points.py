@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnum import constructions, ideals, nets
-from gnum.asymptotics import _log_points, _powers
+from gnum import asymptotics as asym
+from gnum.asymptotics import Scan
 from gnum.errors import DomainError, SearchExhausted
 from gnum.constructions import (CharsetPoints, _charset_points,
                                 annihilator_split, construct_zero_divisor,
@@ -37,15 +38,14 @@ from gnum.sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                             PiSequence)
 from gnum.smoothing import _band_ok, _numeric_modulus, smooth_approximate
 
-DEEP = np.logspace(math.log10(DEFAULT_GRID.eps_min) - 12.0,
-                   math.log10(DEFAULT_GRID.eps_min), 400)
+DEEP = DEFAULT_GRID.deep()
 GRIDS = {
     "default": DEFAULT_GRID.points(),
     "deep": DEEP,
-    "lower-scan": np.array(_log_points(1e-6, 0.6, 160)),
-    "lower-dense": np.array(_log_points(1e-6, 0.6, 1400)),
-    "leq-scan": np.array(_log_points(1e-6, 0.9, 160)),
-    "violation-scan": np.array(_log_points(1e-6, 0.9, 200)),
+    "lower-scan": asym._LOWER_SCAN.points(),
+    "lower-dense": asym._LOWER_DENSE.points(),
+    "leq-scan": asym._LEQ_SCAN.points(),
+    "violation-scan": asym._VIOLATION_SCAN.points(),
 }
 
 
@@ -546,18 +546,18 @@ def test_calibration_scans_match_the_power_operator():
     for lo, hi, n in ((1e-6, 0.6, 160), (1e-6, 0.6, 1400), (1e-6, 0.9, 200),
                       (3e-5, 0.013, 1400)):
         want = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-        got = _log_points(lo, hi, n)
-        assert got == want and all(type(p) is float for p in got)
+        assert Scan.log(lo, hi, n).points().tolist() == want
     with pytest.raises(ZeroDivisionError):      # i / (n - 1) at n = 1
-        _log_points(1e-6, 0.6, 1)
-    pts = _log_points(1e-6, 0.9, 200)
+        Scan.log(1e-6, 0.6, 1).points()
+    scan = Scan.log(1e-6, 0.9, 200)
+    pts = scan.points().tolist()
     for m in (-5, -1, 0, 1, 7, 60):
-        assert _powers(pts, m).tolist() == [e ** m for e in pts]
+        assert scan.powers(m).tolist() == [e ** m for e in pts]
     # a negative exponent that overflows raises, as ``**`` does
     with pytest.raises(OverflowError):
-        _powers([0.5, 1e-200], -2)
+        Scan(lambda: [0.5, 1e-200]).powers(-2)
     with pytest.raises(ZeroDivisionError):
-        _powers([0.5, 0.0], -1)
+        Scan(lambda: [0.5, 0.0]).powers(-1)
 
 
 def test_unfill_raises_where_the_loop_does():

@@ -2,19 +2,24 @@
 
 import math
 from fractions import Fraction as F
+from itertools import repeat
+from operator import truediv
 
+import numpy as np
 import pytest
 
+from gnum import asymptotics as asym
 from gnum import harness
 from gnum.asymptotics import _find_violation_on_seq, is_strictly_nonzero
 from gnum.errors import DomainError, SearchExhausted
-from gnum.harness import (GridSpec, estimate_valuation, eval_grid,
+from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
+                          eval_grid,
                           random_net, replay_moderate, replay_negligible,
                           replay_order_violation, replay_small_along,
                           verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
-                       eval_net, inv, iter_nodes, minimal_tier, neg, powq,
-                       sin_recip)
+                       eval_net, eval_points, inv, iter_nodes, minimal_tier,
+                       neg, powq, sin_recip, sub)
 from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
@@ -179,3 +184,102 @@ def test_deep_coherence_sweep():
             if rep is not None and not rep.passed:
                 contradictions.append((seed, claim, tri.value, rep.detail))
     assert not contradictions, contradictions[:4]
+
+
+# -- scan grids built once ---------------------------------------------------
+#
+# A grid keeps its points, their powers and their logs; each must be what
+# the expression the code used before it was stored gives, bit for bit.
+
+SCANS = {"default": DEFAULT_GRID, "lower": asym._LOWER_SCAN,
+         "lower-dense": asym._LOWER_DENSE, "leq": asym._LEQ_SCAN,
+         "violation": asym._VIOLATION_SCAN, "product": asym._PRODUCT_SCAN}
+
+
+def _log_points(lo, hi, n):
+    """The calibration scans as they were built on every call."""
+    steps = map(pow, repeat(hi / lo), map(truediv, range(n), repeat(n - 1)))
+    return (lo * np.fromiter(steps, float, n)).tolist()
+
+
+def _powers(pts, m):
+    return np.fromiter(map(pow, pts, repeat(m)), float, len(pts))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_each_scan_keeps_the_construction_it_had():
+    lo = math.log10(DEFAULT_GRID.eps_min)
+    want = {"default": np.logspace(lo, 0.0, 1000),
+            "lower": _log_points(1e-6, 0.6, 160),
+            "lower-dense": _log_points(1e-6, 0.6, 1400),
+            "leq": _log_points(1e-6, 0.9, 160),
+            "violation": _log_points(1e-6, 0.9, 200),
+            "product": [10.0 ** (-6 + 5.7 * i / 239) for i in range(240)]}
+    for name, scan in SCANS.items():
+        assert _same_bits(scan.points(), want[name]), name
+    assert _same_bits(DEFAULT_GRID.deep(),
+                      np.logspace(lo - 12.0, lo, 400))
+    # the coarse lower scan ends where the stored dense one does
+    assert asym._LOWER_SCAN.points()[-1] == 0.6
+
+
+def test_stored_powers_and_logs_are_the_pointwise_values():
+    for name, scan in SCANS.items():
+        pts = scan.points().tolist()
+        for m in range(13):
+            assert _same_bits(scan.powers(m), _powers(pts, m)), (name, m)
+            assert scan.powers(m) is scan.powers(m)
+        assert scan.logs().tolist() == [math.log(e) for e in pts], name
+        assert scan.points() is scan.points()
+
+
+def test_stored_arrays_are_read_only():
+    grid = GridSpec(n_points=40, eps_min=1e-4)
+    arrays = [grid.points(), grid.powers(2), grid.logs(), grid.deep(),
+              *grid.split(), asym._PRODUCT_SCAN.powers(5)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    # a grid's equality and hash read only its fields, not what it stores
+    assert grid == GridSpec(n_points=40, eps_min=1e-4)
+    assert hash(grid) == hash(GridSpec(n_points=40, eps_min=1e-4))
+
+
+def _reference_calibrate_lower(net, m):
+    """``_calibrate_lower`` as it was: both scans rebuilt on every call."""
+    def ok(pts):
+        v = np.abs(eval_points(net, pts, fill=math.inf)).astype(float)
+        return v >= _powers(pts, m)
+
+    def last_passing(pts, ok):
+        k = len(pts) if ok.all() else int(np.argmin(ok))
+        return pts[k - 1] if k else None
+
+    pts = _log_points(1e-6, 0.6, 160)
+    good = last_passing(pts, ok(pts))
+    if good is None:
+        return 1e-6, good
+    pts = _log_points(1e-6, good, 1400)
+    refined = last_passing(pts, ok(pts))
+    return (refined if refined is not None else 1e-6), good
+
+
+def test_calibrate_lower_matches_the_two_pass_rebuild():
+    # constants stop the coarse pass at a chosen point: at once, after the
+    # first point (a dense pass over one repeated point) and midway
+    cases = [(const(5e-7), 1), (const(1.01e-6), 1), (const(0.01), 1),
+            (sub(const(0.2), EPS), 0), (EPS, 1), (powq(EPS, 2), 3)]
+    cases += [(random_net(seed, tier, 3), m) for seed in range(12)
+              for tier in Tier for m in (0, 1, 3)]
+    tops = set()
+    for net, m in cases:
+        want, good = _reference_calibrate_lower(net, m)
+        got = asym._calibrate_lower(net, m)
+        assert got == want and type(got) is float, (net, m)
+        tops.add("none" if good is None else "dense" if good == 0.6
+                 else "own")
+    assert tops == {"none", "dense", "own"}

@@ -7,6 +7,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnum import nets
@@ -268,3 +269,125 @@ def test_poly_terms_are_never_mutated_after_construction():
               for module, scope, line, kind in writes
               if (module, scope) != ("scales.py", ("Poly", "__init__"))]
     assert not others, f"writes to a Poly's terms: {others}"
+
+
+# Scan grids are built once, by the grid type: ``asymptotics.Scan``, its
+# subclasses (``harness.GridSpec``) and the ``build`` given to a ``Scan``.
+# Nowhere else may code call ``logspace``/``geomspace`` or raise one base
+# to a run of exponents over a range: the ways a log scan was built inline.
+def _over_range(node) -> bool:
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None)
+               == "range" for n in ast.walk(node))
+
+
+def _inline_scan(node):
+    """The kind of log scan ``node`` builds, or None."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("logspace", "geomspace"):
+            return f"{name}()"
+        if name == "map" and len(node.args) == 3 \
+                and getattr(node.args[0], "id", None) == "pow" \
+                and isinstance(node.args[1], ast.Call) \
+                and getattr(node.args[1].func, "id", None) == "repeat" \
+                and _over_range(node.args[2]):
+            return "map(pow, repeat(base), exponents)"
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)) \
+            and any(_over_range(g.iter) for g in node.generators):
+        loop = {n.id for g in node.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+        for n in ast.walk(node.elt):
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+                names = [{x.id for x in ast.walk(side)
+                          if isinstance(x, ast.Name)} & loop
+                         for side in (n.left, n.right)]
+                if names[1] and not names[0]:
+                    return "base ** exponent over a range"
+    return None
+
+
+def _scan_builds(tree):
+    """(scope, line, kind) of every log scan built outside the grid type."""
+    grid = {"Scan"} | {c.name for c in ast.walk(tree)
+                       if isinstance(c, ast.ClassDef)
+                       and any(getattr(b, "id", None) == "Scan"
+                               for b in c.bases)}
+
+    def own(node):
+        return node.name in grid if isinstance(node, ast.ClassDef) else \
+            isinstance(node, ast.Call) and getattr(node.func, "id",
+                                                   None) in grid
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if own(child):
+                continue
+            kind = _inline_scan(child)
+            if kind is not None:
+                yield scope, child.lineno, kind
+            yield from walk(child, scope + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    yield from walk(tree, ())
+
+
+def test_the_scan_finds_every_inline_log_scan():
+    src = ("def f(lo, hi, n, a):\n"
+           "    x = np.logspace(-6.0, 0.0, n), np.geomspace(lo, hi, n)\n"
+           "    y = [10.0 ** (-6 + 5.7 * i / 239) for i in range(240)]\n"
+           "    z = map(pow, repeat(hi / lo), map(truediv, range(n),\n"
+           "                                      repeat(n - 1)))\n"
+           "    w = (lo * 0.5 ** k for k in range(1, 12))\n"
+           "    # not scans: one base per point, or exponents not a range\n"
+           "    return ([k ** (1 / n) for k in a], [e ** 2 for e in a],\n"
+           "            [i ** 2 for i in range(n)], map(pow, a, repeat(2)),\n"
+           "            map(pow, repeat(2.0), a))\n"
+           "class Scan:\n"
+           "    def _build(self):\n"
+           "        return np.logspace(0.0, 1.0, 9)\n"
+           "class Grid(Scan):\n"
+           "    def _build(self):\n"
+           "        return np.logspace(0.0, 1.0, 9)\n"
+           "S = Scan(lambda: [10.0 ** (i / 9) for i in range(9)])\n")
+    found = [(scope, line, kind)
+             for scope, line, kind in _scan_builds(ast.parse(src))]
+    assert found == [
+        (("f",), 2, "logspace()"), (("f",), 2, "geomspace()"),
+        (("f",), 3, "base ** exponent over a range"),
+        (("f",), 4, "map(pow, repeat(base), exponents)"),
+        (("f",), 6, "base ** exponent over a range")]
+
+
+def test_no_log_scan_is_built_outside_the_grid_type():
+    found = [f"{module}:{line} {'.'.join(scope)} {kind}"
+             for module, tree in TREES.items()
+             for scope, line, kind in _scan_builds(tree)]
+    assert not found, f"log scans built inline: {found}"
+
+
+def test_stored_grid_values_live_on_grid_objects():
+    # fill the stores through a calibration, a replay and a regression,
+    # then look again: the module-level containers are still exactly the
+    # listed caches and tables, no module holds an array, and each stored
+    # array sits on its scan object
+    from gnum.asymptotics import Scan, is_strictly_nonzero
+    from gnum.harness import estimate_valuation, verify_decision
+    from gnum.nets import EPS, powq
+    x = powq(EPS, 2)
+    assert verify_decision("strictly-nonzero", is_strictly_nonzero(x), x)
+    estimate_valuation(x)
+    test_every_module_level_cache_is_listed_with_its_bound()
+    scans = []
+    for name in TREES:
+        stem = name[:-3]
+        mod = importlib.import_module(
+            "gnum" if stem == "__init__" else f"gnum.{stem}")
+        for attr, v in vars(mod).items():
+            assert not isinstance(v, np.ndarray), f"{stem}.{attr}"
+            if isinstance(v, Scan):
+                scans.append(v)
+    stored = [v.__dict__.get("_arrays", {}) for v in scans]
+    assert any(stored)
+    for arrays in stored:
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable
+                   for a in arrays.values())

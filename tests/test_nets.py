@@ -313,6 +313,13 @@ def test_gnumber_rejects_understated_tier():
         GNumber(absn(sin_recip(1)), Tier.Smooth)
 
 
+def test_gnumber_rejects_what_is_not_a_net():
+    # a bare float reached minimal_tier and raised AttributeError there
+    for bad in (1.0, 2, "eps", None, gnumber(EPS)):
+        with pytest.raises(DomainError, match=type(bad).__name__):
+            gnumber(bad)
+
+
 def test_ring_ops_take_weakest_tier():
     a = gnumber(EPS)
     b = gnumber(absn(sin_recip(1)))
