@@ -287,6 +287,8 @@ def along_data(seq, env: Env) -> tuple:
 def is_moderate(x) -> DecisionTri:
     """Does |x_eps| stay below some power eps**-N as eps -> 0?"""
     net = nets._net(x)
+    if not net._facts.finite:
+        return DecisionTri(None, reason="non-finite")
     for up in _uppers(net):
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(True, WitnessRecord("exponent-bound",
@@ -309,6 +311,8 @@ def is_moderate(x) -> DecisionTri:
 def is_negligible(x) -> DecisionTri:
     """Does |x_eps| fall below every power eps**m as eps -> 0?"""
     net = nets._net(x)
+    if not net._facts.finite:
+        return DecisionTri(None, reason="non-finite")
     for up in _uppers(net):
         if up.kind in (ZERO_K, SUPERPOW):
             return DecisionTri(True, WitnessRecord("all-powers", (12,)))
@@ -340,6 +344,8 @@ def _lower_exponent(lo: Env) -> int:
 def is_strictly_nonzero(x) -> DecisionTri:
     """|x_eps| >= eps**m eventually, for some m (= invertibility)."""
     net = nets._net(x)
+    if not net._facts.finite:
+        return DecisionTri(None, reason="non-finite")
     lo = next(iter(_lowers(net)), None)
     if lo is not None:
         m = _lower_exponent(lo)
@@ -400,6 +406,8 @@ def leq(x, y, a_max: int = 6) -> DecisionTri:
     xn, yn = nets._net(x), nets._net(y)
     if not (is_real_net(xn) and is_real_net(yn)):
         raise TypeError("leq is defined for real-valued nets")
+    if not (xn._facts.finite and yn._facts.finite):
+        return DecisionTri(None, reason="non-finite")
     holds = WitnessRecord("eventual-threshold",
                           lambda: _leq_thresholds(xn, yn, a_max))
     d = nets.sub(yn, xn)

@@ -237,7 +237,7 @@ def replay_lower_eventual(x, m: int, eps0: float,
         scan, sel = Scan(lambda: [eps0 * 0.5 ** k for k in range(1, 12)
                                   if eps0 * 0.5 ** k > 1e-9]), slice(None)
     pts, need = scan.points()[sel], scan.powers(m)[sel] * (1 - 1e-9)
-    v = _abs_points(net, pts)
+    v = _abs_points(net, scan.points())[sel]
     short = np.where(v < need, need - v, 0.0)
     if len(pts) and short.max() > 0.0:
         i = int(np.argmax(short))      # the first point of largest shortfall

@@ -319,8 +319,10 @@ def _node(cls):
         if normalise is not None:
             normalise(self)
         object.__setattr__(self, "_hash", hash(compared(self)))
-        object.__setattr__(self, "_facts", _FACT_RULES[type(self)](
-            self, *[c._facts for c in self._children(self)]))
+        kids = [c._facts for c in self._children(self)]
+        facts = _FACT_RULES[type(self)](self, *kids)
+        object.__setattr__(self, "_facts", facts if all(
+            k.finite for k in kids) else facts._replace(finite=False))
 
     # set before dataclass(), whose __init__ calls __post_init__ if present
     cls.__post_init__ = __post_init__
@@ -556,6 +558,7 @@ class Facts(NamedTuple):
     positive: bool
     nowhere_zero: bool
     tier: Tier
+    finite: bool = True     # no constant in the tree is inf or nan
 
 
 def _facts(real, nonneg, positive, tier, nowhere_zero=False) -> Facts:
@@ -572,7 +575,8 @@ _INDICATOR = _facts(True, True, False, Tier.Arbitrary)
 def _const_facts(net):
     c = net.c
     real = not isinstance(c, complex)
-    return _facts(real, real and c >= 0, real and c > 0, _SMOOTH, c != 0)
+    return Facts(real, real and c >= 0, real and c > 0, c != 0, _SMOOTH,
+                 abs(c) < math.inf)
 
 
 def _mul_facts(net, l, r):
@@ -1156,9 +1160,10 @@ def eval_points(net, pts, fill=None) -> np.ndarray:
     where that rule raises or special-cases, or whose value is not a
     float (a complex constant or intermediate), is flagged and evaluated
     by eval_net; a blend or a Gelfand factor flags every point.
-    An atom's vector is computed once per grid and kept in a bounded
-    memo (``_ATOMS``), keyed so that only an atom that evaluates the same
-    bit for bit can share it.
+    An atom's vector is computed once per grid, the grid's bytes, and kept
+    in a bounded memo (``_ATOMS``, counting hits, misses and evictions):
+    part of a stored scan is read as a slice of the values on the whole
+    scan, since a slice of its points is another grid.
     """
     net = _net(net)
     e = np.array(pts, dtype=float).reshape(-1)
@@ -1589,7 +1594,7 @@ def _seq_values(s: SequenceRule, js: np.ndarray,
 # An atom depends on eps alone and costs a libm or Python call per point;
 # the same few recur in every net on the same few grids.
 _ATOM_TYPES = (SinRecipPow, CosRecipPow, ExpNegRecip, BumpTrain, Indicator)
-ATOM_MEMO_BYTES = 512 * 1024
+ATOM_MEMO_BYTES = 1024 * 1024
 
 
 def _exact(x):
@@ -1616,28 +1621,29 @@ def _exact_atom(net: NetExpr):
         BumpTrain, *map(_exact, (net.schedule, net.widths, net.heights)))
 
 
-def _atom_key(net: NetExpr):
-    return stored(net, "_key", _exact_atom)
-
-
 class _AtomMemo:
     """Atom vectors of recent grids, least recently used first: ``grids``
-    maps a grid's bytes to an OrderedDict from an atom's ``_atom_key`` to
+    maps a grid's bytes to an OrderedDict from an atom's exact key to
     (read-only vector, own ``bad`` mask or None when no point is flagged).
     ``nbytes`` is the ``sys.getsizeof`` of every grid key, vector and mask
-    held, at most ATOM_MEMO_BYTES."""
+    held, at most ATOM_MEMO_BYTES.  ``hits``, ``misses`` and ``evictions``
+    (entries dropped for room) count since ``clear``.  Callers slice the
+    values on a whole stored scan, not evaluate a slice of its points."""
 
     def __init__(self):
         self.clear()
 
     def clear(self):
         self.grids = OrderedDict()
-        self.nbytes = 0
+        self.nbytes = self.hits = self.misses = self.evictions = 0
 
     def get(self, g: bytes, key):
         atoms = self.grids.get(g)
         hit = None if atoms is None else atoms.get(key)
-        if hit is not None:
+        if hit is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self.grids.move_to_end(g)
             atoms.move_to_end(key)
         return hit
@@ -1658,6 +1664,7 @@ class _AtomMemo:
         while self.nbytes > ATOM_MEMO_BYTES:    # never reaches the new entry
             old_g, old = next(iter(self.grids.items()))
             self.nbytes -= _size(old.popitem(last=False)[1])
+            self.evictions += 1
             if not old:
                 del self.grids[old_g]
                 self.nbytes -= sys.getsizeof(old_g)
@@ -1676,7 +1683,7 @@ def _atom_vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
     """The atom's vector from the memo, its flags added to ``bad``.  An atom
     rule only sets flags, never reads them, so its own mask computed from
     none is what it would add to any ``bad``."""
-    key = _atom_key(net)
+    key = stored(net, "_key", _exact_atom)
     hit = _ATOMS.get(g, key)
     if hit is None:
         own = np.zeros(len(e), bool)

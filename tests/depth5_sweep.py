@@ -16,7 +16,9 @@ bounds (`test_ideals.order_violations`).  As under pytest, a
 `RuntimeWarning` is an error.  The exit status is 1 when an exception
 escapes a decider or a replay, when a replay rejects a verdict other
 than the known ones below, or when the order grid has a soundness or
-completeness violation; the counts are printed either way.
+completeness violation; the counts are printed either way.  After the
+depth-5 sweep it prints the atom memo's hits, misses and evictions
+(`nets._ATOMS`), so that a memo that starts to thrash shows in the log.
 """
 
 import sys
@@ -24,6 +26,7 @@ import time
 import warnings
 from collections import Counter
 
+from gnum import nets
 from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
                               leq)
 from gnum.harness import random_net, verify_decision
@@ -142,6 +145,9 @@ def _order_grid() -> bool:
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
+    memo = nets._ATOMS
+    print(f"atom memo: {memo.hits} hits, {memo.misses} misses, "
+          f"{memo.evictions} evictions")
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
     failed |= _membership_pairs()
     failed |= _order_grid()

@@ -334,6 +334,27 @@ def test_an_overflowed_difference_is_not_decided_nonzero():
     assert rep is None or rep.passed, (t, rep)
 
 
+@pytest.mark.parametrize("c", (math.nan, math.inf, -math.inf), ids=repr)
+def test_a_net_with_a_non_finite_constant_is_not_decided(c):
+    # an inf or nan constant is no generalized number: the constant, and
+    # any net holding one at any depth, is Unknown with the blocker
+    # "non-finite" in every decider, leq and gn_equal
+    k = const(c)
+    for x in (k, add(EPS, k), mul(sin_recip(1), k), sub(k, k),
+              maxn(EPS, absn(add(powq(EPS, 2), mul(k, EPS))))):
+        assert not x._facts.finite
+        answers = [decide(x) for decide in (is_moderate, is_negligible,
+                                            is_strictly_nonzero)]
+        answers += [f(*args) for f in (leq, gn_equal)
+                    for args in ((x, EPS), (EPS, x), (x, x))]
+        for t in answers:
+            assert (t.value, t.reason) == (None, "non-finite"), (x, t)
+    # constants that fold to inf on construction are caught the same way
+    for x in (inv(const(5e-324)), mul(const(1e308), const(10))):
+        assert is_strictly_nonzero(x).reason == "non-finite"
+    assert EPS._facts.finite and gn_equal(EPS, EPS).value is True
+
+
 def test_an_infinite_sum_is_not_cancelled():
     inf = Poly.const(math.inf)
     assert inf.add(Poly.const(1.0)).terms == {MONO_ONE: math.inf}

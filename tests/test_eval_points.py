@@ -22,7 +22,8 @@ from gnum.errors import DomainError, SearchExhausted
 from gnum.constructions import (CharsetPoints, _charset_points,
                                 annihilator_split, construct_zero_divisor,
                                 gelfand_witnesses, interleaved_trains)
-from gnum.harness import DEFAULT_GRID, GridSpec, random_net, replay_growth_along
+from gnum.harness import (DEFAULT_GRID, GridSpec, random_net,
+                          replay_growth_along, verify_decision)
 from gnum.ideals import (FinIdeal, dip_forcing_data, membership,
                          principal_forms, replay_dip_forcing)
 from gnum.lattice import abs_factor
@@ -136,7 +137,7 @@ def test_a_result_is_the_callers_to_write():
 
 
 def test_the_memo_holds_at_most_its_cap():
-    assert nets.ATOM_MEMO_BYTES == 512 * 1024
+    assert nets.ATOM_MEMO_BYTES == 1024 * 1024
     memo = nets._ATOMS
     for k in range(1, 40):
         pts = GRIDS["default"][k:]
@@ -146,6 +147,37 @@ def test_the_memo_holds_at_most_its_cap():
     # 39 grids of 10 atoms, 8 kB a vector: the oldest grids are gone
     assert GRIDS["default"][1:].tobytes() not in memo.grids
     assert GRIDS["default"][39:].tobytes() in memo.grids
+
+
+def _decide_and_replay_sweep_nets():
+    # the nets of the sweep benchmark, seeds 0-15 of every tier at depths
+    # 3-5, each decided three ways and each verdict replayed: 680 kB of
+    # atoms, more than the 512 KiB the cap once was
+    for tier in Tier:
+        for depth in (3, 4, 5):
+            for seed in range(16):
+                x = random_net(seed, tier, depth)
+                for claim, decide in (("moderate", asym.is_moderate),
+                                      ("negligible", asym.is_negligible),
+                                      ("strictly-nonzero",
+                                       asym.is_strictly_nonzero)):
+                    verify_decision(claim, decide(x), x)
+
+
+def test_a_sweep_fits_the_memo():
+    # the replays read slices of whole grids, not grids of their own, and
+    # the atoms of every grid fit the cap: nothing is evicted, and a
+    # second run finds every atom the first one stored
+    memo = nets._ATOMS
+    memo.clear()
+    _decide_and_replay_sweep_nets()
+    assert memo.evictions == 0 and memo.hits and memo.misses
+    assert memo.nbytes == _held(memo) <= nets.ATOM_MEMO_BYTES
+    full = DEFAULT_GRID.points().tobytes()
+    assert not [g for g in memo.grids if g != full and full.startswith(g)]
+    misses = memo.misses
+    _decide_and_replay_sweep_nets()
+    assert memo.misses == misses and memo.evictions == 0
 
 
 def _held(memo) -> int:
@@ -165,8 +197,9 @@ def test_a_recursion_error_leaves_the_memo_consistent():
     try:
         for extra in range(40, 100):
             memo.clear()
-            for k in range(1, 70):      # a full memo: a put evicts
+            for k in range(1, 140):     # a full memo: a put evicts
                 eval_points(cos_recip(F(1, k)), full)
+            assert memo.evictions
             sys.setrecursionlimit(depth + extra)
             eval_points(chain, pts, fill=math.nan)
             sys.setrecursionlimit(limit)

@@ -10,13 +10,14 @@ import pytest
 
 from gnum import asymptotics as asym
 from gnum import harness
-from gnum.asymptotics import _find_violation_on_seq, is_strictly_nonzero
+from gnum.asymptotics import (Scan, _find_violation_on_seq,
+                              is_strictly_nonzero)
 from gnum.errors import DomainError, SearchExhausted
 from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
                           eval_grid,
-                          random_net, replay_moderate, replay_negligible,
-                          replay_order_violation, replay_small_along,
-                          verify_decision)
+                          random_net, replay_lower_eventual, replay_moderate,
+                          replay_negligible, replay_order_violation,
+                          replay_small_along, verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
                        eval_net, eval_points, inv, iter_nodes, minimal_tier,
                        neg, powq, sin_recip, sub)
@@ -35,6 +36,45 @@ def test_grid_spec_invariants():
     for eps_min in (0.0, 2.0, 1.0, math.nan):
         with pytest.raises(DomainError):
             GridSpec(eps_min=eps_min)
+
+
+def _prefix_replay_lower_eventual(x, m, eps0, grid=DEFAULT_GRID):
+    """(passed, max_violation, arg_eps) of the replay as it was written
+    before it sliced the values of the whole grid: the points below eps0
+    evaluated as a grid of their own."""
+    scan, sel = grid, grid.points() <= eps0
+    if np.count_nonzero(sel) < 3:
+        scan, sel = Scan(lambda: [eps0 * 0.5 ** k for k in range(1, 12)
+                                  if eps0 * 0.5 ** k > 1e-9]), slice(None)
+    pts, need = scan.points()[sel], scan.powers(m)[sel] * (1 - 1e-9)
+    v = harness._abs_points(x, pts)
+    short = np.where(v < need, need - v, 0.0)
+    if len(pts) and short.max() > 0.0:
+        i = int(np.argmax(short))
+        return False, float(short[i]).hex(), float(pts[i]).hex()
+    return True, 0.0.hex(), None
+
+
+# eps0 below the third grid point (the halving fallback), at the top of
+# the calibration scans, and in between; the default grid and another
+@pytest.mark.parametrize("grid, eps0", [
+    (DEFAULT_GRID, 5e-7), (DEFAULT_GRID, 1.02e-6), (DEFAULT_GRID, 0.6),
+    (DEFAULT_GRID, 3e-3), (GridSpec(300, 1e-4), 0.6),
+    (GridSpec(300, 1e-4), 1.05e-4), (GridSpec(300, 1e-4), 0.02)])
+def test_replay_lower_eventual_reads_the_prefix_of_the_whole_grid(grid,
+                                                                  eps0):
+    verdicts = set()
+    for tier in Tier:
+        for seed in range(8):
+            x = random_net(seed, tier, 4)
+            for m in (0, 2, 5):
+                rep = replay_lower_eventual(x, m, eps0, grid)
+                got = (rep.passed, float(rep.max_violation).hex(),
+                       None if rep.arg_eps is None else rep.arg_eps.hex())
+                assert got == _prefix_replay_lower_eventual(x, m, eps0,
+                                                            grid), (x, m)
+                verdicts.add(rep.passed)
+    assert verdicts == {True, False}
 
 
 def test_replay_negligible_pass_and_fail():

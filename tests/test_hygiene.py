@@ -182,7 +182,7 @@ CACHES = {
     "profiles.info": None,
     "profiles.rat": None,
     "smoothing._band_plan": None,
-    "nets._ATOMS": 512 * 1024,
+    "nets._ATOMS": 1024 * 1024,
 }
 # module-level containers that are constant tables, not caches
 TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
