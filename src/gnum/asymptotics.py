@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
@@ -29,6 +28,7 @@ from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, along_lower,
                        along_small, candidate_sequences, enclose, info,
                        poly_nonneg, rat, rat_lower, rat_upper,
                        substitute_along)
+from .records import Record
 from .scales import Poly
 from .sequences import Geometric
 
@@ -39,8 +39,7 @@ F = Fraction
 # verdict and witness types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Record):
     """Replayable evidence for a True/False verdict.
 
     kinds:
@@ -73,8 +72,7 @@ class WitnessRecord:
         return WitnessRecord, (self.kind, self.data)
 
 
-@dataclass(frozen=True)
-class DecisionTri:
+class DecisionTri(Record):
     value: Optional[bool]           # True / False / None == Unknown
     witness: Optional[WitnessRecord] = None
     reason: str = ""
@@ -100,8 +98,7 @@ class DecisionTri:
 UNKNOWN = DecisionTri(None, reason="outside-fragment")
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Sharp exponent sup{a : |x_eps| = O(eps^a)} on the power/exp
     fragment; the zero class (and every negligible net) maps to +inf."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -29,6 +28,7 @@ from .nets import (AnnihilatorTransition, Const, ConstHeights,
                    iter_nodes, unfill)
 from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, along_lower,
                        along_small, info, rat)
+from .records import Record
 from .sequences import Geometric, Midpoints, SequenceRule
 
 F = Fraction
@@ -42,8 +42,7 @@ def _is_zero_net(net: NetExpr) -> bool:
 # idempotents
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdemVerdict:
+class IdemVerdict(Record):
     """verdict: 'zero' | 'one' | 'not-idempotent' |
     'nontrivial-idempotent' | 'unknown'."""
 
@@ -89,8 +88,7 @@ def idempotent_classify(u) -> IdemVerdict:
 # zero divisors
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroDivisorReport:
+class ZeroDivisorReport(Record):
     s: GNumber
     zero_sequence: SequenceRule
     unit_points: Tuple[Tuple[float, float], ...]  # (eps_j, s(eps_j))
@@ -176,8 +174,7 @@ def construct_zero_divisor(r) -> ZeroDivisorReport:
 # Gelfand pairs
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GelfandWitnesses:
+class GelfandWitnesses(Record):
     r: GNumber
     s: GNumber
     a: GNumber
@@ -215,8 +212,7 @@ def gelfand_witnesses(a, b) -> GelfandWitnesses:
 # annihilator splits (normality)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnihilatorSplit:
+class AnnihilatorSplit(Record):
     x: GNumber
     eta_scale: float
 
@@ -258,8 +254,7 @@ def annihilator_split(r, s) -> AnnihilatorSplit:
 # characteristic sets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacteristicSet:
+class CharacteristicSet(Record):
     """Strictly decreasing points with |r| = |s| < eps**((m+2(i-1))/2)
     at the i-th point; the tail continues by the recorded search."""
 
@@ -343,8 +338,7 @@ def _charset_points(rnet: NetExpr, snet: NetExpr, k_exp: int,
     return points
 
 
-@dataclass(frozen=True)
-class CharsetPoints(SequenceRule):
+class CharsetPoints(SequenceRule, Record):
     """The points found by ``_charset_points``; an index outside the
     found prefix raises ``SearchExhausted``."""
 

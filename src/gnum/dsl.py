@@ -26,7 +26,6 @@ admitting the parsed tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -36,6 +35,7 @@ from .nets import (AbsNode, Add, BumpTrain, Const, ConstHeights, CosRecipPow,
                    DecayHeights, Eps, ExpNegRecip, GapFraction, Indicator,
                    Inv, MaxNode, MinNode, Mul, Neg, NetExpr, PowQ, RootN,
                    SinRecipPow, SpikeTrain, Tier, minimal_tier)
+from .records import Record
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, PiSequence,
                         SequenceRule)
 
@@ -43,8 +43,7 @@ F = Fraction
 _DIGITS = "0123456789"  # str.isdigit also holds for '²' and '٣'
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str       # 'num' | 'name' | one of + - * ^ ( ) , / | 'eof'
     text: str
     line: int

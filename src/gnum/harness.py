@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -22,13 +21,13 @@ from . import nets
 from .asymptotics import DecisionTri, Scan, _first_violation, _real_values
 from .errors import DomainError, SearchExhausted
 from .nets import NetExpr, Tier, eval_net, eval_points, unfill
+from .records import Record
 from .sequences import Geometric, Harmonic, SequenceRule
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class GridSpec(Scan):
+class GridSpec(Scan, Record):
     """Log-spaced evaluation grid on [eps_min, 1] by ``np.logspace``: a
     ``Scan``, so its points, powers, logs and ``deep()`` are built once."""
 
@@ -61,13 +60,16 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(Record):
     claim: str
     passed: bool
     max_violation: float = 0.0
     arg_eps: Optional[float] = None
     detail: str = ""
+
+    # mutable, so with no hash
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
 
     def __bool__(self):
         return self.passed

@@ -15,7 +15,6 @@ Unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -34,6 +33,7 @@ from .profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, _rat_abs,
                        along_lower, along_small, candidate_sequences,
                        canonical_net, info, poly_upper, rat, rat_lower,
                        rat_upper)
+from .records import Record
 from .scales import RatForm
 
 F = Fraction
@@ -41,8 +41,7 @@ F = Fraction
 _REPLAY_GRID = GridSpec(n_points=240, eps_min=1e-5)
 
 
-@dataclass(frozen=True)
-class FinIdeal:
+class FinIdeal(Record):
     """Finitely generated ideal, as its generator list."""
 
     generators: Tuple[GNumber, ...]
@@ -52,8 +51,7 @@ class FinIdeal:
             raise PreconditionError("an ideal needs at least one generator")
 
 
-@dataclass(frozen=True)
-class RootFamilyIdeal:
+class RootFamilyIdeal(Record):
     """Truncation of the radical of a principal ideal: the ideal
     generated by the roots |s|**(1/n) for n <= root_cap."""
 
@@ -292,8 +290,7 @@ def radical_membership(y, R: RootFamilyIdeal) -> DecisionTri:
 # radical principal ideals
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DipForcingData:
+class DipForcingData(Record):
     """Replayable refutation of sqrt(|s|) in <s>: for each moderateness
     budget N, a located point p with |s(p)| at level p**L, L = 2N + 2,
     and sqrt(|s(p)|) >= p**(L/2) >> p**-N * |s(p)|."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import partial
@@ -33,6 +32,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, TierError
+from .records import Record
 from .sequences import (PI, Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -111,6 +111,8 @@ PHI_MAX_SLOPE = 2.278874883727966
 # --------------------------------------------------------------------------
 
 class HeightRule:
+    finite = True       # no parameter is inf or nan (a Fraction never is)
+
     def at(self, j: int, c: float) -> float:
         """h_j, for c the schedule's point eps_j."""
         raise NotImplementedError
@@ -123,9 +125,12 @@ class HeightRule:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ConstHeights(HeightRule):
+class ConstHeights(HeightRule, Record):
     c: float = 1.0
+
+    @property
+    def finite(self):
+        return abs(self.c) < math.inf
 
     def at(self, j, c):
         return self.c
@@ -138,17 +143,13 @@ class ConstHeights(HeightRule):
         return max(0.0, abs(self.c)) if j1 <= j2 else 0.0
 
 
-@dataclass(frozen=True)
-class DecayHeights(HeightRule):
+class DecayHeights(HeightRule, Record):
     """h_j = eps_j ** (slope*j + offset); exact integer powers where
     representable, log space beyond."""
 
     slope: Fraction = Fraction(1)
     offset: Fraction = Fraction(0)
     # slope*j + offset == (_a*j + _b) / _d, in integers
-    _a: int = field(init=False, repr=False, compare=False)
-    _b: int = field(init=False, repr=False, compare=False)
-    _d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, o = self.slope, self.offset
@@ -186,6 +187,8 @@ class DecayHeights(HeightRule):
 
 
 class WidthRule:
+    finite = True       # no parameter is inf or nan (a Fraction never is)
+
     def step(self, j: int, c: float, value) -> Tuple[float, Optional[float]]:
         """(w_j, eps_{j+1} if the rule reads it, else None), for c the
         schedule's point eps_j and ``value`` its rule: the next probe of a
@@ -196,12 +199,10 @@ class WidthRule:
         return self.step(j, schedule.value(j), schedule.value)[0]
 
 
-@dataclass(frozen=True)
-class GapFraction(WidthRule):
+class GapFraction(WidthRule, Record):
     """w_j = frac * (eps_j - eps_{j+1}); frac <= 1/4 keeps supports disjoint."""
 
     frac: Fraction = Fraction(1, 4)
-    _frac: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.frac <= Fraction(1, 4):
@@ -213,8 +214,7 @@ class GapFraction(WidthRule):
         return self._frac * (c - nxt), nxt
 
 
-@dataclass(frozen=True)
-class ShrunkWidths(WidthRule):
+class ShrunkWidths(WidthRule, Record):
     """Explicit first widths, then w_j = min(gap/4, eps_j**(slope*j+offset)).
 
     Used by the zero-divisor construction: the tail exponent rule keeps
@@ -225,12 +225,12 @@ class ShrunkWidths(WidthRule):
     values: Tuple[float, ...]
     slope: Fraction = Fraction(1, 2)
     offset: Fraction = Fraction(2)
-    _slope: float = field(init=False, repr=False, compare=False)
-    _offset: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_slope", float(self.slope))
         object.__setattr__(self, "_offset", float(self.offset))
+        object.__setattr__(self, "finite", all(
+            abs(v) < math.inf for v in self.values))
 
     def step(self, j, c, value):
         if j <= len(self.values):
@@ -246,8 +246,7 @@ class ShrunkWidths(WidthRule):
         return super().value(schedule, j)
 
 
-@dataclass(frozen=True)
-class SmallCert:
+class SmallCert(Record):
     """Construction-time certificate: |ref(eps)| <= eps**(slope*j+offset)
     on the support of bump j.  ``checked_upto`` supports were verified
     numerically; ``tail_sound`` marks that the tail rule was certified
@@ -264,25 +263,42 @@ class SmallCert:
 # node types
 # --------------------------------------------------------------------------
 
-class NetExpr:
+class NetExpr(Record):
     """Base class for net expression nodes (immutable).
 
-    Every node type is a frozen dataclass declared with ``_node``: it
-    compares and prints by its fields, and it stores its hash when it is
-    built, the value the generated dataclass hash gives (the hash of the
-    tuple of compared fields).  A child already holds its hash, so
-    building a node costs one hash of its own fields and ``hash(node)``
-    never walks the subtree, however deep: nets are the keys of the
-    analysis caches and their atoms the keys of polynomial monomials.
-    It stores its structural facts (``_facts``) the same way, from its
-    type's rule in ``_FACT_RULES`` and its children's stored facts.
-    A node also keeps the closure ``eval_net`` builds for it, which a
-    pickle or copy leaves out (closures do not pickle), and the values
-    ``stored`` makes for it at their first use: its exact key as a grid
-    atom (``_key``) and its sort key as a polynomial atom (``_repr``).
+    Every node type is a record (``records.Record``): it compares and
+    prints by its fields, and it stores its hash when it is built, the
+    hash of the tuple of its fields that any record gives.  A child
+    already holds its hash, so building a node costs one hash of its own
+    fields and ``hash(node)`` never walks the subtree, however deep: nets
+    are the keys of the analysis caches and their atoms the keys of
+    polynomial monomials.  It stores its structural facts (``_facts``)
+    the same way, from its type's rule in ``_FACT_RULES`` and its
+    children's stored facts; a type that normalises its fields does so in
+    its own ``__post_init__`` before it calls this one.  A node also
+    keeps the closure ``eval_net`` builds for it, which a pickle or copy
+    leaves out (closures do not pickle), and the values ``stored`` makes
+    for it at their first use: its exact key as a grid atom (``_key``)
+    and its sort key as a polynomial atom (``_repr``).
     """
 
     __slots__ = ()
+    # the fields annotated NetExpr that are sample data, not children
+    _sample = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the functional children: fields annotated NetExpr, less sample data
+        cls._children = staticmethod(_fields_getter([
+            name for name, kind in cls.__init__.__annotations__.items()
+            if kind == "NetExpr" and name not in cls._sample]))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._values()))
+        kids = [c._facts for c in self._children(self)]
+        facts = _FACT_RULES[type(self)](self, *kids)
+        object.__setattr__(self, "_facts", facts if all(
+            k.finite for k in kids) else facts._replace(finite=False))
 
     def __hash__(self):
         return self._hash
@@ -293,7 +309,7 @@ class NetExpr:
 
 def stored(node: NetExpr, name: str, make):
     """``make(node)``, made at the first call for this ``name`` and kept
-    on the node (a frozen dataclass) as the attribute ``name``."""
+    on the node (a frozen record) as the attribute ``name``."""
     value = node.__dict__.get(name)
     if value is None:
         value = make(node)
@@ -309,35 +325,6 @@ def _fields_getter(names):
     return attrgetter(*names) if names else lambda node: ()
 
 
-def _node(cls):
-    """Declare a node type: ``dataclass(frozen=True)`` with the hash and
-    the structural facts stored at the end of ``__init__``, after the
-    class's own ``__post_init__`` normalisation."""
-    normalise = cls.__dict__.get("__post_init__")
-
-    def __post_init__(self):
-        if normalise is not None:
-            normalise(self)
-        object.__setattr__(self, "_hash", hash(compared(self)))
-        kids = [c._facts for c in self._children(self)]
-        facts = _FACT_RULES[type(self)](self, *kids)
-        object.__setattr__(self, "_facts", facts if all(
-            k.finite for k in kids) else facts._replace(finite=False))
-
-    # set before dataclass(), whose __init__ calls __post_init__ if present
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = NetExpr.__hash__
-    # the tuple of compared fields, as the generated hash builds it
-    compared = _fields_getter([f.name for f in fields(cls) if f.compare])
-    # the functional children: the fields annotated NetExpr, less sample data
-    cls._children = staticmethod(_fields_getter([
-        f.name for f in fields(cls)
-        if f.type == "NetExpr" and not f.metadata.get("sample")]))
-    return cls
-
-
-@_node
 class Const(NetExpr):
     c: Scalar
 
@@ -346,90 +333,77 @@ class Const(NetExpr):
             object.__setattr__(self, "c", self.c.real)
         if isinstance(self.c, int):
             object.__setattr__(self, "c", float(self.c))
+        NetExpr.__post_init__(self)
 
 
-@_node
 class Eps(NetExpr):
     pass
 
 
-@_node
 class PowQ(NetExpr):
     base: NetExpr
     q: Fraction
 
 
-@_node
 class Add(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@_node
 class Mul(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@_node
 class Neg(NetExpr):
     x: NetExpr
 
 
-@_node
 class Inv(NetExpr):
     x: NetExpr
 
 
-@_node
 class AbsNode(NetExpr):
     x: NetExpr
 
 
-@_node
 class MinNode(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@_node
 class MaxNode(NetExpr):
     l: NetExpr
     r: NetExpr
 
 
-@_node
 class RootN(NetExpr):
     x: NetExpr
     n: int
 
 
-@_node
 class SinRecipPow(NetExpr):
     """eps -> sin(eps**-p)."""
 
     p: Fraction = Fraction(1)
-    _p: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_p", float(self.p))
+        NetExpr.__post_init__(self)
 
 
-@_node
 class CosRecipPow(NetExpr):
     p: Fraction = Fraction(1)
-    _p: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_p", float(self.p))
+        NetExpr.__post_init__(self)
 
 
-@_node
 class ExpNegRecip(NetExpr):
     """eps -> exp(-1/eps); the canonical nonzero negligible net."""
 
 
-@_node
 class BumpTrain(NetExpr):
     """Sum_j h_j * phi((eps - eps_j)/w_j) with pairwise disjoint supports."""
 
@@ -439,14 +413,12 @@ class BumpTrain(NetExpr):
     small_cert: Optional[SmallCert] = None
 
 
-@_node
 class Indicator(NetExpr):
     """Characteristic function e_S of S = {eps_j}; Arbitrary tier only."""
 
     s: SequenceRule
 
 
-@_node
 class SpikeTrain(Indicator):
     """Indicator's function (1 at the points eps_j, 0 elsewhere) under its
     own name (DSL ``spikes``, the refuter's target); unequal to Indicator."""
@@ -454,7 +426,6 @@ class SpikeTrain(Indicator):
 
 # -- witness nodes produced by the construction operators -------------------
 
-@_node
 class GelfandFactor(NetExpr):
     """eps -> -chi(2|a_eps|)/a_eps extended by 0 where |a_eps| <= 1/4.
 
@@ -466,7 +437,6 @@ class GelfandFactor(NetExpr):
     a: NetExpr
 
 
-@_node
 class RegularizedQuotient(NetExpr):
     """eps -> num * conj(den) / (|den|^2 + exp(-1/eps)^2).
 
@@ -481,7 +451,6 @@ class RegularizedQuotient(NetExpr):
     dom_bound: Optional[float] = None
 
 
-@_node
 class AnnihilatorTransition(NetExpr):
     """Smooth-step transition between the annihilators of r and s.
 
@@ -493,7 +462,6 @@ class AnnihilatorTransition(NetExpr):
     eta_scale: float = 1.0
 
 
-@_node
 class AbsFactor(NetExpr):
     """The absolute-value factor a with a*x = |x| up to negligibility.
 
@@ -508,7 +476,6 @@ class AbsFactor(NetExpr):
     inverse: bool = False
 
 
-@_node
 class SmoothBlend(NetExpr):
     """Partition-of-unity smoothing of ``source``: sum chi_k * source(c_k)
     with sample points c_k on a per-band uniform subdivision whose width
@@ -518,7 +485,8 @@ class SmoothBlend(NetExpr):
     blend is structurally smooth regardless of the source's tier.
     """
 
-    source: NetExpr = field(metadata={"sample": True})
+    source: NetExpr
+    _sample = ("source",)
 
 
 # --------------------------------------------------------------------------
@@ -558,7 +526,9 @@ class Facts(NamedTuple):
     positive: bool
     nowhere_zero: bool
     tier: Tier
-    finite: bool = True     # no constant in the tree is inf or nan
+    # no constant, bump train height or width, or blend source in the
+    # tree holds inf or nan
+    finite: bool = True
 
 
 def _facts(real, nonneg, positive, tier, nowhere_zero=False) -> Facts:
@@ -622,10 +592,10 @@ _FACT_RULES = {
     SinRecipPow: lambda net: _OSCILLATING,
     CosRecipPow: lambda net: _OSCILLATING,
     ExpNegRecip: lambda net: _POSITIVE,
-    BumpTrain: lambda net: _facts(
+    BumpTrain: lambda net: Facts(
         True, isinstance(net.heights, DecayHeights) or (
             isinstance(net.heights, ConstHeights) and net.heights.c >= 0),
-        False, _SMOOTH),
+        False, False, _SMOOTH, net.widths.finite and net.heights.finite),
     Indicator: lambda net: _INDICATOR,
     SpikeTrain: lambda net: _INDICATOR,
     GelfandFactor: lambda net, a: _facts(a.real, False, False, a.tier),
@@ -635,8 +605,8 @@ _FACT_RULES = {
         r.real and s.real, True, False, max(r.tier, s.tier, _CONTINUOUS)),
     AbsFactor: lambda net, x: _facts(x.real, False, False,
                                      max(x.tier, _CONTINUOUS)),
-    SmoothBlend: lambda net: _facts(net.source._facts.real, False, False,
-                                    _SMOOTH),
+    SmoothBlend: lambda net: Facts(net.source._facts.real, False, False,
+                                   False, _SMOOTH, net.source._facts.finite),
 }
 
 
@@ -675,8 +645,7 @@ def minimal_tier(net: NetExpr) -> Tier:
 # tiers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GNumber:
+class GNumber(Record):
     """A net together with its parametrization tier, understood modulo
     negligibility (equality is decided in ``asymptotics``)."""
 
@@ -1601,17 +1570,16 @@ def _exact(x):
     """A key of x that values evaluating differently never share: each
     value tagged with its type, a float also with its sign (since
     ``0.0 == -0.0``), a Fraction as its integer pair (hashed in C), a
-    frozen dataclass by its compared fields.  Equal keys mean equal
-    types and values, floats bit for bit."""
+    record by its fields.  Equal keys mean equal types and values, floats
+    bit for bit."""
     if isinstance(x, float):
         return type(x), x, math.copysign(1.0, x)
     if isinstance(x, Fraction):
         return type(x), x.numerator, x.denominator
     if type(x) is tuple:
         return (tuple, *map(_exact, x))
-    if is_dataclass(x):
-        return (type(x), *[_exact(getattr(x, f.name)) for f in fields(x)
-                           if f.compare])
+    if isinstance(x, Record):
+        return (type(x), *map(_exact, x._values()))
     return type(x), x
 
 

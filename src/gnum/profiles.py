@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -38,6 +37,7 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    MinNode, Mul, Neg, NetExpr, PowQ, RegularizedQuotient,
                    RootN, SinRecipPow, SmoothBlend, is_real_net,
                    nonneg_net, nonneg_power)
+from .records import Record
 from .scales import CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
@@ -54,8 +54,7 @@ POW = "pow"              # |x| ~ c * eps**q side
 SUPERGROW = "supergrow"  # |x| above every power eventually
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Record):
     kind: str
     q: Fraction = F(0)
     c: float = 1.0
@@ -290,8 +289,7 @@ def enclose(net: NetExpr, a: float = 0.0, b: float = 1.0
 # along-a-sequence info
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlongSeq:
+class AlongSeq(Record):
     seq: SequenceRule
     env: Env
 
@@ -300,8 +298,7 @@ class AlongSeq:
 # node envelope info
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Info:
+class Info(Record):
     nonneg: bool = False
     upper: Optional[Env] = None       # |x| <= c*scale eventually
     lower: Optional[Env] = None       # |x| >= c*scale eventually
@@ -363,9 +360,9 @@ def _info(net: NetExpr) -> Info:
                     lower_seq=AlongSeq(ones, Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(zeros, Env(ZERO_K)))
     if isinstance(net, Neg):
-        return replace(info(net.x), nonneg=False)
+        return info(net.x)._replace(nonneg=False)
     if isinstance(net, AbsNode):
-        return replace(info(net.x), nonneg=True)
+        return info(net.x)._replace(nonneg=True)
     if isinstance(net, Add):
         return _info_add(net)
     if isinstance(net, Mul):

@@ -27,13 +27,13 @@ never changed once it is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import nets
 from .nets import NetExpr
+from .records import Record
 
 F0 = Fraction(0)
 CHOP = 1e-12
@@ -267,8 +267,7 @@ def canonical_net(p: Poly) -> NetExpr:
     return out
 
 
-@dataclass(frozen=True)
-class RatForm:
+class RatForm(Record):
     """num/den with den from a structurally nowhere-zero net (den != 0
     pointwise); den == Poly.const(1) on the purely polynomial fragment."""
 

@@ -10,10 +10,10 @@ oscillators; witness searches add their own
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, SearchExhausted
+from .records import Record
 
 PI = math.pi
 
@@ -44,12 +44,10 @@ class SequenceRule:
         return self.value(j) - self.value(j + 1)
 
 
-@dataclass(frozen=True)
-class Geometric(SequenceRule):
+class Geometric(SequenceRule, Record):
     """eps_j = ratio**j, ratio in (0,1)."""
 
     ratio: Fraction = Fraction(1, 2)
-    _ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.ratio < 1):
@@ -63,8 +61,7 @@ class Geometric(SequenceRule):
         return max(1, round(math.log(eps) / math.log(self._ratio)))
 
 
-@dataclass(frozen=True)
-class Harmonic(SequenceRule):
+class Harmonic(SequenceRule, Record):
     """eps_j = 1/j."""
 
     def value(self, j: int) -> float:
@@ -74,8 +71,7 @@ class Harmonic(SequenceRule):
         return max(1, round(1.0 / eps))
 
 
-@dataclass(frozen=True)
-class HarmonicMidpoints(SequenceRule):
+class HarmonicMidpoints(SequenceRule, Record):
     """eps_j = (2j+1)/(2j(j+1)), the midpoint of 1/j and 1/(j+1)."""
 
     def value(self, j: int) -> float:
@@ -85,8 +81,7 @@ class HarmonicMidpoints(SequenceRule):
         return max(1, round(1.0 / eps))
 
 
-@dataclass(frozen=True)
-class PiSequence(SequenceRule):
+class PiSequence(SequenceRule, Record):
     """eps_j = ((mult*j + offset) * pi) ** (-1/power).
 
     Zeros and extrema of sin/cos(1/eps**power) live on these sequences:
@@ -97,9 +92,6 @@ class PiSequence(SequenceRule):
     mult: Fraction = Fraction(1)
     offset: Fraction = Fraction(0)
     power: Fraction = Fraction(1)
-    _mult: float = field(init=False, repr=False, compare=False)
-    _offset: float = field(init=False, repr=False, compare=False)
-    _power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mult <= 0 or self.power <= 0:
@@ -119,8 +111,7 @@ class PiSequence(SequenceRule):
         return max(1, round((t / PI - self._offset) / self._mult))
 
 
-@dataclass(frozen=True)
-class Midpoints(SequenceRule):
+class Midpoints(SequenceRule, Record):
     """Midpoints of consecutive points of another rule (lies in the gaps)."""
 
     of: SequenceRule

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -37,6 +36,7 @@ from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
                    SmoothBlend, SpikeTrain, Tier, bump_phi, eval_net,
                    eval_points, minimal_tier, nonneg_net, unfill)
 from .profiles import abs_range, enclose
+from .records import Record
 from .sequences import Harmonic
 
 LOG_ULP = math.log(2.0 ** -52)
@@ -265,8 +265,7 @@ def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
 # the smoothing operator
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothingReport:
+class SmoothingReport(Record):
     output: GNumber
     grid_max_ratio: float
     flagged_bands: Tuple[Tuple[int, str], ...] = ()
@@ -340,8 +339,7 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
 # the non-surjectivity refuter
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefutationWitness:
+class RefutationWitness(Record):
     """Evidence that a continuous candidate misses the harmonic spike net.
 
     kind 'spike-miss':   |candidate(1/n) - 1| >= 1/4 at eps = 1/n

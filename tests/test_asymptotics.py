@@ -340,8 +340,12 @@ def test_a_net_with_a_non_finite_constant_is_not_decided(c):
     # any net holding one at any depth, is Unknown with the blocker
     # "non-finite" in every decider, leq and gn_equal
     k = const(c)
+    # a bump train's height and width parameters and a blend's source too
     for x in (k, add(EPS, k), mul(sin_recip(1), k), sub(k, k),
-              maxn(EPS, absn(add(powq(EPS, 2), mul(k, EPS))))):
+              maxn(EPS, absn(add(powq(EPS, 2), mul(k, EPS)))),
+              nets.BumpTrain(Harmonic(), heights=nets.ConstHeights(c)),
+              nets.BumpTrain(Harmonic(), nets.ShrunkWidths((0.125, c))),
+              nets.SmoothBlend(absn(add(EPS, k)))):
         assert not x._facts.finite
         answers = [decide(x) for decide in (is_moderate, is_negligible,
                                             is_strictly_nonzero)]

@@ -245,10 +245,13 @@ def test_powers_and_roots_of_edge_bases():
         assert_same_as_the_walk(RootN(base, 3))
 
 
-def test_what_eval_net_refuses():
+def test_what_eval_net_refuses(monkeypatch):
     class Unruled(NetExpr):
         pass
 
+    # every node type is built with the facts of its fact rule; this one
+    # has a fact rule, and no evaluation rule
+    monkeypatch.setitem(nets._FACT_RULES, Unruled, lambda net: nets._POSITIVE)
     with pytest.raises(TypeError, match="cannot evaluate node Unruled"):
         eval_net(Unruled(), 0.5)
     with pytest.raises(DomainError):

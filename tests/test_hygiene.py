@@ -5,6 +5,10 @@ behind."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +136,8 @@ def _node_types(cls=NetExpr):
 
 
 def test_every_node_type_hashes_by_its_stored_hash():
-    # a node type declared without nets._node would keep the generated
-    # dataclass hash, which walks the whole subtree on every lookup
+    # a node type with a __hash__ of its own, such as a record's hash of
+    # its fields, would walk the whole subtree on every lookup
     node_types = list(_node_types())
     assert len(node_types) >= 22
     recursive = [c.__name__ for c in node_types
@@ -183,6 +187,9 @@ CACHES = {
     "profiles.rat": None,
     "smoothing._band_plan": None,
     "nets._ATOMS": 1024 * 1024,
+    # the record templates: one per number of fields, with a
+    # __post_init__ call or without (at most 12 for records of 0-5 fields)
+    "records._templates": None,
 }
 # module-level containers that are constant tables, not caches
 TABLES = {"asymptotics._UP_RANK", "cli._FLAGS", "cli._TIERS", "dsl._CALLS",
@@ -391,3 +398,42 @@ def test_stored_grid_values_live_on_grid_objects():
     for arrays in stored:
         assert all(isinstance(a, np.ndarray) and not a.flags.writeable
                    for a in arrays.values())
+
+
+def test_no_module_declares_a_dataclass():
+    # records are declared by subclassing gnum.records.Record; of
+    # dataclasses only the error a frozen record raises is imported
+    imported = [(module, a.name) for module, tree in TREES.items()
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names
+                if "dataclasses" in (a.name, getattr(node, "module", None))]
+    assert imported == [("records.py", "FrozenInstanceError")]
+
+
+# The compile() calls on generated source while gnum.cli is imported, by
+# the function that makes them, in gnum or dataclasses: the record
+# templates only, one per number of fields with a __post_init__ call or
+# without.  Frozen dataclasses made 321 of them (dataclasses._create_fn).
+COMPILES = {"gnum.records._templates": 11}
+_COUNT_COMPILES = """
+import json, sys
+seen = {}
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        caller = sys._getframe(1)
+        where = f"{caller.f_globals.get('__name__')}.{caller.f_code.co_name}"
+        seen[where] = seen.get(where, 0) + 1
+sys.addaudithook(hook)
+import gnum.cli
+print(json.dumps(seen))
+"""
+
+
+def test_importing_the_cli_compiles_only_the_record_templates():
+    out = subprocess.run([sys.executable, "-c", _COUNT_COMPILES],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    seen = json.loads(out.stdout)
+    assert {k: v for k, v in seen.items()
+            if k.startswith(("gnum.", "dataclasses."))} == COMPILES
