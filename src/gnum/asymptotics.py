@@ -382,7 +382,7 @@ def valuation(x) -> Optional[Valuation]:
                     return None
                 if e.kind == POW and (k > 0 or e.q <= q):
                     return None
-        return (k, q)
+        return (F(k), F(q))
 
     num_ld = lead_scale(r.num)
     den_ld = (F(0), F(0)) if r.is_poly() else lead_scale(r.den)

@@ -38,7 +38,8 @@ from .nets import (AbsFactor, AbsNode, Add, AnnihilatorTransition,
                    RootN, SinRecipPow, SmoothBlend, is_real_net,
                    nonneg_net, nonneg_power)
 from .records import Record
-from .scales import CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net
+from .scales import (CHOP, MONO_ONE, Poly, RatForm, atoms_from, canonical_net,
+                     mono_pow)
 from .sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                         PiSequence, SequenceRule)
 
@@ -65,7 +66,7 @@ def env_from_scale(k: Fraction, q: Fraction, c: float) -> Env:
         return Env(SUPERPOW)
     if k < 0:
         return Env(SUPERGROW)
-    return Env(POW, q, c)
+    return Env(POW, Fraction(q), c)
 
 
 def upper_mul(a: Optional[Env], b: Optional[Env]) -> Optional[Env]:
@@ -540,7 +541,7 @@ def _pythagoras(p: Poly) -> Poly:
                 if not isinstance(a, SinRecipPow) or pw != 2:
                     continue
                 partner_atoms = list(atoms)
-                partner_atoms[idx] = (CosRecipPow(a.p), Fraction(2))
+                partner_atoms[idx] = (CosRecipPow(a.p), 2)
                 partner = (k, q, atoms_from(partner_atoms))
                 if partner not in terms:
                     continue
@@ -576,9 +577,9 @@ def _rat(net: NetExpr) -> RatForm:
     if isinstance(net, Const):
         return RatForm.from_poly(Poly.const(net.c))
     if isinstance(net, Eps):
-        return RatForm.from_poly(Poly.scale_mono(F(0), F(1)))
+        return RatForm.from_poly(Poly.scale_mono(0, 1))
     if isinstance(net, ExpNegRecip):
-        return RatForm.from_poly(Poly.scale_mono(F(1), F(0)))
+        return RatForm.from_poly(Poly.scale_mono(1, 0))
     if isinstance(net, Add):
         return rat(net.l).add(rat(net.r))
     if isinstance(net, Neg):
@@ -719,8 +720,8 @@ def _rat_frac_pow(r: RatForm, q: Fraction) -> Optional[RatForm]:
             if not nonneg_power(a, pw):
                 return None
             # for a real a that may be negative, (a**even)**q = |a|**(even*q)
-            fixed.append((a if nonneg_net(a) else AbsNode(a), pw * q))
-        return Poly({(k * q, qq * q, atoms_from(fixed)): c ** float(q)})
+            fixed.append((a if nonneg_net(a) else AbsNode(a), pw))
+        return Poly({mono_pow((k, qq, fixed), q): c ** float(q)})
     num = mono_frac(r.num)
     den = mono_frac(r.den)
     if num is None or den is None:

@@ -11,12 +11,14 @@ the term with lexicographically smaller (k, q) dominates.  Polynomials
 the decision procedures in ``asymptotics`` are exact; everything else is
 handled by the envelope bounds in ``profiles``.
 
-Exponents stay exact so decisions never depend on floating noise;
-coefficients are doubles and near-total cancellations are chopped at
+Exponents stay exact so decisions never depend on floating noise, and in
+normal form (``normal_exp``: an ``int`` if integral, else a ``Fraction``),
+so most hash and compare in C; they leave this module as ``Fraction``s.
+Coefficients are doubles and near-total cancellations are chopped at
 relative 1e-12, mirroring the evaluator's own rounding.  An infinite
 coefficient is kept, never chopped as cancelled, and inf - inf = nan is
-kept with it; the envelope bounds in ``profiles`` take a coefficient
-that is not finite for no bound at all.
+kept with it; the envelope bounds in ``profiles`` take a coefficient that
+is not finite for no bound at all.
 
 Monomials print and sort by their atoms' ``repr``, which each atom node
 stores at its first use, and a ``Poly`` sorts its terms once and keeps
@@ -29,27 +31,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import nets
 from .nets import NetExpr
 from .records import Record
 
-F0 = Fraction(0)
+F0 = 0
 CHOP = 1e-12
 
-Atoms = Tuple[Tuple[NetExpr, Fraction], ...]
-Mono = Tuple[Fraction, Fraction, Atoms]
+Exp = Union[int, Fraction]
+Atoms = Tuple[Tuple[NetExpr, Exp], ...]
+Mono = Tuple[Exp, Exp, Atoms]
 
 MONO_ONE: Mono = (F0, F0, ())
+
+
+def normal_exp(x: Exp) -> Exp:
+    return x.numerator if x.denominator == 1 else x
 
 
 def _atom_key(a: NetExpr) -> str:
     return nets.stored(a, "_repr", repr)
 
 
-def atoms_from(pairs: Iterable[Tuple[NetExpr, Fraction]]) -> Atoms:
-    merged: Dict[NetExpr, Fraction] = {}
+def atoms_from(pairs: Iterable[Tuple[NetExpr, Exp]]) -> Atoms:
+    merged: Dict[NetExpr, Exp] = {}
     for a, p in pairs:
         merged[a] = merged.get(a, F0) + p
     # |a|^(2k) = a^(2k) for real a: canonicalize to the bare atom
@@ -59,20 +66,22 @@ def atoms_from(pairs: Iterable[Tuple[NetExpr, Fraction]]) -> Atoms:
                 and p.numerator % 2 == 0 and nets.is_real_net(a.x):
             del merged[a]
             merged[a.x] = merged.get(a.x, F0) + p
-    items = [(a, p) for a, p in merged.items() if p != 0]
+    items = [(a, normal_exp(p)) for a, p in merged.items() if p != 0]
     items.sort(key=lambda ap: _atom_key(ap[0]))
     return tuple(items)
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return (m1[0] + m2[0], m1[1] + m2[1], atoms_from(m1[2] + m2[2]))
+    return (normal_exp(m1[0] + m2[0]), normal_exp(m1[1] + m2[1]),
+            atoms_from(m1[2] + m2[2]))
 
 
-def mono_pow(m: Mono, r: Fraction) -> Mono:
-    return (m[0] * r, m[1] * r, atoms_from((a, p * r) for a, p in m[2]))
+def mono_pow(m: Mono, r: Exp) -> Mono:
+    return (normal_exp(m[0] * r), normal_exp(m[1] * r),
+            atoms_from((a, p * r) for a, p in m[2]))
 
 
-def scale_key(m: Mono) -> Tuple[Fraction, Fraction]:
+def scale_key(m: Mono) -> Tuple[Exp, Exp]:
     """Dominance key: lexicographically smaller (k, q) dominates as eps->0."""
     return (m[0], m[1])
 
@@ -116,11 +125,11 @@ class Poly:
         return Poly({MONO_ONE: c})
 
     @staticmethod
-    def scale_mono(k: Fraction, q: Fraction, c=1.0) -> "Poly":
-        return Poly({(k, q, ()): c})
+    def scale_mono(k: Exp, q: Exp, c=1.0) -> "Poly":
+        return Poly({(normal_exp(k), normal_exp(q), ()): c})
 
     @staticmethod
-    def atom(a: NetExpr, power: Fraction = Fraction(1), c=1.0) -> "Poly":
+    def atom(a: NetExpr, power: Exp = 1, c=1.0) -> "Poly":
         return Poly({(F0, F0, atoms_from([(a, power)])): c})
 
     # -- arithmetic -------------------------------------------------------
@@ -152,7 +161,7 @@ class Poly:
 
     def mul(self, other: "Poly") -> "Poly":
         # one [sum, peak] slot per product monomial: hashing a monomial
-        # hashes each of its Fraction exponents
+        # hashes each of its exponents (in C for an int)
         acc: Dict[Mono, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -188,7 +197,7 @@ class Poly:
                                   key=lambda mc: mono_sort_key(mc[0]))
         return self._sorted
 
-    def grouped_by_scale(self) -> List[Tuple[Tuple[Fraction, Fraction],
+    def grouped_by_scale(self) -> List[Tuple[Tuple[Exp, Exp],
                                              List[Tuple[Atoms, complex]]]]:
         """Terms grouped by pure scale (k, q), most dominant group first:
         (k, q) leads the sort key, so each group is a run of the stored
@@ -208,7 +217,7 @@ class Poly:
         ms = list(self.terms)
         k = min(m[0] for m in ms)
         q = min(m[1] for m in ms)
-        common: Dict[NetExpr, Fraction] = dict(ms[0][2])
+        common: Dict[NetExpr, Exp] = dict(ms[0][2])
         for m in ms[1:]:
             d = dict(m[2])
             for a in list(common):
@@ -222,7 +231,7 @@ class Poly:
     def divide_mono(self, m: Mono) -> "Poly":
         if m == MONO_ONE:   # as simplify divides over a constant denominator
             return self
-        inv = mono_pow(m, Fraction(-1))
+        inv = mono_pow(m, -1)
         return Poly({mono_mul(t, inv): c for t, c in self.terms.items()})
 
     def __repr__(self):
@@ -247,6 +256,7 @@ def canonical_net(p: Poly) -> NetExpr:
         return nets.ZERO
     parts = []
     for (k, q, atoms), c in p.sorted_terms():
+        k, q = Fraction(k), Fraction(q)     # node exponents are Fractions
         factors: List[NetExpr] = []
         if c != 1.0 or (not atoms and k == 0 and q == 0):
             factors.append(nets.Const(c))
@@ -256,7 +266,7 @@ def canonical_net(p: Poly) -> NetExpr:
         if q != 0:
             factors.append(nets.PowQ(nets.EPS, q) if q != 1 else nets.EPS)
         for a, pw in atoms:
-            factors.append(a if pw == 1 else nets.PowQ(a, pw))
+            factors.append(a if pw == 1 else nets.PowQ(a, Fraction(pw)))
         term = factors[0]
         for f in factors[1:]:
             term = nets.Mul(term, f)

@@ -113,6 +113,13 @@ def _cli(argv) -> str:
     return f"exit {code} {json.dumps(doc)}"
 
 
+def _terms(p):
+    """A polynomial's sorted terms with every exponent a Fraction: the
+    corpus prints the terms, not the exponents' type in the normal form."""
+    return [((F(k), F(q), tuple((a, F(pw)) for a, pw in atoms)), c)
+            for (k, q, atoms), c in p.sorted_terms()]
+
+
 def _smooth_lines(text, g, pts, blends=None):
     rep = smooth_approximate(g, grid=SMOOTH_GRID)
     if blends is not None:
@@ -231,7 +238,7 @@ def golden_lines():
                             ("min", minn(u, v)), ("max", maxn(u, v))):
                 r = rat(x)
                 out.append(f"trains {ratio} {h!r} {text}: "
-                           f"{r.num.sorted_terms()!r} / {r.den!r}")
+                           f"{_terms(r.num)!r} / {r.den!r}")
     # failing replays
     out.append(f"replay eps^-3 moderate 1: "
                f"{replay_moderate(parse('eps^-3')[0], 1)!r}")

@@ -5,15 +5,17 @@ its terms once and groups them by scale from that order, a product hashes
 each product monomial once, and dividing by the unit monomial is the
 identity.  The reference functions below are the ones that recomputed
 these on every call, copied verbatim; the stored results must equal
-theirs."""
+theirs.  Exponents are in normal form inside ``scales`` (an ``int`` when
+integral, else a ``Fraction``) and ``Fraction``s wherever they leave."""
 
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from gnum import nets, scales
+from gnum.asymptotics import valuation
 from gnum.harness import random_net
 from gnum.nets import NetExpr, Tier, cos_recip, sin_recip
-from gnum.profiles import rat
+from gnum.profiles import _rat_abs, info, rat, rat_lower, rat_upper
 from gnum.scales import (CHOP, F0, MONO_ONE, Atoms, Mono, Poly, atoms_from,
                          mono_mul, mono_pow, scale_key)
 
@@ -160,18 +162,41 @@ def test_an_atom_prints_its_key_once(monkeypatch):
     assert sum(x is a for x in printed) == 1
 
 
-def test_a_product_hashes_each_product_monomial_once(monkeypatch):
-    # monomials of pure scale hash two Fractions each: once per product,
-    # once more per monomial of the result; 12 products, 6 monomials
-    p = Poly({(F0, Fraction(i), ()): 1.0 + i for i in range(4)})
-    q = Poly({(F0, Fraction(j), ()): 2.0 + j for j in range(3)})
+def _hashed_fractions(monkeypatch) -> list:
+    """The Fractions hashed from now on, as ``Fraction.__hash__`` meets
+    them."""
     hashed = []
     h = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__",
                         lambda self: hashed.append(self) or h(self))
+    return hashed
+
+
+def test_a_product_hashes_each_product_monomial_once(monkeypatch):
+    # monomials of pure scale with non-integral k and q, whose sums stay
+    # non-integral, hash two Fractions each: once per product, once more
+    # per monomial of the result; 12 products, 6 monomials
+    k = Fraction(1, 3)
+    p = Poly({(k, Fraction(3 * i + 1, 3), ()): 1.0 + i for i in range(4)})
+    q = Poly({(k, Fraction(3 * j + 1, 3), ()): 2.0 + j for j in range(3)})
+    hashed = _hashed_fractions(monkeypatch)
     out = p.mul(q)
     assert len(out.terms) == 6
+    assert all(m[1].denominator == 3 for m in out.terms)
     assert len(hashed) == 2 * (len(p.terms) * len(q.terms) + len(out.terms))
+
+
+def test_a_product_of_integral_exponents_hashes_no_fraction(monkeypatch):
+    # integral exponents are ints in normal form, however they are given
+    osc = sin_recip(Fraction(1, 3))
+    hashed = _hashed_fractions(monkeypatch)
+    p = Poly({})
+    for i in range(4):
+        p = p.add(Poly.scale_mono(Fraction(i % 2), Fraction(i), c=1.0 + i))
+    q = Poly.atom(osc, Fraction(2)).add(Poly.scale_mono(F0, Fraction(-1)))
+    out = p.mul(q).mul(p)
+    assert len(out.terms) > 12
+    assert hashed == []
 
 
 def test_dividing_by_the_unit_monomial_builds_nothing():
@@ -179,3 +204,52 @@ def test_dividing_by_the_unit_monomial_builds_nothing():
     # over the polynomial fragment is the unit
     _, p = _sample_poly()
     assert p.divide_mono(MONO_ONE) is p
+
+
+def _in_normal_form(e) -> bool:
+    return type(e) is int or (type(e) is Fraction and e.denominator > 1)
+
+
+def test_exponents_are_normal_inside_scales_and_fractions_outside():
+    # inside: every k, q and atom power of the normal forms rat and
+    # _rat_abs build is an int, or a Fraction with denominator above 1;
+    # outside: the PowQ exponents of canonical nets, the envelopes info
+    # and the normal-form bounds give, and valuations carry Fractions
+    def envs(i):
+        for e in (i.upper, i.lower, *(a and a.env for a in (
+                i.lower_seq, i.small_seq))):
+            if e is not None:
+                yield e
+
+    # quotients whose numerator and denominator lead with integral scales
+    for q in (-2, 3):
+        v = valuation(nets.mul(nets.powq(nets.EPS, Fraction(q)),
+                               nets.inv(nets.add(1.0, nets.EPS))))
+        assert v.v == q and type(v.v) is Fraction, v
+    exps = envs_seen = powqs = 0
+    for seed in range(40):
+        for tier in Tier:
+            for depth in (3, 4, 5):
+                x = random_net(seed, tier, depth)
+                for r in (rat(x), _rat_abs(x)):
+                    for p in (r.num, r.den):
+                        for k, q, atoms in p.terms:
+                            found = (k, q, *(pw for _, pw in atoms))
+                            assert all(map(_in_normal_form, found)), found
+                            exps += len(found)
+                        for node in nets.iter_nodes(scales.canonical_net(p)):
+                            if isinstance(node, nets.PowQ):
+                                assert type(node.q) is Fraction
+                                powqs += 1
+                    bounds = [e for e in (rat_upper(r), rat_lower(r)) if e]
+                    atoms = [a for p in (r.num, r.den) for m in p.terms
+                             for a, _ in m[2]]
+                    for node in [*nets.iter_nodes(x), *atoms]:
+                        bounds += envs(info(node))
+                    for e in bounds:
+                        assert type(e.q) is Fraction, e
+                    envs_seen += len(bounds)
+                v = valuation(x)
+                if v is not None and v.kind == "finite":
+                    assert type(v.v) is Fraction, v
+    assert exps > 5000 and envs_seen > 5000 and powqs > 100
