@@ -278,8 +278,9 @@ class NetExpr(Record):
     its own ``__post_init__`` before it calls this one.  A node also
     keeps the closure ``eval_net`` builds for it, which a pickle or copy
     leaves out (closures do not pickle), and the values ``stored`` makes
-    for it at their first use: its exact key as a grid atom (``_key``)
-    and its sort key as a polynomial atom (``_repr``).
+    for it at their first use: its exact key as a grid atom (``_key``),
+    its sort key as a polynomial atom (``_repr``), an oscillator's
+    sequences (``_osc``) and a blend's band plans (``_plans``).
     """
 
     __slots__ = ()
@@ -1036,7 +1037,7 @@ def _abs_factor(x, inverse):
 
 
 def _smoothing():
-    # a blend's rule reads its band plans, which smoothing keys by the
+    # a blend's rule reads its band plans, which smoothing keeps on the
     # node; smoothing imports nets, so nets imports it only here
     from . import smoothing
     return smoothing

@@ -107,19 +107,16 @@ def upper_pow(a: Optional[Env], r: Fraction) -> Optional[Env]:
     """|x|**r bound from |x| bound; r > 0."""
     if a is None or r <= 0:
         return None
-    if a.kind in (ZERO_K, SUPERPOW, SUPERGROW):
+    if a.kind != POW:
         return a
-    return Env(POW, a.q * r, a.c ** float(r))
+    c = fpow(a.c, float(r))     # a constant that overflows bounds nothing
+    return Env(POW, a.q * r, c) if c < INF else None
 
 
 def lower_pow(a: Optional[Env], r: Fraction) -> Optional[Env]:
-    if a is None or r <= 0:
+    if a is None or a.kind in (ZERO_K, SUPERPOW):
         return None
-    if a.kind == SUPERGROW:
-        return a
-    if a.kind == POW:
-        return Env(POW, a.q * r, a.c ** float(r))
-    return None
+    return upper_pow(a, r)
 
 
 def lower_mul(a: Optional[Env], b: Optional[Env]) -> Optional[Env]:
@@ -191,16 +188,26 @@ def _imul(a, b):
     return (min(prods), max(prods))
 
 
+def fpow(x: float, q: float) -> float:
+    """x ** q for x >= 0, and inf where it overflows."""
+    try:
+        return x ** q
+    except OverflowError:
+        return INF
+
+
 def _ipow(iv, q: float):
+    """The power q of the interval iv; an end that overflows is inf."""
     lo, hi = iv
     if q == 0:
         return (1.0, 1.0)
     if lo < 0:
         return FULL
     if q > 0:
-        return (lo ** q if lo > 0 else 0.0, hi ** q if hi < INF else INF)
-    lo2 = hi ** q if hi not in (0.0, INF) else (0.0 if hi == INF else INF)
-    hi2 = lo ** q if lo > 0 else INF
+        return (fpow(lo, q) if lo > 0 else 0.0,
+                fpow(hi, q) if hi < INF else INF)
+    lo2 = fpow(hi, q) if hi not in (0.0, INF) else (0.0 if hi == INF else INF)
+    hi2 = fpow(lo, q) if lo > 0 else INF
     return (lo2, hi2)
 
 
@@ -721,7 +728,8 @@ def _rat_frac_pow(r: RatForm, q: Fraction) -> Optional[RatForm]:
                 return None
             # for a real a that may be negative, (a**even)**q = |a|**(even*q)
             fixed.append((a if nonneg_net(a) else AbsNode(a), pw))
-        return Poly({mono_pow((k, qq, fixed), q): c ** float(q)})
+        c = fpow(c, float(q))
+        return Poly({mono_pow((k, qq, fixed), q): c}) if c < INF else None
     num = mono_frac(r.num)
     den = mono_frac(r.den)
     if num is None or den is None:
@@ -953,9 +961,10 @@ _OSC_POINTS = {SinRecipPow: ((F(1), F(0)), (F(2), F(1, 2)), (F(2), F(3, 2))),
 _HALF_PI_SIN = {F(0): 0.0, F(1, 2): 1.0, F(1): 0.0, F(3, 2): -1.0}
 
 
-def _osc_points(node) -> List[PiSequence]:
-    """The zeros, +1 points and -1 points of sin/cos(1/eps**p)."""
-    return [PiSequence(m, off, node.p) for m, off in _OSC_POINTS[type(node)]]
+def _osc_points(node) -> Tuple[PiSequence, ...]:
+    """The zeros, +1 and -1 points of sin/cos(1/eps**p), kept on the node."""
+    return nets.stored(node, "_osc", lambda n: tuple(
+        PiSequence(m, off, n.p) for m, off in _OSC_POINTS[type(n)]))
 
 
 def _osc_value_along(node, seq) -> Optional[float]:

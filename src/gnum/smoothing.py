@@ -13,9 +13,8 @@ Where the required width falls below the floating-point resolution of
 the band (the envelope shrinks much faster than double precision can
 follow), the true construction's subintervals are narrower than one
 representable number apart; the evaluator then returns the input's value
-at eps itself, which is the blend's value to all 53 bits.  Bands whose
-modulus had to be estimated numerically are refined by doubling (cap 20)
-and flagged in the report.
+at eps itself, which is the blend's value to all 53 bits.  A band with
+no certified modulus is exact in the same way, and flagged in the report.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import nets
@@ -35,7 +33,7 @@ from .nets import (AbsNode, Add, BumpTrain, Const, CosRecipPow, Eps,
                    NetExpr, PHI_MAX_SLOPE, PowQ, RootN, SinRecipPow,
                    SmoothBlend, SpikeTrain, Tier, bump_phi, eval_net,
                    eval_points, minimal_tier, nonneg_net, unfill)
-from .profiles import abs_range, enclose
+from .profiles import abs_range, enclose, fpow
 from .records import Record
 from .sequences import Harmonic
 
@@ -69,14 +67,14 @@ def _inv_modulus(x: NetExpr, a: float, b: float) -> Optional[Modulus]:
     """Modulus of 1/x on [a, b]: |1/s - 1/t| <= |s - t| / inf|x|**2."""
     m = band_modulus(x, a, b)
     i = abs_range(enclose(x, a, b))[0]
-    if m is None or i <= 0:
+    if m is None or i * i <= 0:     # i * i underflows below 1e-162
         return None
     return _mod_scale(m, 1.0 / (i * i))
 
 
 def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
-    """Certified modulus bound |net(s)-net(t)| <= M(|s-t|) on [a, b];
-    None when only a numeric estimate is available."""
+    """Certified modulus |net(s)-net(t)| <= M(|s-t|) on [a, b], 0 < a;
+    None where no rule certifies one (a K that overflows is inf)."""
     if isinstance(net, Const):
         return []
     if isinstance(net, Eps):
@@ -85,7 +83,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
         return [(math.exp(-1.0 / b) / (a * a), 1)]
     if isinstance(net, (SinRecipPow, CosRecipPow)):
         p = float(net.p)
-        return [(p * a ** (-p - 1.0), 1)]
+        return [(p * fpow(a, -p - 1.0), 1)]
     if isinstance(net, (Neg, AbsNode)):
         return band_modulus(net.x, a, b)
     if isinstance(net, (Add, MinNode, MaxNode)):
@@ -112,7 +110,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
         q = net.q
         if isinstance(net.base, Eps):
             fq = float(q)
-            k = abs(fq) * max(a ** (fq - 1.0), b ** (fq - 1.0))
+            k = abs(fq) * max(fpow(a, fq - 1.0), fpow(b, fq - 1.0))
             return [(k, 1)]
         if q.denominator == 1 and q.numerator >= 1:
             m = band_modulus(net.base, a, b)
@@ -120,7 +118,7 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
             if m is None or not math.isfinite(s):
                 return None
             n = q.numerator
-            return _mod_scale(m, n * max(s, 1e-300) ** (n - 1))
+            return _mod_scale(m, n * fpow(max(s, 1e-300), n - 1))
         if q > 0:
             num, den = q.numerator, q.denominator
             inner = band_modulus(PowQ(net.base, Fraction(num)), a, b) \
@@ -145,15 +143,6 @@ def band_modulus(net: NetExpr, a: float, b: float) -> Optional[Modulus]:
     return None
 
 
-def _numeric_modulus(net: NetExpr, a: float, b: float) -> float:
-    """Estimated Lipschitz constant (not certified; flagged by callers)."""
-    h = (b - a) / 128
-    pts = [e for e in (a + h * i for i in range(129)) if 0 < e <= 1]
-    v = eval_points(net, pts).tolist()   # every point is read, in order
-    worst = max([0.0, *(abs(x - p) / h for p, x in zip(v, v[1:]))])
-    return worst * 4.0 + 1e-12
-
-
 # --------------------------------------------------------------------------
 # band plans for SmoothBlend evaluation
 # --------------------------------------------------------------------------
@@ -169,62 +158,52 @@ def _band_of(eps: float) -> int:
     return 0 if eps >= 0.5 else -math.frexp(eps)[1]
 
 
-@lru_cache(maxsize=None)
+class _Plans(dict):
+    """Band -> plan of one blend, each made at its first lookup.  The blend
+    keeps them (``nets.stored``) and its closure holds the blend, so they
+    live exactly as long as it does."""
+
+    def __init__(self, blend: SmoothBlend):
+        super().__init__()
+        self.source = blend.source
+
+    def __missing__(self, b: int):
+        self[b] = plan = _plan(self.source, b)
+        return plan
+
+
 def _band_plan(blend: SmoothBlend, b: int):
-    """('exact', 0.0) or ('real', width) for band b, plus a flag note."""
+    """The plan of band b of ``blend``, kept on the blend."""
+    return nets.stored(blend, "_plans", _Plans)[b]
+
+
+def _plan(src: NetExpr, b: int):
+    """('exact', 0.0) or ('real', width) for band b of a blend of src,
+    plus a flag note."""
     a, hi = _band_bounds(b)
-    src = blend.source
     wa, wb = a * 0.5, min(1.0, hi * 2.0)
     sup = abs_range(enclose(src, wa, wb))[1]
-    if not math.isfinite(sup):
-        return ("exact", 0.0, "")
     # pointwise target exp(-1/eps), evaluated at the band's left end
     # where it is smallest
     log_env = -1.0 / a
-    if log_env < math.log(3e-13 * max(1.0, sup)):
+    if not math.isfinite(sup) or log_env < math.log(3e-13 * max(1.0, sup)):
         return ("exact", 0.0, "")
     mod = band_modulus(src, wa, wb)
-    flag = ""
-    if mod is None:
-        mod = [(_numeric_modulus(src, max(wa, 1e-9), wb), 1)]
-        flag = "estimated-modulus"
+    if mod is None or not all(math.isfinite(k) for k, _ in mod):
+        return ("exact", 0.0, "uncertified-modulus")
     mod = [(max(k, 1e-300), r) for k, r in mod] or [(1e-300, 1)]
     nterms = len(mod)
     log_w = min(r * (log_env - math.log(8 * nterms * k))
                 for k, r in mod) - math.log(4.0)
     if log_w < LOG_ULP + math.log(a):
-        return ("exact", 0.0, flag)
+        return ("exact", 0.0, "")
     levels = max(0, math.ceil(math.log2((hi - a) / math.exp(log_w))))
-    w = (hi - a) / 2.0 ** levels
-    if flag:
-        # estimated modulus: verify against the envelope, refine by
-        # doubling with a hard cap, flag the band on failure
-        env = math.exp(log_env)
-        for _ in range(20):
-            if _band_ok(blend, b, w, env):
-                break
-            w *= 0.5
-            if w < math.exp(LOG_ULP + math.log(a)):
-                return ("exact", 0.0, flag)
-        else:
-            flag = "refinement-cap"
-    return ("real", w, flag)
-
-
-def _band_ok(blend: SmoothBlend, b: int, w: float, env: float) -> bool:
-    a, hi = _band_bounds(b)
-    pts = [e for e in (a + (hi - a) * i / 48 for i in range(49)) if 0 < e <= 1]
-    src = eval_points(blend.source, pts, fill=math.nan).tolist()
-    for e, v in zip(pts, src):
-        out = _blend_value(blend, e, w)
-        if abs(out - unfill(blend.source, e, v)) > 0.5 * env:
-            return False
-    return True
+    return ("real", (hi - a) / 2.0 ** levels, "")
 
 
 def _band_bumps(b: int, w: float, eps: float):
     """(center, psi) pairs of band b's bumps of width w whose support
-    holds eps; psi is 0 where the bump underflowed."""
+    holds eps, less those whose psi underflowed to 0."""
     a, hi = _band_bounds(b)
     count = round((hi - a) / w)
     k = int(math.floor((eps - a) / w))
@@ -232,26 +211,20 @@ def _band_bumps(b: int, w: float, eps: float):
     for i in (k - 1, k, k + 1):
         if 0 <= i < count:
             c = a + (i + 0.5) * w
-            t = (eps - c) / w
-            if -1.0 < t < 1.0:
-                out.append((c, bump_phi(t)))
+            p = bump_phi((eps - c) / w)
+            if p > 0.0:
+                out.append((c, p))
     return out
 
 
-def _blend_value(blend: SmoothBlend, eps: float, w_override=None) -> complex:
+def _blend_value(blend: SmoothBlend, eps: float) -> complex:
+    plans = nets.stored(blend, "_plans", _Plans)
     b = _band_of(eps)
     pairs = []
-    if w_override is not None:
-        # the width check also samples bumps whose weight underflowed
-        pairs = _band_bumps(b, w_override, eps)
-    elif _band_plan(blend, b)[0] != "exact":
+    if plans[b][0] != "exact":
         for nb in (b, b - 1, b + 1):
-            if nb < 0:
-                continue
-            plan = _band_plan(blend, nb)
-            if plan[0] == "real":
-                pairs += [(c, p) for c, p in _band_bumps(nb, plan[1], eps)
-                          if p > 0.0]
+            if nb >= 0 and plans[nb][0] == "real":
+                pairs += _band_bumps(nb, plans[nb][1], eps)
     total = sum(p for _, p in pairs)
     if total <= 0.0:    # no bump holds eps: the source's own value
         return eval_net(blend.source, eps)
@@ -311,18 +284,14 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
                                shortcut=True)
     blend = SmoothBlend(simplified)
     pts = (grid or DEFAULT_GRID).points().tolist()
+    # the flag notes of the grid's bands, in grid order
+    notes = ((b, _band_plan(blend, b)[2])
+             for b in dict.fromkeys(map(_band_of, pts)))
+    flags = tuple((b, note) for b, note in notes if note)
     sides = (blend, net, ExpNegRecip())   # the blend goes point by point
     worst = 0.0
-    flags = []
-    seen = set()
     for e, vb, vn, bv in zip(pts, *(eval_points(s, pts, fill=math.nan)
                                     .tolist() for s in sides)):
-        b = _band_of(e)
-        if b not in seen:
-            seen.add(b)
-            plan = _band_plan(blend, b)
-            if plan[2]:
-                flags.append((b, plan[2]))
         vb, vn = unfill(blend, e, vb), unfill(net, e, vn)
         # equal values (the same infinity too) or two nans match; any
         # other non-finite difference is an unbounded ratio
@@ -332,7 +301,7 @@ def smooth_approximate(x, grid=None) -> SmoothingReport:
         bv = unfill(sides[2], e, bv)
         worst = max(worst, diff / bv if bv > 0.0 and math.isfinite(diff)
                     else math.inf)
-    return SmoothingReport(GNumber(blend, Tier.Smooth), worst, tuple(flags))
+    return SmoothingReport(GNumber(blend, Tier.Smooth), worst, flags)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from gnum.profiles import (SUPERGROW, SUPERPOW, ZERO_K, candidate_sequences,
                            enclose, poly_nonneg, rat, substitute_along)
 from gnum.scales import MONO_ONE, Poly
 from gnum.sequences import Geometric, Harmonic, PiSequence
+from gnum.smoothing import smooth_approximate
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
 
@@ -302,6 +303,27 @@ def test_edge_of_float_constants_raise_nothing_undeclared(c):
             _declared(print_net, x)
             for y, g in ((x, EPS), (EPS, x), (const(1), x)):
                 _declared(membership, y, g)
+
+
+# finite values that overflow under a power: an interval end that
+# overflows is inf, an envelope constant that overflows bounds nothing
+OVERFLOW_POWERS = (powq(add(EPS, const(1e200)), 3),
+                   powq(add(absn(sin_recip(1)), const(1e200)), 3),
+                   absn(sub(powq(EPS, -300), const(1))))
+
+
+@pytest.mark.parametrize("x", OVERFLOW_POWERS, ids=print_net)
+def test_a_power_that_overflows_raises_nothing_undeclared(x):
+    for claim, fn in (("moderate", is_moderate),
+                      ("negligible", is_negligible),
+                      ("strictly-nonzero", is_strictly_nonzero)):
+        t = _declared(fn, x)
+        if t is not None:
+            _declared(verify_decision, claim, t, x)
+    lo, hi = enclose(x)
+    assert lo <= hi
+    rep = _declared(smooth_approximate, gnumber(x, Tier.Continuous))
+    assert rep is None or not rep.flagged_bands
 
 
 def test_an_overflowed_product_is_not_cancelled():

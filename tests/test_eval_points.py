@@ -37,7 +37,7 @@ from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, BumpTrain,
                        sub, unfill)
 from gnum.sequences import (Geometric, Harmonic, HarmonicMidpoints, Midpoints,
                             PiSequence)
-from gnum.smoothing import _band_ok, _numeric_modulus, smooth_approximate
+from gnum.smoothing import smooth_approximate
 
 DEEP = DEFAULT_GRID.deep()
 GRIDS = {
@@ -642,16 +642,6 @@ def test_smoothing_raises_where_its_loops_do():
     ok = mul(EPS, _raising_at(float(pts[30]) * 1.001))
     smooth_approximate(gnumber(ok, Tier.Continuous),
                        GridSpec(n_points=50, eps_min=1e-3))
-    # 0.5 is the 65th of the 129 modulus points on [1/4, 3/4]
-    net = mul(EPS, _raising_at(0.5))
-    with pytest.raises(DomainError, match=NEGATIVE):
-        _numeric_modulus(net, 0.25, 0.75)
-    assert _numeric_modulus(net, 0.25, 0.49) > 0.0
-    # the width check of band [1/4, 1/2] stops at its first point with
-    # env < 0, and reads all 49 points, the last being 1/2, with env = inf
-    assert not _band_ok(SmoothBlend(net), 1, 0.0625, -1.0)
-    with pytest.raises(DomainError, match=NEGATIVE):
-        _band_ok(SmoothBlend(net), 1, 0.0625, math.inf)
 
 
 def test_charset_scan_raises_only_at_anchors_it_reads():

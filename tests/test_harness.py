@@ -10,8 +10,9 @@ import pytest
 
 from gnum import asymptotics as asym
 from gnum import harness
-from gnum.asymptotics import (Scan, _find_violation_on_seq,
+from gnum.asymptotics import (Scan, _find_violation_on_seq, is_negligible,
                               is_strictly_nonzero)
+from gnum.dsl import print_net
 from gnum.errors import DomainError, SearchExhausted
 from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
                           eval_grid,
@@ -95,6 +96,23 @@ def test_replay_says_when_the_fitted_constant_is_not_finite():
     assert rep.passed and rep.detail == "no finite constant from m=0"
     rep = replay_moderate(const(1e308), 0, GRID)
     assert rep.passed and rep.detail == "no finite constant"
+
+
+def test_replay_negligible_exempts_a_ratio_hump_that_turns_over():
+    # from m = 7 the constant fitted on the head is exceeded on the tail,
+    # but twelve decades below the grid the ratio |x| / eps**m has fallen
+    # under half its peak: a transient hump, so the replay passes
+    x = random_net(775, Tier.Continuous, 5)
+    assert print_net(x) == "root(abs(bumptrain(geo(1/3), decay(1, 0))), 3)"
+    assert is_negligible(x).is_true
+    pts = DEFAULT_GRID.points()
+    (tail, head), (vt, vh) = (harness._split(a) for a in (
+        pts, harness._abs_points(x, pts)))
+    exceeded = [m for m in range(13) if harness._tail_excess(
+        vt, tail, 4.0 * float(np.max(vh / head ** m)), m) is not None]
+    assert exceeded == list(range(7, 13))
+    assert replay_negligible(x) == harness.ReplayReport(
+        "negligible(m<=12)", True)
 
 
 def test_replay_small_along_sine_zeros():

@@ -185,7 +185,6 @@ def test_every_node_type_has_a_fact_rule():
 CACHES = {
     "profiles.info": None,
     "profiles.rat": None,
-    "smoothing._band_plan": None,
     "nets._ATOMS": 1024 * 1024,
     # the record templates: one per number of fields, with a
     # __post_init__ call or without (at most 12 for records of 0-5 fields)

@@ -2,6 +2,7 @@
 of inverses and blends, and the normal form's quotient arithmetic, each
 pinned at its current output."""
 
+import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -12,8 +13,9 @@ from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, Const,
                        ExpNegRecip, GelfandFactor, Inv, RegularizedQuotient,
                        SmoothBlend, absn, add, bump_train, const, cos_recip,
                        mul, powq, sin_recip)
-from gnum.profiles import (POW, ZERO_K, Env, candidate_sequences, info, rat,
-                           substitute_along)
+from gnum.profiles import (POW, ZERO_K, Env, _osc_points, candidate_sequences,
+                           enclose, info, lower_pow, rat, substitute_along,
+                           upper_pow)
 from gnum.scales import MONO_ONE, Poly, RatForm
 from gnum.sequences import Geometric, Harmonic, Midpoints, PiSequence
 
@@ -55,6 +57,29 @@ def test_transition_and_abs_factor_envelopes():
     for x in (AbsFactor(sin_recip(1)), AbsFactor(EPS, inverse=True)):
         assert _envelopes(x) == (False, Env(POW, F(0), 2.0), None, None,
                                  None)
+
+
+def test_the_power_rules_read_an_overflow_as_inf_or_no_bound():
+    # (1e200)**3 overflows: an envelope constant that overflows bounds
+    # nothing, and an interval end that overflows is inf
+    env = Env(POW, F(1), 1e200)
+    assert upper_pow(env, F(3)) is None and lower_pow(env, F(3)) is None
+    assert upper_pow(env, F(1, 2)) == Env(POW, F(1, 2), 1e100)
+    assert enclose(powq(add(EPS, const(1e200)), 3)) == (math.inf, math.inf)
+    assert enclose(powq(add(EPS, const(1e-200)), -3)) == (1.0, math.inf)
+    # a normal-form coefficient that overflows leaves the power an atom
+    x = powq(mul(const(1e200), EPS), F(7, 2))
+    assert repr(rat(x).num) == "Poly(1.0*[PowQ]^1)"
+
+
+def test_an_oscillator_keeps_its_points():
+    # the zeros, +1 and -1 points of cos(1/eps^2), built at the first use
+    x = cos_recip(2)
+    pts = _osc_points(x)
+    assert pts is _osc_points(x) == (PiSequence(F(1), F(1, 2), F(2)),
+                                     PiSequence(F(2), F(0), F(2)),
+                                     PiSequence(F(2), F(1), F(2)))
+    assert candidate_sequences(x)[:3] == list(pts)
 
 
 def test_substitute_along_an_inverse():

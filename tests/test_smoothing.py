@@ -9,13 +9,16 @@ import pytest
 from gnum.asymptotics import gn_equal
 from gnum.errors import PreconditionError, TierError
 from gnum.harness import GridSpec, random_net
-from gnum.nets import (EPS, AbsNode, ConstHeights, MaxNode, MinNode, RootN,
-                       Tier, absn, add, bump_train, const, cos_recip, eval_net,
-                       gnumber, iter_nodes, maxn, minimal_tier, minn, mul, neg,
-                       powq, rootn, sin_recip, spikes, sub)
+from gnum.lattice import abs_factor
+from gnum.nets import (EPS, AbsNode, ConstHeights, GelfandFactor, MaxNode,
+                       MinNode, RootN, SmoothBlend, Tier, absn, add,
+                       bump_train, const, cos_recip, eval_net, gnumber,
+                       iter_nodes, maxn, minimal_tier, minn, mul, neg, powq,
+                       rootn, sin_recip, spikes, sub)
 from gnum.profiles import abs_range, enclose
 from gnum.sequences import Harmonic
-from gnum.smoothing import (_band_of, refute_continuous_representative,
+from gnum.smoothing import (_band_of, _band_plan, band_modulus,
+                            refute_continuous_representative,
                             smooth_approximate)
 
 GRID = GridSpec(n_points=1000, eps_min=1e-6)
@@ -173,3 +176,36 @@ def test_band_of_at_powers_of_two_and_their_neighbours():
             b = _band_of(e)
             assert 2.0 ** (-b - 1) <= e < 2.0 ** -b
     assert _band_of(0.75) == _band_of(1.0) == 0
+
+
+@pytest.mark.parametrize("x", [abs_factor(sin_recip(1)),
+                               gnumber(absn(GelfandFactor(sin_recip(1))))],
+                         ids=["abs_factor", "abs-gelfand"])
+def test_a_band_without_a_certified_modulus_is_exact_and_flagged(x):
+    # no rule bounds the modulus of these nodes; bands 0-3 (eps >= 1/32)
+    # are the only ones wide enough for a blend, and each is flagged
+    rep = smooth_approximate(x, grid=GRID)
+    blend = rep.output.net
+    assert band_modulus(blend.source, 1 / 64, 1 / 8) is None
+    assert sorted(rep.flagged_bands) == [
+        (b, "uncertified-modulus") for b in range(4)]
+    # an exact band takes the source's value, so no point of the grid
+    # differs from the input
+    assert rep.grid_max_ratio == 0.0
+    for e in GridSpec(n_points=300, eps_min=1 / 32).points().tolist():
+        assert repr(eval_net(blend, e)) == repr(eval_net(blend.source, e))
+
+
+def test_a_blend_keeps_its_own_band_plans():
+    x = absn(sin_recip(1))
+    blend = smooth_approximate(gnumber(x), grid=GRID).output.net
+    plans = blend.__dict__["_plans"]
+    assert plans[0] == _band_plan(blend, 0) == \
+        ("real", 0.000244140625, "")
+    assert plans[30] == ("exact", 0.0, "")
+    # an equal blend built apart starts empty and fills its own plans
+    again = SmoothBlend(blend.source)
+    assert again == blend and "_plans" not in again.__dict__
+    eval_net(again, 0.75)     # band 0 and its neighbour, band 1
+    assert again.__dict__["_plans"] == {0: plans[0], 1: plans[1]}
+    assert again.__dict__["_plans"] is not plans
