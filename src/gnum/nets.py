@@ -560,6 +560,12 @@ def _mul_facts(net, l, r):
                   l.nowhere_zero and r.nowhere_zero)
 
 
+def _inv_facts(net, x):
+    # 1/x > 0 where x >= 0 and x never vanishes
+    positive = x.nonneg and x.nowhere_zero
+    return _facts(x.real, positive, positive, x.tier, x.nowhere_zero)
+
+
 # a node type's rule: from the node and its children's facts (in
 # functional_children order), the node's facts; the blend reads its
 # source, which is sample data rather than a child
@@ -576,8 +582,7 @@ _FACT_RULES = {
         max(l.tier, r.tier)),
     Mul: _mul_facts,
     Neg: lambda net, x: _facts(x.real, False, False, x.tier, x.nowhere_zero),
-    Inv: lambda net, x: _facts(x.real, x.positive, x.positive, x.tier,
-                               x.nowhere_zero),
+    Inv: _inv_facts,
     AbsNode: lambda net, x: _facts(True, True, False,
                                    max(x.tier, _CONTINUOUS), x.nowhere_zero),
     MinNode: lambda net, l, r: _facts(
@@ -950,7 +955,12 @@ def _root(x, n):
 
 
 def _osc(f, p):
-    return lambda eps: f(eps ** p)
+    def ev(eps):
+        try:
+            return f(eps ** p)
+        except OverflowError:
+            raise DomainError("oscillator argument overflows") from None
+    return ev
 
 
 def _bump(index_near, value, width, height):

@@ -8,11 +8,11 @@ Two cooperating layers:
   |a*b| = |a|*|b|, so that ring/lattice identities cancel exactly;
 
 * envelope data (``Info``): eventual upper/lower bounds in the scale
-  group and exact smallness/largeness along computable sequences;
+  group and exact smallness/largeness along computable sequences; a
+  sign it needs is the node's stored fact (``nets.Facts``);
 
 * one interval analysis, ``enclose(net, a, b)``: a net's range on a
-  band [a, b], read by ``Info``'s inverse rule, ``poly_nonneg``,
-  ``leq`` and smoothing.
+  band [a, b], read by ``poly_nonneg``, ``leq`` and smoothing.
 
 Everything here is *sound*: a bound is only reported when the structure
 certifies it; the decision procedures turn missing information into
@@ -307,7 +307,6 @@ class AlongSeq(Record):
 # --------------------------------------------------------------------------
 
 class Info(Record):
-    nonneg: bool = False
     upper: Optional[Env] = None       # |x| <= c*scale eventually
     lower: Optional[Env] = None       # |x| >= c*scale eventually
     lower_seq: Optional[AlongSeq] = None   # |x(eps_j)| >= env along seq
@@ -350,35 +349,32 @@ def _info(net: NetExpr) -> Info:
                         lower=Env(POW, F(0), m))
         c = float(net.c)
         if c == 0.0:
-            return Info(nonneg=True, upper=Env(ZERO_K),
+            return Info(upper=Env(ZERO_K),
                         small_seq=AlongSeq(Harmonic(), Env(ZERO_K)))
-        return Info(nonneg=c > 0, upper=Env(POW, F(0), abs(c)),
+        return Info(upper=Env(POW, F(0), abs(c)),
                     lower=Env(POW, F(0), abs(c)))
     if isinstance(net, Eps):
-        return Info(nonneg=True, upper=Env(POW, F(1), 1.0),
+        return Info(upper=Env(POW, F(1), 1.0),
                     lower=Env(POW, F(1), 1.0))
     if isinstance(net, ExpNegRecip):
         # geometric points: e**(-2**j) falls below (2**-j)**j, so the
         # sequence witnesses the paper's |r(eps_j)| < eps_j**j bound
-        return Info(nonneg=True, upper=Env(SUPERPOW),
+        return Info(upper=Env(SUPERPOW),
                     small_seq=AlongSeq(Geometric(F(1, 2)), Env(SUPERPOW)))
     if isinstance(net, (SinRecipPow, CosRecipPow)):
         zeros, ones, _ = _osc_points(net)
         return Info(upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(ones, Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(zeros, Env(ZERO_K)))
-    if isinstance(net, Neg):
-        return info(net.x)._replace(nonneg=False)
-    if isinstance(net, AbsNode):
-        return info(net.x)._replace(nonneg=True)
+    if isinstance(net, (Neg, AbsNode)):
+        return info(net.x)
     if isinstance(net, Add):
         return _info_add(net)
     if isinstance(net, Mul):
         return _info_mul(net)
     if isinstance(net, Inv):
         i = info(net.x)
-        return Info(nonneg=enclose(net.x)[0] > 0 and is_real_net(net.x),
-                    upper=env_inv_upper(i.lower),
+        return Info(upper=env_inv_upper(i.lower),
                     lower=env_inv_lower(i.upper),
                     lower_seq=_along(i.small_seq, lambda e: Env(SUPERGROW)),
                     small_seq=_along(i.lower_seq, lambda e: Env(SUPERPOW)
@@ -394,35 +390,31 @@ def _info(net: NetExpr) -> Info:
             up, lo = env_inv_upper(lower_pow(i.lower, -q)), \
                      env_inv_lower(upper_pow(i.upper, -q))
             lseq, sseq = None, None
-        return Info(nonneg=i.nonneg or (q.denominator == 1 and
-                                        q.numerator % 2 == 0 and
-                                        is_real_net(net.base)),
-                    upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
+        return Info(upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
     if isinstance(net, RootN):
         i = info(net.x)
         r = F(1, net.n)
-        return Info(nonneg=True, upper=upper_pow(i.upper, r),
+        return Info(upper=upper_pow(i.upper, r),
                     lower=lower_pow(i.lower, r),
                     lower_seq=_along(i.lower_seq, lambda e: lower_pow(e, r)),
                     small_seq=i.small_seq)
     if isinstance(net, (MinNode, MaxNode)):
+        # |min| and |max| of nonnegative operands are min and max of their
+        # moduli; min keeps the weaker lower bound: a power bound before a
+        # supergrow one, the larger exponent, then the smaller constant
         a, b = info(net.l), info(net.r)
-        nonneg = (a.nonneg and b.nonneg) if isinstance(net, MinNode) \
-            else (a.nonneg or b.nonneg)
         low = None
-        if a.nonneg and b.nonneg:
-            if isinstance(net, MinNode):
-                if a.lower and b.lower:
-                    low = a.lower if (a.lower.kind == POW and b.lower.kind == POW
-                                      and a.lower.q >= b.lower.q) else b.lower
-            else:
+        if nonneg_net(net.l) and nonneg_net(net.r):
+            if isinstance(net, MaxNode):
                 low = a.lower or b.lower
-        return Info(nonneg=nonneg, upper=upper_add(a.upper, b.upper),
-                    lower=low)
+            elif a.lower and b.lower:
+                low = min(a.lower, b.lower,
+                          key=lambda e: (e.kind == SUPERGROW, -e.q, e.c))
+        return Info(upper=upper_add(a.upper, b.upper), lower=low)
     if isinstance(net, BumpTrain):
         return _info_bump(net)
     if isinstance(net, Indicator):
-        return Info(nonneg=True, upper=Env(POW, F(0), 1.0),
+        return Info(upper=Env(POW, F(0), 1.0),
                     lower_seq=AlongSeq(net.s, Env(POW, F(0), 1.0)),
                     small_seq=AlongSeq(Midpoints(net.s), Env(ZERO_K)))
     if isinstance(net, GelfandFactor):
@@ -440,13 +432,12 @@ def _info(net: NetExpr) -> Info:
             up = upper_mul(ni.upper, env_inv_upper(di.lower))
         return Info(upper=up)
     if isinstance(net, AnnihilatorTransition):
-        return Info(nonneg=True, upper=Env(POW, F(0), 1.0))
+        return Info(upper=Env(POW, F(0), 1.0))
     if isinstance(net, AbsFactor):
         return Info(upper=Env(POW, F(0), 2.0))
     if isinstance(net, SmoothBlend):
         i = info(net.source)
-        return Info(nonneg=False,
-                    upper=upper_add(i.upper, Env(SUPERPOW)),
+        return Info(upper=upper_add(i.upper, Env(SUPERPOW)),
                     lower=lower_vs_upper(i.lower, Env(SUPERPOW)),
                     lower_seq=_along(i.lower_seq, lambda e:
                                      lower_vs_upper(e, Env(SUPERPOW))),
@@ -462,8 +453,7 @@ def _info_add(net: Add) -> Info:
         _along(b.lower_seq, lambda e: lower_vs_upper(e, a.upper))
     sseq = _along(a.small_seq, lambda e: _small_add(e, b.upper)) or \
         _along(b.small_seq, lambda e: _small_add(e, a.upper))
-    return Info(nonneg=a.nonneg and b.nonneg,
-                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
+    return Info(upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
 def _trains_disjoint(x: BumpTrain, y: BumpTrain) -> bool:
@@ -499,9 +489,7 @@ def _info_mul(net: Mul) -> Info:
         _along(b.lower_seq, lambda e: lower_mul(e, a.lower))
     sseq = _along(a.small_seq, lambda e: _small_mul(e, b.upper)) or \
         _along(b.small_seq, lambda e: _small_mul(e, a.upper))
-    return Info(nonneg=(a.nonneg and b.nonneg) or
-                (same and is_real_net(net.l)),
-                upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
+    return Info(upper=up, lower=lo, lower_seq=lseq, small_seq=sseq)
 
 
 def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env]]:
@@ -524,9 +512,7 @@ def _heights_env(rule, schedule) -> Tuple[Optional[Env], Optional[Env]]:
 def _info_bump(net: BumpTrain) -> Info:
     up, center_lo = _heights_env(net.heights, net.schedule)
     lseq = AlongSeq(net.schedule, center_lo) if center_lo is not None else None
-    return Info(nonneg=nonneg_net(net),
-                upper=up,
-                lower_seq=lseq,
+    return Info(upper=up, lower_seq=lseq,
                 small_seq=AlongSeq(Midpoints(net.schedule), Env(ZERO_K)))
 
 

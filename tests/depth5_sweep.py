@@ -12,13 +12,17 @@ is decided for the pairs of `test_ideals.membership_pairs`, seeds 0-59
 at depths 2 and 3, each True answer replayed by `membership` itself.
 The order grid asks `leq` the 12 domination bounds of each depth-2
 pair and checks its verdicts against the implications between the
-bounds (`test_ideals.order_violations`).  As under pytest, a
+bounds (`test_ideals.order_violations`).  Last, over the distinct
+subterms of `random_net` seeds 0-999 (3 tiers, depths 3-5), no lower
+envelope from `info` or `rat` may exceed an upper one
+(`test_profiles.envelope_clashes`).  As under pytest, a
 `RuntimeWarning` is an error.  The exit status is 1 when an exception
 escapes a decider or a replay, when a replay rejects a verdict other
-than the known ones below, or when the order grid has a soundness or
-completeness violation; the counts are printed either way.  After the
-depth-5 sweep it prints the atom memo's hits, misses and evictions
-(`nets._ATOMS`), so that a memo that starts to thrash shows in the log.
+than the known ones below, when the order grid has a soundness or
+completeness violation, or when envelopes clash; the counts are printed
+either way.  After the depth-5 sweep it prints the atom memo's hits,
+misses and evictions (`nets._ATOMS`), so that a memo that starts to
+thrash shows in the log.
 """
 
 import sys
@@ -33,6 +37,7 @@ from gnum.harness import random_net, verify_decision
 from gnum.ideals import membership
 from gnum.nets import Tier
 from test_ideals import membership_pairs, order_grid, order_violations
+from test_profiles import envelope_clashes
 
 SEEDS = range(400, 1000)
 DEPTH = 5
@@ -42,6 +47,7 @@ PAIR_OFFSET = 5000
 MEMBER_SEEDS = range(60)
 MEMBER_DEPTHS = (2, 3)
 ORDER_DEPTH = 2
+ENVELOPE_SEEDS = range(1000)
 CLAIMS = (("moderate", is_moderate), ("negligible", is_negligible),
           ("strictly-nonzero", is_strictly_nonzero))
 # correct verdicts that the replay rejects: `replay_moderate` fits C = 0
@@ -142,6 +148,16 @@ def _order_grid() -> bool:
     return bool(unsound or incomplete)
 
 
+def _envelopes() -> bool:
+    """True when a lower envelope exceeds an upper one on a subterm."""
+    t0 = time.time()
+    clashes = envelope_clashes(ENVELOPE_SEEDS)
+    print(f"envelopes: {len(clashes)} clashes, {time.time() - t0:.1f} s")
+    for lower, upper, net in clashes:
+        print(f"clash: {lower} lower above {upper} upper:", net)
+    return bool(clashes)
+
+
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
@@ -151,6 +167,7 @@ def main() -> int:
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
     failed |= _membership_pairs()
     failed |= _order_grid()
+    failed |= _envelopes()
     return 1 if failed else 0
 
 

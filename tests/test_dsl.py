@@ -256,6 +256,16 @@ def test_cli_eps_min_outside_unit_interval_exit_code(capsys):
         assert json.loads(out)["error"] == "domain"
 
 
+def test_cli_oscillator_overflow_is_a_domain_error(capsys):
+    # 1/eps^400 overflows on the grid: the oscillator raises DomainError
+    for argv in (["eval-grid", "sin(1/eps^400)", "--grid", "10"],
+                 ["smooth", "abs(sin(1/eps^400))", "--json"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert "domain" in out and "oscillator argument overflows" in out
+    assert json.loads(out)["error"] == "domain"
+
+
 def test_cli_tier_flag_enforced(capsys):
     code, out = run_cli(["classify", "indicator(harmonic)",
                          "--tier", "smooth"], capsys)

@@ -3,9 +3,11 @@
 ``eval_net`` builds each node's closure once from ``nets._EVAL_RULES``.
 The reference below is the isinstance walk that ``eval_net`` ran before,
 with its power helpers, copied verbatim (its blend import names the
-package, since this file is not in it): the closures must give the same
-values bit for bit, real and imaginary parts compared by ``float.hex``,
-and raise the same errors.
+package, since this file is not in it) but for one rule added to both
+since: an oscillator whose argument eps**-p overflows raises DomainError,
+not OverflowError.  The closures must give the same values bit for bit,
+real and imaginary parts compared by ``float.hex``, and raise the same
+errors.
 The rest checks what the closures must not change: a net is freed by
 reference counting, building never recurses, a shared subterm is built
 once, and a RecursionError leaves evaluation working.
@@ -80,9 +82,9 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
             raise DomainError("RootN of a negative value")
         return math.pow(v, 1.0 / net.n) if v != 0.0 else 0.0
     if isinstance(net, SinRecipPow):
-        return math.sin(eps ** -net._p)
+        return math.sin(_osc_arg(eps, net._p))
     if isinstance(net, CosRecipPow):
-        return math.cos(eps ** -net._p)
+        return math.cos(_osc_arg(eps, net._p))
     if isinstance(net, ExpNegRecip):
         return _exp(-1.0 / eps)
     if isinstance(net, BumpTrain):
@@ -117,6 +119,15 @@ def _ev(net: NetExpr, eps: float) -> Scalar:
         from gnum.smoothing import _blend_value
         return _blend_value(net, eps)
     raise TypeError(f"cannot evaluate node {type(net).__name__}")
+
+
+def _osc_arg(eps: float, p: float) -> float:
+    try:
+        return eps ** -p
+    except OverflowError:
+        raise DomainError("oscillator argument overflows") from None
+
+
 def _ev_bump(net: BumpTrain, eps: float) -> float:
     j0 = net.schedule.index_near(eps)
     for j in range(max(1, j0 - 2), j0 + 3):
@@ -256,6 +267,13 @@ def test_what_eval_net_refuses(monkeypatch):
         eval_net(Unruled(), 0.5)
     with pytest.raises(DomainError):
         eval_net(EPS, 0.0)
+    # 1e-3 ** -400 overflows, on both paths; a fill takes the point's place
+    for osc in (sin_recip(400), cos_recip(400)):
+        with pytest.raises(DomainError, match="oscillator argument"):
+            eval_net(osc, 1e-3)
+        with pytest.raises(DomainError, match="oscillator argument"):
+            eval_points(osc, [0.5, 1e-3])
+        assert math.isnan(eval_points(osc, [1e-3], fill=math.nan)[0])
 
 
 # -- lifetime, sharing and depth ---------------------------------------------

@@ -5,8 +5,9 @@ Each node's ``Facts`` (real, nonneg, positive, nowhere zero, minimal
 tier) comes from its type's rule in ``nets._FACT_RULES`` and its
 children's stored facts.  The reference below is the five recursive
 isinstance walks, with their helpers, that answered the same questions
-before, copied verbatim: every public read must agree with them on every
-subterm, as a bool and, for the tier, by identity.  The rest checks what
+before, copied verbatim but for one rule added to both since: 1/x > 0
+where x >= 0 and x never vanishes.  Every public read must agree with
+them on every subterm, as a bool and, for the tier, by identity.  The rest checks what
 the walks could not do (deep nets) and that the sign certificates hold
 on the values the evaluator gives.
 """
@@ -95,7 +96,7 @@ def nonneg_net(net: NetExpr) -> bool:
     if isinstance(net, MaxNode):
         return nonneg_net(net.l) or nonneg_net(net.r)
     if isinstance(net, Inv):
-        return positive_net(net.x)
+        return positive_net(net)
     if isinstance(net, BumpTrain):
         return _heights_nonneg(net.heights)
     return False
@@ -122,7 +123,7 @@ def positive_net(net: NetExpr) -> bool:
     if isinstance(net, (Eps, ExpNegRecip)):
         return True
     if isinstance(net, Inv):
-        return positive_net(net.x)
+        return nonneg_net(net.x) and nowhere_zero_net(net.x)
     if isinstance(net, PowQ):
         return positive_net(net.base)
     if isinstance(net, RootN):
@@ -263,7 +264,7 @@ def test_hand_cases():
     twice = neg(add(2, EPS))
     square = mul(twice, twice)
     assert nets.nonneg_net(square) and not nets.positive_net(square)
-    assert not nets.nonneg_net(inv(square))
+    assert nets.positive_net(inv(square))
 
 
 # -- what the walks could not do ---------------------------------------------

@@ -223,8 +223,9 @@ def golden_lines():
               for s in (17, 17 + PAIR_OFFSET))
     for argv in (["classify", a575, "--json"], ["compare", px, py, "--json"]):
         out.append(f"cli {' '.join(argv)}: {_cli(argv)}")
-    # Info's sign rule for Inv reads the operand's enclosure, so it and
-    # nets.nonneg_net disagree on both nets
+    # Info's min rule reads the operands' signs from their node facts,
+    # which prove 1/|-2| and (1/eps)^3 positive, so both nets keep the
+    # weaker lower envelope, eps
     for x in (parse("min(abs(-2)^-1, eps)")[0], minn(powq(inv(EPS), 3), EPS)):
         out.append(f"lower {print_net(x)}: {info(x).lower!r} "
                    + " ".join(_tri(fn(x)) for _, fn in CLAIMS))

@@ -1,6 +1,7 @@
-"""Envelope rules of the witness node types, the along-sequence rewrite
-of inverses and blends, and the normal form's quotient arithmetic, each
-pinned at its current output."""
+"""Envelope rules of the witness node types and of min, the along-sequence
+rewrite of inverses and blends, and the normal form's quotient
+arithmetic, each pinned at its current output; and over random subterms,
+no lower envelope above an upper one."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -8,14 +9,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from gnum import nets
+from gnum.asymptotics import is_strictly_nonzero
 from gnum.dsl import parse
+from gnum.harness import random_net
 from gnum.nets import (EPS, AbsFactor, Add, AnnihilatorTransition, Const,
                        ExpNegRecip, GelfandFactor, Inv, RegularizedQuotient,
-                       SmoothBlend, absn, add, bump_train, const, cos_recip,
-                       mul, powq, sin_recip)
-from gnum.profiles import (POW, ZERO_K, Env, _osc_points, candidate_sequences,
-                           enclose, info, lower_pow, rat, substitute_along,
-                           upper_pow)
+                       SmoothBlend, Tier, absn, add, bump_train, const,
+                       cos_recip, mul, nonneg_net, powq, sin_recip)
+from gnum.profiles import (POW, SUPERGROW, SUPERPOW, ZERO_K, Env, _osc_points,
+                           candidate_sequences, enclose, info, lower_pow, rat,
+                           rat_lower, rat_upper, substitute_along, upper_pow)
 from gnum.scales import MONO_ONE, Poly, RatForm
 from gnum.sequences import Geometric, Harmonic, Midpoints, PiSequence
 
@@ -23,8 +27,9 @@ SIN_ZEROS = PiSequence(F(1), F(0), F(1))
 
 
 def _envelopes(net):
+    # the sign is the node's stored fact, the rest its Info
     i = info(net)
-    return i.nonneg, i.upper, i.lower, i.lower_seq, i.small_seq
+    return nonneg_net(net), i.upper, i.lower, i.lower_seq, i.small_seq
 
 
 @pytest.mark.parametrize("a, upper", [
@@ -57,6 +62,78 @@ def test_transition_and_abs_factor_envelopes():
     for x in (AbsFactor(sin_recip(1)), AbsFactor(EPS, inverse=True)):
         assert _envelopes(x) == (False, Env(POW, F(0), 2.0), None, None,
                                  None)
+
+
+@pytest.mark.parametrize("text, lower", [
+    # a supergrow bound yields to the other
+    ("min(eps, abs(exp(-1/eps)^-1))", Env(POW, F(1), 1.0)),
+    # of two power bounds the larger exponent, then the smaller constant
+    ("min(2*eps, abs(eps))", Env(POW, F(1), 1.0)),
+    ("min(root(abs(2), 2), 0.5)", Env(POW, F(0), 0.5)),
+    ("min(eps^2, 3)", Env(POW, F(2), 1.0)),
+    ("min(exp(-1/eps)^-1, eps^-2)", Env(POW, F(-2), 1.0)),
+    ("min(exp(-1/eps)^-1, eps^-2 + exp(-1/eps)^-1)", Env(SUPERGROW)),
+])
+def test_min_keeps_the_weaker_lower_envelope(text, lower):
+    assert info(parse(text)[0]).lower == lower
+
+
+def test_min_minus_its_smaller_operand_is_not_strictly_nonzero():
+    # min(eps^5, |exp(-1/eps)^-1|) is eps^5 on (0, 1]
+    x = parse("min(eps^5, abs(exp(-1/eps)^-1)) - eps^5")[0]
+    assert is_strictly_nonzero(x).value is False
+
+
+def envelope_exceeds(lo, up) -> bool:
+    """True where the lower envelope lo eventually exceeds the upper
+    envelope up, so that no net has both; a supergrow upper envelope
+    bounds nothing."""
+    if lo is None or up is None or up.kind == SUPERGROW:
+        return False
+    if lo.kind == SUPERGROW:
+        return True
+    if lo.kind != POW or not lo.c > 0:
+        return False
+    if up.kind != POW:
+        return True        # zero or superpow
+    return lo.q < up.q or (lo.q == up.q and lo.c > up.c)
+
+
+def envelope_clashes(seeds) -> list:
+    """(lower's analysis, upper's analysis, subterm) of every distinct
+    subterm of ``random_net`` at the seeds (3 tiers, depths 3-5) where a
+    lower envelope from ``info`` or ``rat_lower`` exceeds an upper one
+    from ``info`` or ``rat_upper``."""
+    subterms = {node for seed in seeds for tier in Tier for depth in (3, 4, 5)
+                for node in nets.iter_nodes(random_net(seed, tier, depth))}
+    out = []
+    for x in subterms:
+        i, r = info(x), rat(x)
+        lowers = (("info", i.lower), ("rat", rat_lower(r)))
+        uppers = (("info", i.upper), ("rat", rat_upper(r)))
+        out += [(lname, uname, x) for lname, lo in lowers
+                for uname, up in uppers if envelope_exceeds(lo, up)]
+    return out
+
+
+def test_no_lower_envelope_exceeds_an_upper_one():
+    assert envelope_clashes(range(150)) == []
+
+
+@pytest.mark.parametrize("lo, up, exceeds", [
+    (Env(POW, F(1), 2.0), Env(POW, F(1), 1.0), True),
+    (Env(POW, F(0), 1.0), Env(POW, F(1), 1.0), True),
+    (Env(POW, F(5), 1.0), Env(SUPERPOW), True),
+    (Env(POW, F(5), 1.0), Env(ZERO_K), True),
+    (Env(SUPERGROW), Env(POW, F(-9), 1.0), True),
+    (Env(POW, F(1), 1.0), Env(POW, F(1), 1.0), False),
+    (Env(POW, F(2), 1.0), Env(POW, F(1), 1.0), False),
+    (Env(POW, F(1), 0.0), Env(ZERO_K), False),
+    (Env(SUPERGROW), Env(SUPERGROW), False),
+    (None, Env(ZERO_K), False),
+])
+def test_envelope_exceeds(lo, up, exceeds):
+    assert envelope_exceeds(lo, up) is exceeds
 
 
 def test_the_power_rules_read_an_overflow_as_inf_or_no_bound():

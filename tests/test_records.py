@@ -61,7 +61,7 @@ def _other_records():
         GridSpec(64, 1e-4), ReplayReport("moderate", False, 2.5, 1e-3, "x"),
         Token("num", "1.5", 1, 3, 6),
         env, AlongSeq(Harmonic(), env),
-        Info(True, env, None, AlongSeq(Geometric(), env)),
+        Info(env, None, AlongSeq(Geometric(), env)),
         witness, DecisionTri(True, witness, "symbolic"),
         Valuation("finite", F(1, 2)), Valuation("plus-infinity"),
         FinIdeal((g, g)), RootFamilyIdeal(g, 4),
@@ -189,8 +189,8 @@ def test_replace_rebuilds_the_derived_attributes():
     c = Const(1.0)._replace(c=2)
     assert c == Const(2.0) and hash(c) == hash((2.0,))
     assert not Const(1.0)._replace(c=math.inf)._facts.finite
-    info = Info(True, Env("pow"))
-    assert info._replace(nonneg=False) == Info(False, Env("pow"))
+    info = Info(Env("pow"))
+    assert info._replace(lower=Env("pow")) == Info(Env("pow"), Env("pow"))
     assert Indicator(Harmonic()) != SpikeTrain(Harmonic())
     with pytest.raises(gnum.TierError):
         GNumber(EPS, Tier.Smooth)._replace(net=nets.indicator(Harmonic()))
