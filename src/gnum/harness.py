@@ -134,9 +134,14 @@ def replay_negligible(x, m_max: int = 12,
     if not len(head):
         return ReplayReport(f"negligible(m<={m_max})", True,
                             detail="no evaluable points")
-    ext = grid.deep()
-    ve = _abs_points(net, ext)
-    ext, ve = ext[np.isfinite(ve)], ve[np.isfinite(ve)]
+
+    @functools.cache
+    def deep():
+        """Finite (points, values) of the deep extension, evaluated once."""
+        ext = grid.deep()
+        ve = _abs_points(net, ext)
+        return ext[np.isfinite(ve)], ve[np.isfinite(ve)]
+
     for m in range(0, m_max + 1):
         # the fitted constant gets a fixed slack: O(.) constants are
         # arbitrary, and sparsely supported nets may peak off the head grid
@@ -151,6 +156,7 @@ def replay_negligible(x, m_max: int = 12,
             # genuine violation keeps rising into the deep end.  Probe
             # twelve decades below the grid floor and demand decay by the
             # deepest quarter.
+            ext, ve = deep()
             if len(ext) > 8:
                 re_ = ve / ext ** m
                 peak = max(float(np.max(re_)),
@@ -252,18 +258,20 @@ def replay_growth_along(x, seq: SequenceRule, m_star: int) -> ReplayReport:
     """Check that |x(eps_j)| / eps_j**m_star does not collapse (and
     typically grows) along the first 64 evaluable points among the
     sequence's first 256, refuting |x| = O(eps**m_star) with a fitted
-    constant."""
+    constant.  The walk ends where a finite rule does."""
     net = nets._net(x)
-    pts, vals, ratios = seq.values(256), [], []
+    pts, vals, ratios = [], [], []
     j = 0
     while len(ratios) < 64 and j < 256:
         j += 1
-        e = seq.value(j)
+        if j > len(pts):    # the next 64 points, as the walk reaches them
+            pts += seq.values(j + 63, j)
+            if j > len(pts):
+                break
+            vals += _abs_points(net, pts[j - 1:]).tolist()
+        e, v = pts[j - 1], vals[j - 1]
         if e <= 0:
             break
-        if j > len(vals):   # the next 64 points, as the walk reaches them
-            vals += _abs_points(net, pts[j - 1:j + 63]).tolist()
-        v = vals[j - 1]
         if math.isinf(v):
             return ReplayReport("growth-along", True, detail="overflows")
         scale = e ** m_star
@@ -309,8 +317,10 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
         ladder.append(j)
 
     # A ladder point's value, |x| there and local-minimum search do not
-    # depend on m: each is computed once, the first time an m needs it,
-    # so errors surface in the order of the per-m walk.
+    # depend on m: each is computed once, the first time an m needs it.
+    # Each m searches only when no ladder point itself is small enough.
+    # Both steps stop at a rule's end and ``_abs_at`` reads errors as nan,
+    # so any(point or search) = any(point) or any(search), errors alike.
     @functools.cache
     def point(j):
         """(eps_j, |x(eps_j)|), or None when eps_j is not in (0, 1)."""
@@ -336,18 +346,13 @@ def replay_small_along(x, seq: SequenceRule, m_max: int = 12) -> ReplayReport:
             return None
         return _local_min_abs(net, e - gap, e + gap)
 
-    def small_near(j, m):
-        p = point(j)
-        if p is None:
-            return False
-        e, v = p
-        if v < e ** m:
-            return True
-        near = local_min(j)
-        return near is not None and near[1] < near[0] ** m
+    def small(p, m):
+        return p is not None and p[1] < p[0] ** m
 
     for m in range(0, m_max + 1):
-        if not any(small_near(j, m) for j in ladder):
+        if not (any(small(point(j), m) for j in ladder)
+                or any(point(j) is not None and small(local_min(j), m)
+                       for j in ladder)):
             # distinguish genuine failure from float-resolution exhaustion:
             # at the best candidate the observed minimum must exceed the
             # local derivative-times-ulp band for the failure to count

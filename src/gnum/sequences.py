@@ -30,10 +30,10 @@ class SequenceRule:
         anchor; callers probe j-2 .. j+2)."""
         raise NotImplementedError
 
-    def values(self, n: int):
-        """value(j) for j = 1..n, fewer where a finite rule ends first."""
+    def values(self, n: int, start: int = 1):
+        """value(j) for j = start..n; fewer where a finite rule ends."""
         out = []
-        for j in range(1, n + 1):
+        for j in range(start, n + 1):
             try:
                 out.append(self.value(j))
             except SearchExhausted:

@@ -22,7 +22,10 @@ than the known ones below, when the order grid has a soundness or
 completeness violation, or when envelopes clash; the counts are printed
 either way.  After the depth-5 sweep it prints the atom memo's hits,
 misses and evictions (`nets._ATOMS`), so that a memo that starts to
-thrash shows in the log.
+thrash shows in the log, and the replay work of that sweep: the
+local-minimum searches of `replay_small_along` and the deep probes of
+`replay_negligible` (calls of `harness._local_min_abs` and
+`GridSpec.deep`, counted by wrapping them here; no count is a gate).
 """
 
 import sys
@@ -30,10 +33,10 @@ import time
 import warnings
 from collections import Counter
 
-from gnum import nets
+from gnum import harness, nets
 from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
                               leq)
-from gnum.harness import random_net, verify_decision
+from gnum.harness import GridSpec, random_net, verify_decision
 from gnum.ideals import membership
 from gnum.nets import Tier
 from test_ideals import membership_pairs, order_grid, order_violations
@@ -158,12 +161,31 @@ def _envelopes() -> bool:
     return bool(clashes)
 
 
+def _counted(owner, name, counts):
+    """Wrap ``owner.name`` to count its calls in ``counts[name]``; return
+    the original."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    setattr(owner, name, counted)
+    return original
+
+
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
+    work = Counter()
+    search = _counted(harness, "_local_min_abs", work)
+    deep = _counted(GridSpec, "deep", work)
     failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
+    harness._local_min_abs, GridSpec.deep = search, deep
     memo = nets._ATOMS
     print(f"atom memo: {memo.hits} hits, {memo.misses} misses, "
           f"{memo.evictions} evictions")
+    print(f"replay work: {work['_local_min_abs']} local-minimum searches, "
+          f"{work['deep']} deep probes")
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
     failed |= _membership_pairs()
     failed |= _order_grid()

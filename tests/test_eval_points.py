@@ -22,7 +22,7 @@ from gnum.errors import DomainError, SearchExhausted
 from gnum.constructions import (CharsetPoints, _charset_points,
                                 annihilator_split, construct_zero_divisor,
                                 gelfand_witnesses, interleaved_trains)
-from gnum.harness import (DEFAULT_GRID, GridSpec, random_net,
+from gnum.harness import (DEFAULT_GRID, GridSpec, ReplayReport, random_net,
                           replay_growth_along, verify_decision)
 from gnum.ideals import (FinIdeal, dip_forcing_data, membership,
                          principal_forms, replay_dip_forcing)
@@ -621,10 +621,11 @@ def _raising_at(p):
     return maxn(Const(1.0), PowQ(add(mul(d, d), Const(-1e-12)), F(1, 2)))
 
 
-def test_growth_replay_raises_past_a_charset_prefix():
+def test_growth_replay_ends_at_a_charset_prefix():
+    # the walk ends with the prefix and judges its 10 ratios eps / eps
     seq = CharsetPoints(tuple(0.5 ** k for k in range(1, 11)))
-    with pytest.raises(SearchExhausted, match="index 11"):
-        replay_growth_along(EPS, seq, 1)
+    assert replay_growth_along(EPS, seq, 1) == ReplayReport(
+        "growth-along", False, detail="ratio 1 -> 1")
     # an overflow ends the walk at its first point
     assert replay_growth_along(Const(math.inf), seq, 1).detail == "overflows"
     # an evaluation error is a nan, which the walk skips

@@ -12,16 +12,17 @@ from gnum import asymptotics as asym
 from gnum import harness
 from gnum.asymptotics import (Scan, _find_violation_on_seq, is_negligible,
                               is_strictly_nonzero)
+from gnum.constructions import CharsetPoints
 from gnum.dsl import print_net
 from gnum.errors import DomainError, SearchExhausted
 from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
-                          eval_grid,
-                          random_net, replay_lower_eventual, replay_moderate,
+                          eval_grid, random_net, replay_growth_along,
+                          replay_lower_eventual, replay_moderate,
                           replay_negligible, replay_order_violation,
                           replay_small_along, verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
                        eval_net, eval_points, inv, iter_nodes, minimal_tier,
-                       neg, powq, sin_recip, sub)
+                       mul, neg, powq, sin_recip, sub)
 from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
@@ -115,6 +116,58 @@ def test_replay_negligible_exempts_a_ratio_hump_that_turns_over():
         "negligible(m<=12)", True)
 
 
+@pytest.mark.parametrize("x, n", [
+    (ExpNegRecip(), 0), (mul(EPS, ExpNegRecip()), 0),
+    (random_net(775, Tier.Continuous, 5), 1)])
+def test_replay_negligible_probes_the_deep_end_only_on_a_tail_excess(
+        monkeypatch, x, n):
+    # exp(-1/eps) and eps*exp(-1/eps) exceed no fitted constant on the
+    # tail; the hump net first does at m = 7, and m = 8..12 reuse its probe
+    calls, deep = [], GridSpec.deep
+
+    def counted(grid):
+        calls.append(grid)
+        return deep(grid)
+
+    monkeypatch.setattr(GridSpec, "deep", counted)
+    assert replay_negligible(x).passed
+    assert len(calls) == n
+
+
+class _Counted(SequenceRule):
+    """1/j, recording each index it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def value(self, j):
+        self.asked.append(j)
+        return 1.0 / j
+
+
+@pytest.mark.parametrize("x, passed", [(const(1), True),
+                                       (powq(EPS, 5), False)])
+def test_replay_growth_along_reads_the_sequence_as_the_walk_reaches_it(
+        x, passed):
+    # every ratio |x(1/j)| * j is finite, so the 64 ratios come from the
+    # first 64 points and the walk asks the rule for no index past 64
+    seq = _Counted()
+    assert replay_growth_along(x, seq, 1).passed is passed
+    assert sorted(seq.asked) == list(range(1, 65))
+
+
+def test_replay_growth_along_ends_where_a_finite_rule_does():
+    # 16 points: the walk ends after them and judges the 16 ratios
+    seq = CharsetPoints(tuple(0.5 ** k for k in range(1, 17)))
+    rep = replay_growth_along(EPS, seq, 3)
+    assert rep == harness.ReplayReport("growth-along", True,
+                                       detail="ratio 256 -> 4.29e+09")
+    # 5 points give too few ratios to judge
+    seq = CharsetPoints(tuple(0.5 ** k for k in range(1, 6)))
+    rep = replay_growth_along(EPS, seq, 3)
+    assert rep.passed and rep.detail == "insufficient evaluable points"
+
+
 def test_replay_small_along_sine_zeros():
     zeros = PiSequence(F(1), F(0), F(1))
     assert replay_small_along(sin_recip(1), zeros, 12).passed
@@ -122,10 +175,8 @@ def test_replay_small_along_sine_zeros():
     assert not replay_small_along(const(1), zeros, 2).passed
 
 
-def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
-    # every m = 0..12 needs the searches around the same two ladder
-    # points; each runs once, not once per m
-    x = random_net(13, Tier.Smooth, 5)
+def _small_along_searches(monkeypatch, x):
+    """(report, searched intervals) of the strictly-nonzero False replay."""
     tri = is_strictly_nonzero(x)
     assert tri.value is False and tri.witness.kind == "small-along"
     searches = []
@@ -136,8 +187,30 @@ def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
         return search(net, lo, hi)
 
     monkeypatch.setattr(harness, "_local_min_abs", counted)
-    assert verify_decision("strictly-nonzero", tri, x).passed
-    assert len(searches) == len(set(searches)) == 2
+    return verify_decision("strictly-nonzero", tri, x), searches
+
+
+def test_replay_small_along_searches_each_ladder_point_once(monkeypatch):
+    # a ladder point itself is below eps**m for every m = 0..12, so no
+    # search around a ladder point runs
+    rep, searches = _small_along_searches(monkeypatch,
+                                          random_net(13, Tier.Smooth, 5))
+    assert rep.passed and searches == []
+
+
+@pytest.mark.parametrize("tier, depth, seed, n, detail", [
+    (Tier.Smooth, 5, 622, 2, ""),
+    (Tier.Continuous, 4, 85, 59, "resolution-limited below eps^10")])
+def test_replay_small_along_searches_only_where_no_ladder_point_is_small(
+        monkeypatch, tier, depth, seed, n, detail):
+    # some m finds no ladder point below eps**m and searches around each
+    # ladder point; every search runs once, not once per m.  Seed 622
+    # passes on a local minimum (a pass with an empty detail after a
+    # search), seed 85 on the float-resolution band
+    rep, searches = _small_along_searches(monkeypatch,
+                                          random_net(seed, tier, depth))
+    assert rep == harness.ReplayReport("small-along", True, detail=detail)
+    assert len(searches) == len(set(searches)) == n
 
 
 def test_replay_small_along_does_not_count_eps_one():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gnum.asymptotics import gn_equal
+from gnum.asymptotics import gn_equal, is_strictly_nonzero, leq
 from gnum.errors import PreconditionError, TierError
 from gnum.harness import GridSpec, random_net
 from gnum.lattice import abs_factor
@@ -86,6 +86,29 @@ def test_smoothing_is_ring_morphism_mod_negligibility():
     sy = smooth_approximate(gnumber(y)).output.net
     sxy = smooth_approximate(gnumber(mul(x, y))).output.net
     assert gn_equal(sxy, mul(sx, sy)).is_true
+
+
+def test_smoothing_is_a_ring_morphism_that_keeps_the_verdicts():
+    # the main theorem on random continuous nets: S preserves sums and
+    # products up to negligibility, and the invertibility and order
+    # verdicts (Unknown included) are those of the smoothed nets
+    def S(x):
+        return smooth_approximate(x).output.net
+
+    decided = 0
+    for seed in range(40):
+        a = random_net(seed, Tier.Continuous, 3)
+        b = random_net(seed + 7000, Tier.Continuous, 3)
+        sa, sb = S(a), S(b)
+        assert gn_equal(S(add(a, b)), add(sa, sb)).is_true, seed
+        assert gn_equal(S(mul(a, b)), mul(sa, sb)).is_true, seed
+        for x, sx in ((a, sa), (b, sb)):
+            assert (is_strictly_nonzero(x).value
+                    == is_strictly_nonzero(sx).value), seed
+        verdict = leq(a, b).value
+        assert verdict == leq(sa, sb).value, seed
+        decided += verdict is not None
+    assert decided == 28
 
 
 def test_smoothing_rejects_arbitrary_tier():
