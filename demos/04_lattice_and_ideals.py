@@ -1,8 +1,8 @@
 """Order, lattice, and ideal structure.
 
-min/max/abs of continuous representatives, the f-ring law, the
-absolute-value and convexity factors, and the finitely generated ideal
-algebra with its three-valued membership engine.
+min/max/abs of continuous representatives and their smooth-tier images,
+the f-ring law, the absolute-value and convexity factors, and the
+finitely generated ideal algebra with its three-valued membership engine.
 """
 
 from fractions import Fraction as F
@@ -11,7 +11,8 @@ from gnum import (EPS, FinIdeal, GridSpec, RootFamilyIdeal, abs_factor,
                   convex_factor, gabs, gmax, gmin, gn_equal,
                   interleaved_trains, intersect_principal,
                   is_radical_principal, is_strictly_nonzero, leq, membership,
-                  power_membership, principal_forms, radical_membership)
+                  power_membership, principal_forms, radical_membership,
+                  smooth_approximate)
 from gnum.harness import replay_negligible_diff
 from gnum.nets import (absn, add, bump_train, const, cos_recip, eval_net,
                        gnumber, mul, neg, powq, rootn, sin_recip, sub,
@@ -23,20 +24,21 @@ grid = GridSpec(n_points=400, eps_min=1e-6)
 # -- lattice operations ---------------------------------------------------------
 
 s, c = gnumber(sin_recip(1)), gnumber(cos_recip(1))
-print("min(sin, cos) <= sin:", leq(gmin(s, c, resmooth=False).net, s.net))
+print("min(sin, cos) <= sin:", leq(gmin(s, c).net, s.net))
 print("|sin| = max(sin, -sin):",
-      gn_equal(gabs(s, resmooth=False).net,
-               gmax(s, gnumber(neg(s.net)), resmooth=False).net))
+      gn_equal(gabs(s).net, gmax(s, gnumber(neg(s.net))).net))
 print("|sin*cos| = |sin|*|cos|:",
-      gn_equal(gabs(gnumber(mul(s.net, c.net)), resmooth=False).net,
-               mul(gabs(s, resmooth=False).net,
-                   gabs(c, resmooth=False).net)))
+      gn_equal(gabs(gnumber(mul(s.net, c.net))).net,
+               mul(gabs(s).net, gabs(c).net)))
+# the smooth-tier |sin| is the smooth-continuous isomorphism applied to it
+smooth_abs = smooth_approximate(gabs(s), grid=grid)
+print("smooth |sin|:", smooth_abs.output.tier,
+      "within exp(-1/eps) on the grid:", smooth_abs.grid_max_ratio <= 1.0)
 
 # the f-ring law (r ^ s) t = rt ^ st for t >= 0, exact at representative level
 t = mul(sin_recip(2), sin_recip(2))
-lhs = mul(gmin(s, c, resmooth=False).net, t)
-rhs = gmin(gnumber(mul(s.net, t)), gnumber(mul(c.net, t)),
-           resmooth=False).net
+lhs = mul(gmin(s, c).net, t)
+rhs = gmin(gnumber(mul(s.net, t)), gnumber(mul(c.net, t))).net
 print("f-ring law:", gn_equal(lhs, rhs))
 
 # -- the absolute-value factor: a*x = |x| with |a| <= 2 ---------------------------

@@ -177,9 +177,9 @@ def _cmd_compare(args) -> dict:
 def _cmd_lattice(args) -> dict:
     e1, e2 = args.expr
     g1, g2 = _parse_expr(e1, args), _parse_expr(e2, args)
-    mn = lattice.gmin(g1, g2, resmooth=False)
-    mx = lattice.gmax(g1, g2, resmooth=False)
-    ab = lattice.gabs(g1, resmooth=False)
+    mn = lattice.gmin(g1, g2)
+    mx = lattice.gmax(g1, g2)
+    ab = lattice.gabs(g1)
     doc = {"query": {"x": e1, "y": e2},
            "gmin": dsl.print_net(mn.net), "gmax": dsl.print_net(mx.net),
            "gabs_x": dsl.print_net(ab.net)}

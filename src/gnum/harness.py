@@ -3,8 +3,20 @@ exponent regression, and seeded random net generation.
 
 The replay functions only ever *falsify* decided claims; a finite grid
 cannot decide an asymptotic statement, so Unknown is never upgraded.
-The calibration convention for O(.)-claims: the largest 70% of the grid
-(the head) fits the constant, the smallest 30% (the tail) tests it.
+
+The tolerance model of the O(.)-claims (``replay_negligible``,
+``replay_negligible_diff``, ``replay_moderate``), all checked by
+``_fitted_bound``:
+- the largest 70% of the grid (the head) fits the constant, the
+  smallest 30% (the tail) tests it; points with no finite value are
+  dropped from both;
+- the fitted constant C is 4 times the largest |x| / eps**m on the head;
+- a tail point refutes the claim only above C * eps**m * (1 + 1e-9)
+  + 1e-290, a relative allowance for rounding and an absolute one for
+  underflow;
+- a difference a - b is replayed above the rounding floor of its two
+  float paths, 1e-13 * (1 + |a| + |b|) at each point, and the floor
+  itself leaves no slack: its constant is fitted with a factor of 1.
 """
 
 from __future__ import annotations
@@ -108,67 +120,78 @@ def eval_grid(net: NetExpr, grid: GridSpec = DEFAULT_GRID):
 # replay of asymptotic claims
 # --------------------------------------------------------------------------
 
-def _tail_excess(vt: np.ndarray, tail: np.ndarray, C: float,
-                 m: int) -> Optional[Tuple[float, float]]:
-    """(excess, eps) at the tail point where vt most exceeds C * eps**m
-    (times 1 + 1e-9, plus 1e-290), or None when no tail point does."""
-    bound = C * tail ** m * (1 + 1e-9) + 1e-290
-    if not (vt > bound).any():
-        return None
-    i = int(np.argmax(vt - bound))
-    return float((vt - bound)[i]), float(tail[i])
+def _finite(pts: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The points where v is finite, and v there: points the evaluator
+    cannot resolve (0*inf collisions, overflow of an internally
+    compensated product) carry no evidence either way."""
+    keep = np.isfinite(v)
+    return pts[keep], v[keep]
+
+
+def _worst(excess: np.ndarray, pts: np.ndarray) -> Tuple[float, float]:
+    """(excess, eps) at the first point of largest excess."""
+    i = int(np.argmax(excess))
+    return float(excess[i]), float(pts[i])
+
+
+def _ratio(v: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:
+    """v / e**m, taken as v * e**-m for m < 0 (a growth bound)."""
+    return v / e ** m if m >= 0 else v * e ** -m
+
+
+def _fitted_bound(claim: str, pts: np.ndarray, v: np.ndarray, exps,
+                  slack: float = 4.0, deep=None) -> ReplayReport:
+    """|x| <= C * eps**m under the tolerance model above, v = |x| at pts,
+    for the exponent ``exps`` or for each m of the range ``exps`` (the
+    report then names the m it stops at).  A C that is not finite ends
+    the check with a pass that says so.  ``deep`` is None or gives the
+    (points, values) of a deeper extension, asked once, at the first
+    tail excess: a transient ratio hump turns over at depth, a genuine
+    violation keeps rising, so an excess whose ratio is below half its
+    peak in the deepest quarter moves on to the next m."""
+    scan = isinstance(exps, range)
+    (tail, head), (vt, vh) = _split(pts), _split(v)
+    (tail, vt), (head, vh) = _finite(tail, vt), _finite(head, vh)
+    if not len(head):
+        return ReplayReport(claim, True, detail="no evaluable points")
+    ext = None
+    for m in exps if scan else (exps,):
+        # the fitted constant gets a fixed slack: O(.) constants are
+        # arbitrary, and sparsely supported nets may peak off the head grid
+        with np.errstate(over="ignore"):
+            C = slack * float(np.max(_ratio(vh, head, m)))
+        if not math.isfinite(C):
+            return ReplayReport(claim, True, detail="no finite constant"
+                                + (f" from m={m}" if scan else ""))
+        bound = C * tail ** m * (1 + 1e-9) + 1e-290
+        if not (vt > bound).any():
+            continue
+        if deep is not None:
+            if ext is None:
+                ext, ve = _finite(*deep())
+            if len(ext) > 8:
+                re_ = _ratio(ve, ext, m)
+                peak = max(float(np.max(re_)),
+                           float(np.max(_ratio(vt, tail, m))),
+                           float(np.max(_ratio(vh, head, m))))
+                if float(np.max(re_[:len(ext) // 4])) <= 0.5 * peak + 1e-290:
+                    continue
+        return ReplayReport(claim, False, *_worst(vt - bound, tail),
+                            f"fails at m={m}" if scan else "")
+    return ReplayReport(claim, True)
 
 
 def replay_negligible(x, m_max: int = 12,
                       grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| <= C * eps**m on the grid tail for each m <= m_max,
-    with C fitted on the head."""
+    with C fitted on the head; an excess is probed twelve decades below
+    the grid floor (``GridSpec.deep``) for a hump that turns over."""
     net = nets._net(x)
     pts = grid.points()
-    v = _abs_points(net, pts)
-    # points the evaluator cannot resolve (0*inf collisions, overflow of
-    # an internally compensated product) carry no evidence either way
-    (tail, head), (vt, vh) = _split(pts), _split(v)
-    head, vh = head[np.isfinite(vh)], vh[np.isfinite(vh)]
-    tail, vt = tail[np.isfinite(vt)], vt[np.isfinite(vt)]
-    if not len(head):
-        return ReplayReport(f"negligible(m<={m_max})", True,
-                            detail="no evaluable points")
-
-    @functools.cache
-    def deep():
-        """Finite (points, values) of the deep extension, evaluated once."""
-        ext = grid.deep()
-        ve = _abs_points(net, ext)
-        return ext[np.isfinite(ve)], ve[np.isfinite(ve)]
-
-    for m in range(0, m_max + 1):
-        # the fitted constant gets a fixed slack: O(.) constants are
-        # arbitrary, and sparsely supported nets may peak off the head grid
-        with np.errstate(over="ignore"):
-            C = 4.0 * float(np.max(vh / head ** m))
-        if not math.isfinite(C):
-            return ReplayReport(f"negligible(m<={m_max})", True,
-                                detail=f"no finite constant from m={m}")
-        hit = _tail_excess(vt, tail, C, m)
-        if hit is not None:
-            # adjudicate: a transient ratio hump turns over at depth, a
-            # genuine violation keeps rising into the deep end.  Probe
-            # twelve decades below the grid floor and demand decay by the
-            # deepest quarter.
-            ext, ve = deep()
-            if len(ext) > 8:
-                re_ = ve / ext ** m
-                peak = max(float(np.max(re_)),
-                           float(np.max(vt / tail ** m)),
-                           float(np.max(vh / head ** m)))
-                cut = len(ext) // 4
-                deep_max = float(np.max(re_[:cut]))
-                if deep_max <= 0.5 * peak + 1e-290:
-                    continue
-            return ReplayReport(f"negligible(m<={m_max})", False, *hit,
-                                f"fails at m={m}")
-    return ReplayReport(f"negligible(m<={m_max})", True)
+    return _fitted_bound(
+        f"negligible(m<={m_max})", pts, _abs_points(net, pts),
+        range(m_max + 1),
+        deep=lambda: (ext := grid.deep(), _abs_points(net, ext)))
 
 
 def _with_characteristic_points(grid: GridSpec, *sides: NetExpr) -> np.ndarray:
@@ -197,7 +220,7 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     an, bn = nets._net(a), nets._net(b)
     pts = _with_characteristic_points(grid, an, bn)
     va, vb = (eval_points(n, pts, fill=math.nan) for n in (an, bn))
-    tail, head = _split(pts)
+    tail = _split(pts)[0]
     # errors surface in the scalar order: the head, then the tail
     _raise_first_error(an, bn,
                        *(np.roll(z, -len(tail)) for z in (pts, va, vb)))
@@ -206,34 +229,17 @@ def replay_negligible_diff(a, b, m_max: int = 12,
     with np.errstate(invalid="ignore", over="ignore"):
         scale = 1.0 + np.abs(va) + np.abs(vb)
         out = np.abs(va - vb) - 1e-13 * scale
-    # max(0.0, out), with nan read as 0
-    vt, vh = _split(np.where(out > 0.0, out, 0.0).astype(float))
-    for m in range(0, m_max + 1):
-        C = float(np.max(vh / head ** m))
-        hit = _tail_excess(vt, tail, C, m)
-        if hit is not None:
-            return ReplayReport(f"negligible-diff(m<={m_max})", False, *hit,
-                                f"fails at m={m}")
-    return ReplayReport(f"negligible-diff(m<={m_max})", True)
+    # max(0.0, out), with nan read as 0; the floor leaves no slack
+    return _fitted_bound(f"negligible-diff(m<={m_max})", pts,
+                         np.where(out > 0.0, out, 0.0).astype(float),
+                         range(m_max + 1), slack=1.0)
 
 
 def replay_moderate(x, n_exp: int, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| <= C * eps**-N with C fitted on the head."""
     net = nets._net(x)
     pts = grid.points()
-    (tail, head), (vt, vh) = _split(pts), _split(_abs_points(net, pts))
-    head, vh = head[np.isfinite(vh)], vh[np.isfinite(vh)]
-    tail, vt = tail[np.isfinite(vt)], vt[np.isfinite(vt)]
-    if not len(head):
-        return ReplayReport("moderate", True, detail="no evaluable points")
-    with np.errstate(over="ignore"):
-        C = 4.0 * float(np.max(vh * head ** n_exp))
-    if not math.isfinite(C):
-        return ReplayReport("moderate", True, detail="no finite constant")
-    hit = _tail_excess(vt, tail, C, -n_exp)
-    if hit is not None:
-        return ReplayReport("moderate", False, *hit)
-    return ReplayReport("moderate", True)
+    return _fitted_bound("moderate", pts, _abs_points(net, pts), -n_exp)
 
 
 def replay_lower_eventual(x, m: int, eps0: float,
@@ -248,9 +254,8 @@ def replay_lower_eventual(x, m: int, eps0: float,
     v = _abs_points(net, scan.points())[sel]
     short = np.where(v < need, need - v, 0.0)
     if len(pts) and short.max() > 0.0:
-        i = int(np.argmax(short))      # the first point of largest shortfall
         return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", False,
-                            float(short[i]), float(pts[i]))
+                            *_worst(short, pts))
     return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", True)
 
 

@@ -65,25 +65,24 @@ class RootFamilyIdeal(Record):
 
 def principal_reduce(J: FinIdeal) -> GNumber:
     """The sum-of-absolute-values generator |g1| + |g2| + ... of J."""
-    out = gabs(J.generators[0], resmooth=False)
+    out = gabs(J.generators[0])
     for g in J.generators[1:]:
-        out = nets.g_add(out, gabs(g, resmooth=False))
+        out = nets.g_add(out, gabs(g))
     return out
 
 
 def principal_forms(J: FinIdeal) -> Tuple[GNumber, GNumber]:
     """(sum form, max form); the two generate the same ideal."""
     sum_form = principal_reduce(J)
-    max_form = gabs(J.generators[0], resmooth=False)
+    max_form = gabs(J.generators[0])
     for g in J.generators[1:]:
-        max_form = gmax(max_form, gabs(g, resmooth=False), resmooth=False)
+        max_form = gmax(max_form, gabs(g))
     return sum_form, max_form
 
 
 def intersect_principal(x, y) -> GNumber:
     """Generator of x*R intersect y*R: min(|x|, |y|)."""
-    return gmin(gabs(nets._gn(x), resmooth=False),
-                gabs(nets._gn(y), resmooth=False), resmooth=False)
+    return gmin(gabs(nets._gn(x)), gabs(nets._gn(y)))
 
 
 # --------------------------------------------------------------------------

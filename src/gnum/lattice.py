@@ -1,13 +1,10 @@
 """Order-lattice operations: absolute value, min, max, and the
 convexity/absolute-convexity factor constructions.
 
-The lattice operations build a continuous representative (abs/min/max of
-a smooth net is only continuous) and, mirroring the definition of the
-absolute value through the smooth-continuous isomorphism, re-smooth it
-back into the smooth tier.  By default (``resmooth=True``) a result that
-is not already smooth is re-smoothed; ``resmooth=False`` keeps the
-pointwise-exact continuous representative, which is what the identity
-tests evaluate before smoothing blurs them by at most exp(-1/eps).
+The lattice operations return the pointwise continuous representative
+(abs/min/max of a smooth net is only continuous), simplified.  The
+smooth-tier element is its image under the smooth-continuous
+isomorphism: ``smoothing.smooth_approximate(gabs(x)).output``.
 """
 
 from __future__ import annotations
@@ -15,44 +12,25 @@ from __future__ import annotations
 from . import nets
 from .asymptotics import leq
 from .errors import PreconditionError
-from .harness import GridSpec
-from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, maxn,
-                   minimal_tier, minn, nonneg_net)
-from .smoothing import _presimplify, smooth_approximate
+from .nets import (AbsFactor, ExpNegRecip, GNumber, Tier, absn, gnumber, maxn,
+                   minn, nonneg_net)
+from .smoothing import _presimplify
 
 
-def _finish(net, resmooth: bool) -> GNumber:
-    simplified = _presimplify(net)
-    mt = minimal_tier(simplified)
-    if resmooth and mt > Tier.Smooth:
-        # the output net does not depend on the report grid; a coarse one
-        # keeps lattice-level re-smoothing cheap
-        return smooth_approximate(simplified,
-                                  grid=GridSpec(n_points=160,
-                                                eps_min=1e-5)).output
-    return GNumber(simplified, mt)
+def gabs(x) -> GNumber:
+    """|x| as a generalized number: the continuous representative
+    (|x_eps|)_eps."""
+    return gnumber(_presimplify(absn(nets._gn(x).net)))
 
 
-def gabs(x, resmooth: bool = True) -> GNumber:
-    """|x| as a generalized number.
-
-    The continuous representative is (|x_eps|)_eps; it is re-smoothed so
-    the result lies in the smooth tier (the isomorphism route), unless
-    ``resmooth=False`` keeps the continuous one.
-    """
-    return _finish(absn(nets._gn(x).net), resmooth)
-
-
-def gmin(x, y, resmooth: bool = True) -> GNumber:
+def gmin(x, y) -> GNumber:
     """Pointwise minimum of real generalized numbers."""
-    gx, gy = nets._gn(x), nets._gn(y)
-    return _finish(minn(gx.net, gy.net), resmooth)
+    return gnumber(_presimplify(minn(nets._gn(x).net, nets._gn(y).net)))
 
 
-def gmax(x, y, resmooth: bool = True) -> GNumber:
+def gmax(x, y) -> GNumber:
     """Pointwise maximum of real generalized numbers."""
-    gx, gy = nets._gn(x), nets._gn(y)
-    return _finish(maxn(gx.net, gy.net), resmooth)
+    return gnumber(_presimplify(maxn(nets._gn(x).net, nets._gn(y).net)))
 
 
 def abs_factor(x) -> GNumber:

@@ -899,25 +899,26 @@ def group_bound(lead) -> Optional[Tuple[Optional[int], float]]:
 
 def poly_lower(p: Poly) -> Optional[Env]:
     """Eventual lower bound: a dominant scale group bounded away from 0,
-    with every other term strictly dominated."""
+    with every other term strictly dominated.  The other terms are bounded
+    relative to the lead scale s = exp(-k/eps)*eps^q: |p| >= s*(c - r)
+    when the lead group is >= c*s and the rest is <= r*s, so a growing
+    lead (k < 0) gives SUPERGROW over growing terms of lower order too."""
     if p.is_zero():
         return None
     groups = p.grouped_by_scale()
     (k, q), lead = groups[0]
     bound = group_bound(lead)
-    if bound is None:
+    if bound is None or k > 0:
         return None
     rest_env = Env(ZERO_K)
     for (k2, q2), terms in groups[1:]:
         for atoms, c2 in terms:
             rest_env = upper_add(rest_env,
-                                 _term_upper((k2, q2, atoms), c2))
+                                 _term_upper((k2 - k, q2 - q, atoms), c2))
             if rest_env is None:
                 return None
-    lead_env = env_from_scale(k, q, bound[1])
-    if lead_env.kind == SUPERPOW:
-        return None
-    return lower_vs_upper(lead_env, rest_env)
+    rel = lower_vs_upper(Env(POW, F(0), bound[1]), rest_env)
+    return None if rel is None else env_from_scale(k, q, rel.c)
 
 
 def rat_upper(r: RatForm) -> Optional[Env]:

@@ -125,12 +125,12 @@ class Poly:
         return Poly({MONO_ONE: c})
 
     @staticmethod
-    def scale_mono(k: Exp, q: Exp, c=1.0) -> "Poly":
-        return Poly({(normal_exp(k), normal_exp(q), ()): c})
+    def scale_mono(k: Exp, q: Exp) -> "Poly":
+        return Poly({(normal_exp(k), normal_exp(q), ()): 1.0})
 
     @staticmethod
-    def atom(a: NetExpr, power: Exp = 1, c=1.0) -> "Poly":
-        return Poly({(F0, F0, atoms_from([(a, power)])): c})
+    def atom(a: NetExpr) -> "Poly":
+        return Poly({(F0, F0, atoms_from([(a, 1)])): 1.0})
 
     # -- arithmetic -------------------------------------------------------
 

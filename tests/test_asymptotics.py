@@ -132,6 +132,35 @@ def test_calibrate_lower_nan_ends_the_prefix_and_a_raise_passes():
     assert asym._calibrate_lower(raise_above, 1) == 0.6
 
 
+_POWER_EXP_NODES = (nets.Const, nets.Eps, nets.PowQ, nets.Add, nets.Mul,
+                    nets.Neg, nets.Inv, nets.ExpNegRecip)
+
+
+def test_no_unknown_on_pure_power_exp_nets():
+    # sums of products of powers of eps and of exp(-1/eps) have exact
+    # normal forms, whose dominant scale group decides all three claims
+    xs = [x for depth in (3, 4, 5) for tier in Tier for seed in range(200)
+          for x in [random_net(seed, tier, depth)]
+          if all(type(n) in _POWER_EXP_NODES for n in nets.iter_nodes(x))]
+    assert len(xs) == 455
+    assert [(print_net(x), decide.__name__) for x in xs
+            for decide in (is_moderate, is_negligible, is_strictly_nonzero)
+            if decide(x).value is None] == []
+
+
+def test_a_growing_lead_outgrows_growing_terms_of_lower_order():
+    x = random_net(90, Tier.Smooth, 3)
+    assert print_net(x) == ("-1*(exp(-1/eps)^-1 + exp(-1/eps)^-1 + "
+                            "eps^-2*exp(-1/eps)^-1)")
+    for claim, decide, value in (("moderate", is_moderate, False),
+                                 ("negligible", is_negligible, False),
+                                 ("strictly-nonzero", is_strictly_nonzero,
+                                  True)):
+        t = decide(x)
+        assert t.value is value
+        assert verify_decision(claim, t, x).passed
+
+
 def test_strictly_nonzero_abs_pair_rule():
     t = is_strictly_nonzero(add(absn(sin_recip(1)), absn(cos_recip(1))))
     assert t.is_true

@@ -172,7 +172,8 @@ def golden_lines():
     blends = []
     for text, g in smooth_inputs:
         out += _smooth_lines(text, g, pts, blends)
-    ab = gabs(_gn("sin(1/eps)"))
+    ab = smooth_approximate(gabs(_gn("sin(1/eps)")),
+                            grid=GridSpec(n_points=160, eps_min=1e-5)).output
     out.append(f"gabs sin(1/eps): {[eval_net(ab.net, e) for e in pts]!r}")
     target = _gn("spikes(harmonic)")
     for text in REFUTER_CANDIDATES:

@@ -18,7 +18,8 @@ from gnum.errors import DomainError, SearchExhausted
 from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
                           eval_grid, random_net, replay_growth_along,
                           replay_lower_eventual, replay_moderate,
-                          replay_negligible, replay_order_violation,
+                          replay_negligible, replay_negligible_diff,
+                          replay_order_violation,
                           replay_small_along, verify_decision)
 from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
                        eval_net, eval_points, inv, iter_nodes, minimal_tier,
@@ -97,6 +98,20 @@ def test_replay_says_when_the_fitted_constant_is_not_finite():
     assert rep.passed and rep.detail == "no finite constant from m=0"
     rep = replay_moderate(const(1e308), 0, GRID)
     assert rep.passed and rep.detail == "no finite constant"
+    # the floored difference says it too, with no overflow warning: its
+    # tail overflows, and its head ratio does from m = 2
+    rep = replay_negligible_diff(random_net(2, Tier.Smooth, 3), const(0.0))
+    assert rep.passed and rep.detail == "no finite constant from m=2"
+
+
+@pytest.mark.parametrize("seed, tier, depth, worst", [
+    (97, Tier.Smooth, 3, 431731996592922.94),
+    (18, Tier.Arbitrary, 4, 988946717007650.5)])
+def test_replay_moderate_fits_with_a_product(seed, tier, depth, worst):
+    # C = 4 max |x| * eps**N on the head; dividing by eps**-N instead
+    # moves the last digit of these two excesses
+    rep = replay_moderate(random_net(seed, tier, depth), 2)
+    assert not rep.passed and rep.max_violation == worst
 
 
 def test_replay_negligible_exempts_a_ratio_hump_that_turns_over():
@@ -107,10 +122,10 @@ def test_replay_negligible_exempts_a_ratio_hump_that_turns_over():
     assert print_net(x) == "root(abs(bumptrain(geo(1/3), decay(1, 0))), 3)"
     assert is_negligible(x).is_true
     pts = DEFAULT_GRID.points()
-    (tail, head), (vt, vh) = (harness._split(a) for a in (
-        pts, harness._abs_points(x, pts)))
-    exceeded = [m for m in range(13) if harness._tail_excess(
-        vt, tail, 4.0 * float(np.max(vh / head ** m)), m) is not None]
+    v = harness._abs_points(x, pts)
+    # the fitted bound of each m alone, with no deep probe
+    exceeded = [m for m in range(13)
+                if not harness._fitted_bound("", pts, v, m).passed]
     assert exceeded == list(range(7, 13))
     assert replay_negligible(x) == harness.ReplayReport(
         "negligible(m<=12)", True)

@@ -84,6 +84,22 @@ def test_min_minus_its_smaller_operand_is_not_strictly_nonzero():
     assert is_strictly_nonzero(x).value is False
 
 
+@pytest.mark.parametrize("text, lower", [
+    # |p| >= s*(c - r) for a lead group >= c*s over a rest <= r*s, with
+    # s = exp(-k/eps)*eps^q: a growing lead outgrows growing terms of
+    # lower order
+    ("exp(-1/eps)^-1 + eps^-2*exp(-1/eps)^-1", Env(SUPERGROW)),
+    ("eps^-2*exp(-1/eps)^-1 - 3*exp(-1/eps)^-1 + eps^-9", Env(SUPERGROW)),
+    # a bounded lead keeps half its constant over a dominated rest
+    ("2 + eps", Env(POW, F(0), 1.0)),
+    ("2*eps^-1 - 3 + exp(-1/eps)", Env(POW, F(-1), 1.0)),
+    # a negligible lead bounds nothing from below
+    ("exp(-1/eps) + exp(-1/eps)^2", None),
+])
+def test_poly_lower_bounds_the_rest_relative_to_the_lead(text, lower):
+    assert rat_lower(rat(parse(text)[0])) == lower
+
+
 def envelope_exceeds(lo, up) -> bool:
     """True where the lower envelope lo eventually exceeds the upper
     envelope up, so that no net has both; a supergrow upper envelope

@@ -131,8 +131,8 @@ def test_stored_keys_and_orders_match_the_computed_ones():
 
 def _sample_poly():
     a, b = sin_recip(Fraction(1, 3)), cos_recip(Fraction(2, 5))
-    base = Poly.atom(a).add(Poly.atom(b, c=-2.0)).add(
-        Poly.scale_mono(F0, Fraction(1), c=0.5))
+    base = Poly.atom(a).add(Poly.atom(b).scale(-2.0)).add(
+        Poly.scale_mono(F0, Fraction(1)).scale(0.5))
     return a, base.pow_int(5)
 
 
@@ -192,8 +192,9 @@ def test_a_product_of_integral_exponents_hashes_no_fraction(monkeypatch):
     hashed = _hashed_fractions(monkeypatch)
     p = Poly({})
     for i in range(4):
-        p = p.add(Poly.scale_mono(Fraction(i % 2), Fraction(i), c=1.0 + i))
-    q = Poly.atom(osc, Fraction(2)).add(Poly.scale_mono(F0, Fraction(-1)))
+        p = p.add(Poly.scale_mono(Fraction(i % 2), Fraction(i)).scale(1.0 + i))
+    q = Poly.atom(osc).mul(Poly.atom(osc)).add(
+        Poly.scale_mono(F0, Fraction(-1)))
     out = p.mul(q).mul(p)
     assert len(out.terms) > 12
     assert hashed == []
