@@ -12,7 +12,6 @@ each witness kind numerically on a grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -237,7 +236,10 @@ _UP_RANK = {ZERO_K: 0, SUPERPOW: 1, POW: 2}
 
 
 def _uppers(net: NetExpr):
-    """Upper envelopes from both analyses, strongest first."""
+    """Upper envelopes from both analyses: zero, superpow, then power
+    envelopes by ascending exponent (the weakest first), then any other.
+    A decider reads the first power envelope, so this order sets the N
+    of its witness."""
     out = [e for e in (rat_upper(rat(net)), info(net).upper) if e is not None]
     out.sort(key=lambda e: (_UP_RANK.get(e.kind, 3),
                             e.q if e.kind == POW else 0))
@@ -245,7 +247,9 @@ def _uppers(net: NetExpr):
 
 
 def _lowers(net: NetExpr):
-    """Lower envelopes from both analyses, strongest first."""
+    """Lower envelopes from both analyses: supergrow, then power
+    envelopes by descending exponent (the weakest first).  A decider
+    reads the first, so this order sets the m of its witness."""
     out = [e for e in (rat_lower(rat(net)), info(net).lower) if e is not None]
     out.sort(key=lambda e: (0 if e.kind == SUPERGROW else 1,
                             -e.q if e.kind == POW else 0))
@@ -364,37 +368,24 @@ def gn_equal(x, y) -> DecisionTri:
 
 
 def valuation(x) -> Optional[Valuation]:
-    """Exact sharp exponent on the power/exp fragment; None if outside."""
+    """Sharp exponent read from the deciders' envelopes: +inf where an
+    upper envelope is negligible (or the normal form is exactly 0), -inf
+    where a lower one grows faster than every power, q where the
+    strongest power envelopes meet at eps**q; None otherwise, and for a
+    net that is not finite."""
     net = nets._net(x)
-    r = rat(net).simplify()
-    if r.num.is_zero():
-        return PLUS_INF
-
-    def lead_scale(p):
-        groups = p.grouped_by_scale()
-        (k, q), lead = groups[0]
-        if len(lead) != 1 or lead[0][0] or not cmath.isfinite(lead[0][1]):
-            return None
-        for (k2, q2), terms in groups[1:]:
-            for atoms, c2 in terms:
-                e = profiles._term_upper((k2, q2, atoms), c2)
-                if e is None or e.kind == SUPERGROW:
-                    return None
-                if e.kind == POW and (k > 0 or e.q <= q):
-                    return None
-        return (F(k), F(q))
-
-    num_ld = lead_scale(r.num)
-    den_ld = (F(0), F(0)) if r.is_poly() else lead_scale(r.den)
-    if num_ld is None or den_ld is None:
+    if not net._facts.finite:
         return None
-    k_eff = num_ld[0] - den_ld[0]
-    q_eff = num_ld[1] - den_ld[1]
-    if k_eff > 0:
+    ups = _uppers(net)
+    if rat(net).simplify().num.is_zero() or \
+            ups and ups[0].kind in (ZERO_K, SUPERPOW):
         return PLUS_INF
-    if k_eff < 0:
+    los = _lowers(net)
+    if los and los[0].kind == SUPERGROW:
         return MINUS_INF
-    return Valuation("finite", q_eff)
+    up = max((e.q for e in ups if e.kind == POW), default=None)
+    lo = min((e.q for e in los if e.kind == POW), default=None)
+    return None if up is None or up != lo else Valuation("finite", up)
 
 
 def leq(x, y, a_max: int = 6) -> DecisionTri:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, TierError
 from .records import Record
-from .sequences import (PI, Geometric, Harmonic, HarmonicMidpoints, Midpoints,
-                        PiSequence, SequenceRule)
+from .sequences import (PI, Geometric, Harmonic, Midpoints, PiSequence,
+                        SequenceRule)
 
 Scalar = Union[float, complex]
 
@@ -1471,7 +1471,7 @@ def _anchors(s: SequenceRule, e: np.ndarray, bad: np.ndarray) -> np.ndarray:
         s = s.of
     if isinstance(s, Geometric):
         x = _calls(math.log, e.tolist(), bad) / math.log(s._ratio)
-    elif isinstance(s, (Harmonic, HarmonicMidpoints)):
+    elif isinstance(s, Harmonic):
         x = 1.0 / e
     elif isinstance(s, PiSequence):
         t = _calls(pow, e.tolist(), bad, -s._power)
@@ -1554,16 +1554,6 @@ def _seq_values(s: SequenceRule, js: np.ndarray,
         vn, nbad = _seq_next(s.of, js, v, jbad)
         jbad |= nbad
         return 0.5 * (v + vn)
-    if isinstance(s, HarmonicMidpoints):
-        # int true division, exact below 2j(j+1) < 2**53 (j < 2**26),
-        # where numpy divides the same two floats
-        out = (2 * js + 1) / (2 * js * (js + 1))
-        big = np.flatnonzero(js >= 2 ** 26)
-        if len(big):
-            bbad = np.zeros(len(big), bool)
-            out[big] = _calls(s.value, js[big].tolist(), bbad, strict=True)
-            jbad[big] |= bbad
-        return out
     return _calls(s.value, js.tolist(), jbad, strict=True)
 
 

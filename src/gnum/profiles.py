@@ -1,6 +1,6 @@
 """Compositional asymptotic analysis of net expression trees.
 
-Two cooperating layers:
+Three cooperating layers:
 
 * an exact normal form (``scales.RatForm``) over monomials
   exp(-k/eps) * eps**q * atoms, with min/max/abs rewritten through the

@@ -249,7 +249,7 @@ def _presimplify(net: NetExpr) -> NetExpr:
     """Remove redundant continuous-only nodes (|x| = x for nonneg x, ...)."""
     if isinstance(net, AbsNode):
         inner = _presimplify(net.x)
-        if isinstance(inner, Neg):
+        while isinstance(inner, Neg):
             inner = inner.x
         if nonneg_net(inner):
             return inner

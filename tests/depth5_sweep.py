@@ -26,6 +26,9 @@ thrash shows in the log, and the replay work of that sweep: the
 local-minimum searches of `replay_small_along` and the deep probes of
 `replay_negligible` (calls of `harness._local_min_abs` and
 `GridSpec.deep`, counted by wrapping them here; no count is a gate).
+Then it counts the valuations of the depth-5 nets by kind (+inf, -inf,
+finite, None) and exits 1 where one breaches the deciders
+(`test_asymptotics.valuation_breach`).
 """
 
 import sys
@@ -35,10 +38,11 @@ from collections import Counter
 
 from gnum import harness, nets
 from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
-                              leq)
+                              leq, valuation)
 from gnum.harness import GridSpec, random_net, verify_decision
 from gnum.ideals import membership
 from gnum.nets import Tier
+from test_asymptotics import valuation_breach
 from test_ideals import membership_pairs, order_grid, order_violations
 from test_profiles import envelope_clashes
 
@@ -115,6 +119,32 @@ def _sweep(cases, known, label):
     return bool(raised or new)
 
 
+def _valuations() -> bool:
+    """The valuation of every depth-5 net, counted by kind; True when an
+    exception escapes or a valuation breaches the deciders' verdicts."""
+    t0 = time.time()
+    kinds, breaches, raised = Counter(), [], []
+    for seed in SEEDS:
+        for tier in Tier:
+            x = random_net(seed, tier, DEPTH)
+            try:
+                v = valuation(x)
+                verdicts = is_negligible(x).value, is_moderate(x).value
+            except Exception as exc:  # every escape is reported
+                raised.append((tier, seed, repr(exc)))
+                continue
+            kinds["None" if v is None else v.kind] += 1
+            if valuation_breach(v, *verdicts):
+                breaches.append((tier, seed, v, *verdicts))
+    print(f"valuations: {kinds['plus-infinity']} +inf, "
+          f"{kinds['minus-infinity']} -inf, {kinds['finite']} finite, "
+          f"{kinds['None']} None, {len(breaches)} violations, "
+          f"{len(raised)} raised, {time.time() - t0:.1f} s")
+    for case in breaches + raised:
+        print("valuation:", *case)
+    return bool(breaches or raised)
+
+
 def _membership_pairs() -> bool:
     """Decide every membership pair; True when an exception escapes."""
     t0 = time.time()
@@ -186,6 +216,7 @@ def main() -> int:
           f"{memo.evictions} evictions")
     print(f"replay work: {work['_local_min_abs']} local-minimum searches, "
           f"{work['deep']} deep probes")
+    failed |= _valuations()
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
     failed |= _membership_pairs()
     failed |= _order_grid()

@@ -5,6 +5,7 @@ engine's answer is asserted; the oracle never shares code with the
 decision path it checks.
 """
 
+import cmath
 import math
 import pickle
 from fractions import Fraction as F
@@ -544,6 +545,78 @@ def test_valuation_additive_on_power_fragment():
             vx, vy, vxy = valuation(x), valuation(y), valuation(mul(x, y))
             if vx and vy and vxy and vx.kind == vy.kind == "finite":
                 assert vxy.v == vx.v + vy.v
+
+
+def _lead_scale_valuation(x):
+    """The lead-scale walk that `valuation` ran before it read the
+    deciders' envelopes, copied verbatim but for its names: every value
+    it decides, `valuation` must decide the same."""
+    net = nets._net(x)
+    r = rat(net).simplify()
+    if r.num.is_zero():
+        return asym.PLUS_INF
+
+    def lead_scale(p):
+        groups = p.grouped_by_scale()
+        (k, q), lead = groups[0]
+        if len(lead) != 1 or lead[0][0] or not cmath.isfinite(lead[0][1]):
+            return None
+        for (k2, q2), terms in groups[1:]:
+            for atoms, c2 in terms:
+                e = profiles._term_upper((k2, q2, atoms), c2)
+                if e is None or e.kind == SUPERGROW:
+                    return None
+                if e.kind == profiles.POW and (k > 0 or e.q <= q):
+                    return None
+        return (F(k), F(q))
+
+    num_ld = lead_scale(r.num)
+    den_ld = (F(0), F(0)) if r.is_poly() else lead_scale(r.den)
+    if num_ld is None or den_ld is None:
+        return None
+    k_eff = num_ld[0] - den_ld[0]
+    q_eff = num_ld[1] - den_ld[1]
+    if k_eff > 0:
+        return asym.PLUS_INF
+    if k_eff < 0:
+        return asym.MINUS_INF
+    return asym.Valuation("finite", q_eff)
+
+
+def valuation_breach(v, negligible, moderate) -> bool:
+    """Does the valuation v contradict the deciders' verdicts?  It is
+    +inf exactly where the net is negligible, -inf only where it is not
+    moderate, finite only where it is moderate and not negligible."""
+    if (v == asym.PLUS_INF) != (negligible is True):
+        return True
+    if v is None or v == asym.PLUS_INF:
+        return False
+    if v == asym.MINUS_INF:
+        return moderate is not False
+    return not (moderate is True and negligible is False)
+
+
+def test_valuation_agrees_with_the_lead_scale_walk_and_the_deciders():
+    decided = 0
+    for seed in range(40):
+        for tier in Tier:
+            for depth in (3, 4, 5):
+                x = random_net(seed, tier, depth)
+                v, ref = valuation(x), _lead_scale_valuation(x)
+                assert ref is None or v == ref, (seed, tier, depth, ref, v)
+                assert not valuation_breach(v, is_negligible(x).value,
+                                            is_moderate(x).value), (x, v)
+                decided += v is not None
+    assert decided > 0
+
+
+@pytest.mark.parametrize("x", (const(math.inf), const(math.nan),
+                               mul(EPS, const(math.inf))),
+                         ids=("inf", "nan", "eps*inf"))
+def test_valuation_of_a_non_finite_net_is_none(x):
+    # the envelopes of these read Valuation(0), Valuation(0) and
+    # Valuation(1); the deciders answer Unknown "non-finite", as must this
+    assert valuation(x) is None
 
 
 # -- cross-cutting invariants -------------------------------------------------

@@ -384,7 +384,8 @@ def test_bump_trains_over_every_schedule():
 
 
 def test_harmonic_midpoints_past_two_to_the_26():
-    # numpy divides the two ints as floats only below 2j(j+1) = 2**53
+    # int true division is exact at every j; numpy dividing the two ints
+    # as floats would be exact only below 2j(j+1) = 2**53
     s = HarmonicMidpoints()
     js = np.unique(np.concatenate((
         np.arange(2 ** 26 - 5, 2 ** 26 + 5),

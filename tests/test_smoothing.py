@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from gnum.asymptotics import gn_equal, is_strictly_nonzero, leq
+from gnum.dsl import print_net
 from gnum.errors import PreconditionError, TierError
 from gnum.harness import GridSpec, random_net
 from gnum.lattice import abs_factor
@@ -17,8 +18,8 @@ from gnum.nets import (EPS, AbsNode, ConstHeights, GelfandFactor, MaxNode,
                        rootn, sin_recip, spikes, sub)
 from gnum.profiles import abs_range, enclose
 from gnum.sequences import Harmonic
-from gnum.smoothing import (_band_of, _band_plan, band_modulus,
-                            refute_continuous_representative,
+from gnum.smoothing import (_band_of, _band_plan, _presimplify,
+                            band_modulus, refute_continuous_representative,
                             smooth_approximate)
 
 GRID = GridSpec(n_points=1000, eps_min=1e-6)
@@ -47,6 +48,21 @@ def test_abs_of_nonneg_simplifies_to_smooth():
     rep = smooth_approximate(gnumber(absn(neg(EPS))))
     assert rep.shortcut
     assert rep.output.net == EPS
+
+
+def test_presimplify_strips_every_sign_under_abs():
+    x = absn(neg(neg(sin_recip(1))))
+    assert print_net(_presimplify(x)) == "abs(sin(1/eps))"
+
+
+def test_presimplify_is_idempotent_on_continuous_nets():
+    # lattice.gabs returns one pass, smooth_approximate blends a second
+    for seed in range(60):
+        for depth in (3, 4, 5):
+            net = random_net(seed, Tier.Continuous, depth)
+            for x in (net, absn(neg(neg(net)))):
+                once = _presimplify(x)
+                assert _presimplify(once) == once, (seed, depth, x)
 
 
 def test_smooth_abs_sin_envelope():
