@@ -235,25 +235,27 @@ def _calibrate_lower(net: NetExpr, m: int) -> float:
 _UP_RANK = {ZERO_K: 0, SUPERPOW: 1, POW: 2}
 
 
-def _uppers(net: NetExpr):
+def _uppers(net: NetExpr) -> tuple:
     """Upper envelopes from both analyses: zero, superpow, then power
     envelopes by ascending exponent (the weakest first), then any other.
     A decider reads the first power envelope, so this order sets the N
-    of its witness."""
-    out = [e for e in (rat_upper(rat(net)), info(net).upper) if e is not None]
-    out.sort(key=lambda e: (_UP_RANK.get(e.kind, 3),
-                            e.q if e.kind == POW else 0))
-    return out
+    of its witness.  Kept on the net: every decider and ``valuation``
+    reads them."""
+    return nets.stored(net, "_uppers", lambda n: tuple(sorted(
+        (e for e in (rat_upper(rat(n)), info(n).upper) if e is not None),
+        key=lambda e: (_UP_RANK.get(e.kind, 3),
+                       e.q if e.kind == POW else 0))))
 
 
-def _lowers(net: NetExpr):
+def _lowers(net: NetExpr) -> tuple:
     """Lower envelopes from both analyses: supergrow, then power
     envelopes by descending exponent (the weakest first).  A decider
-    reads the first, so this order sets the m of its witness."""
-    out = [e for e in (rat_lower(rat(net)), info(net).lower) if e is not None]
-    out.sort(key=lambda e: (0 if e.kind == SUPERGROW else 1,
-                            -e.q if e.kind == POW else 0))
-    return out
+    reads the first, so this order sets the m of its witness.  Kept on
+    the net, as ``_uppers`` is."""
+    return nets.stored(net, "_lowers", lambda n: tuple(sorted(
+        (e for e in (rat_lower(rat(n)), info(n).lower) if e is not None),
+        key=lambda e: (0 if e.kind == SUPERGROW else 1,
+                       -e.q if e.kind == POW else 0))))
 
 
 def _lower_along(net: NetExpr, kinds=(POW, SUPERGROW)):
@@ -369,7 +371,7 @@ def gn_equal(x, y) -> DecisionTri:
 
 def valuation(x) -> Optional[Valuation]:
     """Sharp exponent read from the deciders' envelopes: +inf where an
-    upper envelope is negligible (or the normal form is exactly 0), -inf
+    upper envelope is negligible (the zero normal form among them), -inf
     where a lower one grows faster than every power, q where the
     strongest power envelopes meet at eps**q; None otherwise, and for a
     net that is not finite."""
@@ -377,8 +379,7 @@ def valuation(x) -> Optional[Valuation]:
     if not net._facts.finite:
         return None
     ups = _uppers(net)
-    if rat(net).simplify().num.is_zero() or \
-            ups and ups[0].kind in (ZERO_K, SUPERPOW):
+    if ups and ups[0].kind in (ZERO_K, SUPERPOW):
         return PLUS_INF
     los = _lowers(net)
     if los and los[0].kind == SUPERGROW:

@@ -101,6 +101,19 @@ def _abs_points(net: NetExpr, pts) -> np.ndarray:
     return np.abs(eval_points(net, pts, fill=math.nan)).astype(float)
 
 
+def _abs_on(net: NetExpr, grid: GridSpec) -> np.ndarray:
+    """``_abs_points`` on the grid's points, kept on the net as a
+    read-only array per grid (grids of equal fields share it): the
+    replays and the regression of one net read the same values."""
+    values = nets.stored(net, "_grid_abs", lambda n: {})
+    v = values.get(grid)
+    if v is None:
+        v = _abs_points(net, grid.points())
+        v.flags.writeable = False
+        values[grid] = v
+    return v
+
+
 def _raise_first_error(a: NetExpr, b: NetExpr, pts, va, vb) -> None:
     """Re-raise, in the order of the scalar loop over pts (a, then b, at
     each point), the first evaluation error hidden behind a nan fill."""
@@ -187,9 +200,8 @@ def replay_negligible(x, m_max: int = 12,
     with C fitted on the head; an excess is probed twelve decades below
     the grid floor (``GridSpec.deep``) for a hump that turns over."""
     net = nets._net(x)
-    pts = grid.points()
     return _fitted_bound(
-        f"negligible(m<={m_max})", pts, _abs_points(net, pts),
+        f"negligible(m<={m_max})", grid.points(), _abs_on(net, grid),
         range(m_max + 1),
         deep=lambda: (ext := grid.deep(), _abs_points(net, ext)))
 
@@ -237,9 +249,8 @@ def replay_negligible_diff(a, b, m_max: int = 12,
 
 def replay_moderate(x, n_exp: int, grid: GridSpec = DEFAULT_GRID) -> ReplayReport:
     """Check |x| <= C * eps**-N with C fitted on the head."""
-    net = nets._net(x)
-    pts = grid.points()
-    return _fitted_bound("moderate", pts, _abs_points(net, pts), -n_exp)
+    return _fitted_bound("moderate", grid.points(),
+                         _abs_on(nets._net(x), grid), -n_exp)
 
 
 def replay_lower_eventual(x, m: int, eps0: float,
@@ -251,7 +262,8 @@ def replay_lower_eventual(x, m: int, eps0: float,
         scan, sel = Scan(lambda: [eps0 * 0.5 ** k for k in range(1, 12)
                                   if eps0 * 0.5 ** k > 1e-9]), slice(None)
     pts, need = scan.points()[sel], scan.powers(m)[sel] * (1 - 1e-9)
-    v = _abs_points(net, scan.points())[sel]
+    v = (_abs_on(net, grid) if scan is grid
+         else _abs_points(net, scan.points()))[sel]
     short = np.where(v < need, need - v, 0.0)
     if len(pts) and short.max() > 0.0:
         return ReplayReport(f"|x|>=eps^{m} below {eps0:g}", False,
@@ -453,7 +465,7 @@ def verify_decision(claim: str, tri: DecisionTri, x, y=None,
 def estimate_valuation(x, grid: GridSpec = DEFAULT_GRID) -> Tuple[float, float]:
     """Least-squares slope of log|x| vs log eps (with standard error)
     over grid points where the value is finite and nonzero."""
-    v = _abs_points(nets._net(x), grid.points())
+    v = _abs_on(nets._net(x), grid)
     keep = (0.0 < v) & (v < math.inf)
     if keep.sum() < 8:
         return (math.nan, math.inf)

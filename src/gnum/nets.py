@@ -280,7 +280,10 @@ class NetExpr(Record):
     leaves out (closures do not pickle), and the values ``stored`` makes
     for it at their first use: its exact key as a grid atom (``_key``),
     its sort key as a polynomial atom (``_repr``), an oscillator's
-    sequences (``_osc``) and a blend's band plans (``_plans``).
+    sequences (``_osc``), a blend's band plans (``_plans``), its upper and
+    lower envelopes (``_uppers``, ``_lowers``) and its absolute values on
+    each replay grid (``_grid_abs``), read-only arrays that a pickle or
+    copy leaves out too.
     """
 
     __slots__ = ()
@@ -305,7 +308,8 @@ class NetExpr(Record):
         return self._hash
 
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_fn"}
+        return {k: v for k, v in vars(self).items()
+                if k not in ("_fn", "_grid_abs")}
 
 
 def stored(node: NetExpr, name: str, make):

@@ -521,9 +521,10 @@ def _info_bump(net: BumpTrain) -> Info:
 # --------------------------------------------------------------------------
 
 def _pythagoras(p: Poly) -> Poly:
-    """sin(1/eps^p)^2 + cos(1/eps^p)^2 -> 1 inside the normal form."""
+    """sin(1/eps^p)^2 + cos(1/eps^p)^2 -> 1 inside the normal form; p
+    itself when no pair is rewritten."""
     terms = dict(p.terms)
-    changed = True
+    changed, rewritten = True, False
     while changed:
         changed = False
         for mono, c in list(terms.items()):
@@ -552,18 +553,23 @@ def _pythagoras(p: Poly) -> Poly:
                 terms[reduced] = terms.get(reduced, 0.0) + common
                 if terms[reduced] == 0.0:
                     del terms[reduced]
-                changed = True
+                changed = rewritten = True
                 break
             if changed:
                 break
-    return Poly(terms)
+    return Poly(terms) if rewritten else p
 
 
 @lru_cache(maxsize=None)
 def rat(net: NetExpr) -> RatForm:
-    """Exact normal form; non-fragment subtrees become atoms."""
+    """Exact normal form; non-fragment subtrees become atoms.  A rewritten
+    sin^2 + cos^2 pair can cancel a numerator, so the form is simplified
+    again after one."""
     r = _rat(net)
-    return RatForm(_pythagoras(r.num), _pythagoras(r.den))
+    num, den = _pythagoras(r.num), _pythagoras(r.den)
+    if num is r.num and den is r.den:
+        return r
+    return RatForm(num, den).simplify()
 
 
 def _rat(net: NetExpr) -> RatForm:

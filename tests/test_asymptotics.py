@@ -619,6 +619,73 @@ def test_valuation_of_a_non_finite_net_is_none(x):
     assert valuation(x) is None
 
 
+def test_a_numerator_that_cancels_by_pythagoras_is_the_zero_class():
+    # sin^2*i + (cos^2*i - i) cancels only once sin^2 + cos^2 -> 1 is
+    # rewritten; the normal form is then simplified again, so its
+    # denominator (no lower envelope of its own) goes with it
+    i = inv(add(absn(sin_recip(2)), EPS))
+    x = add(mul(powq(sin_recip(1), 2), i),
+            sub(mul(powq(cos_recip(1), 2), i), i))
+    assert rat(x).is_poly() and rat(x).num.is_zero()
+    assert is_negligible(x).is_true
+    assert is_strictly_nonzero(x).is_false
+    assert valuation(x) == asym.PLUS_INF
+
+
+# -- envelopes kept on the net -----------------------------------------------
+
+QUESTIONS = (is_moderate, is_negligible, is_strictly_nonzero, valuation)
+
+
+def test_each_net_reads_its_envelopes_once(monkeypatch):
+    calls = []
+    for name in ("rat_upper", "rat_lower"):
+        def counted(r, _f=getattr(asym, name), _name=name):
+            calls.append(_name)
+            return _f(r)
+        monkeypatch.setattr(asym, name, counted)
+    # nets built here: none has envelopes kept from an earlier test
+    for x in (add(powq(EPS, 2), mul(const(3.0), powq(EPS, 3))),
+              add(sin_recip(1), powq(EPS, -1)), mul(EPS, ExpNegRecip()),
+              sub(sin_recip(1), sin_recip(1))):
+        calls.clear()
+        for ask in QUESTIONS * 2:
+            ask(x)
+        assert sorted(calls) == ["rat_lower", "rat_upper"], (x, calls)
+
+
+def _answers(x):
+    """The four answers on x, each a verdict with its witness data or a
+    valuation, as reprs; an analysis that raises gives its error."""
+    out = []
+    for ask in QUESTIONS:
+        try:
+            t = ask(x)
+        except Exception as exc:
+            out.append(("raises", type(exc).__name__))
+            continue
+        out.append(repr(t) if ask is valuation else
+                   (repr(t), t.witness and repr(t.witness.data)))
+    return out
+
+
+def test_kept_envelopes_answer_as_a_fresh_copy_does():
+    decided = 0
+    for seed in range(40):
+        for tier in Tier:
+            for depth in (3, 4, 5):
+                x = random_net(seed, tier, depth)
+                first = _answers(x)
+                assert _answers(x) == first
+                # a structurally equal net of its own keeps nothing yet
+                # (but a shared leaf such as EPS is the same node)
+                twin = random_net(seed, tier, depth)
+                assert twin is x or "_uppers" not in vars(twin)
+                assert _answers(twin) == first, (seed, tier, depth)
+                decided += first[-1] != "None"
+    assert decided > 0
+
+
 # -- cross-cutting invariants -------------------------------------------------
 
 def test_well_definedness_mod_negligibility():

@@ -1,6 +1,8 @@
 """The numeric oracle itself: replay primitives, regression, random nets."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 from itertools import repeat
 from operator import truediv
@@ -10,8 +12,8 @@ import pytest
 
 from gnum import asymptotics as asym
 from gnum import harness
-from gnum.asymptotics import (Scan, _find_violation_on_seq, is_negligible,
-                              is_strictly_nonzero)
+from gnum.asymptotics import (Scan, _find_violation_on_seq, is_moderate,
+                              is_negligible, is_strictly_nonzero)
 from gnum.constructions import CharsetPoints
 from gnum.dsl import print_net
 from gnum.errors import DomainError, SearchExhausted
@@ -21,7 +23,7 @@ from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
                           replay_negligible, replay_negligible_diff,
                           replay_order_violation,
                           replay_small_along, verify_decision)
-from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, const,
+from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, add, const,
                        eval_net, eval_points, inv, iter_nodes, minimal_tier,
                        mul, neg, powq, sin_recip, sub)
 from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
@@ -393,6 +395,64 @@ def test_stored_arrays_are_read_only():
     # a grid's equality and hash read only its fields, not what it stores
     assert grid == GridSpec(n_points=40, eps_min=1e-4)
     assert hash(grid) == hash(GridSpec(n_points=40, eps_min=1e-4))
+
+
+def _replays(x):
+    """Reprs of the three deciders' replays and of the regression on x."""
+    return [repr(verify_decision(claim, decide(x), x))
+            for claim, decide in (("moderate", is_moderate),
+                                  ("negligible", is_negligible),
+                                  ("strictly-nonzero", is_strictly_nonzero))
+            ] + [repr(estimate_valuation(x))]
+
+
+def test_each_net_keeps_its_values_on_the_default_grid():
+    pts = DEFAULT_GRID.points()
+    for seed in range(40):
+        for tier in Tier:
+            for depth in (3, 4, 5):
+                x = random_net(seed, tier, depth)
+                first = _replays(x)
+                assert _replays(x) == first, (seed, tier, depth)
+                # kept per grid, and a grid is equal to one of its fields
+                v = vars(x)["_grid_abs"][GridSpec()]
+                assert not v.flags.writeable
+                want = np.abs(eval_points(x, pts, fill=math.nan)) \
+                    .astype(float)
+                nan = np.isnan(want)
+                assert (np.isnan(v) == nan).all(), (seed, tier, depth)
+                assert _same_bits(v[~nan], want[~nan]), (seed, tier, depth)
+
+
+def test_a_replay_below_the_grid_keeps_no_values():
+    x = add(powq(EPS, 2), const(1e-3))
+    # fewer than 3 grid points below eps0: the replay's own points
+    assert replay_lower_eventual(x, 1, 1e-7)
+    assert "_grid_abs" not in vars(x)
+    assert replay_lower_eventual(x, 1, 1e-3)
+    assert list(vars(x)["_grid_abs"]) == [DEFAULT_GRID]
+
+
+def test_a_pickle_or_copy_of_a_net_leaves_its_grid_values_out():
+    x = add(EPS, const(2.0))
+    want = estimate_valuation(x)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                 copy.deepcopy(x)):
+        assert twin == x and "_grid_abs" not in vars(twin)
+        # the twin makes its own, read-only again
+        assert estimate_valuation(twin) == want
+        assert not vars(twin)["_grid_abs"][DEFAULT_GRID].flags.writeable
+
+
+def test_an_analysis_that_raises_keeps_nothing():
+    # a left-nested chain past the recursion limit of the normal form
+    chain = random_net(0, Tier.Smooth, 1)
+    for s in range(1, 340):
+        chain = add(chain, random_net(s, Tier.Smooth, 1))
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            is_negligible(chain)
+        assert "_uppers" not in vars(chain) and "_lowers" not in vars(chain)
 
 
 def _reference_calibrate_lower(net, m):

@@ -217,6 +217,34 @@ def test_every_module_level_cache_is_listed_with_its_bound():
     assert tables == TABLES
 
 
+# Every value ``nets.stored`` keeps on a node, by its attribute name, with
+# the module that stores it and what it holds.  Such a value lives as long
+# as its node, a shared node (EPS, ONE, ZERO) for the whole process, so a
+# new per-node store is a reviewed decision here, as a new cache is above.
+STORED = {
+    "_key": ("nets.py", "a node's exact key as a grid atom"),
+    "_repr": ("scales.py", "a node's sort key as a polynomial atom"),
+    "_osc": ("profiles.py", "an oscillator's zero, +1 and -1 sequences"),
+    "_plans": ("smoothing.py", "a blend's band plans"),
+    "_uppers": ("asymptotics.py", "the sorted upper envelopes"),
+    "_lowers": ("asymptotics.py", "the sorted lower envelopes"),
+    "_grid_abs": ("harness.py", "|net| on each replay grid, read-only"),
+}
+
+
+def test_every_value_stored_on_a_node_is_listed():
+    found = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "stored" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                name = node.args[1]
+                assert isinstance(name, ast.Constant), (module, node.lineno)
+                found.setdefault(name.value, set()).add(module)
+    assert found == {name: {module} for name, (module, _) in STORED.items()}
+
+
 # A polynomial keeps the order its terms sort in (scales.Poly.sorted_terms),
 # which holds only while its ``terms`` dict is never changed after
 # construction.  Nothing may assign, delete or update an item of a
