@@ -132,6 +132,9 @@ class Scan:
         return Scan(lambda: lo * np.fromiter(map(pow, repeat(hi / lo), map(
             truediv, range(n), repeat(n - 1))), float, n))
 
+    def __getstate__(self):         # a twin rebuilds its arrays read-only
+        return {k: v for k, v in vars(self).items() if k != "_arrays"}
+
     def _stored(self, key, make) -> np.ndarray:
         store = self.__dict__.setdefault("_arrays", {})
         if key not in store:
@@ -163,6 +166,25 @@ def _last_passing(pts: np.ndarray, ok: np.ndarray) -> float:
     holds; 1e-6 when it fails at the first point."""
     k = len(pts) if ok.all() else int(np.argmin(ok))
     return float(pts[k - 1]) if k else 1e-6
+
+
+def _abs_points(net: NetExpr, pts, fill: float = math.inf) -> np.ndarray:
+    """|net| at each point as float64, ``fill`` where the evaluator raises
+    (a domain guard, or an underflow/overflow collision in a product)."""
+    return np.abs(eval_points(net, pts, fill=fill)).astype(float)
+
+
+def _abs_on(net: NetExpr, scan: Scan) -> np.ndarray:
+    """``_abs_points`` on the scan's points, kept on the net as a read-only
+    array per scan (grids of equal fields share it).  Only fixed scans and
+    replay grids come here: a scan of a call's own would never be read."""
+    values = nets.stored(net, "_grid_abs", lambda n: {})
+    v = values.get(scan)
+    if v is None:
+        v = _abs_points(net, scan.points())
+        v.flags.writeable = False
+        values[scan] = v
+    return v
 
 
 def _real_values(net: NetExpr, pts) -> np.ndarray:
@@ -216,16 +238,18 @@ def _calibrate_lower(net: NetExpr, m: int) -> float:
 
     A dense second pass guards against narrow cancellation windows
     (e.g. a train edge crossing a power term) slipping between the
-    coarse scan points."""
-    def last_passing(scan):
-        v = np.abs(eval_points(net, scan.points(), fill=math.inf))
-        return _last_passing(scan.points(), v.astype(float) >= scan.powers(m))
+    coarse scan points.  The values on the two fixed scans are kept on
+    the net (``_abs_on``); a dense scan below 0.6 is the net's own."""
+    def last_passing(scan, v):
+        return _last_passing(scan.points(), v >= scan.powers(m))
 
-    good = last_passing(_LOWER_SCAN)
+    good = last_passing(_LOWER_SCAN, _abs_on(net, _LOWER_SCAN))
     if good == 1e-6:    # the scan's first point: a dense pass gives it too
         return good
-    return last_passing(_LOWER_DENSE if good == 0.6
-                        else Scan.log(1e-6, good, 1400))
+    if good == 0.6:
+        return last_passing(_LOWER_DENSE, _abs_on(net, _LOWER_DENSE))
+    dense = Scan.log(1e-6, good, 1400)
+    return last_passing(dense, _abs_points(net, dense.points()))
 
 
 # --------------------------------------------------------------------------

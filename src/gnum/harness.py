@@ -30,7 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import nets
-from .asymptotics import DecisionTri, Scan, _first_violation, _real_values
+from .asymptotics import (DecisionTri, Scan, _abs_on, _abs_points,
+                          _first_violation, _real_values)
 from .errors import DomainError, SearchExhausted
 from .nets import NetExpr, Tier, eval_net, eval_points, unfill
 from .records import Record
@@ -94,24 +95,6 @@ def _abs_at(net: NetExpr, e: float) -> float:
         return abs(eval_net(net, e))
     except Exception:
         return math.nan
-
-
-def _abs_points(net: NetExpr, pts) -> np.ndarray:
-    """``_abs_at`` at each point, as float64."""
-    return np.abs(eval_points(net, pts, fill=math.nan)).astype(float)
-
-
-def _abs_on(net: NetExpr, grid: GridSpec) -> np.ndarray:
-    """``_abs_points`` on the grid's points, kept on the net as a
-    read-only array per grid (grids of equal fields share it): the
-    replays and the regression of one net read the same values."""
-    values = nets.stored(net, "_grid_abs", lambda n: {})
-    v = values.get(grid)
-    if v is None:
-        v = _abs_points(net, grid.points())
-        v.flags.writeable = False
-        values[grid] = v
-    return v
 
 
 def _raise_first_error(a: NetExpr, b: NetExpr, pts, va, vb) -> None:
@@ -285,7 +268,8 @@ def replay_growth_along(x, seq: SequenceRule, m_star: int) -> ReplayReport:
             pts += seq.values(j + 63, j)
             if j > len(pts):
                 break
-            vals += _abs_points(net, pts[j - 1:]).tolist()
+            # nan where it raises: an inf below means "overflows"
+            vals += _abs_points(net, pts[j - 1:], math.nan).tolist()
         e, v = pts[j - 1], vals[j - 1]
         if e <= 0:
             break

@@ -281,9 +281,11 @@ class NetExpr(Record):
     for it at their first use: its exact key as a grid atom (``_key``),
     its sort key as a polynomial atom (``_repr``), an oscillator's
     sequences (``_osc``), a blend's band plans (``_plans``), its upper and
-    lower envelopes (``_uppers``, ``_lowers``) and its absolute values on
-    each replay grid (``_grid_abs``), read-only arrays that a pickle or
-    copy leaves out too.
+    lower envelopes (``_uppers``, ``_lowers``), its absolute values on
+    each replay grid and fixed lower scan (``_grid_abs``), its candidate
+    sequences (``_seqs``) and its substitutions along them (``_along``).
+    A pickle or copy leaves out too every store that can hold a net or an
+    array (``_NOT_PICKLED``): a substitution can hold the node itself.
     """
 
     __slots__ = ()
@@ -309,7 +311,11 @@ class NetExpr(Record):
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items()
-                if k not in ("_fn", "_grid_abs")}
+                if k not in _NOT_PICKLED}
+
+
+# the closure of eval_net and the stores that can hold a net or an array
+_NOT_PICKLED = ("_fn", "_plans", "_grid_abs", "_along")
 
 
 def stored(node: NetExpr, name: str, make):
@@ -1242,14 +1248,14 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def _vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
-         g: Optional[bytes]) -> np.ndarray:
+         g: bytes) -> np.ndarray:
     """``net`` at the points ``e`` as float64, by its type's rule in
     ``_VEC_RULES``.  Flags in ``bad`` the points whose value must come
-    from eval_net; their entries are arbitrary.  Under the grid's bytes
-    ``g`` an atom's vector is read from the memo (read-only); with ``g``
-    None it is computed."""
-    if g is not None and (isinstance(net, _ATOM_TYPES) or (
-            isinstance(net, PowQ) and isinstance(net.base, Eps))):
+    from eval_net; their entries are arbitrary.  An atom's vector, or a
+    power's of an atom or of eps, is read from the memo (read-only) under
+    the grid's bytes ``g``."""
+    if isinstance(net, _ATOM_TYPES) or (
+            isinstance(net, PowQ) and isinstance(net.base, _ATOM_BASES)):
         return _atom_vec(net, e, bad, g)
     return _VEC_RULES[type(net)](net, e, bad, g)
 
@@ -1568,6 +1574,8 @@ def _seq_values(s: SequenceRule, js: np.ndarray,
 # An atom depends on eps alone and costs a libm or Python call per point;
 # the same few recur in every net on the same few grids.
 _ATOM_TYPES = (SinRecipPow, CosRecipPow, ExpNegRecip, BumpTrain, Indicator)
+# a power of one of these is an atom too
+_ATOM_BASES = (Eps, *_ATOM_TYPES)
 ATOM_MEMO_BYTES = 1024 * 1024
 
 
@@ -1589,6 +1597,8 @@ def _exact(x):
 
 
 def _exact_atom(net: NetExpr):
+    if isinstance(net, PowQ):
+        return PowQ, _exact_atom(net.base), _exact(net.q)
     # a bump train's certificate is construction data, not evaluated
     return _exact(net) if not isinstance(net, BumpTrain) else (
         BumpTrain, *map(_exact, (net.schedule, net.widths, net.heights)))
@@ -1653,14 +1663,16 @@ _ATOMS = _AtomMemo()
 
 def _atom_vec(net: NetExpr, e: np.ndarray, bad: np.ndarray,
               g: bytes) -> np.ndarray:
-    """The atom's vector from the memo, its flags added to ``bad``.  An atom
-    rule only sets flags, never reads them, so its own mask computed from
-    none is what it would add to any ``bad``."""
+    """The atom's vector from the memo, its flags added to ``bad``.  A
+    missing entry is built by the type's rule under ``g``: a power reads
+    its base's entry and its mask carries the base's flags.  A rule reads
+    flags only to choose entries of flagged points, which are arbitrary,
+    so its own mask computed from none is what it would add to any ``bad``."""
     key = stored(net, "_key", _exact_atom)
     hit = _ATOMS.get(g, key)
     if hit is None:
         own = np.zeros(len(e), bool)
-        v = _vec(net, e, own, None)
+        v = _VEC_RULES[type(net)](net, e, own, g)
         v.flags.writeable = False
         hit = v, (own if own.any() else None)
         _ATOMS.put(g, key, hit)

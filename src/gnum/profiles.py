@@ -1059,7 +1059,12 @@ def substitute_along(net: NetExpr, seq: SequenceRule
 def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
     """Sequences worth probing for along-sequence decisions: those of
     every node in pre-order (a blend's source read as its child), then
-    the fallbacks, at most 16."""
+    the fallbacks, at most 16.  Kept on the net (``_seqs``); the list is
+    the caller's to change."""
+    return list(nets.stored(net, "_seqs", _candidates))
+
+
+def _candidates(net: NetExpr) -> Tuple[SequenceRule, ...]:
     seqs = {}   # a dict keeps the rules in first-pushed order, each once
     push = seqs.setdefault
     stack = [net]
@@ -1079,12 +1084,25 @@ def candidate_sequences(net: NetExpr) -> List[SequenceRule]:
         stack += reversed(nets.functional_children(node))
     push(Harmonic())
     push(Geometric(F(1, 2)))
-    return list(seqs)[:16]
+    return tuple(seqs)[:16]
+
+
+def _substituted(net: NetExpr, seq: SequenceRule
+                 ) -> Optional[Tuple[NetExpr, bool]]:
+    """``substitute_along(net, seq)``, kept on the net (``_along``) when seq
+    is one of its candidate sequences: at most 16 per net, however many
+    other sequences callers ask about a shared node such as EPS."""
+    if seq not in nets.stored(net, "_seqs", _candidates):
+        return substitute_along(net, seq)
+    kept = nets.stored(net, "_along", lambda n: {})
+    if seq not in kept:
+        kept[seq] = substitute_along(net, seq)
+    return kept[seq]
 
 
 def along_lower(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
     """Certified lower bound for |net| along seq's points."""
-    out = substitute_along(net, seq)
+    out = _substituted(net, seq)
     if out is None:
         return None
     sub, exact = out
@@ -1095,7 +1113,7 @@ def along_lower(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
 
 def along_small(net: NetExpr, seq: SequenceRule) -> Optional[Env]:
     """Certified smallness (below every power) of |net| along seq."""
-    out = substitute_along(net, seq)
+    out = _substituted(net, seq)
     if out is None:
         return None
     sub, exact = out

@@ -25,7 +25,10 @@ misses and evictions (`nets._ATOMS`), so that a memo that starts to
 thrash shows in the log, and the replay work of that sweep: the
 local-minimum searches of `replay_small_along` and the deep probes of
 `replay_negligible` (calls of `harness._local_min_abs` and
-`GridSpec.deep`, counted by wrapping them here; no count is a gate).
+`GridSpec.deep`, counted by wrapping them here; no count is a gate),
+and its per-net work: the scan evaluations of the threshold calibrations
+(`eval_points` calls inside `asymptotics._calibrate_lower`) and the
+outermost calls of `profiles.substitute_along`.
 Then it counts the valuations of the depth-5 nets by kind (+inf, -inf,
 finite, None) and exits 1 where one breaches the deciders
 (`test_asymptotics.valuation_breach`).
@@ -36,7 +39,7 @@ import time
 import warnings
 from collections import Counter
 
-from gnum import harness, nets
+from gnum import asymptotics, harness, nets, profiles
 from gnum.asymptotics import (is_moderate, is_negligible, is_strictly_nonzero,
                               leq, valuation)
 from gnum.harness import GridSpec, random_net, verify_decision
@@ -191,14 +194,19 @@ def _envelopes() -> bool:
     return bool(clashes)
 
 
-def _counted(owner, name, counts):
-    """Wrap ``owner.name`` to count its calls in ``counts[name]``; return
-    the original."""
+def _counted(owner, name, counts, when=lambda: True):
+    """Wrap ``owner.name`` to count in ``counts[name]`` its calls made
+    while ``when()`` holds, and in ``counts["in " + name]`` those under
+    way; return the original."""
     original = getattr(owner, name)
 
-    def counted(*args):
-        counts[name] += 1
-        return original(*args)
+    def counted(*args, **kwargs):
+        counts[name] += when()
+        counts["in " + name] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            counts["in " + name] -= 1
 
     setattr(owner, name, counted)
     return original
@@ -207,15 +215,25 @@ def _counted(owner, name, counts):
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     work = Counter()
-    search = _counted(harness, "_local_min_abs", work)
-    deep = _counted(GridSpec, "deep", work)
+    wrapped = [(owner, name, _counted(owner, name, work, *when))
+               for owner, name, *when in (
+                   (harness, "_local_min_abs"), (GridSpec, "deep"),
+                   (asymptotics, "_calibrate_lower"),
+                   (asymptotics, "eval_points",
+                    lambda: work["in _calibrate_lower"] > 0),
+                   (profiles, "substitute_along",
+                    lambda: not work["in substitute_along"]))]
     failed = _sweep(_net_cases(), KNOWN_REJECTIONS, "depth 5")
-    harness._local_min_abs, GridSpec.deep = search, deep
+    for owner, name, original in wrapped:
+        setattr(owner, name, original)
     memo = nets._ATOMS
     print(f"atom memo: {memo.hits} hits, {memo.misses} misses, "
           f"{memo.evictions} evictions")
     print(f"replay work: {work['_local_min_abs']} local-minimum searches, "
           f"{work['deep']} deep probes")
+    print(f"per-net work: {work['eval_points']} scan evaluations in "
+          f"{work['_calibrate_lower']} calibrations, "
+          f"{work['substitute_along']} substitute_along calls")
     failed |= _valuations()
     failed |= _sweep(_pair_cases(), KNOWN_PAIR_REJECTIONS, "leq pairs")
     failed |= _membership_pairs()

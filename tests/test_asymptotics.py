@@ -686,6 +686,69 @@ def test_kept_envelopes_answer_as_a_fresh_copy_does():
     assert decided > 0
 
 
+# -- substitutions kept on the net -------------------------------------------
+
+def _outermost_substitutions(monkeypatch):
+    """(net, seq) of each outermost call of profiles.substitute_along (its
+    recursion into the children is not counted)."""
+    calls, depth = [], [0]
+    substitute = profiles.substitute_along
+
+    def counted(net, seq):
+        if not depth[0]:
+            calls.append((net, seq))
+        depth[0] += 1
+        try:
+            return substitute(net, seq)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(profiles, "substitute_along", counted)
+    return calls
+
+
+def test_each_net_substitutes_each_candidate_once(monkeypatch):
+    calls = _outermost_substitutions(monkeypatch)
+    asked = 0
+    for seed in range(40):
+        for tier in Tier:
+            for depth in (3, 4, 5):
+                x = random_net(seed, tier, depth)
+                calls.clear()
+                for ask in QUESTIONS * 2:
+                    ask(x)
+                seqs = candidate_sequences(x)
+                assert all(net is x and seq in seqs for net, seq in calls)
+                assert len(calls) == len(set(seq for _, seq in calls))
+                asked += len(calls)
+    assert asked > 100
+
+
+def test_kept_substitutions_hold_only_candidate_sequences():
+    # membership and the constructions ask shared nodes (EPS, ONE) and
+    # subterms about the sequences of other nets: those are not kept
+    t1, t2 = interleaved_trains(F(1, 4))
+    nodes = [t1.net, t2.net, EPS]
+    for y, x in [(mul(t1.net, t2.net), t1.net), (const(1), t2.net),
+                 (EPS, sin_recip(1))] + [
+            (random_net(s, tier, 3), random_net(s + 7000, tier, 3))
+            for s in range(10) for tier in Tier]:
+        membership(y, x)
+        nodes += [y, x]
+    idempotent_classify(parse("1 + exp(-1/eps)")[0])
+    seen = 0
+    for node in {id(n): n for top in nodes
+                 for n in nets.iter_nodes(top)}.values():
+        kept = vars(node).get("_along", {})
+        assert set(kept) <= set(candidate_sequences(node)), node
+        seen += len(kept)
+    assert seen
+    # a copy of the candidates is the caller's: changing it keeps nothing
+    seqs = candidate_sequences(EPS)
+    seqs.insert(0, PiSequence(F(1), F(0), F(1)))
+    assert candidate_sequences(EPS) == seqs[1:]
+
+
 # -- cross-cutting invariants -------------------------------------------------
 
 def test_well_definedness_mod_negligibility():

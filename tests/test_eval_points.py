@@ -149,6 +149,58 @@ def test_the_memo_holds_at_most_its_cap():
     assert GRIDS["default"][39:].tobytes() in memo.grids
 
 
+# A power of an atom (or of eps) is an atom itself: its entry is built
+# from its base's entry, and its mask carries the base's flags.
+ATOM_POWERS = [PowQ(ExpNegRecip(), F(-1)), PowQ(ExpNegRecip(), F(2)),
+               PowQ(sin_recip(1), F(3)), PowQ(sin_recip(2), F(1, 2)),
+               PowQ(cos_recip(F(1, 2)), F(-2)),
+               PowQ(bump_train(Harmonic()), F(2)),
+               PowQ(bump_train(Geometric(F(1, 2)),
+                               heights=DecayHeights(F(1), F(0))), F(3, 2)),
+               PowQ(spikes(Harmonic()), F(-1))]
+
+
+@pytest.mark.parametrize("net", ATOM_POWERS, ids=str)
+def test_powers_of_atoms_match_the_loop_cold_and_warm(net):
+    for pts in GRIDS.values():
+        nets._ATOMS.clear()
+        assert_bit_identical(net, pts)      # cold, then warm
+        assert_bit_identical(net, pts)
+
+
+def test_a_power_of_an_atom_is_a_memo_hit_the_second_time():
+    memo, pts = nets._ATOMS, GRIDS["default"]
+    for net in ATOM_POWERS:
+        memo.clear()
+        first = eval_points(net, pts, fill=math.nan)
+        # the power and its base, each an entry of its own
+        assert (memo.hits, memo.misses) == (0, 2)
+        again = eval_points(net, pts, fill=math.nan)
+        assert (memo.hits, memo.misses) == (1, 2)
+        assert np.array_equal(first, again, equal_nan=True)
+        # a second power of the same base reads the base's entry
+        eval_points(PowQ(net.base, net.q + 1), pts, fill=math.nan)
+        assert (memo.hits, memo.misses) == (2, 3)
+
+
+def test_a_power_carries_its_base_flags_past_int64():
+    # train indices near DEEP's first points leave int64: the base flags
+    # them, and the power's own entry must flag them too, on a warm memo
+    s = PiSequence(F(1), F(0), F(2))
+    train = bump_train(s)
+    power = PowQ(train, F(2))
+    memo, g = nets._ATOMS, DEEP.tobytes()
+    memo.clear()
+    assert_bit_identical(power, DEEP)
+    atoms = memo.grids[g]
+    base_mask = atoms[nets._exact_atom(train)][1]
+    own_mask = atoms[nets._exact_atom(power)][1]
+    assert base_mask is not None and base_mask.any()
+    assert (own_mask >= base_mask).all()
+    assert_bit_identical(power, DEEP)
+    assert_bit_identical(add(power, EPS), DEEP)
+
+
 def _decide_and_replay_sweep_nets():
     # the nets of the sweep benchmark, seeds 0-15 of every tier at depths
     # 3-5, each decided three ways and each verdict replayed: 680 kB of

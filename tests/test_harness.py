@@ -13,7 +13,7 @@ import pytest
 from gnum import asymptotics as asym
 from gnum import harness
 from gnum.asymptotics import (Scan, _find_violation_on_seq, is_moderate,
-                              is_negligible, is_strictly_nonzero)
+                              is_negligible, is_strictly_nonzero, valuation)
 from gnum.constructions import CharsetPoints
 from gnum.dsl import print_net
 from gnum.errors import DomainError, SearchExhausted
@@ -23,9 +23,11 @@ from gnum.harness import (DEFAULT_GRID, GridSpec, estimate_valuation,
                           replay_negligible, replay_negligible_diff,
                           replay_order_violation,
                           replay_small_along, verify_decision)
-from gnum.nets import (EPS, ExpNegRecip, Indicator, Tier, add, const,
-                       eval_net, eval_points, inv, iter_nodes, minimal_tier,
-                       mul, neg, powq, sin_recip, sub)
+from gnum.ideals import membership
+from gnum.nets import (EPS, ONE, ZERO, ExpNegRecip, Indicator, PowQ, RootN,
+                       Tier, add, const, eval_net, eval_points, inv,
+                       iter_nodes, minimal_tier, mul, neg, powq, sin_recip,
+                       sub)
 from gnum.sequences import Geometric, Harmonic, PiSequence, SequenceRule
 
 GRID = GridSpec(n_points=400, eps_min=1e-6)
@@ -417,7 +419,7 @@ def test_each_net_keeps_its_values_on_the_default_grid():
                 # kept per grid, and a grid is equal to one of its fields
                 v = vars(x)["_grid_abs"][GridSpec()]
                 assert not v.flags.writeable
-                want = np.abs(eval_points(x, pts, fill=math.nan)) \
+                want = np.abs(eval_points(x, pts, fill=math.inf)) \
                     .astype(float)
                 nan = np.isnan(want)
                 assert (np.isnan(v) == nan).all(), (seed, tier, depth)
@@ -479,13 +481,125 @@ def test_calibrate_lower_matches_the_two_pass_rebuild():
     # first point (a dense pass over one repeated point) and midway
     cases = [(const(5e-7), 1), (const(1.01e-6), 1), (const(0.01), 1),
             (sub(const(0.2), EPS), 0), (EPS, 1), (powq(EPS, 2), 3)]
-    cases += [(random_net(seed, tier, 3), m) for seed in range(12)
-              for tier in Tier for m in (0, 1, 3)]
+    cases += [(random_net(seed, tier, depth), m) for seed in range(40)
+              for tier in Tier for depth in (3, 4, 5) for m in (0, 1, 3)]
     tops = set()
     for net, m in cases:
         want, good = _reference_calibrate_lower(net, m)
         got = asym._calibrate_lower(net, m)
         assert got == want and type(got) is float, (net, m)
+        # again, from the values kept on the net
+        assert asym._calibrate_lower(net, m) == want, (net, m)
         tops.add("none" if good is None else "dense" if good == 0.6
                  else "own")
     assert tops == {"none", "dense", "own"}
+
+
+def test_a_pickled_or_copied_grid_rebuilds_read_only_arrays():
+    grid = GridSpec(40, 1e-4)
+    pts, sq = grid.points(), grid.powers(2)
+    for twin in (pickle.loads(pickle.dumps(grid)), copy.copy(grid),
+                 copy.deepcopy(grid)):
+        assert twin == grid and "_arrays" not in vars(twin)
+        for got, want in ((twin.points(), pts), (twin.powers(2), sq)):
+            assert _same_bits(got, want) and not got.flags.writeable
+
+
+def _lower_scan_evaluations(monkeypatch):
+    """The calls of eval_points from asymptotics, by the fixed lower scan
+    they evaluate (others as "other")."""
+    calls = []
+    fixed = {id(asym._LOWER_SCAN.points()): "lower",
+             id(asym._LOWER_DENSE.points()): "lower-dense"}
+
+    def counted(net, pts, fill=None):
+        calls.append(fixed.get(id(pts), "other"))
+        return eval_points(net, pts, fill)
+
+    monkeypatch.setattr(asym, "eval_points", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: add(EPS, const(2.0)), lambda: powq(EPS, 2),
+    lambda: mul(const(3.0), EPS), lambda: random_net(6, Tier.Continuous, 3)],
+    ids=("sum", "square", "scaled", "random"))
+def test_the_deciders_evaluate_each_fixed_lower_scan_once(monkeypatch,
+                                                          make):
+    x = make()      # a net of its own: nothing kept from other tests
+    calls = _lower_scan_evaluations(monkeypatch)
+    neg, nonzero = is_negligible(x), is_strictly_nonzero(x)
+    assert neg.is_false and nonzero.is_true
+    assert neg.witness.kind == nonzero.witness.kind == "exponent-bound"
+    assert neg.witness.data[1] != nonzero.witness.data[1]   # two m's
+    assert calls.count("lower") == 1
+    assert calls.count("lower-dense") <= 1
+    keys = set(vars(x)["_grid_abs"])
+    assert asym._LOWER_SCAN in keys
+    assert keys <= {asym._LOWER_SCAN, asym._LOWER_DENSE}
+
+
+def test_an_ad_hoc_scan_is_never_a_key():
+    # 0.01 passes the coarse scan up to about 0.01: a dense scan of its
+    # own, evaluated and not kept
+    x = const(0.01)
+    assert asym._calibrate_lower(x, 1) < 0.011
+    assert list(vars(x)["_grid_abs"]) == [asym._LOWER_SCAN]
+
+
+# nets whose evaluator raises at some grid points: a root and a
+# fractional power of an oscillator, and a power of a negative net
+RAISING = [lambda: RootN(sin_recip(1), 2),
+           lambda: PowQ(sin_recip(2), F(1, 2)),
+           lambda: PowQ(sub(EPS, const(0.5)), F(3, 2))]
+
+
+def _reports(x, grid=DEFAULT_GRID):
+    """Reprs of every replay that reads |x| on a grid and of the
+    regression (a calibration always filled with inf)."""
+    return [repr(r) for r in (
+        replay_negligible(x, 12, grid), replay_moderate(x, 1, grid),
+        replay_moderate(x, 0, grid), replay_lower_eventual(x, 1, 0.3, grid),
+        replay_lower_eventual(x, 0, 1e-7, grid),
+        estimate_valuation(x, grid))]
+
+
+@pytest.mark.parametrize("make", RAISING, ids=("root", "half", "negative"))
+def test_an_inf_fill_reports_as_the_nan_fill_did(monkeypatch, make):
+    pts = DEFAULT_GRID.points()
+    assert np.isnan(eval_points(make(), pts, fill=math.nan)).any()
+    x = make()
+    got = _reports(x)
+    v = vars(x)["_grid_abs"][DEFAULT_GRID]
+    assert np.isinf(v).any() and not np.isnan(v).any()
+    # the replays as they were, on values with a nan where it raises
+    nan_filled = asym._abs_points
+    monkeypatch.setattr(asym, "_abs_points",
+                        lambda net, pts, fill=math.inf:
+                        nan_filled(net, pts, math.nan))
+    monkeypatch.setattr(harness, "_abs_points", asym._abs_points)
+    y = make()
+    assert _reports(y) == got
+    assert np.isnan(vars(y)["_grid_abs"][DEFAULT_GRID]).any()
+
+
+def test_a_pickle_or_copy_of_a_used_net_round_trips():
+    # after the four questions, their replays and membership, a node
+    # keeps substitutions that can hold itself (EPS along any sequence
+    # is EPS) and arrays: a pickle or copy leaves those stores out
+    xs = [EPS, ONE, ZERO] + [random_net(seed, tier, 3)
+                             for seed in range(20) for tier in Tier]
+    for x in xs:
+        _replays(x)
+        valuation(x)
+        membership(x, add(EPS, const(1.0)))
+        membership(EPS, x)
+    assert any("_along" in vars(x) for x in xs)
+    assert "_along" in vars(EPS) and "_grid_abs" in vars(EPS)
+    for x in xs:
+        want = _replays(x) + [repr(valuation(x))]
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                     copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x)
+            assert not {"_fn", "_grid_abs", "_along"} & set(vars(twin))
+            assert _replays(twin) + [repr(valuation(twin))] == want

@@ -218,17 +218,24 @@ def test_every_module_level_cache_is_listed_with_its_bound():
 
 
 # Every value ``nets.stored`` keeps on a node, by its attribute name, with
-# the module that stores it and what it holds.  Such a value lives as long
-# as its node, a shared node (EPS, ONE, ZERO) for the whole process, so a
-# new per-node store is a reviewed decision here, as a new cache is above.
+# the module that stores it, what it holds and whether that can be a net
+# or an array.  Such a value lives as long as its node, a shared node
+# (EPS, ONE, ZERO) for the whole process, so a new per-node store is a
+# reviewed decision here, as a new cache is above.
 STORED = {
-    "_key": ("nets.py", "a node's exact key as a grid atom"),
-    "_repr": ("scales.py", "a node's sort key as a polynomial atom"),
-    "_osc": ("profiles.py", "an oscillator's zero, +1 and -1 sequences"),
-    "_plans": ("smoothing.py", "a blend's band plans"),
-    "_uppers": ("asymptotics.py", "the sorted upper envelopes"),
-    "_lowers": ("asymptotics.py", "the sorted lower envelopes"),
-    "_grid_abs": ("harness.py", "|net| on each replay grid, read-only"),
+    "_key": ("nets.py", "a node's exact key as a grid atom", False),
+    "_repr": ("scales.py", "a node's sort key as a polynomial atom", False),
+    "_osc": ("profiles.py", "an oscillator's zero, +1 and -1 sequences",
+             False),
+    "_plans": ("smoothing.py", "a blend's band plans, with its source",
+               True),
+    "_uppers": ("asymptotics.py", "the sorted upper envelopes", False),
+    "_lowers": ("asymptotics.py", "the sorted lower envelopes", False),
+    "_grid_abs": ("asymptotics.py", "|net| on each replay grid and fixed "
+                  "lower scan, read-only, keyed by the scan", True),
+    "_seqs": ("profiles.py", "the candidate sequences, at most 16", False),
+    "_along": ("profiles.py", "substitute_along on each candidate "
+               "sequence", True),
 }
 
 
@@ -242,7 +249,15 @@ def test_every_value_stored_on_a_node_is_listed():
                 name = node.args[1]
                 assert isinstance(name, ast.Constant), (module, node.lineno)
                 found.setdefault(name.value, set()).add(module)
-    assert found == {name: {module} for name, (module, _) in STORED.items()}
+    assert found == {name: {module} for name, (module, *_) in STORED.items()}
+
+
+def test_a_pickle_leaves_out_exactly_the_stores_of_nets_and_arrays():
+    # a net or an array in a pickled store can hold the node itself (EPS
+    # substituted along a sequence is EPS), which no pickle restores;
+    # _fn, the closure of eval_net, is no store but does not pickle either
+    heavy = {name for name, (*_, holds) in STORED.items() if holds}
+    assert set(nets._NOT_PICKLED) == heavy | {"_fn"}
 
 
 # A polynomial keeps the order its terms sort in (scales.Poly.sorted_terms),
